@@ -7,8 +7,9 @@ line; matrices are JSON arrays of row arrays.  Output goes to stdout or
 shortest round-trip representation, so identical invocations produce
 byte-identical output and values reload losslessly.
 
-Exit codes: 0 success, 1 I/O failure, 2 validation error, 3 refusal to
-truncate a row tail or to enumerate past the subset cap.
+Exit codes: 0 success, 1 I/O failure, 2 validation error (including a
+result outside double range), 3 refusal to truncate a row tail or to
+enumerate past the subset cap.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def _guarded(fn):
         fn()
     except (LimitError, TailError) as exc:
         _fail(3, exc)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         _fail(2, exc)
     except OSError as exc:
         _fail(1, exc)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .fracdiff import SeqWindow, inverse_coeffs, toeplitz_matrix
 from .qcore import QParam
-from .spaces import PExponent, default_checkpoints
+from .spaces import PExponent, _checkpoints, default_checkpoints
 
 __all__ = [
     "MAX_SUBSET_ROWS",
@@ -359,16 +359,7 @@ def matrix_class_condition(
     enumerated rows at ``row_limit``.
     """
     n_rows = m.entries.shape[0]
-    if checkpoints is None:
-        cps = default_checkpoints(n_rows, start=4)
-    else:
-        cps = tuple(int(c) for c in checkpoints)
-        if not cps:
-            raise ValueError("checkpoints must be nonempty")
-        if any(b <= a for a, b in zip(cps, cps[1:])):
-            raise ValueError("checkpoints must be strictly increasing")
-        if cps[0] < 1 or cps[-1] > n_rows:
-            raise ValueError(f"checkpoints must lie in [1, {n_rows}]")
+    cps = _checkpoints(checkpoints, n_rows, start=4)
     info: dict[str, Any] = dict(detail or {})
     values: list[tuple[int, float]] = []
 

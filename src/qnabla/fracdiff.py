@@ -1,44 +1,43 @@
 """Fractional-order q-difference operators on finite sequence windows.
 
-The forward operator of order gamma acts as the causal (lower triangular
-Toeplitz) convolution ``h_j = sum_{k<=j} c_{j-k} g_k`` with symbol
-coefficients generated by the multiplicative recurrence
+The forward operator of order gamma is the causal (lower triangular
+Toeplitz) convolution ``h_j = sum_{k<=j} c_{j-k} g_k``, and its inverse
+convolves with coefficients e_k.  With L = log q, each stream is one
+``np.cumprod`` over bounded lag ratios,
 
-    c_0 = 1,    c_{k+1} = -c_k * q^k * [gamma - k]_q / [k + 1]_q,
+    c_0 = 1,  c_{k+1} / c_k = -(q^k - q^gamma) / (1 - q^{k+1}),
+    e_0 = 1,  e_{k+1} / e_k = [gamma + k]_q / [k + 1]_q,
 
-which is algebraically the same as
-``c_k = (-1)^k q^{k(k-1)/2} [gamma]_q [gamma-1]_q ... [gamma-k+1]_q / [k]_q!``
-but avoids gamma-function pole arithmetic and accumulates less rounding
-error.  For integer gamma = r the recurrence hits ``[0]_q = 0`` and every
-coefficient past index r is exactly zero, recovering the classical
-q-difference operator of order r (order 1 is the plain backward difference
-``g_j - g_{j-1}``).
+where ``q^k - q^gamma = ±q^min(k, gamma) (1 - q^|k - gamma|)`` and every
+``1 - q^t`` is ``-expm1(t L)``.  For a nonnegative order no ratio exceeds
+1 / (1 - q), so no lag overflows and no digits cancel for q next to 1.
+Integer gamma = r gives an exact zero ratio at lag r, recovering the
+classical order-r q-difference operator (order 1 is ``g_j - g_{j-1}``).
+Entries below the smallest normal double are set to zero: they carry no
+relative precision and, as subnormals, would slow convolutions many times.
 
-The inverse operator carries the rising-product coefficients
-
-    e_0 = 1,    e_{k+1} = e_k * [gamma + k]_q / [k + 1]_q,
-
-deliberately with no ``q^{k(k-1)/2}`` twist.  The asymmetry is not a typo:
-the two generating functions are ``prod_j (1 - q^j x) / (1 - q^{gamma+j} x)``
-and its reciprocal (q-binomial theorem), so the streams convolve exactly to
+The inverse stream deliberately has no ``q^{k(k-1)/2}`` twist: the two
+generating functions are ``prod_j (1 - q^j x) / (1 - q^{gamma+j} x)`` and
+its reciprocal (q-binomial theorem), so the streams convolve exactly to
 the unit impulse.  ``verify_inverse`` measures that identity on a window,
 and ``semigroup_defect`` measures how far composing two forward operators
 is from the forward operator of the summed order (for q < 1 they genuinely
 differ; the defect vanishes as q -> 1^-).
 
-Coefficient truncation length is caller-supplied: forward coefficients
-decay geometrically at rate q^gamma, but inverse coefficients tend to a
-nonzero constant, so no single tail policy fits both.
+Truncation length is caller-supplied.  Every convolution cuts its operands
+to their support (up to the last nonzero entry), so a stream of support K
+costs O(n K) on an n-window rather than O(n^2).
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import QParam, _require_finite, q_integer
+from .qcore import QParam, _require_finite
 
 __all__ = [
     "Kind",
@@ -64,6 +63,9 @@ class Kind(enum.Enum):
     FORWARD = "forward"
     INVERSE = "inverse"
     COMPOSED = "composed"
+
+
+_TINY = np.finfo(np.float64).tiny
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -124,23 +126,34 @@ class SeqWindow:
         return SeqWindow(self.values[:n])
 
 
-def _check_truncation(k: int) -> int:
-    if k != int(k) or k < 0:
-        raise ValueError(f"truncation length must be a nonnegative integer, got {k!r}")
-    return int(k)
+def _check_int(name: str, n: int, minimum: int) -> int:
+    if n != int(n) or n < minimum:
+        raise ValueError(f"{name} must be an integer ≥ {minimum}, got {n!r}")
+    return int(n)
+
+
+def _stream(kind: Kind, order: float, qp: QParam, k: int) -> CoeffStream:
+    """Coefficients 0..K of one stream: a single cumprod over the lag ratios."""
+    order = _require_finite("order", order)
+    k = _check_int("truncation length", k, 0)
+    logq = math.log(qp.q)
+    lag = np.arange(k, dtype=np.float64)
+    # Only a negative order can overflow; CoeffStream then refuses the stream.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind is Kind.FORWARD:
+            gap = order - lag
+            num = -np.sign(gap) * np.exp(np.minimum(lag, order) * logq)
+            num *= np.expm1(np.abs(gap) * logq)
+        else:
+            num = np.expm1((order + lag) * logq)
+        out = np.cumprod(np.concatenate(([1.0], num / np.expm1((lag + 1.0) * logq))))
+    out[np.abs(out) < _TINY] = 0.0
+    return CoeffStream(order=order, qp=qp, kind=kind, coeffs=out)
 
 
 def forward_coeffs(order: float, qp: QParam, k: int) -> CoeffStream:
     """Coefficients c_0..c_K of the order-``order`` forward operator."""
-    order = _require_finite("order", order)
-    k = _check_truncation(k)
-    c = np.empty(k + 1, dtype=np.float64)
-    c[0] = 1.0
-    qpow = 1.0
-    for i in range(k):
-        c[i + 1] = -c[i] * qpow * q_integer(order - i, qp) / q_integer(i + 1.0, qp)
-        qpow *= qp.q
-    return CoeffStream(order=order, qp=qp, kind=Kind.FORWARD, coeffs=c)
+    return _stream(Kind.FORWARD, order, qp, k)
 
 
 def inverse_coeffs(order: float, qp: QParam, k: int) -> CoeffStream:
@@ -149,19 +162,27 @@ def inverse_coeffs(order: float, qp: QParam, k: int) -> CoeffStream:
     All entries are nonnegative for order > 0 and tend to the finite
     constant prod_j (1 - q^{order+j}) / (1 - q^{1+j}) as K grows.
     """
-    order = _require_finite("order", order)
-    k = _check_truncation(k)
-    e = np.empty(k + 1, dtype=np.float64)
-    e[0] = 1.0
-    for i in range(k):
-        e[i + 1] = e[i] * q_integer(order + i, qp) / q_integer(i + 1.0, qp)
-    return CoeffStream(order=order, qp=qp, kind=Kind.INVERSE, coeffs=e)
+    return _stream(Kind.INVERSE, order, qp, k)
+
+
+def _support(a: np.ndarray) -> np.ndarray:
+    """``a`` up to its last nonzero entry (at least one entry)."""
+    nz = np.flatnonzero(a)
+    return a[: nz[-1] + 1] if nz.size else a[:1]
+
+
+def _causal(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """First n terms of the Cauchy product of a and b.
+
+    Both operands are cut to their support first, so a stream of support K
+    convolves in O(n K) rather than O(n^2).
+    """
+    head = np.convolve(_support(a[:n]), _support(b[:n]))[:n]
+    return np.pad(head, (0, n - head.size))
 
 
 def _apply(stream: CoeffStream, g: SeqWindow) -> SeqWindow:
-    # Direct triangular convolution; windows are desk-scale, so the simple
-    # O(N^2) path stays bit-reproducible.
-    return SeqWindow(np.convolve(stream.coeffs, g.values)[: g.n])
+    return SeqWindow(_causal(stream.coeffs, g.values, g.n))
 
 
 def apply_forward(g: SeqWindow, order: float, qp: QParam) -> SeqWindow:
@@ -185,7 +206,7 @@ def compose_coeffs(a: CoeffStream, b: CoeffStream) -> CoeffStream:
             f"cannot compose streams with q = {a.qp.q!r} and q = {b.qp.q!r}"
         )
     n = min(a.coeffs.size, b.coeffs.size)
-    out = np.convolve(a.coeffs, b.coeffs)[:n]
+    out = _causal(a.coeffs, b.coeffs, n)
     return CoeffStream(order=None, qp=a.qp, kind=Kind.COMPOSED, coeffs=out)
 
 
@@ -196,15 +217,12 @@ def verify_inverse(order: float, qp: QParam, n: int) -> float:
     returned; they coincide mathematically, so a gap between them would
     itself flag a defect.
     """
-    if n != int(n) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    n = int(n)
+    n = _check_int("n", n, 1)
     c = forward_coeffs(order, qp, n - 1).coeffs
     e = inverse_coeffs(order, qp, n - 1).coeffs
-    target = np.zeros(n, dtype=np.float64)
-    target[0] = 1.0
-    r1 = float(np.max(np.abs(np.convolve(c, e)[:n] - target)))
-    r2 = float(np.max(np.abs(np.convolve(e, c)[:n] - target)))
+    target = np.eye(1, n)[0]
+    r1 = float(np.max(np.abs(_causal(c, e, n) - target)))
+    r2 = float(np.max(np.abs(_causal(e, c, n) - target)))
     return max(r1, r2)
 
 
@@ -216,12 +234,10 @@ def semigroup_defect(mu: float, nu: float, qp: QParam, n: int) -> float:
     """
     mu = _require_finite("mu", mu)
     nu = _require_finite("nu", nu)
-    if n != int(n) or n < 2:
-        raise ValueError(f"n must be an integer ≥ 2, got {n!r}")
-    n = int(n)
-    composed = np.convolve(
-        forward_coeffs(mu, qp, n - 1).coeffs, forward_coeffs(nu, qp, n - 1).coeffs
-    )[:n]
+    n = _check_int("n", n, 2)
+    composed = _causal(
+        forward_coeffs(mu, qp, n - 1).coeffs, forward_coeffs(nu, qp, n - 1).coeffs, n
+    )
     direct = forward_coeffs(mu + nu, qp, n - 1).coeffs
     return float(np.max(np.abs(composed - direct)))
 
@@ -232,12 +248,10 @@ def toeplitz_matrix(stream: CoeffStream, n: int) -> np.ndarray:
     Entry (j, k) is coefficient j - k; lags beyond the stream's truncation
     are zero.
     """
-    if n != int(n) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    n = int(n)
-    out = np.zeros((n, n), dtype=np.float64)
-    c = stream.coeffs
-    for lag in range(min(n, c.size)):
-        idx = np.arange(n - lag)
-        out[idx + lag, idx] = c[lag]
-    return out
+    n = _check_int("n", n, 1)
+    # padded[n - 1 + i] = c_i, zero before, so row j reversed is the window
+    # padded[j : j + n] and entry (j, k) is c_{j-k}.
+    padded = np.zeros(2 * n - 1, dtype=np.float64)
+    m = min(n, stream.coeffs.size)
+    padded[n - 1 : n - 1 + m] = stream.coeffs[:m]
+    return np.lib.stride_tricks.sliding_window_view(padded, n)[:, ::-1].copy()

@@ -46,7 +46,7 @@ from .duals import (
 )
 from .fracdiff import SeqWindow, apply_forward, inverse_coeffs
 from .qcore import QParam, q_integer
-from .spaces import PExponent, default_checkpoints
+from .spaces import PExponent, _checkpoints, default_checkpoints
 
 __all__ = [
     "TailError",
@@ -391,14 +391,7 @@ def transform_condition(
             f"{cond.value} applies to a single matrix window; use the "
             "matrix-class dispatch instead"
         )
-    if checkpoints is None:
-        cps = default_checkpoints(n, start=4)
-    else:
-        cps = tuple(int(c) for c in checkpoints)
-        if not cps or any(b <= a for a, b in zip(cps, cps[1:])):
-            raise ValueError("checkpoints must be nonempty and strictly increasing")
-        if cps[0] < 1 or cps[-1] > n:
-            raise ValueError(f"checkpoints must lie in [1, {n}]")
+    cps = _checkpoints(checkpoints, n, start=4)
     info: dict[str, Any] = dict(detail or {})
     info.setdefault("matrix", "sections")
     e: float | None = None
@@ -469,7 +462,7 @@ def cesaro_composite(phi: MatrixWindow, qp: QParam) -> MatrixWindow:
     geometric sum of q^v over v <= j is the q-bracket [j+1]_q."""
     n_rows = phi.entries.shape[0]
     qpow = qp.q ** np.arange(n_rows, dtype=np.float64)
-    denom = np.array([q_integer(float(j + 1), qp) for j in range(n_rows)])
+    denom = q_integer(np.arange(1, n_rows + 1, dtype=np.float64), qp)
     entries = np.cumsum(qpow[:, None] * phi.entries, axis=0) / denom[:, None]
     return MatrixWindow(entries=entries, triangular=phi.triangular)
 

@@ -14,15 +14,13 @@ which satisfies ``gamma_q(1) = 1``, the recurrence
 ``gamma_q(t + 1) = [t]_q gamma_q(t)``, and tends to the classical gamma
 function as q -> 1^-.
 
-Evaluation scheme: real exponents q^t go through ``exp(t * log q)``, which
-is safe because q in (0, 1) keeps ``log q`` finite and negative; integer t
-uses an exact integer power so that integer q-brackets hit 0 and 1 exactly
-(this is what terminates integer-order difference operators downstream).
-Infinite products truncate once the running factor magnitude ``|x| q^J``
-drops below ``QParam.prod_tol``; geometric decay of the factors turns that
-into an a-priori tail bound.  gamma_q and its ratios are accumulated in log
-space so that values stay representable even for q very close to 1, where
-the individual Pochhammer products underflow.
+Evaluation scheme: q-brackets go through ``expm1(t log q) / expm1(log q)``,
+which keeps full relative precision for q next to 1 and hits [0]_q = 0 and
+[1]_q = 1 exactly.  Infinite products truncate once the running factor
+magnitude ``|x| q^J`` drops below ``QParam.prod_tol``; geometric decay of
+the factors turns that into an a-priori tail bound.  gamma_q and its ratios
+are accumulated in log space so that values stay representable even for q
+very close to 1, where the individual Pochhammer products underflow.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 18
-_MAX_EXACT_POW = 1 << 20
 
 
 class PoleError(ValueError):
@@ -82,26 +79,22 @@ def _require_finite(name: str, x: float) -> float:
     return x
 
 
-def _qpow(q: float, t: float) -> float:
-    """q raised to a real power t; exact integer powers for integer t."""
-    if t.is_integer() and abs(t) <= _MAX_EXACT_POW:
-        return q ** int(t)
-    return math.exp(t * math.log(q))
-
-
 def _is_nonpositive_integer(t: float, eps: float) -> bool:
     r = round(t)
     return r <= 0 and abs(t - r) < eps
 
 
-def q_integer(t: float, qp: QParam) -> float:
-    """q-bracket [t]_q = (1 - q^t) / (1 - q) of a real number t.
+def q_integer(t: float | np.ndarray, qp: QParam) -> float | np.ndarray:
+    """q-bracket [t]_q = (1 - q^t) / (1 - q) of a real t (or of each entry of an array).
 
     For nonnegative integer t this equals the finite geometric sum
-    1 + q + ... + q^(t-1); it tends to t as q -> 1^-.
+    1 + q + ... + q^(t-1); it tends to t as q -> 1^-.  Evaluated as
+    ``expm1(t log q) / expm1(log q)`` (see the module notes).
     """
-    t = _require_finite("t", t)
-    return (1.0 - _qpow(qp.q, t)) / (1.0 - qp.q)
+    logq = math.log(qp.q)
+    if isinstance(t, np.ndarray):
+        return np.expm1(t * logq) / math.expm1(logq)
+    return math.expm1(_require_finite("t", t) * logq) / math.expm1(logq)
 
 
 def q_factorial(n: int, qp: QParam) -> float:
@@ -135,6 +128,15 @@ def _truncation_index(x: float, qp: QParam) -> int:
     return max(0, math.floor(n) + 1)
 
 
+def _factors(x: float, qp: QParam):
+    """Chunks of the factors 1 - x q^j, j = 0..J, of the truncated product."""
+    jmax = _truncation_index(x, qp)
+    logq = math.log(qp.q)
+    for start in range(0, jmax + 1, _CHUNK):
+        j = np.arange(start, min(start + _CHUNK, jmax + 1), dtype=np.float64)
+        yield 1.0 - x * np.exp(j * logq)
+
+
 def q_pochhammer_inf(x: float, qp: QParam) -> float:
     """Truncated infinite product (x, q)_inf = prod_{j=0..J} (1 - x q^j).
 
@@ -143,28 +145,20 @@ def q_pochhammer_inf(x: float, qp: QParam) -> float:
     fixed inputs.  Note (1, q)_inf = 0 exactly: the j = 0 factor vanishes.
     """
     x = _require_finite("x", x)
-    jmax = _truncation_index(x, qp)
-    logq = math.log(qp.q)
     out = 1.0
-    for start in range(0, jmax + 1, _CHUNK):
-        j = np.arange(start, min(start + _CHUNK, jmax + 1), dtype=np.float64)
-        out *= float(np.prod(1.0 - x * np.exp(j * logq)))
+    for f in _factors(x, qp):
+        out *= float(np.prod(f))
     return out
 
 
 def _log_pochhammer(x: float, qp: QParam) -> tuple[float, float]:
     """(sign, log |(x, q)_inf|) over the truncated product; sign 0 at an exact zero."""
-    jmax = _truncation_index(x, qp)
-    logq = math.log(qp.q)
     sign = 1.0
     total = 0.0
-    for start in range(0, jmax + 1, _CHUNK):
-        j = np.arange(start, min(start + _CHUNK, jmax + 1), dtype=np.float64)
-        f = 1.0 - x * np.exp(j * logq)
+    for f in _factors(x, qp):
         if np.any(f == 0.0):
             return 0.0, -math.inf
-        neg = int(np.count_nonzero(f < 0.0))
-        if neg % 2:
+        if np.count_nonzero(f < 0.0) % 2:
             sign = -sign
         total += float(np.sum(np.log(np.abs(f))))
     return sign, total
@@ -173,6 +167,9 @@ def _log_pochhammer(x: float, qp: QParam) -> tuple[float, float]:
 def q_gamma(t: float, qp: QParam) -> float:
     """q-gamma function gamma_q(t) via truncated q-Pochhammer products.
 
+    A test oracle only, never called by the library.  Its cost grows as
+    1 / (1 - q): at q = 1 - 1e-6 it multiplies 3.4e7 factors, about 1 s.
+
     Raises :class:`PoleError` when t falls within ``qp.eps`` of a
     nonpositive integer, where gamma_q has a pole.
     """
@@ -180,7 +177,7 @@ def q_gamma(t: float, qp: QParam) -> float:
     if _is_nonpositive_integer(t, qp.eps):
         raise PoleError(f"gamma_q has a pole at t = {t!r}")
     s_num, l_num = _log_pochhammer(qp.q, qp)
-    s_den, l_den = _log_pochhammer(_qpow(qp.q, t), qp)
+    s_den, l_den = _log_pochhammer(qp.q**t, qp)
     if s_den == 0.0:
         # The denominator product collapsed to an exact zero even though t
         # passed the pole test; treat it as the pole it numerically is.
@@ -193,8 +190,8 @@ def q_gamma_ratio(a: float, b: float, qp: QParam) -> float:
 
     Evaluated as (q^b, q)_inf / (q^a, q)_inf * (1 - q)^(b - a), which never
     forms the infinite gamma value: when b sits at a nonpositive integer the
-    ratio is 0, which is what truncates integer-order operator coefficients.
-    Raises :class:`PoleError` when a itself is at a pole.
+    ratio is 0.  Raises :class:`PoleError` when a itself is at a pole.  A
+    test oracle only, at the cost of :func:`q_gamma`.
     """
     a = _require_finite("a", a)
     b = _require_finite("b", b)
@@ -202,8 +199,8 @@ def q_gamma_ratio(a: float, b: float, qp: QParam) -> float:
         raise PoleError(f"gamma_q has a pole at a = {a!r}")
     if _is_nonpositive_integer(b, qp.eps):
         return 0.0
-    s_b, l_b = _log_pochhammer(_qpow(qp.q, b), qp)
-    s_a, l_a = _log_pochhammer(_qpow(qp.q, a), qp)
+    s_b, l_b = _log_pochhammer(qp.q**b, qp)
+    s_a, l_a = _log_pochhammer(qp.q**a, qp)
     if s_a == 0.0:
         raise PoleError(f"gamma_q denominator vanished at a = {a!r}")
     if s_b == 0.0:

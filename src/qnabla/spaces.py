@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fracdiff import SeqWindow, apply_forward, inverse_coeffs
+from .fracdiff import SeqWindow, _check_int, apply_forward, inverse_coeffs
 from .qcore import QParam
 
 __all__ = [
@@ -132,6 +132,21 @@ def default_checkpoints(n: int, start: int = 1) -> tuple[int, ...]:
     return tuple(cps)
 
 
+def _checkpoints(checkpoints, n: int, start: int = 1) -> tuple[int, ...]:
+    """Given prefix lengths, checked to rise strictly within [1, n], or the
+    power-of-two defaults when None."""
+    if checkpoints is None:
+        return default_checkpoints(n, start)
+    cps = tuple(int(c) for c in checkpoints)
+    if not cps:
+        raise ValueError("checkpoints must be nonempty")
+    if any(b <= a for a, b in zip(cps, cps[1:])):
+        raise ValueError("checkpoints must be strictly increasing")
+    if cps[0] < 1 or cps[-1] > n:
+        raise ValueError(f"checkpoints must lie in [1, {n}]")
+    return cps
+
+
 def lp_norm(h: SeqWindow, p: PExponent) -> float:
     """Classical norm of a window: root-sum for p >= 1, plain p-sum for
     0 < p < 1, sup for p = inf."""
@@ -147,11 +162,7 @@ def lp_norm(h: SeqWindow, p: PExponent) -> float:
 def domain_norm(g: SeqWindow, order: float, qp: QParam, p: PExponent) -> NormReport:
     """Norm of g in the operator's matrix-domain space: the classical norm
     of its forward transform, profiled over power-of-two prefixes."""
-    h = apply_forward(g, order, qp)
-    partials = tuple(
-        (n, lp_norm(h.prefix(n), p)) for n in default_checkpoints(g.n)
-    )
-    return NormReport(value=lp_norm(h, p), p=p, window=g.n, partials=partials)
+    return membership_diagnostic(g, order, qp, p)
 
 
 def schauder_basis_vector(k: int, order: float, qp: QParam, n: int) -> SeqWindow:
@@ -160,11 +171,10 @@ def schauder_basis_vector(k: int, order: float, qp: QParam, n: int) -> SeqWindow
     Entry j is the inverse coefficient e_{j-k} for j >= k and zero before;
     its forward transform is the unit impulse at position k.
     """
-    if n != int(n) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    n = _check_int("n", n, 1)
     if k != int(k) or not 0 <= k < n:
         raise IndexError(f"basis index k must satisfy 0 <= k < {n}, got {k!r}")
-    k, n = int(k), int(n)
+    k = int(k)
     vec = np.zeros(n, dtype=np.float64)
     vec[k:] = inverse_coeffs(order, qp, n - 1 - k).coeffs
     return SeqWindow(vec)
@@ -174,12 +184,14 @@ def schauder_reconstruct(h: SeqWindow, order: float, qp: QParam) -> SeqWindow:
     """Expand h against the basis vectors: sum_k h_k * (basis vector k).
 
     Computed as the explicit basis sum, not via the inverse transform, so
-    the two routes can be compared against each other.
+    the two routes can be compared against each other.  Basis vector k is
+    the inverse stream shifted by k, so one stream serves every term.
     """
     n = h.n
+    e = inverse_coeffs(order, qp, n - 1).coeffs
     acc = np.zeros(n, dtype=np.float64)
     for k in range(n):
-        acc += h.values[k] * schauder_basis_vector(k, order, qp, n).values
+        acc[k:] += h.values[k] * e[: n - k]
     return SeqWindow(acc)
 
 
@@ -195,16 +207,7 @@ def membership_diagnostic(
     A finite window can never certify membership in an infinite-sum
     condition, so no verdict is attached: the growth profile is the report.
     """
-    if checkpoints is None:
-        cps = default_checkpoints(g.n)
-    else:
-        cps = tuple(int(c) for c in checkpoints)
-        if not cps:
-            raise ValueError("checkpoints must be nonempty")
-        if any(b <= a for a, b in zip(cps, cps[1:])):
-            raise ValueError("checkpoints must be strictly increasing")
-        if cps[0] < 1 or cps[-1] > g.n:
-            raise ValueError(f"checkpoints must lie in [1, {g.n}]")
+    cps = _checkpoints(checkpoints, g.n)
     h = apply_forward(g, order, qp)
     partials = tuple((n, lp_norm(h.prefix(n), p)) for n in cps)
     return NormReport(value=partials[-1][1], p=p, window=g.n, partials=partials)

@@ -265,3 +265,27 @@ class TestCliMisc:
                         "semigroup-defect", "norm", "basis", "alpha-dual",
                         "beta-dual", "gamma-dual", "class-check", "compose"):
             assert command in result.output
+
+
+class TestArithmeticBackstop:
+    def test_long_integer_order_transform(self, runner, tmp_path):
+        # Past lag 1,024 the term q^(gamma - k) of the per-lag bracket form
+        # overflows at q = 0.5; the bounded ratio form never forms it.
+        rng = np.random.default_rng(7)
+        src = tmp_path / "g.json"
+        src.write_text(json.dumps(list(rng.uniform(-1, 1, 1030))))
+        result = invoke(runner, "transform", "--gamma", 2, "--q", 0.5, "--input", src)
+        assert result.exit_code == 0
+        assert len(json.loads(result.stdout)) == 1030
+
+    def test_arithmetic_error_is_exit_2(self, runner, monkeypatch):
+        import qnabla.cli as cli_module
+
+        def overflow(*args, **kwargs):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr(cli_module, "forward_coeffs", overflow)
+        result = invoke(runner, "coeffs", "--gamma", 0.5, "--q", 0.5, "--k", 4)
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.stderr

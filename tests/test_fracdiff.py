@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -207,6 +208,16 @@ class TestToeplitzStructure:
         assert np.array_equal(m[1:, 1:], m[:-1, :-1])
         assert np.all(np.triu(m, k=1) == 0.0)
 
+    def test_entries_are_lagged_coefficients(self):
+        # Entry (j, k) is c_{j-k}; lags past the stream's truncation are zero.
+        stream = inverse_coeffs(0.8, QParam(0.4), 5)
+        m = toeplitz_matrix(stream, 9)
+        for j in range(9):
+            for k in range(9):
+                lag = j - k
+                expect = stream.coeffs[lag] if 0 <= lag <= 5 else 0.0
+                assert m[j, k] == expect
+
 
 class TestCompose:
     def test_identity_element(self):
@@ -306,3 +317,66 @@ class TestSemigroupDefect:
 
     def test_defect_vanishes_classically(self):
         assert semigroup_defect(0.5, 0.5, QParam(1 - 1e-4), 7) <= 1e-3
+
+
+def stream_oracle(kind: str, gamma: float, q: float, m: int, dps: int = 60) -> list:
+    """First m forward or inverse coefficients by the recurrence in mpmath."""
+    with mpmath.workdps(dps):
+        qm, g = mpmath.mpf(q), mpmath.mpf(gamma)
+
+        def br(t):
+            return (1 - qm**t) / (1 - qm)
+
+        out = [mpmath.mpf(1)]
+        for i in range(m - 1):
+            if kind == "forward":
+                out.append(-out[-1] * qm**i * br(g - i) / br(i + 1))
+            else:
+                out.append(out[-1] * br(g + i) / br(i + 1))
+        return out
+
+
+class TestStreamRange:
+    """Streams across the whole parameter range: q next to 1, long windows,
+    deep tails and large orders."""
+
+    @pytest.mark.parametrize("q", [1 - 1e-9, 1 - 1e-12])
+    @pytest.mark.parametrize("kind", ["forward", "inverse"])
+    def test_near_one_matches_oracle(self, q, kind):
+        build = forward_coeffs if kind == "forward" else inverse_coeffs
+        got = build(0.5, QParam(q), 40).coeffs
+        ref = np.array([float(v) for v in stream_oracle(kind, 0.5, q, 41)])
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
+
+    def test_long_window_past_overflow_lag(self):
+        # q^(-k) overflows past k = 709.8 / ln 2, about 1,024 at q = 0.5.
+        qp = QParam(0.5)
+        g = SeqWindow(np.random.default_rng(3).standard_normal(5000))
+        h = apply_forward(g, 0.5, qp)
+        back = apply_inverse(h, 0.5, qp)
+        assert np.all(np.isfinite(h.values)) and np.all(np.isfinite(back.values))
+        assert verify_inverse(0.5, qp, 5000) <= 1e-12
+
+    def test_underflowed_tail_is_zero(self):
+        # |c_3985| is about 1e-425, far below the smallest double.
+        c = forward_coeffs(2.035, QParam(0.8868), 3985).coeffs
+        assert c[3985] == 0.0
+
+    def test_long_tail_matches_oracle(self):
+        c = forward_coeffs(0.7, QParam(0.93), 6999).coeffs
+        ref = float(stream_oracle("forward", 0.7, 0.93, 7000, dps=30)[-1])
+        assert abs(ref + 1.0726e-157) <= 1e-4 * 1.0726e-157
+        assert abs(c[6999] - ref) <= 1e-11 * abs(ref)
+
+    def test_no_subnormal_entries(self):
+        tiny = np.finfo(np.float64).tiny
+        streams = [forward_coeffs(800.0, QParam(0.2), 2000)]
+        for gamma in (0.5, 2.035, 3.0):
+            for q in (0.05, 0.5, 0.93):
+                streams.append(forward_coeffs(gamma, QParam(q), 8000))
+                streams.append(inverse_coeffs(-gamma, QParam(q), 300))
+        for stream in streams:
+            c = stream.coeffs
+            assert np.all(np.isfinite(c))
+            assert np.all((c == 0.0) | (np.abs(c) >= tiny))
+        assert np.count_nonzero(streams[0].coeffs) > 1

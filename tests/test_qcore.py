@@ -79,6 +79,23 @@ class TestQInteger:
         with pytest.raises(ValueError, match="t"):
             q_integer(float("nan"), QParam(0.5))
 
+    @pytest.mark.parametrize("q", [1 - 1e-9, 1 - 1e-12])
+    def test_near_one_matches_oracle(self, q):
+        # (1 - q^t) / (1 - q) cancels about log10(1 / (1 - q)) digits.
+        qp = QParam(q)
+        for t in (0.3, 0.5, 1.7, 2.0, 4.2, 250.5):
+            with mpmath.workdps(60):
+                qm = mpmath.mpf(q)
+                ref = float((1 - qm ** mpmath.mpf(t)) / (1 - qm))
+            assert abs(q_integer(t, qp) - ref) <= 1e-14 * ref
+
+    def test_array_matches_scalar(self):
+        qp = QParam(0.83)
+        t = np.array([0.0, 1.0, 2.5, 7.0])
+        out = q_integer(t, qp)
+        assert out[0] == 0.0 and out[1] == 1.0
+        assert list(out) == [q_integer(float(v), qp) for v in t]
+
 
 class TestQFactorial:
     def test_empty_product(self):

@@ -175,6 +175,18 @@ class TestSchauderReconstruct:
         expect = schauder_basis_vector(0, 0.7, qp, 6)
         assert np.array_equal(out.values, expect.values)
 
+    def test_equals_explicit_basis_sum(self):
+        # One shared inverse stream gives the same sum, bit for bit, as
+        # adding every separately built basis vector.
+        rng = np.random.default_rng(14)
+        for gamma, q in ((0.7, 0.5), (2.0, 0.9), (1.3, 1 - 1e-9)):
+            qp = QParam(q)
+            h = SeqWindow(rng.uniform(-1, 1, 40))
+            acc = np.zeros(40)
+            for k in range(40):
+                acc += h.values[k] * schauder_basis_vector(k, gamma, qp, 40).values
+            assert np.array_equal(schauder_reconstruct(h, gamma, qp).values, acc)
+
     def test_zeros(self):
         out = schauder_reconstruct(SeqWindow(np.zeros(5)), 0.5, QParam(0.5))
         assert np.all(out.values == 0.0)
