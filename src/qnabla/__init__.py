@@ -69,7 +69,6 @@ from .matclass import (
     class_check,
     column_cumsum_matrix,
     forward_composite_matrix,
-    inverse_composite_matrix,
     row_section_matrix,
     section_consistency_residual,
     target_domain_conditions,
@@ -99,8 +98,7 @@ __all__ = [
     # matclass
     "ClassQuery", "Source", "TailError", "Target", "TransformFamily",
     "build_transform_family", "cesaro_composite", "class_check",
-    "column_cumsum_matrix", "forward_composite_matrix",
-    "inverse_composite_matrix", "row_section_matrix",
+    "column_cumsum_matrix", "forward_composite_matrix", "row_section_matrix",
     "section_consistency_residual", "target_domain_conditions",
     "transform_condition",
 ]

@@ -31,7 +31,7 @@ import numpy as np
 
 from .fracdiff import SeqWindow, inverse_coeffs, toeplitz_matrix
 from .qcore import QParam
-from .spaces import PExponent, _checkpoints, default_checkpoints
+from .spaces import PExponent, _checkpoints
 
 __all__ = [
     "MAX_SUBSET_ROWS",
@@ -117,7 +117,6 @@ class Condition(enum.Enum):
     SECTION_COLUMN_LIMITS = "section-column-limits"
     SECTION_ENTRY_SUP = "section-entry-sup"
     SECTION_POWER_SUM_SUP = "section-power-sum-sup"
-    SECTION_ROW_SUM_LIMIT = "section-row-sum-limit"
     SECTION_ABS_SUM_MATCH = "section-abs-sum-match"
     VANISHING_ROW_ABS_SUM = "vanishing-row-abs-sum"
 
@@ -131,7 +130,6 @@ _TAIL_CONDITIONS = frozenset(
         Condition.COLUMN_LIMITS_ZERO,
         Condition.ABS_ROW_SUM_INTERCHANGE,
         Condition.SECTION_COLUMN_LIMITS,
-        Condition.SECTION_ROW_SUM_LIMIT,
         Condition.SECTION_ABS_SUM_MATCH,
         Condition.VANISHING_ROW_ABS_SUM,
     }
@@ -437,12 +435,6 @@ def matrix_class_condition(
     )
 
 
-def _dual_windows(windows, n: int) -> tuple[int, ...]:
-    if windows is None:
-        return default_checkpoints(n, start=4)
-    return tuple(int(w) for w in windows)
-
-
 def alpha_dual_check(
     a: SeqWindow,
     order: float,
@@ -501,22 +493,21 @@ def beta_dual_check(
     sup-norm source).  One report per condition.
     """
     omega = partial_sum_matrix(a, order, qp)
-    cps = _dual_windows(windows, a.n)
     shared = {"matrix": "partial-sum"}
     first = matrix_class_condition(
-        omega, Condition.COLUMN_LIMITS, checkpoints=cps, detail=dict(shared)
+        omega, Condition.COLUMN_LIMITS, checkpoints=windows, detail=dict(shared)
     )
     if p.is_inf:
         second = matrix_class_condition(
-            omega, Condition.ABS_ROW_SUM_INTERCHANGE, checkpoints=cps, detail=dict(shared)
+            omega, Condition.ABS_ROW_SUM_INTERCHANGE, checkpoints=windows, detail=dict(shared)
         )
     elif p.value <= 1.0:
         second = matrix_class_condition(
-            omega, Condition.ENTRY_SUP, p, checkpoints=cps, detail=dict(shared)
+            omega, Condition.ENTRY_SUP, p, checkpoints=windows, detail=dict(shared)
         )
     else:
         second = matrix_class_condition(
-            omega, Condition.ROW_POWER_SUM_SUP, p, checkpoints=cps, detail=dict(shared)
+            omega, Condition.ROW_POWER_SUM_SUP, p, checkpoints=windows, detail=dict(shared)
         )
     return [first, second]
 
@@ -531,20 +522,19 @@ def gamma_dual_check(
     """Gamma-dual condition: the beta-dual companion condition without the
     column-limit requirement (with exponent 1 for the sup-norm source)."""
     omega = partial_sum_matrix(a, order, qp)
-    cps = _dual_windows(windows, a.n)
     shared = {"matrix": "partial-sum"}
     if p.is_inf:
         return matrix_class_condition(
             omega,
             Condition.ROW_POWER_SUM_SUP,
-            checkpoints=cps,
+            checkpoints=windows,
             exponent=1.0,
             detail=dict(shared),
         )
     if p.value <= 1.0:
         return matrix_class_condition(
-            omega, Condition.ENTRY_SUP, p, checkpoints=cps, detail=dict(shared)
+            omega, Condition.ENTRY_SUP, p, checkpoints=windows, detail=dict(shared)
         )
     return matrix_class_condition(
-        omega, Condition.ROW_POWER_SUM_SUP, p, checkpoints=cps, detail=dict(shared)
+        omega, Condition.ROW_POWER_SUM_SUP, p, checkpoints=windows, detail=dict(shared)
     )

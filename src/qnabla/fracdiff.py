@@ -138,7 +138,9 @@ def _stream(kind: Kind, order: float, qp: QParam, k: int) -> CoeffStream:
     k = _check_int("truncation length", k, 0)
     logq = math.log(qp.q)
     lag = np.arange(k, dtype=np.float64)
-    # Only a negative order can overflow; CoeffStream then refuses the stream.
+    # Only a negative order can overflow.  No ratio is zero or infinite
+    # then, so once the cumprod leaves double range it stays non-finite and
+    # the last entry alone tells whether the stream fits.
     with np.errstate(over="ignore", invalid="ignore"):
         if kind is Kind.FORWARD:
             gap = order - lag
@@ -147,6 +149,13 @@ def _stream(kind: Kind, order: float, qp: QParam, k: int) -> CoeffStream:
         else:
             num = np.expm1((order + lag) * logq)
         out = np.cumprod(np.concatenate(([1.0], num / np.expm1((lag + 1.0) * logq))))
+    if not math.isfinite(out[-1]):
+        first = int(np.argmin(np.isfinite(out)))
+        raise OverflowError(
+            f"{kind.value} coefficient stream of order {order} at q = {qp.q} leaves "
+            f"double range at lag {first}; the largest truncation that fits is "
+            f"K = {first - 1}"
+        )
     out[np.abs(out) < _TINY] = 0.0
     return CoeffStream(order=order, qp=qp, kind=kind, coeffs=out)
 

@@ -5,11 +5,17 @@ on the transformed sequence h instead.  Two windows realize that rewrite:
 per row j, the section window whose row m carries the m-truncated rewrite
 (so that the partial sums sum_{k<=m} phi_jk g_k equal the section row
 applied to h), and the full inverse-composite window obtained by sending
-every row tail through the inverse coefficients.  Membership of the
-original matrix in a class (domain space -> classical space) is equivalent
-to a bundle of analytic conditions on those windows; the bundles are
-catalogued here as static dispatch data, one entry per (source, target)
-cell, and each numbered condition maps onto the shared window evaluators.
+every row tail through the inverse coefficients.  Both come from one
+inverse stream and its Toeplitz window T_e, built once per query: section
+j is cumsum(phi_j[:, None] * T_e, axis=0), derived one row at a time and
+dropped after use, and the full window's row j is that section's last row.
+So a query holds O(w^2) doubles and takes O(w^3) time.
+
+Membership of the original matrix in a class (domain space -> classical
+space) is equivalent to a bundle of analytic conditions on those windows;
+the bundles are catalogued here as static dispatch data, one entry per
+(source, target) cell, and each catalog item maps onto the shared window
+evaluators.
 
 Row tails are the one honest-truncation hazard: the inverse coefficients do
 not decay, so the rewritten row sums converge only through the test
@@ -20,7 +26,8 @@ refuses with :class:`TailError` rather than return a silently wrong sum.
 
 For the reverse direction (classical space -> operator domain), the test
 matrix is composed columnwise with the forward operator, and the resulting
-window is screened with row power-sum and column-subset conditions.
+window is screened with items of the same catalog (row power sums and
+column-subset sums among them).
 Composites with the running-sum and q-Cesàro mean matrices reuse the same
 dispatch against their respective targets.
 """
@@ -39,12 +46,13 @@ from .duals import (
     ConditionReport,
     InvalidCondition,
     MatrixWindow,
-    Verdict,
+    _column_limit_estimate,
+    _tail_start,
     classify_trend,
     matrix_class_condition,
     partial_sum_matrix,
 )
-from .fracdiff import SeqWindow, apply_forward, inverse_coeffs
+from .fracdiff import CoeffStream, SeqWindow, apply_forward, inverse_coeffs, toeplitz_matrix
 from .qcore import QParam, q_integer
 from .spaces import PExponent, _checkpoints, default_checkpoints
 
@@ -58,7 +66,6 @@ __all__ = [
     "TABLE_DOMAIN_CELLS",
     "TABLE_CLASSICAL_CELLS",
     "row_section_matrix",
-    "inverse_composite_matrix",
     "build_transform_family",
     "section_consistency_residual",
     "transform_condition",
@@ -121,10 +128,13 @@ _COMPOSITE_TARGETS = {
     Target.QCES_LINF: ("q-cesaro", Target.LINF),
 }
 
-# Numbered condition catalog: each entry is a tuple of
+# Condition catalog of both tables: each entry is a tuple of
 # (window role, condition, exponent rule) triples evaluated together.
-# Exponent rules: None (no exponent), "one" (fixed 1), "conjugate" (p').
-CONDITION_CATALOG: dict[int, tuple[tuple[str, Condition, str | None], ...]] = {
+# Roles: "sections" (every row's section window) and "full" (the inverse
+# composite for table 1, the forward composite for table 2).
+# Exponent rules: None (no exponent), "one" (fixed 1), "conjugate" (p'),
+# "p" (p itself).
+CONDITION_CATALOG: dict[int | str, tuple[tuple[str, Condition, str | None], ...]] = {
     1: (
         ("sections", Condition.SECTION_COLUMN_LIMITS, None),
         ("sections", Condition.SECTION_ENTRY_SUP, None),
@@ -147,6 +157,8 @@ CONDITION_CATALOG: dict[int, tuple[tuple[str, Condition, str | None], ...]] = {
     11: (("full", Condition.SUBSET_ENTRY_SUP, "one"),),
     12: (("full", Condition.SUBSET_ABS_COLSUM_SUP, "conjugate"),),
     13: (("full", Condition.ENTRY_SUP, "one"),),
+    "A'": (("full", Condition.ROW_POWER_SUM_SUP, "p"),),
+    "B'": (("full", Condition.COLUMN_SUBSET_POWER_SUM, "p"),),
 }
 
 # Primary dispatch: (domain source, classical target) -> numbered bundle.
@@ -166,7 +178,7 @@ TABLE_DOMAIN_CELLS: dict[tuple[Source, Target], tuple[int, ...]] = {
 }
 
 # Reverse dispatch: (classical source, domain target) -> bundle of numbered
-# conditions or the row/column-subset markers "A'" and "B'", all evaluated
+# conditions or the row/column-subset items "A'" and "B'", all evaluated
 # on the forward composite window.
 TABLE_CLASSICAL_CELLS: dict[tuple[Source, Target], tuple[int | str, ...]] = {
     (Source.L1, Target.LP_DOMAIN): ("A'",),
@@ -227,14 +239,24 @@ class ClassQuery:
 
 @dataclass(frozen=True)
 class TransformFamily:
-    """Section windows (one per row of the test matrix) plus the full
-    inverse-composite window, all built from one (matrix, order, q)."""
+    """The test matrix, the Toeplitz window ``T_e`` of its inverse stream,
+    and the full inverse-composite window, all from one (matrix, order, q).
+
+    Row j's section window is ``cumsum(phi_j[:, None] * T_e, axis=0)``; it
+    is derived when needed and never stored, so a family holds O(w^2)
+    doubles rather than one w x w section per row.
+    """
 
     phi: MatrixWindow
     order: float
     qp: QParam
-    sections: tuple[MatrixWindow, ...]
+    T_e: np.ndarray
     full: MatrixWindow
+
+
+def _row_section(row: np.ndarray, t_e: np.ndarray) -> np.ndarray:
+    """Section window of one row: entry (m, k) is sum_{v=k..m} e_{v-k} row_v."""
+    return np.cumsum(row[:, None] * t_e, axis=0)
 
 
 def row_section_matrix(phi: MatrixWindow, j: int, order: float, qp: QParam) -> MatrixWindow:
@@ -246,7 +268,7 @@ def row_section_matrix(phi: MatrixWindow, j: int, order: float, qp: QParam) -> M
     return partial_sum_matrix(SeqWindow(phi.entries[int(j)]), order, qp)
 
 
-def _row_tail_bounds(phi: MatrixWindow, order: float, qp: QParam, tail_rtol: float) -> tuple[float, ...]:
+def _row_tail_bounds(phi: MatrixWindow, e: CoeffStream, tail_rtol: float) -> tuple[float, ...]:
     """Per-row truncation-error bounds for window-truncated row-tail sums.
 
     Triangular windows and rows with an all-zero tail quarter are exact.
@@ -259,7 +281,7 @@ def _row_tail_bounds(phi: MatrixWindow, order: float, qp: QParam, tail_rtol: flo
     n_rows, n_cols = phi.entries.shape
     if phi.triangular:
         return (0.0,) * n_rows
-    e_sup = float(np.max(inverse_coeffs(order, qp, n_cols - 1).coeffs))
+    e_sup = float(np.max(e.coeffs))
     tail_len = max(1, n_cols // 4)
     ts = n_cols - tail_len
     bounds = []
@@ -280,41 +302,29 @@ def _row_tail_bounds(phi: MatrixWindow, order: float, qp: QParam, tail_rtol: flo
     return tuple(bounds)
 
 
-def inverse_composite_matrix(
-    phi: MatrixWindow, order: float, qp: QParam, tail_rtol: float = 1e-8
-) -> MatrixWindow:
-    """Full rewrite of the test matrix: entry (j, k) is the window-truncated
-    sum sum_{v>=k} e_{v-k} phi_jv.
-
-    Each row is the final row of that row's section window, so the two
-    constructions agree bit-for-bit.  Raises :class:`TailError` when a row
-    fails the honest-truncation test; per-row error bounds (sup of the
-    inverse coefficients times the row tail mass) ride along on the result.
-    """
-    bounds = _row_tail_bounds(phi, order, qp, tail_rtol)
-    rows = [
-        row_section_matrix(phi, j, order, qp).entries[-1]
-        for j in range(phi.entries.shape[0])
-    ]
-    return MatrixWindow(
-        entries=np.vstack(rows), triangular=phi.triangular, tail_bounds=bounds
-    )
-
-
 def build_transform_family(
     phi: MatrixWindow, order: float, qp: QParam, tail_rtol: float = 1e-8
 ) -> TransformFamily:
-    """Sections for every row plus the full inverse-composite window."""
-    bounds = _row_tail_bounds(phi, order, qp, tail_rtol)
-    sections = tuple(
-        row_section_matrix(phi, j, order, qp) for j in range(phi.entries.shape[0])
+    """One inverse stream and its Toeplitz window, plus the full
+    inverse-composite window: entry (j, k) is the window-truncated sum
+    sum_{v>=k} e_{v-k} phi_jv, the last row of row j's section.
+
+    Raises :class:`TailError` when a row fails the honest-truncation test;
+    per-row error bounds (sup of the inverse coefficients times the row
+    tail mass) ride along on the full window.
+    """
+    n = phi.entries.shape[1]
+    e = inverse_coeffs(order, qp, n - 1)
+    bounds = _row_tail_bounds(phi, e, tail_rtol)
+    t_e = toeplitz_matrix(e, n)
+    t_e.setflags(write=False)
+    full = np.empty(phi.entries.shape)
+    for j, row in enumerate(phi.entries):
+        full[j] = _row_section(row, t_e)[-1]
+    return TransformFamily(
+        phi=phi, order=order, qp=qp, T_e=t_e,
+        full=MatrixWindow(entries=full, triangular=phi.triangular, tail_bounds=bounds),
     )
-    full = MatrixWindow(
-        entries=np.vstack([s.entries[-1] for s in sections]),
-        triangular=phi.triangular,
-        tail_bounds=bounds,
-    )
-    return TransformFamily(phi=phi, order=order, qp=qp, sections=sections, full=full)
 
 
 def section_consistency_residual(
@@ -329,34 +339,21 @@ def section_consistency_residual(
             f"matrix has {phi.entries.shape[1]} columns but the window has {g.n} entries"
         )
     h = apply_forward(g, order, qp).values
+    t_e = toeplitz_matrix(inverse_coeffs(order, qp, g.n - 1), g.n)
     worst = 0.0
-    for j in range(phi.entries.shape[0]):
-        lhs = np.cumsum(phi.entries[j] * g.values)
-        rhs = row_section_matrix(phi, j, order, qp).entries @ h
+    for row in phi.entries:
+        lhs = np.cumsum(row * g.values)
+        rhs = _row_section(row, t_e) @ h
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
 
 
-def _tail_start(n: int) -> int:
-    return max(0, n - max(2, n // 4))
-
-
 def _section_estimate(block: np.ndarray, cond: Condition, e: float | None) -> float:
-    ts = _tail_start(block.shape[0])
     if cond is Condition.SECTION_COLUMN_LIMITS:
-        cols = min(block.shape[1], ts + 1)
-        sub = block[ts:, :cols]
-        if sub.size == 0:
-            return 0.0
-        return float(np.max(sub.max(axis=0) - sub.min(axis=0)))
+        return _column_limit_estimate(block, True, False)
     if cond is Condition.SECTION_ENTRY_SUP:
         return float(np.max(np.abs(block)))
-    if cond is Condition.SECTION_POWER_SUM_SUP:
-        return float(np.max(np.sum(np.abs(block) ** e, axis=1)))
-    if cond is Condition.SECTION_ROW_SUM_LIMIT:
-        sums = block.sum(axis=1)[ts:]
-        return float(np.max(sums) - np.min(sums))
-    raise InvalidCondition(f"{cond.value} is not a per-section condition")
+    return float(np.max(np.sum(np.abs(block) ** e, axis=1)))
 
 
 def transform_condition(
@@ -370,28 +367,22 @@ def transform_condition(
     """Evaluate a section-family condition with the same truncation and
     trend semantics as the single-matrix dispatch.
 
-    Per-section limits (column limits, row-sum limits, abs-sum match
-    against the full window) are reported as worst-case tail estimates over
-    all sections; sups are running sups over growing blocks.
+    Per-section limits (column limits, abs-sum match against the full
+    window) are reported as worst-case tail estimates over all sections;
+    sups are running sups over growing blocks.  Sections are derived one
+    row at a time, reduced at every checkpoint, and dropped.
     """
-    n = family.sections[0].entries.shape[0] if family.sections else 0
-    if cond is Condition.VANISHING_ROW_ABS_SUM:
-        return matrix_class_condition(
-            family.full, cond, checkpoints=checkpoints,
-            detail={**(detail or {}), "matrix": "inverse-composite"},
-        )
     if cond not in (
         Condition.SECTION_COLUMN_LIMITS,
         Condition.SECTION_ENTRY_SUP,
         Condition.SECTION_POWER_SUM_SUP,
-        Condition.SECTION_ROW_SUM_LIMIT,
         Condition.SECTION_ABS_SUM_MATCH,
     ):
         raise InvalidCondition(
             f"{cond.value} applies to a single matrix window; use the "
             "matrix-class dispatch instead"
         )
-    cps = _checkpoints(checkpoints, n, start=4)
+    cps = _checkpoints(checkpoints, family.T_e.shape[0], start=4)
     info: dict[str, Any] = dict(detail or {})
     info.setdefault("matrix", "sections")
     e: float | None = None
@@ -404,31 +395,20 @@ def transform_condition(
         e = p.conjugate
         info["exponent"] = e
 
-    values: list[tuple[int, float]] = []
-    if cond is Condition.SECTION_ABS_SUM_MATCH:
-        refs = np.sum(np.abs(family.full.entries), axis=1)
-        for cp in cps:
-            ts = _tail_start(cp)
-            worst = 0.0
-            for j, section in enumerate(family.sections):
-                sums = np.sum(np.abs(section.entries[:cp, :cp]), axis=1)[ts:]
-                worst = max(worst, float(np.max(np.abs(sums - refs[j]))))
-            values.append((cp, worst))
-    else:
-        for cp in cps:
-            worst = 0.0
-            for section in family.sections:
-                worst = max(
-                    worst, _section_estimate(section.entries[:cp, :cp], cond, e)
-                )
-            values.append((cp, worst))
+    refs = np.sum(np.abs(family.full.entries), axis=1)
+    worst = [0.0] * len(cps)
+    for j, row in enumerate(family.phi.entries):
+        section = _row_section(row, family.T_e)
+        for i, cp in enumerate(cps):
+            if cond is Condition.SECTION_ABS_SUM_MATCH:
+                sums = np.sum(np.abs(section[:cp, :cp]), axis=1)[_tail_start(cp):]
+                value = float(np.max(np.abs(sums - refs[j])))
+            else:
+                value = _section_estimate(section[:cp, :cp], cond, e)
+            worst[i] = max(worst[i], value)
 
-    vals = tuple(values)
-    shrinking = cond in (
-        Condition.SECTION_COLUMN_LIMITS,
-        Condition.SECTION_ROW_SUM_LIMIT,
-        Condition.SECTION_ABS_SUM_MATCH,
-    )
+    vals = tuple(zip(cps, worst))
+    shrinking = cond in (Condition.SECTION_COLUMN_LIMITS, Condition.SECTION_ABS_SUM_MATCH)
     return ConditionReport(
         condition_id=cond,
         values=vals,
@@ -473,27 +453,20 @@ def target_domain_conditions(
     row_limit: int,
     checkpoints: tuple[int, ...] | list[int] | None = None,
 ) -> list[ConditionReport]:
-    """The two screens for mapping a classical space into the p-domain:
-    rowwise p-power sums, and p-power sums of row sums over exhaustively
-    enumerated column subsets (capped at ``row_limit`` columns)."""
+    """The two screens for mapping a classical space into the p-domain
+    (catalog items A' and B'): rowwise p-power sums, and p-power sums of
+    row sums over exhaustively enumerated column subsets (capped at
+    ``row_limit`` columns)."""
     if p.is_inf:
         raise InvalidCondition("target-domain conditions need a finite exponent p")
-    a_rep = matrix_class_condition(
-        m,
-        Condition.ROW_POWER_SUM_SUP,
-        checkpoints=checkpoints,
-        exponent=p.value,
-        detail={"label": "A'"},
-    )
-    b_rep = matrix_class_condition(
-        m,
-        Condition.COLUMN_SUBSET_POWER_SUM,
-        checkpoints=checkpoints,
-        exponent=p.value,
-        row_limit=row_limit,
-        detail={"label": "B'"},
-    )
-    return [a_rep, b_rep]
+    return [
+        matrix_class_condition(
+            m, cond, checkpoints=checkpoints, row_limit=row_limit,
+            exponent=_resolve_item_exponent(rule, p), detail={"label": item},
+        )
+        for item in ("A'", "B'")
+        for _, cond, rule in CONDITION_CATALOG[item]
+    ]
 
 
 def _resolve_item_exponent(rule: str | None, p: PExponent) -> float | None:
@@ -503,6 +476,8 @@ def _resolve_item_exponent(rule: str | None, p: PExponent) -> float | None:
         return 1.0
     if rule == "conjugate":
         return p.conjugate
+    if rule == "p":
+        return p.value
     raise ValueError(f"unknown exponent rule {rule!r}")
 
 
@@ -510,6 +485,9 @@ def class_check(query: ClassQuery, phi: MatrixWindow) -> list[ConditionReport]:
     """Dispatch the exact condition bundle for the query's (source, target)
     cell and evaluate it on the appropriate windows of the test matrix.
 
+    Table 1 (operator-domain sources) evaluates its "full" conditions on the
+    inverse composite and its "sections" conditions on the row sections;
+    table 2 (classical sources) evaluates on the forward composite.
     Returns one report per evaluated condition; every report's detail
     records the dispatch cell and the bundle item it belongs to.
     """
@@ -535,80 +513,29 @@ def class_check(query: ClassQuery, phi: MatrixWindow) -> list[ConditionReport]:
             underlying = query.target
         bundle = TABLE_DOMAIN_CELLS[(query.source, underlying)]
         family = build_transform_family(block, query.order, query.qp, query.tail_rtol)
-        reports: list[ConditionReport] = []
-        for item in bundle:
-            for role, cond, rule in CONDITION_CATALOG[item]:
-                info = {**cell_info, "table": 1, "item": item}
-                if role == "sections":
-                    reports.append(
-                        transform_condition(
-                            family, cond, query.p, checkpoints=cps, detail=info
-                        )
-                    )
-                else:
-                    exponent = _resolve_item_exponent(rule, query.p)
-                    needs_p = rule is None and cond in (
-                        Condition.ROW_POWER_SUM_SUP,
-                        Condition.ENTRY_SUP,
-                        Condition.SUBSET_ABS_COLSUM_SUP,
-                        Condition.SUBSET_ENTRY_SUP,
-                    )
-                    reports.append(
-                        matrix_class_condition(
-                            family.full,
-                            cond,
-                            query.p if needs_p else None,
-                            checkpoints=cps,
-                            row_limit=query.row_limit,
-                            exponent=exponent,
-                            detail={**info, "matrix": "inverse-composite"},
-                        )
-                    )
-        return reports
+        table, full, label = 1, family.full, "inverse-composite"
+    else:
+        bundle = TABLE_CLASSICAL_CELLS[(query.source, query.target)]
+        full = forward_composite_matrix(block, query.order, query.qp)
+        table, label = 2, "forward-composite"
 
-    # Classical source: evaluate on the forward composite window.
-    bundle = TABLE_CLASSICAL_CELLS[(query.source, query.target)]
-    upsilon = forward_composite_matrix(block, query.order, query.qp)
-    reports = []
+    reports: list[ConditionReport] = []
     for item in bundle:
-        info = {**cell_info, "table": 2, "item": item, "matrix": "forward-composite"}
-        if item == "A'":
-            reports.append(
-                matrix_class_condition(
-                    upsilon,
-                    Condition.ROW_POWER_SUM_SUP,
-                    checkpoints=cps,
-                    exponent=query.p.value,
-                    detail=info,
+        info = {**cell_info, "table": table, "item": item}
+        for role, cond, rule in CONDITION_CATALOG[item]:
+            if role == "sections":
+                reports.append(
+                    transform_condition(family, cond, query.p, checkpoints=cps, detail=info)
                 )
-            )
-        elif item == "B'":
-            reports.append(
-                matrix_class_condition(
-                    upsilon,
-                    Condition.COLUMN_SUBSET_POWER_SUM,
-                    checkpoints=cps,
-                    exponent=query.p.value,
-                    row_limit=query.row_limit,
-                    detail=info,
+            else:
+                reports.append(
+                    matrix_class_condition(
+                        full,
+                        cond,
+                        checkpoints=cps,
+                        row_limit=query.row_limit,
+                        exponent=_resolve_item_exponent(rule, query.p),
+                        detail={**info, "matrix": label},
+                    )
                 )
-            )
-        elif item == 7:
-            reports.append(
-                matrix_class_condition(
-                    upsilon, Condition.ROW_ABS_SUM_SUP, checkpoints=cps, detail=info
-                )
-            )
-        elif item == 13:
-            reports.append(
-                matrix_class_condition(
-                    upsilon,
-                    Condition.ENTRY_SUP,
-                    checkpoints=cps,
-                    exponent=1.0,
-                    detail=info,
-                )
-            )
-        else:
-            raise ValueError(f"unknown reverse-table item {item!r}")
     return reports

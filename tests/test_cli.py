@@ -278,6 +278,13 @@ class TestArithmeticBackstop:
         assert result.exit_code == 0
         assert len(json.loads(result.stdout)) == 1030
 
+    def test_negative_order_overflow_is_exit_2(self, runner):
+        result = invoke(runner, "coeffs", "--gamma", -0.5, "--q", 0.5, "--k", 3000)
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: forward coefficient stream")
+        assert "lag 2051" in result.stderr and "K = 2050" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_arithmetic_error_is_exit_2(self, runner, monkeypatch):
         import qnabla.cli as cli_module
 

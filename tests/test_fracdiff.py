@@ -380,3 +380,14 @@ class TestStreamRange:
             assert np.all(np.isfinite(c))
             assert np.all((c == 0.0) | (np.abs(c) >= tiny))
         assert np.count_nonzero(streams[0].coeffs) > 1
+
+    def test_negative_order_overflow_names_the_lag(self):
+        # For a negative order the lag ratios tend to q^gamma, sqrt(2) here,
+        # so c_k grows like 2^(k/2) and first leaves double range at lag 2051.
+        with pytest.raises(OverflowError, match="order -0.5 at q = 0.5") as exc:
+            forward_coeffs(-0.5, QParam(0.5), 3000)
+        assert "lag 2051" in str(exc.value) and "K = 2050" in str(exc.value)
+
+    def test_negative_order_largest_fitting_truncation(self):
+        c = forward_coeffs(-0.5, QParam(0.5), 2050).coeffs
+        assert np.all(np.isfinite(c)) and c[-1] > 1e307
