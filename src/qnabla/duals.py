@@ -10,14 +10,15 @@ lower branch throughout.
 
 The conditions quantify over all finite subsets of an infinite index set
 and over limits no finite window can certify, so the evaluators are honest
-about both: finite-subset suprema are enumerated exhaustively over a capped
-number of rows (hard ceiling of 20, about a million subsets), and "limit
-exists" conditions are reported as Cauchy-style oscillation estimates over
-the last quarter of the window.  Every report carries the evaluated
-quantity at a strictly increasing list of window sizes plus a tri-state
-verdict: values that have stabilized read as bounded-on-window, values that
-climb at every checkpoint read as growing, everything else is
-inconclusive.  Verdicts are descriptive, never proofs.
+about both: finite-subset suprema are taken over a capped number of rows
+(hard ceiling of 20), in closed form when the columns are sup'd and by
+exhaustive enumeration of about a million subsets, one row add each, when
+they are summed; and "limit exists" conditions are reported as Cauchy-style
+oscillation estimates over the last quarter of the window.  Every report
+carries the evaluated quantity at a strictly increasing list of window
+sizes plus a tri-state verdict: values that have stabilized read as
+bounded-on-window, values that climb at every checkpoint read as growing,
+everything else is inconclusive.  Verdicts are descriptive, never proofs.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ __all__ = [
 ]
 
 MAX_SUBSET_ROWS = 20
-_SUBSET_CHUNK = 1 << 15
+_LOW_ROWS = 13
 
 # Trend-classification constants; these shape verdict labels only, never
 # the reported values.
@@ -222,15 +223,111 @@ class SubsetMode(enum.Enum):
     SUP_OVER_COLS_OF_ABS = "sup-over-cols"
 
 
-def _mask_indices(mask: int) -> tuple[int, ...]:
-    out = []
-    j = 0
-    while mask:
-        if mask & 1:
-            out.append(j)
-        mask >>= 1
-        j += 1
-    return tuple(out)
+def _lex_least(masks: np.ndarray) -> tuple[int, ...]:
+    """Lexicographically least row-index tuple among nonempty row ``masks``.
+
+    The least tuple starts with the smallest lowest row; among the masks
+    that share it, drop that row and repeat.  A mask that runs out first is
+    a prefix of the others, hence the least.
+    """
+    out: list[int] = []
+    while True:
+        lowest = masks & -masks
+        if not lowest.all():
+            return tuple(out)
+        first = int(lowest.min())
+        masks = masks[lowest == first] ^ first
+        out.append(first.bit_length() - 1)
+
+
+def _least_reaching(col: np.ndarray, exponent: float, best: float) -> tuple[int, ...]:
+    """Lexicographically least row subset whose row-order sum of ``col``
+    reaches ``best`` once raised to ``exponent``.
+
+    Greedy: append the least row after which some completion still reaches
+    ``best``.  Rounding is monotone, so the largest completion adds every
+    positive entry below that row; the subset stops as soon as its own sum
+    reaches ``best``.  In exact arithmetic this is the positive rows plus
+    the zero rows above the last of them.
+    """
+    r = col.shape[0]
+    tails = np.triu(np.broadcast_to(np.maximum(col, 0.0), (r, r)), k=1)
+    witness: list[int] = []
+    acc = np.zeros(1)
+    while True:
+        j0 = witness[-1] + 1 if witness else 0
+        reach = np.cumsum(np.column_stack([acc + col[j0:], tails[j0:, j0:]]), axis=1)
+        j = j0 + int(np.argmax(np.maximum(reach[:, -1], 0.0) ** exponent == best))
+        witness.append(j)
+        acc = acc + col[j]
+        if (np.maximum(acc, 0.0) ** exponent)[0] == best:
+            return tuple(witness)
+
+
+def _sup_closed_form(block: np.ndarray, exponent: float) -> tuple[float, tuple[int, ...]]:
+    """Sup mode in O(r n): the best subset for column k takes all of its
+    entries of one sign.
+
+    Rounding is monotone, so no row-order sum over a subset exceeds the sum
+    of the column's positive entries or falls below that of its negative
+    entries.  The witness is the least subset reaching the maximum over
+    every (column, sign) pair that attains it.
+    """
+    signed = np.stack([block, -block])
+    parts = np.maximum(signed, 0.0)
+    bases = np.zeros((2, block.shape[1]))
+    for j in range(block.shape[0]):  # in row order, as every subset sum
+        bases += parts[:, j]
+    vals = bases**exponent
+    best = float(vals.max())
+    if best == 0.0:
+        return best, (0,)
+    return best, min(
+        _least_reaching(signed[s, :, k], exponent, best) for s, k in np.argwhere(vals == best)
+    )
+
+
+def _sum_exhaustive(block: np.ndarray, exponent: float) -> tuple[float, tuple[int, ...]]:
+    """Sum mode over all 2^r - 1 subsets, one n-vector add per subset.
+
+    A table holds the row-order sums of every subset of the first
+    ``_LOW_ROWS`` rows.  The subsets of the remaining rows are walked depth
+    first, and the sums at depth d are those at depth d - 1 plus one row, so
+    every subset sum is accumulated in row order.
+    """
+    rows, n = block.shape
+    low = min(rows, _LOW_ROWS)
+    table = np.zeros((1 << low, n))
+    for j in range(low):
+        np.add(table[: 1 << j], block[j], out=table[1 << j : 2 << j])
+    sums = [table] + [np.empty_like(table) for _ in range(rows - low)]
+    work = np.empty_like(table)
+    low_masks = np.arange(1 << low, dtype=np.int64)
+    best = -math.inf
+    best_witness: tuple[int, ...] = ()
+    path: list[int] = []
+    while True:
+        np.abs(sums[len(path)], out=work)
+        work **= exponent
+        vals = work.sum(axis=1)
+        if not path:
+            vals[0] = -math.inf  # the empty subset
+        top = float(vals.max())
+        if top >= best:
+            high = sum(1 << h for h in path)
+            witness = _lex_least(low_masks[vals == top] | high)
+            if top > best or witness < best_witness:
+                best, best_witness = top, witness
+        nxt = path[-1] + 1 if path else low
+        if nxt < rows:
+            path.append(nxt)
+        else:
+            while path and path[-1] + 1 == rows:
+                path.pop()
+            if not path:
+                return best, best_witness
+            path[-1] += 1
+        np.add(sums[len(path) - 1], block[path[-1]], out=sums[len(path)])
 
 
 def subset_sup(
@@ -239,14 +336,18 @@ def subset_sup(
     inner: SubsetMode,
     row_limit: int,
 ) -> tuple[float, tuple[int, ...]]:
-    """Exhaustive supremum over nonempty row subsets J of the first
-    ``row_limit`` rows.
+    """Supremum over nonempty row subsets J of the first ``row_limit`` rows.
 
-    For each J the row selection is summed, |.|^exponent is applied
-    columnwise, and the columns are either summed or sup'd according to
-    ``inner``.  Returns the maximum together with the maximizing subset
-    (lexicographically least on ties, so the result is deterministic and
-    independent of any internal evaluation order).
+    For each J the selected rows are summed in row order, |.|^exponent is
+    applied columnwise, and the columns are either summed or sup'd according
+    to ``inner``.  Returns the maximum together with the maximizing subset,
+    lexicographically least on ties, so the result is deterministic.
+
+    Sup mode uses a closed form: the maximum over columns k and both signs
+    of (sum_j max(+-a_jk, 0))^exponent, in O(r n).  Sum mode is a cut-norm
+    type quantity and stays exhaustive over all 2^r - 1 subsets, each by the
+    parent recurrence S(J) = S(J minus max J) + row_{max J}: one n-vector
+    add per subset.  Both modes are capped at ``MAX_SUBSET_ROWS`` rows.
     """
     if row_limit != int(row_limit) or row_limit < 1:
         raise ValueError(f"row_limit must be a positive integer, got {row_limit!r}")
@@ -258,28 +359,10 @@ def subset_sup(
         )
     if not (math.isfinite(exponent) and exponent > 0.0):
         raise ValueError(f"exponent must be positive and finite, got {exponent!r}")
-    rows = min(row_limit, m.entries.shape[0])
-    block = m.entries[:rows]
-    shifts = np.arange(rows, dtype=np.uint32)
-    best = -math.inf
-    best_witness: tuple[int, ...] | None = None
-    for start in range(1, 1 << rows, _SUBSET_CHUNK):
-        masks = np.arange(start, min(start + _SUBSET_CHUNK, 1 << rows), dtype=np.uint32)
-        bits = ((masks[:, None] >> shifts[None, :]) & 1).astype(np.float64)
-        powered = np.abs(bits @ block) ** exponent
-        vals = (
-            powered.sum(axis=1)
-            if inner is SubsetMode.SUM_OVER_COLS_OF_ABS_COLSUM
-            else powered.max(axis=1)
-        )
-        chunk_max = float(vals.max())
-        if chunk_max < best:
-            continue
-        witness = min(_mask_indices(int(mm)) for mm in masks[vals == chunk_max])
-        if chunk_max > best or (best_witness is not None and witness < best_witness):
-            best, best_witness = chunk_max, witness
-    assert best_witness is not None
-    return best, best_witness
+    block = m.entries[:row_limit]
+    if inner is SubsetMode.SUP_OVER_COLS_OF_ABS:
+        return _sup_closed_form(block, exponent)
+    return _sum_exhaustive(block, exponent)
 
 
 def _tail_start(n: int) -> int:

@@ -197,6 +197,52 @@ class TestSubsetSup:
                     assert val == oval
                     assert wit == owit
 
+    @staticmethod
+    def _checked(entries, exponent, mode=SubsetMode.SUP_OVER_COLS_OF_ABS):
+        rows = entries.shape[0]
+        got = subset_sup(MatrixWindow(entries), exponent, mode, rows)
+        assert got == subset_sup_oracle(entries, exponent, mode, rows)
+        return got
+
+    def test_all_zero_block(self):
+        for mode in SubsetMode:
+            assert self._checked(np.zeros((5, 3)), 1.37, mode) == (0.0, (0,))
+
+    def test_sup_witness_takes_zero_rows_above_the_last_live_row(self):
+        assert self._checked(np.array([[0.0], [0.0], [1.0]]), 2.0) == (1.0, (0, 1, 2))
+        assert self._checked(np.array([[1.0], [0.0]]), 2.0) == (1.0, (0,))
+
+    def test_negative_entries_dominate(self):
+        entries = np.array([[0.5, 0.1], [-2.0, 0.2], [0.0, 0.1], [-1.5, -0.3]])
+        assert self._checked(entries, 0.5) == (float(np.sqrt(3.5)), (1, 2, 3))
+        self._checked(entries, 1.37, SubsetMode.SUM_OVER_COLS_OF_ABS_COLSUM)
+
+    def test_tied_columns_give_the_least_witness(self):
+        # Column 0 reaches 2 through rows 1 and 3 below its zero row 0,
+        # column 1 through rows 0 and 2: the lexicographically least wins.
+        entries = np.array([[0.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [1.0, 0.0]])
+        assert self._checked(entries, 1.0) == (2.0, (0, 1, 3))
+        self._checked(entries, 3.4, SubsetMode.SUM_OVER_COLS_OF_ABS_COLSUM)
+
+    def test_negative_zero_entries(self):
+        entries = np.array([[-0.0, 0.0], [-0.0, -1.0], [2.0, -0.0]])
+        for exponent in (0.5, 1.0, 2.0):
+            assert self._checked(entries, exponent)[1] == (0, 1, 2)
+            self._checked(entries, exponent, SubsetMode.SUM_OVER_COLS_OF_ABS_COLSUM)
+        for mode in SubsetMode:
+            assert self._checked(np.full((3, 2), -0.0), 1.0, mode) == (0.0, (0,))
+
+    def test_rounding_ties_keep_the_exhaustive_witness(self):
+        # -1e-20 vanishes beside 1.0, so (0, 1, 2) sums to exactly what
+        # (0, 2) does; 1e-17 vanishes likewise, so (0,) ties with (0, 1).
+        assert self._checked(np.array([[1.0], [-1e-20], [1.0]]), 1.0) == (2.0, (0, 1, 2))
+        assert self._checked(np.array([[1.0, 0.0], [1e-17, 0.5]]), 0.5) == (1.0, (0,))
+        rng = np.random.default_rng(35)
+        for _ in range(20):
+            entries = rng.normal(size=(6, 4)) * 10.0 ** rng.integers(-9, 9, (6, 4))
+            for mode in SubsetMode:
+                self._checked(entries, 1.37, mode)
+
     def test_greedy_never_exceeds_exhaustive(self):
         rng = np.random.default_rng(33)
         for trial in range(10):
