@@ -19,6 +19,14 @@ carries the evaluated quantity at a strictly increasing list of window
 sizes plus a tri-state verdict: values that have stabilized read as
 bounded-on-window, values that climb at every checkpoint read as growing,
 everything else is inconclusive.  Verdicts are descriptive, never proofs.
+
+Each condition has one evaluator here: one estimate on a leading block
+(`_estimate`) or one subset mode (`_SUBSET_MODE`), and one exponent rule
+(`_EXPONENT_RULE`, resolved with the p regime by `_resolve_exponent`).  A
+section condition is a single-window condition taken over every row's
+section window (`_SECTION_OF`; `matclass.transform_condition` takes the
+maximum over rows).  Every report goes through one constructor, which
+refuses a value outside double range with OverflowError.
 """
 
 from __future__ import annotations
@@ -123,18 +131,39 @@ class Condition(enum.Enum):
 
 
 # Conditions whose reported value is a tail/oscillation estimate that should
-# shrink when the condition holds; all others are running suprema that
-# should stabilize.
+# shrink when the condition holds (a section condition shrinks when its
+# single-window condition does); all others are running suprema that should
+# stabilize.
 _TAIL_CONDITIONS = frozenset(
     {
         Condition.COLUMN_LIMITS,
         Condition.COLUMN_LIMITS_ZERO,
         Condition.ABS_ROW_SUM_INTERCHANGE,
-        Condition.SECTION_COLUMN_LIMITS,
-        Condition.SECTION_ABS_SUM_MATCH,
         Condition.VANISHING_ROW_ABS_SUM,
     }
 )
+
+
+# Per-condition exponent rules, resolved by _resolve_exponent: "conjugate"
+# is p' (1 at p = inf), "strict" p' for 1 < p < inf only, "le1" p for
+# 0 < p <= 1, "finite" any finite p, and "one" the fixed exponent 1.
+_EXPONENT_RULE = {
+    Condition.ROW_POWER_SUM_SUP: "conjugate",
+    Condition.SUBSET_ABS_COLSUM_SUP: "conjugate",
+    Condition.ENTRY_SUP: "le1",
+    Condition.SUBSET_ENTRY_SUP: "le1",
+    Condition.COLUMN_SUBSET_POWER_SUM: "finite",
+    Condition.SECTION_POWER_SUM_SUP: "strict",
+}
+
+# Section conditions are single-window conditions taken over every row's
+# section window: the value is the maximum over rows of the same estimate.
+_SECTION_OF = {
+    Condition.SECTION_COLUMN_LIMITS: Condition.COLUMN_LIMITS,
+    Condition.SECTION_ENTRY_SUP: Condition.ENTRY_SUP,
+    Condition.SECTION_POWER_SUM_SUP: Condition.ROW_POWER_SUM_SUP,
+    Condition.SECTION_ABS_SUM_MATCH: Condition.ABS_ROW_SUM_INTERCHANGE,
+}
 
 
 class Verdict(enum.Enum):
@@ -205,15 +234,22 @@ def termwise_product_matrix(a: SeqWindow, order: float, qp: QParam) -> MatrixWin
     return MatrixWindow(entries=a.values[:, None] * inv, triangular=True)
 
 
+def _row_section(row: np.ndarray, t_e: np.ndarray) -> np.ndarray:
+    """Section window of one row: entry (m, k) is sum_{v=k..m} e_{v-k} row_v,
+    where ``t_e`` is the Toeplitz window of the inverse stream."""
+    return np.cumsum(row[:, None] * t_e, axis=0)
+
+
 def partial_sum_matrix(a: SeqWindow, order: float, qp: QParam) -> MatrixWindow:
     """Triangular window whose action on the transformed sequence h returns
-    the partial sums sum_{k<=j} a_k g_k.
+    the partial sums sum_{k<=j} a_k g_k: the section window of the row a.
 
     Row j is the running column sum of the termwise-product rows up to j,
     so (row j) - (row j-1) reproduces the termwise-product row exactly.
     """
-    lam = termwise_product_matrix(a, order, qp)
-    return MatrixWindow(entries=np.cumsum(lam.entries, axis=0), triangular=True)
+    t_e = toeplitz_matrix(inverse_coeffs(order, qp, a.n - 1), a.n)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused as non-finite
+        return MatrixWindow(entries=_row_section(a.values, t_e), triangular=True)
 
 
 class SubsetMode(enum.Enum):
@@ -221,6 +257,14 @@ class SubsetMode(enum.Enum):
 
     SUM_OVER_COLS_OF_ABS_COLSUM = "sum-over-cols"
     SUP_OVER_COLS_OF_ABS = "sup-over-cols"
+
+
+# Subset conditions and the inner aggregation of their suprema.
+_SUBSET_MODE = {
+    Condition.SUBSET_ABS_COLSUM_SUP: SubsetMode.SUM_OVER_COLS_OF_ABS_COLSUM,
+    Condition.SUBSET_ENTRY_SUP: SubsetMode.SUP_OVER_COLS_OF_ABS,
+    Condition.COLUMN_SUBSET_POWER_SUM: SubsetMode.SUM_OVER_COLS_OF_ABS_COLSUM,
+}
 
 
 def _lex_least(masks: np.ndarray) -> tuple[int, ...]:
@@ -369,57 +413,103 @@ def _tail_start(n: int) -> int:
     return max(0, n - max(2, n // 4))
 
 
-def _column_limit_estimate(block: np.ndarray, triangular: bool, to_zero: bool) -> float:
-    n = block.shape[0]
-    ts = _tail_start(n)
-    cols = min(block.shape[1], ts + 1) if triangular else block.shape[1]
-    sub = block[ts:, :cols]
-    if sub.size == 0:
-        return 0.0
-    if to_zero:
-        return float(np.max(np.abs(sub)))
-    return float(np.max(sub.max(axis=0) - sub.min(axis=0)))
-
-
-def _interchange_estimate(block: np.ndarray) -> float:
-    n = block.shape[0]
-    ts = _tail_start(n)
-    ref = float(np.sum(np.abs(block[n - 1])))
-    row_sums = np.sum(np.abs(block[ts:]), axis=1)
-    return float(np.max(np.abs(row_sums - ref)))
-
-
-def _vanishing_row_sum_estimate(block: np.ndarray) -> float:
-    ts = _tail_start(block.shape[0])
-    return float(np.max(np.sum(np.abs(block[ts:]), axis=1)))
+def _regime(p: PExponent) -> str:
+    """The exponent regime of p: "le1" (0 < p <= 1), "mid" (1 < p < inf) or "inf"."""
+    return "inf" if p.is_inf else "le1" if p.value <= 1.0 else "mid"
 
 
 def _resolve_exponent(
-    cond: Condition, p: PExponent | None, exponent: float | None
-) -> float:
-    """Exponent for the power-type conditions, enforcing the stated regimes."""
+    cond: Condition, p: PExponent | None, exponent: float | None, rule: str | None = None
+) -> float | None:
+    """Exponent of ``cond`` under ``rule`` (by default the condition's own),
+    or None for a condition without one.  An explicit ``exponent`` wins."""
+    rule = rule or _EXPONENT_RULE.get(cond)
+    if rule is None:
+        return None
     if exponent is not None:
         return float(exponent)
-    if cond in (Condition.ROW_POWER_SUM_SUP, Condition.SUBSET_ABS_COLSUM_SUP):
-        if p is None:
-            raise InvalidCondition(f"{cond.value} requires an exponent or p")
-        if p.is_inf:
-            return 1.0
-        if p.value <= 1.0:
-            raise InvalidCondition(
-                f"{cond.value} uses the conjugate exponent and is stated only "
-                f"for 1 < p < inf; got p = {p}"
-            )
-        return p.conjugate
-    if cond in (Condition.ENTRY_SUP, Condition.SUBSET_ENTRY_SUP):
-        if p is None:
-            raise InvalidCondition(f"{cond.value} requires an exponent or p")
-        if p.is_inf or p.value > 1.0:
-            raise InvalidCondition(
-                f"{cond.value} is stated only for 0 < p <= 1; got p = {p}"
-            )
+    if rule == "one":
+        return 1.0
+    regime = None if p is None else _regime(p)
+    if rule == "finite":
+        if regime in (None, "inf"):
+            raise InvalidCondition(f"{cond.value} requires a finite exponent")
         return p.value
-    raise InvalidCondition(f"{cond.value} does not take an exponent")
+    if regime is None and rule != "strict":
+        raise InvalidCondition(f"{cond.value} requires an exponent or p")
+    if rule == "le1":
+        if regime != "le1":
+            raise InvalidCondition(f"{cond.value} is stated only for 0 < p <= 1; got p = {p}")
+        return p.value
+    if regime == "inf" and rule == "conjugate":
+        return 1.0
+    if regime != "mid":
+        raise InvalidCondition(
+            f"{cond.value} uses the conjugate exponent and is stated only "
+            f"for 1 < p < inf; got p = {p}"
+        )
+    return p.conjugate
+
+
+def _estimate(
+    cond: Condition, block: np.ndarray, e: float | None, triangular: bool, ref=None
+) -> float:
+    """Value of one non-subset single-window condition on one leading block.
+
+    Limits are oscillation estimates over the last quarter of the rows;
+    ``ref`` overrides the reference row sum of the interchange estimate.
+    """
+    n = block.shape[0]
+    ts = _tail_start(n)
+    if cond is Condition.ENTRY_SUP:
+        top = np.max(np.abs(block))
+        return float(top if e is None else top**e)
+    if cond in (Condition.ROW_ABS_SUM_SUP, Condition.ROW_POWER_SUM_SUP):
+        mags = np.abs(block)
+        return float(np.max(np.sum(mags if e is None else mags**e, axis=1)))
+    if cond in (Condition.COLUMN_LIMITS, Condition.COLUMN_LIMITS_ZERO):
+        sub = block[ts:, : min(block.shape[1], ts + 1) if triangular else block.shape[1]]
+        if sub.size == 0:
+            return 0.0
+        if cond is Condition.COLUMN_LIMITS_ZERO:
+            return float(np.max(np.abs(sub)))
+        return float(np.max(sub.max(axis=0) - sub.min(axis=0)))
+    sums = np.sum(np.abs(block[ts:]), axis=1)
+    if cond is Condition.VANISHING_ROW_ABS_SUM:
+        return float(np.max(sums))
+    if ref is None:  # the interchange of row sums and limits
+        ref = float(np.sum(np.abs(block[n - 1])))
+    return float(np.max(np.abs(sums - ref)))
+
+
+def _subset_values(windows, e: float, mode: SubsetMode, info: dict[str, Any]):
+    """Subset suprema over (window, row limit) pairs, drawn lazily; the last
+    pair's witness goes into ``info``."""
+    for m, row_limit in windows:
+        val, witness = subset_sup(m, e, mode, row_limit)
+        info["witness"] = list(witness)
+        yield val
+
+
+def _report(
+    cond: Condition, sizes: tuple[int, ...], values, e: float | None, info: dict[str, Any]
+) -> ConditionReport:
+    """The one report constructor: draws the lazy ``values``, one per window
+    size, under one errstate, and refuses a value outside double range."""
+    if e is not None:
+        info["exponent"] = e
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = tuple(zip(sizes, values))
+    for n, v in vals:
+        if not math.isfinite(v):
+            with_e = "" if e is None else f" with exponent {e}"
+            raise OverflowError(f"{cond.value} at window size {n}{with_e} leaves double range")
+    return ConditionReport(
+        condition_id=cond,
+        values=vals,
+        verdict=classify_trend(vals, shrinks=_SECTION_OF.get(cond, cond) in _TAIL_CONDITIONS),
+        detail=info,
+    )
 
 
 def matrix_class_condition(
@@ -432,90 +522,30 @@ def matrix_class_condition(
     exponent: float | None = None,
     detail: dict[str, Any] | None = None,
 ) -> ConditionReport:
-    """Evaluate one matrix-class condition on leading square blocks.
+    """Evaluate one single-window matrix-class condition on leading square
+    blocks.
 
     This is the single dispatch point behind the dual checks and the matrix
     classification tables.  ``checkpoints`` are the block sizes to profile
     (power-of-two defaults); subset conditions additionally cap the
     enumerated rows at ``row_limit``.
     """
-    n_rows = m.entries.shape[0]
-    cps = _checkpoints(checkpoints, n_rows, start=4)
-    info: dict[str, Any] = dict(detail or {})
-    values: list[tuple[int, float]] = []
-
-    if cond in (Condition.SUBSET_ABS_COLSUM_SUP, Condition.SUBSET_ENTRY_SUP,
-                Condition.COLUMN_SUBSET_POWER_SUM):
-        if cond is Condition.COLUMN_SUBSET_POWER_SUM:
-            # Column-subset row sums carry the exponent p itself.
-            if exponent is not None:
-                e = float(exponent)
-            elif p is not None and not p.is_inf:
-                e = p.value
-            else:
-                raise InvalidCondition(f"{cond.value} requires a finite exponent")
-        else:
-            e = _resolve_exponent(cond, p, exponent)
-        mode = (
-            SubsetMode.SUP_OVER_COLS_OF_ABS
-            if cond is Condition.SUBSET_ENTRY_SUP
-            else SubsetMode.SUM_OVER_COLS_OF_ABS_COLSUM
-        )
-        info["exponent"] = e
-        witness: tuple[int, ...] = ()
-        for cp in cps:
-            block = m.entries[:cp, :cp]
-            if cond is Condition.COLUMN_SUBSET_POWER_SUM:
-                block = block.T
-            sub = MatrixWindow(entries=block, triangular=False)
-            val, witness = subset_sup(sub, e, mode, min(cp, row_limit))
-            values.append((cp, val))
-        info["witness"] = list(witness)
-    elif cond is Condition.ROW_ABS_SUM_SUP:
-        for cp in cps:
-            values.append((cp, float(np.max(np.sum(np.abs(m.entries[:cp, :cp]), axis=1)))))
-    elif cond is Condition.ROW_POWER_SUM_SUP:
-        e = _resolve_exponent(cond, p, exponent)
-        info["exponent"] = e
-        for cp in cps:
-            values.append(
-                (cp, float(np.max(np.sum(np.abs(m.entries[:cp, :cp]) ** e, axis=1))))
-            )
-    elif cond is Condition.ENTRY_SUP:
-        e = _resolve_exponent(cond, p, exponent)
-        info["exponent"] = e
-        for cp in cps:
-            values.append((cp, float(np.max(np.abs(m.entries[:cp, :cp])) ** e)))
-    elif cond in (Condition.COLUMN_LIMITS, Condition.COLUMN_LIMITS_ZERO):
-        for cp in cps:
-            values.append(
-                (
-                    cp,
-                    _column_limit_estimate(
-                        m.entries[:cp, :cp],
-                        m.triangular,
-                        cond is Condition.COLUMN_LIMITS_ZERO,
-                    ),
-                )
-            )
-    elif cond is Condition.ABS_ROW_SUM_INTERCHANGE:
-        for cp in cps:
-            values.append((cp, _interchange_estimate(m.entries[:cp, :cp])))
-    elif cond is Condition.VANISHING_ROW_ABS_SUM:
-        for cp in cps:
-            values.append((cp, _vanishing_row_sum_estimate(m.entries[:cp, :cp])))
-    else:
+    cps = _checkpoints(checkpoints, m.entries.shape[0], start=4)
+    if cond in _SECTION_OF:
         raise InvalidCondition(
             f"{cond.value} applies to a family of section windows, not a single matrix"
         )
-
-    vals = tuple(values)
-    return ConditionReport(
-        condition_id=cond,
-        values=vals,
-        verdict=classify_trend(vals, shrinks=cond in _TAIL_CONDITIONS),
-        detail=info,
-    )
+    e = _resolve_exponent(cond, p, exponent)
+    info: dict[str, Any] = dict(detail or {})
+    mode = _SUBSET_MODE.get(cond)
+    if mode is None:
+        values = (_estimate(cond, m.entries[:cp, :cp], e, m.triangular) for cp in cps)
+    else:
+        flip = cond is Condition.COLUMN_SUBSET_POWER_SUM  # subsets of columns
+        blocks = ((cp, m.entries[:cp, :cp]) for cp in cps)
+        windows = ((MatrixWindow(b.T if flip else b), min(cp, row_limit)) for cp, b in blocks)
+        values = _subset_values(windows, e, mode, info)
+    return _report(cond, cps, values, e, info)
 
 
 def alpha_dual_check(
@@ -538,27 +568,21 @@ def alpha_dual_check(
     if any(b <= a_ for a_, b in zip(rls, rls[1:])):
         raise ValueError("row_limits must be strictly increasing")
     lam = termwise_product_matrix(a, order, qp)
-    if p.is_inf:
-        cond, e = Condition.SUBSET_ABS_COLSUM_SUP, 1.0
-        mode = SubsetMode.SUM_OVER_COLS_OF_ABS_COLSUM
-    elif p.value <= 1.0:
-        cond, e = Condition.SUBSET_ENTRY_SUP, p.value
-        mode = SubsetMode.SUP_OVER_COLS_OF_ABS
-    else:
-        cond, e = Condition.SUBSET_ABS_COLSUM_SUP, p.conjugate
-        mode = SubsetMode.SUM_OVER_COLS_OF_ABS_COLSUM
-    values = []
-    witness: tuple[int, ...] = ()
-    for rl in rls:
-        val, witness = subset_sup(lam, e, mode, rl)
-        values.append((rl, val))
-    vals = tuple(values)
-    return ConditionReport(
-        condition_id=cond,
-        values=vals,
-        verdict=classify_trend(vals, shrinks=False),
-        detail={"matrix": "termwise-product", "exponent": e, "witness": list(witness)},
-    )
+    cond = Condition.SUBSET_ENTRY_SUP if _regime(p) == "le1" else Condition.SUBSET_ABS_COLSUM_SUP
+    e = _resolve_exponent(cond, p, None)
+    info: dict[str, Any] = {"matrix": "termwise-product"}
+    values = _subset_values(((lam, rl) for rl in rls), e, _SUBSET_MODE[cond], info)
+    return _report(cond, rls, values, e, info)
+
+
+def _companion(p: PExponent, sup_norm_condition: Condition) -> Condition:
+    """The beta/gamma condition of the regime of p: entry sup for p <= 1,
+    conjugate-power row sums for 1 < p < inf, ``sup_norm_condition`` at inf."""
+    return {
+        "le1": Condition.ENTRY_SUP,
+        "mid": Condition.ROW_POWER_SUM_SUP,
+        "inf": sup_norm_condition,
+    }[_regime(p)]
 
 
 def beta_dual_check(
@@ -576,23 +600,11 @@ def beta_dual_check(
     sup-norm source).  One report per condition.
     """
     omega = partial_sum_matrix(a, order, qp)
-    shared = {"matrix": "partial-sum"}
-    first = matrix_class_condition(
-        omega, Condition.COLUMN_LIMITS, checkpoints=windows, detail=dict(shared)
-    )
-    if p.is_inf:
-        second = matrix_class_condition(
-            omega, Condition.ABS_ROW_SUM_INTERCHANGE, checkpoints=windows, detail=dict(shared)
-        )
-    elif p.value <= 1.0:
-        second = matrix_class_condition(
-            omega, Condition.ENTRY_SUP, p, checkpoints=windows, detail=dict(shared)
-        )
-    else:
-        second = matrix_class_condition(
-            omega, Condition.ROW_POWER_SUM_SUP, p, checkpoints=windows, detail=dict(shared)
-        )
-    return [first, second]
+    conds = (Condition.COLUMN_LIMITS, _companion(p, Condition.ABS_ROW_SUM_INTERCHANGE))
+    return [
+        matrix_class_condition(omega, c, p, checkpoints=windows, detail={"matrix": "partial-sum"})
+        for c in conds
+    ]
 
 
 def gamma_dual_check(
@@ -604,20 +616,10 @@ def gamma_dual_check(
 ) -> ConditionReport:
     """Gamma-dual condition: the beta-dual companion condition without the
     column-limit requirement (with exponent 1 for the sup-norm source)."""
-    omega = partial_sum_matrix(a, order, qp)
-    shared = {"matrix": "partial-sum"}
-    if p.is_inf:
-        return matrix_class_condition(
-            omega,
-            Condition.ROW_POWER_SUM_SUP,
-            checkpoints=windows,
-            exponent=1.0,
-            detail=dict(shared),
-        )
-    if p.value <= 1.0:
-        return matrix_class_condition(
-            omega, Condition.ENTRY_SUP, p, checkpoints=windows, detail=dict(shared)
-        )
     return matrix_class_condition(
-        omega, Condition.ROW_POWER_SUM_SUP, p, checkpoints=windows, detail=dict(shared)
+        partial_sum_matrix(a, order, qp),
+        _companion(p, Condition.ROW_POWER_SUM_SUP),
+        p,
+        checkpoints=windows,
+        detail={"matrix": "partial-sum"},
     )

@@ -14,8 +14,9 @@ So a query holds O(w^2) doubles and takes O(w^3) time.
 Membership of the original matrix in a class (domain space -> classical
 space) is equivalent to a bundle of analytic conditions on those windows;
 the bundles are catalogued here as static dispatch data, one entry per
-(source, target) cell, and each catalog item maps onto the shared window
-evaluators.
+(source, target) cell, and this module only dispatches them.  Each
+condition has one estimate and one exponent rule in `duals`; a section
+condition is a single-window condition taken over every row's section.
 
 Row tails are the one honest-truncation hazard: the inverse coefficients do
 not decay, so the rewritten row sums converge only through the test
@@ -42,13 +43,15 @@ from typing import Any
 import numpy as np
 
 from .duals import (
+    _SECTION_OF,
     Condition,
     ConditionReport,
     InvalidCondition,
     MatrixWindow,
-    _column_limit_estimate,
-    _tail_start,
-    classify_trend,
+    _estimate,
+    _report,
+    _resolve_exponent,
+    _row_section,
     matrix_class_condition,
     partial_sum_matrix,
 )
@@ -128,37 +131,30 @@ _COMPOSITE_TARGETS = {
     Target.QCES_LINF: ("q-cesaro", Target.LINF),
 }
 
-# Condition catalog of both tables: each entry is a tuple of
-# (window role, condition, exponent rule) triples evaluated together.
-# Roles: "sections" (every row's section window) and "full" (the inverse
-# composite for table 1, the forward composite for table 2).
-# Exponent rules: None (no exponent), "one" (fixed 1), "conjugate" (p'),
-# "p" (p itself).
-CONDITION_CATALOG: dict[int | str, tuple[tuple[str, Condition, str | None], ...]] = {
-    1: (
-        ("sections", Condition.SECTION_COLUMN_LIMITS, None),
-        ("sections", Condition.SECTION_ENTRY_SUP, None),
-    ),
-    2: (
-        ("sections", Condition.SECTION_COLUMN_LIMITS, None),
-        ("sections", Condition.SECTION_POWER_SUM_SUP, "conjugate"),
-    ),
-    3: (
-        ("sections", Condition.SECTION_COLUMN_LIMITS, None),
-        ("sections", Condition.SECTION_ABS_SUM_MATCH, None),
-    ),
-    4: (("full", Condition.SUBSET_ABS_COLSUM_SUP, "one"),),
-    5: (("full", Condition.COLUMN_LIMITS_ZERO, None),),
-    6: (("full", Condition.COLUMN_LIMITS, None),),
-    7: (("full", Condition.ROW_ABS_SUM_SUP, None),),
-    8: (("full", Condition.VANISHING_ROW_ABS_SUM, None),),
-    9: (("full", Condition.ABS_ROW_SUM_INTERCHANGE, None),),
-    10: (("full", Condition.ROW_POWER_SUM_SUP, "conjugate"),),
-    11: (("full", Condition.SUBSET_ENTRY_SUP, "one"),),
-    12: (("full", Condition.SUBSET_ABS_COLSUM_SUP, "conjugate"),),
-    13: (("full", Condition.ENTRY_SUP, "one"),),
-    "A'": (("full", Condition.ROW_POWER_SUM_SUP, "p"),),
-    "B'": (("full", Condition.COLUMN_SUBSET_POWER_SUM, "p"),),
+# Condition catalog of both tables: each entry is a tuple of (condition,
+# exponent rule) pairs evaluated together.  Each condition has one estimate
+# and one exponent rule in `duals`; a rule here overrides the exponent of a
+# single-window condition ("one", "conjugate" or "finite", see
+# `duals._resolve_exponent`).  Section conditions are single-window
+# conditions taken over every row's section window; the others run on the
+# full window (the inverse composite for table 1, the forward composite for
+# table 2).
+CONDITION_CATALOG: dict[int | str, tuple[tuple[Condition, str | None], ...]] = {
+    1: ((Condition.SECTION_COLUMN_LIMITS, None), (Condition.SECTION_ENTRY_SUP, None)),
+    2: ((Condition.SECTION_COLUMN_LIMITS, None), (Condition.SECTION_POWER_SUM_SUP, None)),
+    3: ((Condition.SECTION_COLUMN_LIMITS, None), (Condition.SECTION_ABS_SUM_MATCH, None)),
+    4: ((Condition.SUBSET_ABS_COLSUM_SUP, "one"),),
+    5: ((Condition.COLUMN_LIMITS_ZERO, None),),
+    6: ((Condition.COLUMN_LIMITS, None),),
+    7: ((Condition.ROW_ABS_SUM_SUP, None),),
+    8: ((Condition.VANISHING_ROW_ABS_SUM, None),),
+    9: ((Condition.ABS_ROW_SUM_INTERCHANGE, None),),
+    10: ((Condition.ROW_POWER_SUM_SUP, "conjugate"),),
+    11: ((Condition.SUBSET_ENTRY_SUP, "one"),),
+    12: ((Condition.SUBSET_ABS_COLSUM_SUP, "conjugate"),),
+    13: ((Condition.ENTRY_SUP, "one"),),
+    "A'": ((Condition.ROW_POWER_SUM_SUP, "finite"),),
+    "B'": ((Condition.COLUMN_SUBSET_POWER_SUM, "finite"),),
 }
 
 # Primary dispatch: (domain source, classical target) -> numbered bundle.
@@ -254,11 +250,6 @@ class TransformFamily:
     full: MatrixWindow
 
 
-def _row_section(row: np.ndarray, t_e: np.ndarray) -> np.ndarray:
-    """Section window of one row: entry (m, k) is sum_{v=k..m} e_{v-k} row_v."""
-    return np.cumsum(row[:, None] * t_e, axis=0)
-
-
 def row_section_matrix(phi: MatrixWindow, j: int, order: float, qp: QParam) -> MatrixWindow:
     """Section window of row j: entry (m, k) is the inverse-coefficient sum
     sum_{v=k..m} e_{v-k} phi_jv, i.e. the m-truncated rewrite of row j."""
@@ -319,8 +310,9 @@ def build_transform_family(
     t_e = toeplitz_matrix(e, n)
     t_e.setflags(write=False)
     full = np.empty(phi.entries.shape)
-    for j, row in enumerate(phi.entries):
-        full[j] = _row_section(row, t_e)[-1]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused as non-finite
+        for j, row in enumerate(phi.entries):
+            full[j] = _row_section(row, t_e)[-1]
     return TransformFamily(
         phi=phi, order=order, qp=qp, T_e=t_e,
         full=MatrixWindow(entries=full, triangular=phi.triangular, tail_bounds=bounds),
@@ -348,14 +340,6 @@ def section_consistency_residual(
     return worst
 
 
-def _section_estimate(block: np.ndarray, cond: Condition, e: float | None) -> float:
-    if cond is Condition.SECTION_COLUMN_LIMITS:
-        return _column_limit_estimate(block, True, False)
-    if cond is Condition.SECTION_ENTRY_SUP:
-        return float(np.max(np.abs(block)))
-    return float(np.max(np.sum(np.abs(block) ** e, axis=1)))
-
-
 def transform_condition(
     family: TransformFamily,
     cond: Condition,
@@ -364,57 +348,33 @@ def transform_condition(
     checkpoints: tuple[int, ...] | list[int] | None = None,
     detail: dict[str, Any] | None = None,
 ) -> ConditionReport:
-    """Evaluate a section-family condition with the same truncation and
-    trend semantics as the single-matrix dispatch.
+    """Evaluate a section condition: the maximum over rows of its
+    single-window condition on that row's section, with the same truncation
+    and trend semantics as the single-matrix dispatch.
 
-    Per-section limits (column limits, abs-sum match against the full
-    window) are reported as worst-case tail estimates over all sections;
-    sups are running sups over growing blocks.  Sections are derived one
-    row at a time, reduced at every checkpoint, and dropped.
+    The abs-sum match compares each section's tail row sums with the full
+    window's row sum.  Sections are derived one row at a time, reduced at
+    every checkpoint, and dropped.
     """
-    if cond not in (
-        Condition.SECTION_COLUMN_LIMITS,
-        Condition.SECTION_ENTRY_SUP,
-        Condition.SECTION_POWER_SUM_SUP,
-        Condition.SECTION_ABS_SUM_MATCH,
-    ):
+    single = _SECTION_OF.get(cond)
+    if single is None:
         raise InvalidCondition(
             f"{cond.value} applies to a single matrix window; use the "
             "matrix-class dispatch instead"
         )
     cps = _checkpoints(checkpoints, family.T_e.shape[0], start=4)
-    info: dict[str, Any] = dict(detail or {})
-    info.setdefault("matrix", "sections")
-    e: float | None = None
-    if cond is Condition.SECTION_POWER_SUM_SUP:
-        if p is None or p.is_inf or not p.value > 1.0:
-            raise InvalidCondition(
-                f"{cond.value} uses the conjugate exponent and is stated only "
-                f"for 1 < p < inf; got p = {p}"
-            )
-        e = p.conjugate
-        info["exponent"] = e
+    e = _resolve_exponent(cond, p, None)
 
-    refs = np.sum(np.abs(family.full.entries), axis=1)
-    worst = [0.0] * len(cps)
-    for j, row in enumerate(family.phi.entries):
-        section = _row_section(row, family.T_e)
-        for i, cp in enumerate(cps):
-            if cond is Condition.SECTION_ABS_SUM_MATCH:
-                sums = np.sum(np.abs(section[:cp, :cp]), axis=1)[_tail_start(cp):]
-                value = float(np.max(np.abs(sums - refs[j])))
-            else:
-                value = _section_estimate(section[:cp, :cp], cond, e)
-            worst[i] = max(worst[i], value)
+    def worst_over_sections():  # drawn lazily, inside the report's errstate
+        refs = np.sum(np.abs(family.full.entries), axis=1)
+        worst = np.zeros(len(cps))
+        for j, row in enumerate(family.phi.entries):
+            section = _row_section(row, family.T_e)
+            values = [_estimate(single, section[:cp, :cp], e, True, refs[j]) for cp in cps]
+            np.maximum(worst, values, out=worst)
+        yield from worst.tolist()
 
-    vals = tuple(zip(cps, worst))
-    shrinking = cond in (Condition.SECTION_COLUMN_LIMITS, Condition.SECTION_ABS_SUM_MATCH)
-    return ConditionReport(
-        condition_id=cond,
-        values=vals,
-        verdict=classify_trend(vals, shrinks=shrinking),
-        detail=info,
-    )
+    return _report(cond, cps, worst_over_sections(), e, {"matrix": "sections", **(detail or {})})
 
 
 def forward_composite_matrix(phi: MatrixWindow, order: float, qp: QParam) -> MatrixWindow:
@@ -462,23 +422,11 @@ def target_domain_conditions(
     return [
         matrix_class_condition(
             m, cond, checkpoints=checkpoints, row_limit=row_limit,
-            exponent=_resolve_item_exponent(rule, p), detail={"label": item},
+            exponent=_resolve_exponent(cond, p, None, rule), detail={"label": item},
         )
         for item in ("A'", "B'")
-        for _, cond, rule in CONDITION_CATALOG[item]
+        for cond, rule in CONDITION_CATALOG[item]
     ]
-
-
-def _resolve_item_exponent(rule: str | None, p: PExponent) -> float | None:
-    if rule is None:
-        return None
-    if rule == "one":
-        return 1.0
-    if rule == "conjugate":
-        return p.conjugate
-    if rule == "p":
-        return p.value
-    raise ValueError(f"unknown exponent rule {rule!r}")
 
 
 def class_check(query: ClassQuery, phi: MatrixWindow) -> list[ConditionReport]:
@@ -522,19 +470,16 @@ def class_check(query: ClassQuery, phi: MatrixWindow) -> list[ConditionReport]:
     reports: list[ConditionReport] = []
     for item in bundle:
         info = {**cell_info, "table": table, "item": item}
-        for role, cond, rule in CONDITION_CATALOG[item]:
-            if role == "sections":
+        for cond, rule in CONDITION_CATALOG[item]:
+            if cond in _SECTION_OF:
                 reports.append(
                     transform_condition(family, cond, query.p, checkpoints=cps, detail=info)
                 )
             else:
                 reports.append(
                     matrix_class_condition(
-                        full,
-                        cond,
-                        checkpoints=cps,
-                        row_limit=query.row_limit,
-                        exponent=_resolve_item_exponent(rule, query.p),
+                        full, cond, checkpoints=cps, row_limit=query.row_limit,
+                        exponent=_resolve_exponent(cond, query.p, None, rule),
                         detail={**info, "matrix": label},
                     )
                 )

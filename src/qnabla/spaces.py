@@ -149,13 +149,22 @@ def _checkpoints(checkpoints, n: int, start: int = 1) -> tuple[int, ...]:
 
 def lp_norm(h: SeqWindow, p: PExponent) -> float:
     """Classical norm of a window: root-sum for p >= 1, plain p-sum for
-    0 < p < 1, sup for p = inf."""
+    0 < p < 1, sup for p = inf.
+
+    A root-sum whose plain sum overflows is taken again scaled by max|h|;
+    a norm that itself leaves double range raises OverflowError.
+    """
     a = np.abs(h.values)
     if p.is_inf:
         return float(a.max())
     s = float(np.sum(a**p.value))
     if p.value >= 1.0:
-        return s ** (1.0 / p.value)
+        if math.isfinite(s):
+            return s ** (1.0 / p.value)
+        top = float(a.max())
+        s = top * float(np.sum((a / top) ** p.value)) ** (1.0 / p.value)
+    if not math.isfinite(s):
+        raise OverflowError(f"the p = {p} norm of a {h.n}-entry window leaves double range")
     return s
 
 
@@ -209,5 +218,6 @@ def membership_diagnostic(
     """
     cps = _checkpoints(checkpoints, g.n)
     h = apply_forward(g, order, qp)
-    partials = tuple((n, lp_norm(h.prefix(n), p)) for n in cps)
+    with np.errstate(over="ignore"):  # lp_norm rescales an overflowing sum
+        partials = tuple((n, lp_norm(h.prefix(n), p)) for n in cps)
     return NormReport(value=partials[-1][1], p=p, window=g.n, partials=partials)

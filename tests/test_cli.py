@@ -296,3 +296,35 @@ class TestArithmeticBackstop:
         assert result.exit_code == 2
         assert result.stderr.startswith("error: ")
         assert "Traceback" not in result.stderr
+
+
+class TestDoubleRange:
+    """Values outside double range exit 2 with one error line; the suite
+    turns warnings into errors, so no RuntimeWarning may leak either."""
+
+    @pytest.mark.parametrize("args, data", [
+        (("beta-dual", "--gamma", 1, "--q", 0.5, "--p", "1.0000000000000002"), [1.0] * 8),
+        (("alpha-dual", "--gamma", 1, "--q", 0.5, "--p", 2), [1e308] * 4),
+        (("class-check", "--gamma", 1, "--q", 0.5, "--p", 2, "--source", "c",
+          "--target", "lp-domain"), [[1e308, 0], [1e308, 1e308]]),
+        (("beta-dual", "--gamma", 1, "--q", 0.5, "--p", 2), [1e308] * 4),
+        (("class-check", "--gamma", 1, "--q", 0.5, "--p", "inf", "--source", "linf-domain",
+          "--target", "linf"), [[1e308, 0], [1e308, 1e308]]),
+    ])
+    def test_overflow_is_exit_2(self, runner, tmp_path, args, data):
+        src = tmp_path / "in.json"
+        src.write_text(json.dumps(data))
+        result = invoke(runner, *args, "--input", src)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert result.stderr.count("\n") == 1
+
+    def test_norm_of_huge_window_is_finite(self, runner, tmp_path):
+        src = tmp_path / "g.json"
+        src.write_text(json.dumps([1e200] * 4))
+        result = invoke(runner, "norm", "--gamma", 0.5, "--q", 0.5, "--p", 2, "--input", src)
+        assert result.exit_code == 0
+        assert result.stderr == ""
+        value = json.loads(result.stdout)["value"]
+        assert value == pytest.approx(1.124060513833272e200, rel=1e-14)

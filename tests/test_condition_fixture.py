@@ -1,0 +1,140 @@
+"""Pinned outputs of every condition evaluator, and which evaluator takes
+which condition.
+
+The fixture under ``tests/data/`` holds, for a small seeded grid, the
+``as_dict()`` report (or the exception's type and text) of
+`matrix_class_condition` for every condition, exponent regime and explicit
+exponent, of `transform_condition` for every condition, of
+`target_domain_conditions`, and of the beta- and gamma-dual checks with and
+without explicit windows.  It was recorded from the implementation whose
+condition semantics were split between `duals` and `matclass`, so moving a
+condition's estimate or exponent rule must leave each output bit-identical.
+Rewrite it only when an output change is intended:
+
+    PYTHONPATH=src python tests/test_condition_fixture.py
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from qnabla.duals import (
+    Condition,
+    InvalidCondition,
+    MatrixWindow,
+    beta_dual_check,
+    gamma_dual_check,
+    matrix_class_condition,
+)
+from qnabla.fracdiff import SeqWindow
+from qnabla.matclass import build_transform_family, target_domain_conditions, transform_condition
+from qnabla.qcore import QParam
+from qnabla.spaces import P_INF, PExponent
+
+FIXTURE = Path(__file__).parent / "data" / "condition_grid.json"
+PS = (None, PExponent(0.5), PExponent(1.0), PExponent(1.5), PExponent(3.0), P_INF)
+EXPONENTS = (None, 0.7, 2.0)
+DUAL_PS = (PExponent(0.5), PExponent(1.0), PExponent(1.5), P_INF)
+ORDER, Q = 0.7, QParam(0.6)
+
+
+def _matrices() -> dict[str, MatrixWindow]:
+    # The dense matrix decays along its rows by 0.1 per column, so its row
+    # tails pass the truncation test of a transform family at w = 12.
+    rng = np.random.default_rng(3000)
+    return {
+        "triangular": MatrixWindow(np.tril(rng.uniform(-1.0, 1.0, (10, 10))), triangular=True),
+        "dense": MatrixWindow(rng.uniform(-1.0, 1.0, (12, 12)) * 0.1 ** np.arange(12)),
+        "rectangular": MatrixWindow(rng.normal(size=(16, 11))),
+    }
+
+
+def _sequences() -> dict[str, SeqWindow]:
+    rng = np.random.default_rng(3100)
+    return {"ones": SeqWindow(np.ones(10)), "gaussian": SeqWindow(rng.normal(size=12))}
+
+
+def _record(key: list, fn) -> list:
+    """``[key, outcome]``: the outcome is the list of ``as_dict()`` reports
+    or the exception's type and text."""
+    try:
+        result = fn()
+    except Exception as exc:  # every failure is pinned by type and text
+        return [key, {"error": [type(exc).__name__, str(exc)]}]
+    reports = result if isinstance(result, list) else [result]
+    return [key, [r.as_dict() for r in reports]]
+
+
+def grid_outputs() -> list[list]:
+    out = []
+    matrices = _matrices()
+    for name, m in matrices.items():
+        for cond in Condition:
+            for p in PS:
+                for e in EXPONENTS:
+                    out.append(_record(
+                        ["matrix", name, cond.value, str(p), e],
+                        lambda: matrix_class_condition(m, cond, p, exponent=e),
+                    ))
+        for p in PS[1:]:
+            out.append(_record(["target-domain", name, str(p)],
+                               lambda: target_domain_conditions(m, p, row_limit=5)))
+    sections = [c for c in Condition if c.value.startswith("section-")]
+    for name in ("triangular", "dense"):
+        family = build_transform_family(matrices[name], ORDER, Q)
+        for cond in Condition:
+            # A single-window condition is refused whatever p is.
+            for p in PS if cond in sections else (PExponent(1.5),):
+                out.append(_record(["sections", name, cond.value, str(p)],
+                                   lambda: transform_condition(family, cond, p)))
+        out.append(_record(["sections", name, "checkpoints 3, 5, 9"], lambda: [
+            transform_condition(family, cond, PExponent(1.5), checkpoints=(3, 5, 9))
+            for cond in sections
+        ]))
+    for name, a in _sequences().items():
+        for p in DUAL_PS:
+            for windows in (None, (2, 5, a.n)):
+                for dual, check in (("beta", beta_dual_check), ("gamma", gamma_dual_check)):
+                    out.append(_record([dual, name, str(p), windows],
+                                       lambda: check(a, ORDER, Q, p, windows)))
+    return out
+
+
+def test_grid_outputs_match_fixture():
+    expected = json.loads(FIXTURE.read_text())
+    got = json.loads(json.dumps(grid_outputs()))
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert g == e
+
+
+@pytest.mark.parametrize("cond", list(Condition), ids=lambda c: c.value)
+def test_each_condition_has_exactly_one_evaluator(cond):
+    # With p in the middle regime and an explicit exponent, every condition
+    # is in its stated regime; what is left to refuse is the wrong window.
+    phi = MatrixWindow(np.tril(np.ones((6, 6))), triangular=True)
+    family = build_transform_family(phi, ORDER, Q)
+    p = PExponent(1.5)
+    calls = (
+        lambda: matrix_class_condition(family.full, cond, p, exponent=1.0),
+        lambda: transform_condition(family, cond, p),
+    )
+    accepted = []
+    for call in calls:
+        try:
+            call()
+            accepted.append(True)
+        except InvalidCondition:
+            accepted.append(False)
+    assert accepted.count(True) == 1
+
+
+if __name__ == "__main__":
+    FIXTURE.parent.mkdir(exist_ok=True)
+    lines = (json.dumps(rec, separators=(",", ":")) for rec in grid_outputs())
+    FIXTURE.write_text("[\n" + ",\n".join(lines) + "\n]\n")
+    print(f"wrote {FIXTURE}")

@@ -313,6 +313,29 @@ class TestMatrixClassCondition:
             matrix_class_condition(m, Condition.ROW_ABS_SUM_SUP, checkpoints=[2, 9])
 
 
+    def test_value_outside_double_range_raises_overflow_error(self):
+        # The suite turns warnings into errors: the refusal must be the
+        # OverflowError, not numpy's RuntimeWarning.
+        m = MatrixWindow(np.full((4, 4), 1e308))
+        with pytest.raises(OverflowError, match="^row-abs-sum-sup at window size 4 leaves"):
+            matrix_class_condition(m, Condition.ROW_ABS_SUM_SUP)
+        with pytest.raises(OverflowError, match="entry-sup at window size 4 with exponent 2.0"):
+            matrix_class_condition(m, Condition.ENTRY_SUP, exponent=2.0)
+        with pytest.raises(OverflowError, match="row-subset-entry-sup at window size 4"):
+            matrix_class_condition(m, Condition.SUBSET_ENTRY_SUP, PExponent(0.5))
+
+    def test_dual_checks_refuse_overflow(self):
+        big = SeqWindow(np.full(4, 1e308))
+        with pytest.raises(OverflowError, match="row-subset-abs-colsum-sup"):
+            alpha_dual_check(big, 1.0, QParam(0.5), PExponent(2.0), (4,))
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            beta_dual_check(big, 1.0, QParam(0.5), PExponent(2.0))
+        # p' = 4.5e15 sends 1.0 ** p' to 1 but the partial sum 2.0 past range.
+        with pytest.raises(OverflowError, match="row-power-sum-sup at window size 4"):
+            gamma_dual_check(SeqWindow(np.ones(8)), 1.0, QParam(0.5),
+                             PExponent(1.0000000000000002))
+
+
 class TestAlphaDual:
     def test_finitely_supported_multiplier_stabilizes(self):
         a = SeqWindow(np.concatenate([[1.0, -2.0], np.zeros(14)]))

@@ -83,6 +83,33 @@ class TestLpNorm:
                 assert lhs <= rhs + 1e-12
 
 
+    def test_overflowing_sum_is_rescaled(self):
+        # 4 x (1e200)^2 leaves double range, the norm 2e200 does not.  The
+        # plain sum's overflow is numpy's to report; callers silence it, as
+        # membership_diagnostic does.
+        with np.errstate(over="ignore"):
+            assert lp_norm(SeqWindow(np.full(4, 1e200)), PExponent(2.0)) == 2e200
+            assert lp_norm(SeqWindow(np.full(4, 1e250)), PExponent(1.5)) == pytest.approx(
+                4 ** (1 / 1.5) * 1e250, rel=1e-15
+            )
+
+    def test_norm_outside_double_range_raises(self):
+        with np.errstate(over="ignore"):
+            with pytest.raises(OverflowError, match="p = 1.0 norm of a 4-entry window"):
+                lp_norm(SeqWindow(np.full(4, 1e308)), PExponent(1.0))
+            # Below p = 1 the norm is the p-sum itself: 4 x 4.9e307 overflows.
+            with pytest.raises(OverflowError, match="p = 0.999 norm"):
+                lp_norm(SeqWindow(np.full(4, 1e308)), PExponent(0.999))
+
+    def test_finite_results_keep_their_bits(self):
+        rng = np.random.default_rng(11)
+        a = rng.uniform(-1, 1, 64)
+        for p in (0.5, 1.0, 1.5, 2.0, 3.5):
+            assert lp_norm(SeqWindow(a), PExponent(p)) == float(np.sum(np.abs(a) ** p)) ** (
+                1.0 / p if p >= 1.0 else 1.0
+            )
+
+
 class TestDefaultCheckpoints:
     def test_powers_of_two_up_to_window(self):
         assert default_checkpoints(32) == (1, 2, 4, 8, 16, 32)
@@ -130,6 +157,15 @@ class TestDomainNorm:
             report = domain_norm(g, 0.5, QParam(0.5), p)
             vals = [v for _, v in report.partials]
             assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+    def test_huge_window_scales_without_warning(self):
+        # The suite turns warnings into errors, so this also checks that the
+        # overflowing plain sums stay quiet.
+        qp = QParam(0.5)
+        unit = domain_norm(SeqWindow(np.ones(4)), 0.5, qp, PExponent(2.0))
+        huge = domain_norm(SeqWindow(np.full(4, 1e200)), 0.5, qp, PExponent(2.0))
+        for (_, u), (_, h) in zip(unit.partials, huge.partials):
+            assert h == pytest.approx(1e200 * u, rel=1e-14)
 
     def test_isometry_through_inverse(self):
         rng = np.random.default_rng(10)
