@@ -391,7 +391,8 @@ def subset_sup(
     of (sum_j max(+-a_jk, 0))^exponent, in O(r n).  Sum mode is a cut-norm
     type quantity and stays exhaustive over all 2^r - 1 subsets, each by the
     parent recurrence S(J) = S(J minus max J) + row_{max J}: one n-vector
-    add per subset.  Both modes are capped at ``MAX_SUBSET_ROWS`` rows.
+    add per subset.  Both modes are capped at ``MAX_SUBSET_ROWS`` rows, and
+    a supremum outside double range raises OverflowError.
     """
     if row_limit != int(row_limit) or row_limit < 1:
         raise ValueError(f"row_limit must be a positive integer, got {row_limit!r}")
@@ -404,9 +405,15 @@ def subset_sup(
     if not (math.isfinite(exponent) and exponent > 0.0):
         raise ValueError(f"exponent must be positive and finite, got {exponent!r}")
     block = m.entries[:row_limit]
-    if inner is SubsetMode.SUP_OVER_COLS_OF_ABS:
-        return _sup_closed_form(block, exponent)
-    return _sum_exhaustive(block, exponent)
+    search = _sup_closed_form if inner is SubsetMode.SUP_OVER_COLS_OF_ABS else _sum_exhaustive
+    with np.errstate(over="ignore"):  # refused below
+        best, witness = search(block, exponent)
+    if not math.isfinite(best):
+        raise OverflowError(
+            f"subset supremum over {row_limit} rows with exponent {exponent} "
+            f"leaves double range"
+        )
+    return best, witness
 
 
 def _tail_start(n: int) -> int:
@@ -495,15 +502,22 @@ def _report(
     cond: Condition, sizes: tuple[int, ...], values, e: float | None, info: dict[str, Any]
 ) -> ConditionReport:
     """The one report constructor: draws the lazy ``values``, one per window
-    size, under one errstate, and refuses a value outside double range."""
+    size, under one errstate, and refuses a value outside double range,
+    a subset supremum that ``subset_sup`` refused included."""
     if e is not None:
         info["exponent"] = e
+    vals = []
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = tuple(zip(sizes, values))
-    for n, v in vals:
-        if not math.isfinite(v):
-            with_e = "" if e is None else f" with exponent {e}"
-            raise OverflowError(f"{cond.value} at window size {n}{with_e} leaves double range")
+        for n in sizes:
+            try:
+                v = next(values)
+            except OverflowError:  # a subset supremum past double range
+                v = math.inf
+            if not math.isfinite(v):
+                with_e = "" if e is None else f" with exponent {e}"
+                raise OverflowError(f"{cond.value} at window size {n}{with_e} leaves double range")
+            vals.append((n, v))
+    vals = tuple(vals)
     return ConditionReport(
         condition_id=cond,
         values=vals,

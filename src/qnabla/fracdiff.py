@@ -26,7 +26,28 @@ differ; the defect vanishes as q -> 1^-).
 
 Truncation length is caller-supplied.  Every convolution cuts its operands
 to their support (up to the last nonzero entry), so a stream of support K
-costs O(n K) on an n-window rather than O(n^2).
+costs O(n K) on an n-window.  Streams of a positive order never end, but
+past a short head they are geometric: both are reciprocal q-binomial series
+(Gasper & Rahman, Basic Hypergeometric Series, §1.3), so e_k tends to a
+constant and c_k = C q^{gamma k} (1 + O(q^k)).  Transforms, ``compose_coeffs``
+and ``semigroup_defect`` therefore split such a stream at a head length K
+with tail ratio rho (1 for the inverse stream, q^gamma for the forward one):
+
+    g_j = (c[:K+1] * x)_j + c_K rho y_{j-K-1},   y_t = rho y_{t-1} + x_t,
+
+where y is a cumsum for rho = 1 and a blocked matmul scan otherwise.  K is
+the smallest lag with sum_{k>=K} |r_k / rho - 1| <= eps/4 over the lag
+ratios r_k, taken from the closed-form bound q^(K+a) |1 - q^b| / (1 - q)^2
+(a = 1, b = gamma - 1 for the inverse stream; a = -gamma, b = gamma + 1 for
+the forward one), so the tail is exact to eps/4 relative and a transform
+costs O(n K) plus the scan; it differs from the direct convolution in the
+last bits only.  The direct convolution stays for orders <= 0, integer
+forward orders (their support is already exact), composed streams, and
+whenever the split would save fewer than 2^18 multiply-adds, which keeps
+every window of 512 entries or fewer on it.  K grows like
+(37 + ln(1 / (1 - q))) / (1 - q), so for q within roughly 40/n of 1 the
+head spans the window and the transform stays O(n^2).  ``verify_inverse``
+always convolves directly: it is the meter of the inverse identity.
 """
 
 from __future__ import annotations
@@ -79,7 +100,10 @@ class CoeffStream:
     """Finite prefix of operator coefficients; realizes a causal Toeplitz operator.
 
     ``order`` is None for streams produced by composition, which carry no
-    single operator order of their own.
+    single operator order of their own.  A forward or inverse stream holds
+    the coefficients of its order, as ``forward_coeffs`` and
+    ``inverse_coeffs`` build them: convolutions take its geometric tail
+    from the order.
     """
 
     order: float | None
@@ -169,13 +193,18 @@ def inverse_coeffs(order: float, qp: QParam, k: int) -> CoeffStream:
     """Coefficients e_0..e_K of the order-``order`` inverse operator.
 
     All entries are nonnegative for order > 0 and tend to the finite
-    constant prod_j (1 - q^{order+j}) / (1 - q^{1+j}) as K grows.
+    constant prod_j (1 - q^{order+j}) / (1 - q^{1+j}) as K grows: past the
+    head length of the module notes they are constant to eps/4 relative, so
+    ``apply_inverse`` adds a cumsum of the window times that entry to a
+    head convolution instead of convolving the whole stream.
     """
     return _stream(Kind.INVERSE, order, qp, k)
 
 
 def _support(a: np.ndarray) -> np.ndarray:
     """``a`` up to its last nonzero entry (at least one entry)."""
+    if a[-1] != 0.0:  # dense windows and undecayed streams: nothing to cut
+        return a
     nz = np.flatnonzero(a)
     return a[: nz[-1] + 1] if nz.size else a[:1]
 
@@ -190,8 +219,110 @@ def _causal(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return np.pad(head, (0, n - head.size))
 
 
+_EPS = np.finfo(np.float64).eps
+# Multiply-adds a head-plus-tail split must save over the direct convolution
+# to repay its fixed cost: a scan, a short-kernel convolution that costs tens
+# of nanoseconds per output, and a few array passes.  It exceeds 512 * 511,
+# so windows of 512 entries or fewer always keep the direct path.
+_SPLIT_FLOOR = 1 << 18
+
+
+def _tail(stream: CoeffStream, n: int) -> tuple[int, float] | None:
+    """Head length K and tail ratio rho of a stream on an n-window (module
+    notes), or None when no split can save ``_SPLIT_FLOOR`` multiply-adds.
+    O(1) arithmetic: past lag K the stream is c_K rho^(k - K) to eps/4."""
+    order = stream.order
+    if order is None or not order > 0.0:
+        return None
+    logq = math.log(stream.qp.q)
+    if stream.kind is Kind.INVERSE:
+        a, b, rho = 1.0, order - 1.0, 1.0
+    elif order != math.floor(order):
+        a, b, rho = -order, order + 1.0, math.exp(order * logq)
+    else:
+        return None
+    k = 0  # b = 0: the inverse stream of order 1 is all ones
+    if b:
+        # log |1 - q^b| without overflow: for b < 0, 1 - q^b = -q^b (1 - q^-b).
+        log_gap = min(b, 0.0) * logq + math.log(-math.expm1(abs(b) * logq))
+        bound = math.log(_EPS / 4.0) + 2.0 * math.log(-math.expm1(logq)) - log_gap
+        k = max(0, math.ceil(bound / logq - a))
+    return (k, rho) if (n - k - 1) * n > _SPLIT_FLOOR else None
+
+
+def _powers(log_rho: float, count: int) -> np.ndarray:
+    """rho^0 .. rho^(count-1), with powers below the smallest normal double
+    set to zero as ``_stream`` sets its entries."""
+    out = np.exp(np.arange(count) * log_rho)
+    out[out < _TINY] = 0.0
+    return out
+
+
+def _lower_toeplitz(col: np.ndarray, n: int) -> np.ndarray:
+    """Read-only n-by-n lower triangular Toeplitz view with entry (j, k) =
+    col[j - k], zero past the end of ``col``."""
+    # padded[n - 1 + i] = col_i, zero before; the view starts at
+    # padded[n - 1] and steps +1 down a column and -1 along a row.
+    padded = np.zeros(2 * n - 1, dtype=np.float64)
+    m = min(n, col.size)
+    padded[n - 1 : n - 1 + m] = col[:m]
+    step = padded.itemsize
+    view = np.ndarray((n, n), np.float64, padded, (n - 1) * step, (step, -step))
+    view.setflags(write=False)
+    return view
+
+
+def _geometric_scan(x: np.ndarray, rho: float) -> np.ndarray:
+    """y_t = rho y_{t-1} + x_t from y_{-1} = 0.
+
+    A cumsum for rho = 1.  Otherwise two levels of blocked matmul over
+    blocks of about sqrt(n): one Toeplitz matrix of rho^s scans every block
+    at once, and one of rho^(B i) carries each block's last value into the
+    blocks after it.  Every power is at most 1, so nothing grows.
+    """
+    if rho == 1.0:
+        return np.cumsum(x)
+    n = x.size
+    width = math.isqrt(n - 1) + 1
+    count = -(-n // width)
+    log_rho = math.log(rho)
+    powers = _powers(log_rho, width + 1)
+    blocks = np.zeros(count * width)
+    blocks[:n] = x
+    blocks = blocks.reshape(count, width) @ _lower_toeplitz(powers, width).T
+    carry = _lower_toeplitz(_powers(width * log_rho, count), count) @ blocks[:, -1]
+    blocks[1:] += np.outer(carry[:-1], powers[1:])
+    return blocks.ravel()[:n]
+
+
+def _convolve(n: int, a: CoeffStream, b: CoeffStream | np.ndarray) -> np.ndarray:
+    """First n terms of the Cauchy product of a stream with a window or a
+    second stream: head plus geometric tail (module notes) at the operand
+    whose split saves the most multiply-adds, if more than ``_SPLIT_FLOOR``,
+    else the direct convolution."""
+    va = a.coeffs[:n]
+    vb = (b.coeffs if isinstance(b, CoeffStream) else b)[:n]
+    best, split = _SPLIT_FLOOR, None
+    for s, c, x in ((a, va, vb), (b, vb, va)):
+        tail = _tail(s, n) if isinstance(s, CoeffStream) else None
+        if tail is None:
+            continue
+        saved = (_support(c).size - tail[0] - 1) * _support(x).size
+        if saved > best:
+            best, split = saved, (c, x, *tail)
+    if split is None:
+        return _causal(va, vb, n)
+    c, x, k, rho = split
+    out = _causal(c[: k + 1], x, n)
+    # Scaled before the scan, so it leaves double range only where the
+    # transform does; the caller refuses a sum past range, as on the direct path.
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[k + 1 :] += _geometric_scan((c[k] * rho) * x[: n - k - 1], rho)
+    return out
+
+
 def _apply(stream: CoeffStream, g: SeqWindow) -> SeqWindow:
-    return SeqWindow(_causal(stream.coeffs, g.values, g.n))
+    return SeqWindow(_convolve(g.n, stream, g.values))
 
 
 def apply_forward(g: SeqWindow, order: float, qp: QParam) -> SeqWindow:
@@ -215,7 +346,7 @@ def compose_coeffs(a: CoeffStream, b: CoeffStream) -> CoeffStream:
             f"cannot compose streams with q = {a.qp.q!r} and q = {b.qp.q!r}"
         )
     n = min(a.coeffs.size, b.coeffs.size)
-    out = _causal(a.coeffs, b.coeffs, n)
+    out = _convolve(n, a, b)
     return CoeffStream(order=None, qp=a.qp, kind=Kind.COMPOSED, coeffs=out)
 
 
@@ -244,9 +375,7 @@ def semigroup_defect(mu: float, nu: float, qp: QParam, n: int) -> float:
     mu = _require_finite("mu", mu)
     nu = _require_finite("nu", nu)
     n = _check_int("n", n, 2)
-    composed = _causal(
-        forward_coeffs(mu, qp, n - 1).coeffs, forward_coeffs(nu, qp, n - 1).coeffs, n
-    )
+    composed = _convolve(n, forward_coeffs(mu, qp, n - 1), forward_coeffs(nu, qp, n - 1))
     direct = forward_coeffs(mu + nu, qp, n - 1).coeffs
     return float(np.max(np.abs(composed - direct)))
 
@@ -258,9 +387,4 @@ def toeplitz_matrix(stream: CoeffStream, n: int) -> np.ndarray:
     are zero.
     """
     n = _check_int("n", n, 1)
-    # padded[n - 1 + i] = c_i, zero before, so row j reversed is the window
-    # padded[j : j + n] and entry (j, k) is c_{j-k}.
-    padded = np.zeros(2 * n - 1, dtype=np.float64)
-    m = min(n, stream.coeffs.size)
-    padded[n - 1 : n - 1 + m] = stream.coeffs[:m]
-    return np.lib.stride_tricks.sliding_window_view(padded, n)[:, ::-1].copy()
+    return _lower_toeplitz(stream.coeffs, n).copy()

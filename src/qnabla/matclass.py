@@ -325,7 +325,7 @@ def section_consistency_residual(
     """Max gap, over rows j and truncation points m, between the partial sums
     sum_{k<=m} phi_jk g_k and the section-window rewrite applied to the
     transform of g.  The rewrite is an identity, so this should sit at
-    rounding level."""
+    rounding level; a residual outside double range raises OverflowError."""
     if phi.entries.shape[1] != g.n:
         raise ValueError(
             f"matrix has {phi.entries.shape[1]} columns but the window has {g.n} entries"
@@ -333,10 +333,16 @@ def section_consistency_residual(
     h = apply_forward(g, order, qp).values
     t_e = toeplitz_matrix(inverse_coeffs(order, qp, g.n - 1), g.n)
     worst = 0.0
-    for row in phi.entries:
-        lhs = np.cumsum(row * g.values)
-        rhs = _row_section(row, t_e) @ h
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        for j, row in enumerate(phi.entries):
+            lhs = np.cumsum(row * g.values)
+            rhs = _row_section(row, t_e) @ h
+            gap = float(np.max(np.abs(lhs - rhs)))
+            if not math.isfinite(gap):
+                raise OverflowError(
+                    f"section consistency residual of row {j} leaves double range"
+                )
+            worst = max(worst, gap)
     return worst
 
 

@@ -21,6 +21,7 @@ checkpoints and leave interpretation to the caller.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -92,6 +93,7 @@ class PExponent:
 
 
 P_INF = PExponent.inf()
+_LOG_MAX = math.log(np.finfo(np.float64).max)
 
 
 @dataclass(frozen=True)
@@ -155,14 +157,18 @@ def lp_norm(h: SeqWindow, p: PExponent) -> float:
     a norm that itself leaves double range raises OverflowError.
     """
     a = np.abs(h.values)
+    top = float(a.max())
     if p.is_inf:
-        return float(a.max())
-    s = float(np.sum(a**p.value))
-    if p.value >= 1.0:
-        if math.isfinite(s):
-            return s ** (1.0 / p.value)
-        top = float(a.max())
-        s = top * float(np.sum((a / top) ** p.value)) ** (1.0 / p.value)
+        return top
+    # No partial sum exceeds n max|h|^p, so only a window within a factor e
+    # of that bound can overflow; only there is numpy's warning silenced.
+    near = top > 0.0 and p.value * math.log(top) + math.log(h.n) > _LOG_MAX - 1.0
+    with np.errstate(over="ignore") if near else contextlib.nullcontext():
+        s = float(np.sum(a**p.value))
+        if p.value >= 1.0:
+            if math.isfinite(s):
+                return s ** (1.0 / p.value)
+            s = top * float(np.sum((a / top) ** p.value)) ** (1.0 / p.value)
     if not math.isfinite(s):
         raise OverflowError(f"the p = {p} norm of a {h.n}-entry window leaves double range")
     return s
@@ -218,6 +224,5 @@ def membership_diagnostic(
     """
     cps = _checkpoints(checkpoints, g.n)
     h = apply_forward(g, order, qp)
-    with np.errstate(over="ignore"):  # lp_norm rescales an overflowing sum
-        partials = tuple((n, lp_norm(h.prefix(n), p)) for n in cps)
+    partials = tuple((n, lp_norm(h.prefix(n), p)) for n in cps)
     return NormReport(value=partials[-1][1], p=p, window=g.n, partials=partials)

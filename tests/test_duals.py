@@ -273,6 +273,12 @@ class TestSubsetSup:
         with pytest.raises(ValueError):
             subset_sup(m, 0.0, SubsetMode.SUM_OVER_COLS_OF_ABS_COLSUM, 4)
 
+    @pytest.mark.parametrize("mode", list(SubsetMode))
+    def test_supremum_outside_double_range_raises(self, mode):
+        m = MatrixWindow(np.full((4, 4), 1e308))
+        with pytest.raises(OverflowError, match="over 4 rows with exponent 2.0 leaves double"):
+            subset_sup(m, 2.0, mode, 4)
+
 
 class TestMatrixClassCondition:
     def test_row_abs_sum_on_identity(self):

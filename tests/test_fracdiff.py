@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qnabla import fracdiff
 from qnabla.fracdiff import (
     Kind,
     MismatchedParameter,
@@ -391,3 +392,112 @@ class TestStreamRange:
     def test_negative_order_largest_fitting_truncation(self):
         c = forward_coeffs(-0.5, QParam(0.5), 2050).coeffs
         assert np.all(np.isfinite(c)) and c[-1] > 1e307
+
+
+class TestHeadTailSplit:
+    """Transforms split into a short head and a geometric tail must agree
+    with the direct convolution, and must stay off it where it is exact or
+    no cheaper."""
+
+    @staticmethod
+    def _counting(monkeypatch, name):
+        calls = []
+        inner = getattr(fracdiff, name)
+
+        def wrapper(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(fracdiff, name, wrapper)
+        return calls
+
+    @pytest.mark.parametrize("n", [1024, 8192])
+    def test_matches_direct_convolution(self, n, monkeypatch):
+        scans = self._counting(monkeypatch, "_geometric_scan")
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n)
+        g = SeqWindow(x)
+        for q in (0.05, 0.5, 0.9, 0.99, 0.995):
+            qp = QParam(q)
+            mixed = inverse_coeffs(1.3, qp, n - 1)
+            for gamma in (0.1, 0.7, 2.5, 5.3):
+                fwd = forward_coeffs(gamma, qp, n - 1)
+                inv = inverse_coeffs(gamma, qp, n - 1).coeffs
+                cases = [
+                    (apply_forward(g, gamma, qp).values, fwd.coeffs, x),
+                    (apply_inverse(g, gamma, qp).values, inv, x),
+                    (compose_coeffs(fwd, mixed).coeffs, fwd.coeffs, mixed.coeffs),
+                ]
+                for got, a, b in cases:
+                    ref = fracdiff._causal(a, b, n)
+                    scale = fracdiff._causal(np.abs(a), np.abs(b), n)
+                    assert np.all(np.abs(got - ref) <= 1e-13 * scale), (q, gamma)
+        assert len(scans) >= 30  # the split ran on at least half of the 60 cases
+
+    def test_integer_inverse_orders(self):
+        # Order 1 is all ones (head length 0, a plain cumsum); order 2 tends
+        # to 1 / (1 - q).
+        x = np.random.default_rng(5).standard_normal(4096)
+        for gamma in (1.0, 2.0):
+            qp = QParam(0.7)
+            e = inverse_coeffs(gamma, qp, 4095)
+            assert fracdiff._tail(e, 4096) is not None
+            got = apply_inverse(SeqWindow(x), gamma, qp).values
+            ref = fracdiff._causal(e.coeffs, x, 4096)
+            scale = fracdiff._causal(e.coeffs, np.abs(x), 4096)
+            assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+
+    def test_inverse_against_mpmath_oracle(self):
+        n, q, gamma = 4096, 0.9, 0.7
+        x = np.random.default_rng(17).standard_normal(n)
+        got = apply_inverse(SeqWindow(x), gamma, QParam(q)).values
+        e = stream_oracle("inverse", gamma, q, n, dps=30)
+        with mpmath.workdps(30):
+            for j in (0, 1, 377, 2048, n - 1):
+                exact = mpmath.fsum(e[j - k] * mpmath.mpf(x[k]) for k in range(j + 1))
+                scale = mpmath.fsum(abs(e[j - k] * mpmath.mpf(x[k])) for k in range(j + 1))
+                assert abs(got[j] - exact) <= 1e-13 * scale
+
+    @pytest.mark.parametrize(
+        "kind,gamma,q,n",
+        [
+            ("forward", 2.0, 0.9, 8192),  # integer order: exact finite support
+            ("forward", 3.0, 0.5, 4096),
+            ("forward", -0.5, 0.9, 4096),  # negative orders
+            ("inverse", -0.5, 0.9, 4096),
+            ("forward", 0.7, 1 - 1e-7, 8192),  # q within 1e-6 of 1
+            ("inverse", 0.7, 1 - 1e-7, 8192),
+            ("forward", 0.7, 0.5, 256),  # short windows
+            ("inverse", 0.7, 0.5, 256),
+        ],
+    )
+    def test_direct_path_where_split_does_not_apply(self, kind, gamma, q, n):
+        qp = QParam(q)
+        x = np.random.default_rng(n).standard_normal(n)
+        build, apply = {
+            "forward": (forward_coeffs, apply_forward),
+            "inverse": (inverse_coeffs, apply_inverse),
+        }[kind]
+        stream = build(gamma, qp, n - 1)
+        assert fracdiff._tail(stream, n) is None
+        direct = fracdiff._causal(stream.coeffs, x, n)
+        assert np.array_equal(apply(SeqWindow(x), gamma, qp).values, direct)
+        assert np.array_equal(compose_coeffs(stream, stream).coeffs,
+                              fracdiff._causal(stream.coeffs, stream.coeffs, n))
+
+    def test_head_is_short_at_moderate_q(self, monkeypatch):
+        # A structural guard rather than a timing: at n = 8192, q = 0.9 every
+        # transform convolves a head shorter than n / 10, so a regression to
+        # the dense O(n^2) convolution fails here.
+        n, gamma, qp = 8192, 0.7, QParam(0.9)
+        for build in (forward_coeffs, inverse_coeffs):
+            k, _ = fracdiff._tail(build(gamma, qp, n - 1), n)
+            assert k < n / 10
+        convs = self._counting(monkeypatch, "_causal")
+        g = SeqWindow(np.random.default_rng(9).standard_normal(n))
+        apply_forward(g, gamma, qp)
+        apply_inverse(g, gamma, qp)
+        compose_coeffs(forward_coeffs(gamma, qp, n - 1), inverse_coeffs(gamma, qp, n - 1))
+        semigroup_defect(gamma, 0.4, qp, n)
+        assert len(convs) == 4
+        assert max(min(a.size, b.size) for a, b, _ in convs) < n / 10

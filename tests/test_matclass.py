@@ -157,6 +157,13 @@ class TestSectionConsistency:
         with pytest.raises(ValueError):
             section_consistency_residual(phi, SeqWindow(np.ones(5)), 1.0, QParam(0.5))
 
+    def test_residual_outside_double_range_raises(self):
+        # Row sums of 1e308 entries overflow, and inf - inf is nan: the
+        # residual must not fall back to the rows that stayed finite.
+        phi = MatrixWindow(np.full((3, 3), 1e308))
+        with pytest.raises(OverflowError, match="row 0 leaves double range"):
+            section_consistency_residual(phi, SeqWindow(np.full(3, 1e308)), 1.0, QParam(0.5))
+
 
 class TestTransformCondition:
     def test_zero_matrix_all_conditions_vanish(self):

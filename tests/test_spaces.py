@@ -85,21 +85,19 @@ class TestLpNorm:
 
     def test_overflowing_sum_is_rescaled(self):
         # 4 x (1e200)^2 leaves double range, the norm 2e200 does not.  The
-        # plain sum's overflow is numpy's to report; callers silence it, as
-        # membership_diagnostic does.
-        with np.errstate(over="ignore"):
-            assert lp_norm(SeqWindow(np.full(4, 1e200)), PExponent(2.0)) == 2e200
-            assert lp_norm(SeqWindow(np.full(4, 1e250)), PExponent(1.5)) == pytest.approx(
-                4 ** (1 / 1.5) * 1e250, rel=1e-15
-            )
+        # suite turns warnings into errors, so no overflow may reach numpy's
+        # warning machinery.
+        assert lp_norm(SeqWindow(np.full(4, 1e200)), PExponent(2.0)) == 2e200
+        assert lp_norm(SeqWindow(np.full(4, 1e250)), PExponent(1.5)) == pytest.approx(
+            4 ** (1 / 1.5) * 1e250, rel=1e-15
+        )
 
     def test_norm_outside_double_range_raises(self):
-        with np.errstate(over="ignore"):
-            with pytest.raises(OverflowError, match="p = 1.0 norm of a 4-entry window"):
-                lp_norm(SeqWindow(np.full(4, 1e308)), PExponent(1.0))
-            # Below p = 1 the norm is the p-sum itself: 4 x 4.9e307 overflows.
-            with pytest.raises(OverflowError, match="p = 0.999 norm"):
-                lp_norm(SeqWindow(np.full(4, 1e308)), PExponent(0.999))
+        with pytest.raises(OverflowError, match="p = 1.0 norm of a 4-entry window"):
+            lp_norm(SeqWindow(np.full(4, 1e308)), PExponent(1.0))
+        # Below p = 1 the norm is the p-sum itself: 4 x 4.9e307 overflows.
+        with pytest.raises(OverflowError, match="p = 0.999 norm"):
+            lp_norm(SeqWindow(np.full(4, 1e308)), PExponent(0.999))
 
     def test_finite_results_keep_their_bits(self):
         rng = np.random.default_rng(11)
@@ -108,6 +106,10 @@ class TestLpNorm:
             assert lp_norm(SeqWindow(a), PExponent(p)) == float(np.sum(np.abs(a) ** p)) ** (
                 1.0 / p if p >= 1.0 else 1.0
             )
+        # 64 (1e154)^2 bounds the plain sum past double range, but the sum
+        # itself, 1e308 plus change, is finite and keeps the plain path.
+        near = np.concatenate([[1e154], a[1:]])
+        assert lp_norm(SeqWindow(near), PExponent(2.0)) == float(np.sum(near**2)) ** 0.5
 
 
 class TestDefaultCheckpoints:
