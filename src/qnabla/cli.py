@@ -352,7 +352,8 @@ def _dual_payload(command: str, gamma: float, q: float, p_text: str, reports) ->
 @click.option("--input", "input_path", type=click.Path(exists=True, dir_okay=False),
               required=True, help="Multiplier sequence file.")
 @click.option("--row-limit", type=int, default=12, show_default=True,
-              help="Largest subset-enumeration row count (hard cap 20).")
+              help="Largest subset-enumeration row count, clamped to the "
+                   "input length (hard cap 20).")
 @_output_option
 @_format_option
 def alpha_dual(gamma: float, q: float, p_text: str, input_path: str, row_limit: int,
@@ -364,8 +365,9 @@ def alpha_dual(gamma: float, q: float, p_text: str, input_path: str, row_limit: 
         _check_order(gamma, "--gamma")
         p = PExponent.parse(p_text)
         a = _read_sequence(input_path)
-        _check_window(row_limit, flag="--row-limit")
-        limits = default_checkpoints(row_limit, start=min(4, row_limit))
+        # Rows past the input would only repeat the supremum over all of it.
+        rows = min(_check_window(row_limit, flag="--row-limit"), a.n)
+        limits = default_checkpoints(rows, start=min(4, rows))
         rep = alpha_dual_check(a, gamma, qp, p, limits)
         _emit(_dual_payload("alpha-dual", gamma, q, p_text, [rep]), output, fmt)
 

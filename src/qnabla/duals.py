@@ -12,8 +12,9 @@ The conditions quantify over all finite subsets of an infinite index set
 and over limits no finite window can certify, so the evaluators are honest
 about both: finite-subset suprema are taken over a capped number of rows
 (hard ceiling of 20), in closed form when the columns are sup'd and by
-exhaustive enumeration of about a million subsets, one row add each, when
-they are summed; and "limit exists" conditions are reported as Cauchy-style
+enumeration of up to about a million subsets, one row add each, when they
+are summed, skipping only subtrees that provably cannot reach the best
+value; and "limit exists" conditions are reported as Cauchy-style
 oscillation estimates over the last quarter of the window.  Every report
 carries the evaluated quantity at a strictly increasing list of window
 sizes plus a tri-state verdict: values that have stabilized read as
@@ -62,6 +63,8 @@ __all__ = [
 
 MAX_SUBSET_ROWS = 20
 _LOW_ROWS = 13
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+_SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
 
 # Trend-classification constants; these shape verdict labels only, never
 # the reported values.
@@ -331,13 +334,87 @@ def _sup_closed_form(block: np.ndarray, exponent: float) -> tuple[float, tuple[i
     )
 
 
+def _node_values(sums: np.ndarray, work: np.ndarray, exponent: float) -> np.ndarray:
+    """Sum-mode values of the subsets whose row-order column sums are the
+    rows of ``sums``.  Every node the walk visits is evaluated here, once."""
+    np.abs(sums, out=work)
+    work **= exponent
+    return work.sum(axis=1)
+
+
+def _subtree_bound(block: np.ndarray, low: int, exponent: float):
+    """Bound on the sum-mode values in a subtree of the high-row walk.
+
+    Returns ``bound(head, h)``: an upper bound on the value, as
+    `_node_values` computes it, of every subset L + H + {h} + S, where L is
+    any subset of the first ``low`` rows, H the high rows before h whose
+    row-order sum is ``head``, and S any subset of the rows after h.  Column
+    k of such a subset sums to s_k = t_k + H_k + a_hk + S_k in exact
+    arithmetic.  t_k lies between the column extremes of the low table,
+    tmin_k and tmax_k, the sums of the column's negative and positive
+    entries in the low rows; S_k lies between N_k and P_k, those sums over
+    the rows after h.  |x|^e is monotone in |x|, so
+
+        sum_k max(|tmax_k + H_k + a_hk + P_k|, |tmin_k + H_k + a_hk + N_k|)^e
+
+    bounds the exact values.  Rounding slack makes it bound the computed
+    ones.  With u the unit roundoff and A_k = sum_j |a_jk| over all r rows,
+    to first order in r u:
+
+    - the computed s_k is a row-order sum of at most r terms, so it lies
+      within (r - 1) u A_k of the exact sum;
+    - tmax, tmin, H, P and N are computed sums over disjoint row sets, each
+      within (its row count) u times the absolute sum of its rows, so
+      together they misplace the exact range by at most r u A_k;
+    - the three adds that form each argument err by at most 3 u A_k, and
+      the add of the slack and its own product by about 2 u A_k.
+
+    That is under (2 r + 6) u A_k, which 4 r u A_k covers for r > 13, the
+    only case in which there are high rows; it is added to each column
+    before the power, so the exponent cannot amplify it.  ``pow`` errs by a
+    few units in the last place (16 are allowed for, on the bound's power
+    and on the walk's), and each sum of n nonnegative terms, in any order,
+    by a factor of at most 1 + (n - 1) u, so the sum is scaled by
+    1 + 4 (n + 16) u.  Powers in the subnormal range err absolutely, by at
+    most 16 of the 2^-1074 steps each, which the smallest normal double,
+    added last, covers for any n below 2^47.
+    """
+    rows, n = block.shape
+
+    def reach(part: np.ndarray) -> np.ndarray:  # the low rows and those after each high row
+        after = np.vstack([np.cumsum(part[:low:-1], axis=0)[::-1], np.zeros((1, n))])
+        return part[:low].sum(axis=0) + after
+
+    upper = reach(np.maximum(block, 0.0)) + block[low:]
+    lower = reach(np.minimum(block, 0.0)) + block[low:]
+    slack = 4 * rows * _UNIT_ROUNDOFF * np.abs(block).sum(axis=0)
+    scale = 1.0 + 4 * (n + 16) * _UNIT_ROUNDOFF
+
+    def bound(head: np.ndarray, h: int) -> float:
+        ends = np.maximum(np.abs(head + upper[h - low]), np.abs(head + lower[h - low]))
+        return float(((ends + slack) ** exponent).sum()) * scale + _SMALLEST_NORMAL
+
+    return bound
+
+
 def _sum_exhaustive(block: np.ndarray, exponent: float) -> tuple[float, tuple[int, ...]]:
-    """Sum mode over all 2^r - 1 subsets, one n-vector add per subset.
+    """Sum mode over all 2^r - 1 subsets, one n-vector add per visited subset.
 
     A table holds the row-order sums of every subset of the first
     ``_LOW_ROWS`` rows.  The subsets of the remaining rows are walked depth
     first, and the sums at depth d are those at depth d - 1 plus one row, so
-    every subset sum is accumulated in row order.
+    every subset sum is accumulated in row order.  Each node of the walk is
+    a set H of high rows and is evaluated with the whole table at once.
+
+    Before the walk descends into the node H + {h}, `_subtree_bound` bounds
+    every value in that node's subtree, the table included; the subtree is
+    skipped when its bound is strictly below the best value so far.  The
+    bound covers every rounding error, so a skipped subtree holds no value
+    that reaches the best: a tie is never skipped, since a later subtree
+    can hold a lexicographically smaller witness, and a NaN or infinite
+    bound never prunes.  Visited nodes are evaluated exactly as when every
+    node was, so values and witnesses are those of the exhaustive walk, bit
+    for bit.
     """
     rows, n = block.shape
     low = min(rows, _LOW_ROWS)
@@ -345,15 +422,15 @@ def _sum_exhaustive(block: np.ndarray, exponent: float) -> tuple[float, tuple[in
     for j in range(low):
         np.add(table[: 1 << j], block[j], out=table[1 << j : 2 << j])
     sums = [table] + [np.empty_like(table) for _ in range(rows - low)]
+    if rows > low:
+        bound = _subtree_bound(block, low, exponent)
     work = np.empty_like(table)
     low_masks = np.arange(1 << low, dtype=np.int64)
     best = -math.inf
     best_witness: tuple[int, ...] = ()
     path: list[int] = []
     while True:
-        np.abs(sums[len(path)], out=work)
-        work **= exponent
-        vals = work.sum(axis=1)
+        vals = _node_values(sums[len(path)], work, exponent)
         if not path:
             vals[0] = -math.inf  # the empty subset
         top = float(vals.max())
@@ -362,16 +439,18 @@ def _sum_exhaustive(block: np.ndarray, exponent: float) -> tuple[float, tuple[in
             witness = _lex_least(low_masks[vals == top] | high)
             if top > best or witness < best_witness:
                 best, best_witness = top, witness
-        nxt = path[-1] + 1 if path else low
-        if nxt < rows:
-            path.append(nxt)
-        else:
-            while path and path[-1] + 1 == rows:
-                path.pop()
-            if not path:
+        # Try the first child, then its siblings; row 0 of the sums belongs
+        # to the empty low subset, so it holds the sum of the path's rows.
+        h = path[-1] + 1 if path else low
+        while h == rows or bound(sums[len(path)][0], h) < best:
+            if h < rows:
+                h += 1
+            elif path:
+                h = path.pop() + 1
+            else:
                 return best, best_witness
-            path[-1] += 1
-        np.add(sums[len(path) - 1], block[path[-1]], out=sums[len(path)])
+        path.append(h)
+        np.add(sums[len(path) - 1], block[h], out=sums[len(path)])
 
 
 def subset_sup(
@@ -389,10 +468,15 @@ def subset_sup(
 
     Sup mode uses a closed form: the maximum over columns k and both signs
     of (sum_j max(+-a_jk, 0))^exponent, in O(r n).  Sum mode is a cut-norm
-    type quantity and stays exhaustive over all 2^r - 1 subsets, each by the
-    parent recurrence S(J) = S(J minus max J) + row_{max J}: one n-vector
-    add per subset.  Both modes are capped at ``MAX_SUBSET_ROWS`` rows, and
-    a supremum outside double range raises OverflowError.
+    type quantity and stays exhaustive over all 2^r - 1 subsets up to
+    provable pruning, each by the parent recurrence
+    S(J) = S(J minus max J) + row_{max J}: one n-vector add per subset.
+    Past the first 13 rows it skips a subtree of subsets when a bound on
+    their values, rounding slack included, is strictly below the best value
+    so far (see `_subtree_bound`), so ties are never skipped and pruning
+    never changes a value or a witness.  Both modes are capped at
+    ``MAX_SUBSET_ROWS`` rows, and a supremum outside double range raises
+    OverflowError.
     """
     if row_limit != int(row_limit) or row_limit < 1:
         raise ValueError(f"row_limit must be a positive integer, got {row_limit!r}")
@@ -406,7 +490,7 @@ def subset_sup(
         raise ValueError(f"exponent must be positive and finite, got {exponent!r}")
     block = m.entries[:row_limit]
     search = _sup_closed_form if inner is SubsetMode.SUP_OVER_COLS_OF_ABS else _sum_exhaustive
-    with np.errstate(over="ignore"):  # refused below
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
         best, witness = search(block, exponent)
     if not math.isfinite(best):
         raise OverflowError(
@@ -575,12 +659,9 @@ def alpha_dual_check(
     subset condition matching the exponent regime: entrywise sup to the
     power p for 0 < p <= 1, columnwise conjugate-power sums for
     1 < p < inf, and plain columnwise absolute sums for the sup-norm space.
+    The row limits must rise strictly within [1, a.n].
     """
-    rls = tuple(int(r) for r in row_limits)
-    if not rls:
-        raise ValueError("row_limits must be nonempty")
-    if any(b <= a_ for a_, b in zip(rls, rls[1:])):
-        raise ValueError("row_limits must be strictly increasing")
+    rls = _checkpoints(row_limits, a.n)
     lam = termwise_product_matrix(a, order, qp)
     cond = Condition.SUBSET_ENTRY_SUP if _regime(p) == "le1" else Condition.SUBSET_ABS_COLSUM_SUP
     e = _resolve_exponent(cond, p, None)

@@ -162,6 +162,16 @@ class TestDualCommands:
         assert rep["verdict"] == "growing"
         assert rep["values"][-1] == [12, 650.0]
 
+    def test_alpha_dual_row_limit_is_clamped_to_the_input(self, runner, tmp_path):
+        src = tmp_path / "a.json"
+        src.write_text(json.dumps([1.0, -0.5, 2.0, 0.25]))
+        result = invoke(runner, "alpha-dual", "--gamma", 0.7, "--q", 0.6, "--p", 2,
+                        "--input", src, "--row-limit", 16)
+        assert result.exit_code == 0
+        rep = json.loads(result.output)["reports"][0]
+        assert [n for n, _ in rep["values"]] == [4]
+        assert rep["verdict"] == "inconclusive"
+
     def test_alpha_dual_row_cap_is_exit_3(self, runner, tmp_path):
         src = tmp_path / "a.json"
         src.write_text(json.dumps([1.0] * 24))

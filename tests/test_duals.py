@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from qnabla import duals
 from qnabla.duals import (
     Condition,
     ConditionReport,
@@ -40,6 +41,42 @@ def subset_sup_oracle(entries, exponent, mode, row_limit):
         if val > best or (val == best and tuple(idx) < witness):
             best, witness = val, tuple(idx)
     return best, witness
+
+
+def exhaustive_sum_walk(block, exponent):
+    """Sum mode by the walk that evaluates every subset: the low-row table
+    and the depth-first walk over the high rows of `duals._sum_exhaustive`,
+    without the subtree bound.  Pruning must reproduce it bit for bit."""
+    rows, n = block.shape
+    low = min(rows, duals._LOW_ROWS)
+    table = np.zeros((1 << low, n))
+    for j in range(low):
+        np.add(table[: 1 << j], block[j], out=table[1 << j : 2 << j])
+    sums = [table] + [np.empty_like(table) for _ in range(rows - low)]
+    work = np.empty_like(table)
+    low_masks = np.arange(1 << low, dtype=np.int64)
+    best, best_witness, path = -np.inf, (), []
+    while True:
+        np.abs(sums[len(path)], out=work)
+        work **= exponent
+        vals = work.sum(axis=1)
+        if not path:
+            vals[0] = -np.inf
+        top = float(vals.max())
+        if top >= best:
+            witness = duals._lex_least(low_masks[vals == top] | sum(1 << h for h in path))
+            if top > best or witness < best_witness:
+                best, best_witness = top, witness
+        nxt = path[-1] + 1 if path else low
+        if nxt < rows:
+            path.append(nxt)
+        else:
+            while path and path[-1] + 1 == rows:
+                path.pop()
+            if not path:
+                return best, best_witness
+            path[-1] += 1
+        np.add(sums[len(path) - 1], block[path[-1]], out=sums[len(path)])
 
 
 def greedy_lower_bound(entries, exponent, mode, row_limit, seed):
@@ -275,9 +312,65 @@ class TestSubsetSup:
 
     @pytest.mark.parametrize("mode", list(SubsetMode))
     def test_supremum_outside_double_range_raises(self, mode):
-        m = MatrixWindow(np.full((4, 4), 1e308))
-        with pytest.raises(OverflowError, match="over 4 rows with exponent 2.0 leaves double"):
-            subset_sup(m, 2.0, mode, 4)
+        # At 16 rows, mixed signs send the subtree bounds of the high rows
+        # to inf - inf, which must neither warn nor prune.
+        for rows in (4, 16):
+            signs = np.where(np.arange(rows) % 3 == 0, 1.0, -1.0)[:, None]
+            for entries in (np.full((rows, 4), 1e308), signs * np.full((rows, 4), 1e308)):
+                with pytest.raises(OverflowError, match=f"over {rows} rows with exponent 2.0 leaves"):
+                    subset_sup(MatrixWindow(entries), 2.0, mode, rows)
+
+
+class TestSumModePruning:
+    """Sum mode past the low-row table skips provably losing subtrees; every
+    value and witness must stay those of the walk that visits every node."""
+
+    @staticmethod
+    def _counted(monkeypatch, block, exponent):
+        evaluate, calls = duals._node_values, []
+
+        def node_values(*args):
+            calls.append(1)
+            return evaluate(*args)
+
+        monkeypatch.setattr(duals, "_node_values", node_values)
+        got = subset_sup(
+            MatrixWindow(block), exponent, SubsetMode.SUM_OVER_COLS_OF_ABS_COLSUM, block.shape[0]
+        )
+        assert got == exhaustive_sum_walk(block, exponent)
+        return got, len(calls)
+
+    def test_termwise_window_visits_few_nodes(self, monkeypatch):
+        a = SeqWindow(np.random.default_rng(2).normal(size=36))
+        lam = termwise_product_matrix(a, 0.7, QParam(0.6))
+        _, visited = self._counted(monkeypatch, lam.entries[:20], 2.0)
+        assert visited <= 32  # of the 2^7 = 128 sets of high rows
+
+    def test_a_later_subtree_keeps_its_smaller_tie(self, monkeypatch):
+        # The negative rows reach -12 at the node {13}; +12 needs rows 14
+        # and 15, a later subtree, whose witness (0, 1, 2, ...) is smaller.
+        col = [0, 0, 3, 0, 3, -3, 1, 1, 0, -3, -2, -3, 0, -1, 1, 3]
+        got, visited = self._counted(monkeypatch, np.array(col, float)[:, None], 2.0)
+        assert got == (144.0, (0, 1, 2, 3, 4, 6, 7, 8, 12, 14, 15))
+        assert visited < 8
+
+    @pytest.mark.parametrize("ks", [(-1, 3, 2), (3, -1, 2), (6, 3, 2), (6, 4, 2)])
+    def test_rounding_slack_keeps_the_exhaustive_result(self, monkeypatch, ks):
+        # Sums of 1.0 and multiples of 2^-54 round differently in the walk's
+        # row order and in the bound's order.  Without rounding slack the
+        # bound falls below the best value on these blocks, and the walk
+        # loses the best value or the least witness of a tie.
+        col = np.zeros(16)
+        col[0] = 1.0
+        col[13:] = np.array(ks) * 2.0**-54
+        self._counted(monkeypatch, col[:, None], 1.0)
+
+    def test_rounding_ties_match_the_exhaustive_walk(self, monkeypatch):
+        rng = np.random.default_rng(36)
+        for _ in range(6):
+            entries = rng.normal(size=(16, 3)) * 10.0 ** rng.integers(-9, 9, (16, 3))
+            for e in (0.5, 1.37, 2.0):
+                self._counted(monkeypatch, entries, e)
 
 
 class TestMatrixClassCondition:
@@ -381,6 +474,12 @@ class TestAlphaDual:
         with pytest.raises(ValueError):
             alpha_dual_check(
                 SeqWindow(np.ones(8)), 1.0, QParam(0.5), PExponent(2.0), [8, 4]
+            )
+
+    def test_row_limits_past_the_window_raise(self):
+        with pytest.raises(ValueError, match=r"must lie in \[1, 4\]"):
+            alpha_dual_check(
+                SeqWindow(np.ones(4)), 0.7, QParam(0.6), PExponent(2.0), [4, 8, 16]
             )
 
     def test_limit_error_propagates(self):

@@ -1,11 +1,15 @@
 """Pinned `subset_sup` results, and the time and memory budgets at the row cap.
 
-The fixture under ``tests/data/`` holds, for a small seeded grid, the value
-and witness of `subset_sup` in both modes and the ``as_dict()`` reports of
-`alpha_dual_check` in all three exponent regimes.  It was recorded from the
-implementation that enumerated every subset through a dense 0/1 selection
-matrix product, so any change to how suprema are evaluated must leave each
-result bit-identical.  Rewrite it only when an output change is intended:
+The fixtures under ``tests/data/`` hold the value and witness of
+`subset_sup` in both modes.  ``subset_sup_grid.json`` covers a small seeded
+grid up to 14 rows and the ``as_dict()`` reports of `alpha_dual_check` in all
+three exponent regimes; it was recorded from the implementation that
+enumerated every subset through a dense 0/1 selection matrix product.
+``subset_sup_high_rows.json`` covers 14 to 20 rows, where sum mode walks the
+subsets of the rows past its low-row table; it was recorded from the walk
+that evaluated every one of those subsets, before subtrees were pruned.  Any
+change to how suprema are evaluated must leave each result bit-identical.
+Rewrite the fixtures only when an output change is intended:
 
     PYTHONPATH=src python tests/test_subset_sup_fixture.py
 """
@@ -19,12 +23,19 @@ from pathlib import Path
 
 import numpy as np
 
-from qnabla.duals import MatrixWindow, SubsetMode, alpha_dual_check, subset_sup
+from qnabla.duals import (
+    MatrixWindow,
+    SubsetMode,
+    alpha_dual_check,
+    subset_sup,
+    termwise_product_matrix,
+)
 from qnabla.fracdiff import SeqWindow
 from qnabla.qcore import QParam
 from qnabla.spaces import P_INF, PExponent
 
 FIXTURE = Path(__file__).parent / "data" / "subset_sup_grid.json"
+HIGH_FIXTURE = Path(__file__).parent / "data" / "subset_sup_high_rows.json"
 EXPONENTS = (0.5, 1.0, 2.0, 1.37, 3.4)
 COLUMNS = (2, 5, 11, 30)
 ALPHA_ROW_LIMITS = (4, 8, 12)
@@ -82,12 +93,60 @@ def grid_outputs() -> list[dict]:
     return out
 
 
-def test_grid_outputs_match_fixture():
-    expected = json.loads(FIXTURE.read_text())
-    got = json.loads(json.dumps(grid_outputs()))
+HIGH_ROWS = (14, 16, 18, 20)
+HIGH_EXPONENTS = (0.5, 1.37, 2.0)
+# (order, q) of the termwise-product windows: one decays fast, one slowly.
+TERMWISE = ((0.7, 0.6), (1.5, 0.9))
+
+
+def _high_row_blocks() -> dict[str, np.ndarray]:
+    """Blocks whose first 14 to 20 rows are enumerated.
+
+    The termwise-product windows are 28 x 28, so every row limit leaves
+    trailing zero columns, as in `alpha_dual_check`.  "integer" holds
+    entries in -2..2, about 40% of them zero, so sums are exact and many
+    subsets tie.
+    """
+    rng = np.random.default_rng(2200)
+    a = SeqWindow(rng.normal(size=28))
+    blocks = {"gaussian": rng.normal(size=(20, 16))}
+    for order, q in TERMWISE:
+        blocks[f"termwise-{order}-{q}"] = termwise_product_matrix(a, order, QParam(q)).entries
+    ints = rng.integers(-2, 3, (20, 6)) * (rng.random((20, 6)) >= 0.4)
+    blocks["integer"] = ints.astype(np.float64)
+    return blocks
+
+
+def high_row_outputs() -> list[dict]:
+    out = []
+    for kind, entries in _high_row_blocks().items():
+        m = MatrixWindow(entries)
+        for rows in HIGH_ROWS:
+            for e in HIGH_EXPONENTS:
+                for mode in SubsetMode:
+                    val, witness = subset_sup(m, e, mode, rows)
+                    out.append({
+                        "kind": kind, "shape": list(entries.shape),
+                        "row_limit": rows, "exponent": e, "mode": mode.value,
+                        "value": val, "witness": list(witness),
+                    })
+    return out
+
+
+def _assert_matches(fixture: Path, got: list[dict]) -> None:
+    expected = json.loads(fixture.read_text())
+    got = json.loads(json.dumps(got))
     assert len(got) == len(expected)
     for g, e in zip(got, expected):
         assert g == e
+
+
+def test_grid_outputs_match_fixture():
+    _assert_matches(FIXTURE, grid_outputs())
+
+
+def test_high_row_outputs_match_fixture():
+    _assert_matches(HIGH_FIXTURE, high_row_outputs())
 
 
 def _cap_block() -> MatrixWindow:
@@ -119,6 +178,7 @@ def test_sum_mode_peak_memory_at_the_row_cap():
 
 if __name__ == "__main__":
     FIXTURE.parent.mkdir(exist_ok=True)
-    lines = (json.dumps(rec, separators=(",", ":")) for rec in grid_outputs())
-    FIXTURE.write_text("[\n" + ",\n".join(lines) + "\n]\n")
-    print(f"wrote {FIXTURE}")
+    for path, outputs in ((FIXTURE, grid_outputs), (HIGH_FIXTURE, high_row_outputs)):
+        lines = (json.dumps(rec, separators=(",", ":")) for rec in outputs())
+        path.write_text("[\n" + ",\n".join(lines) + "\n]\n")
+        print(f"wrote {path}")
