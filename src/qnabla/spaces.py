@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fracdiff import SeqWindow, _check_int, apply_forward, inverse_coeffs
+from .fracdiff import SeqWindow, _check_int, _lower_toeplitz, apply_forward, inverse_coeffs
 from .qcore import QParam
 
 __all__ = [
@@ -94,6 +94,9 @@ class PExponent:
 
 P_INF = PExponent.inf()
 _LOG_MAX = math.log(np.finfo(np.float64).max)
+# Entries per chunk of scaled basis vectors in ``schauder_reconstruct``: 512 KB,
+# which stays in cache and costs no memory next to the window.
+_CHUNK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -200,13 +203,25 @@ def schauder_reconstruct(h: SeqWindow, order: float, qp: QParam) -> SeqWindow:
 
     Computed as the explicit basis sum, not via the inverse transform, so
     the two routes can be compared against each other.  Basis vector k is
-    the inverse stream shifted by k, so one stream serves every term.
+    the inverse stream shifted by k, row k of one Toeplitz view.  Chunks of
+    rows h_k (basis vector k) are summed below the running total, in row
+    order: an axis-0 reduction of a C-ordered array adds row after row, so
+    every entry takes its terms in k order, as adding the vectors one by
+    one does.
     """
     n = h.n
     e = inverse_coeffs(order, qp, n - 1).coeffs
+    basis = _lower_toeplitz(e, n).T  # row k is basis vector k
+    rows = max(1, _CHUNK_ENTRIES // n)
+    buf = np.empty((rows + 1) * n)
     acc = np.zeros(n, dtype=np.float64)
-    for k in range(n):
-        acc[k:] += h.values[k] * e[: n - k]
+    for k0 in range(0, n, rows):
+        k1 = min(k0 + rows, n)
+        # Entries before k0 take no term from these rows.
+        block = buf[: (k1 - k0 + 1) * (n - k0)].reshape(k1 - k0 + 1, n - k0)
+        block[0] = acc[k0:]
+        np.multiply(h.values[k0:k1, None], basis[k0:k1, k0:], out=block[1:])
+        np.add.reduce(block, axis=0, out=acc[k0:])
     return SeqWindow(acc)
 
 

@@ -26,6 +26,8 @@ from qnabla.fracdiff import (
 )
 from qnabla.qcore import QParam, q_binomial, q_factorial, q_gamma_ratio, q_integer
 
+FLOOR = fracdiff._SPLIT_FLOOR
+
 GAMMAS = (0.3, 0.5, 1.0, 1.7, 2.0, 2.5)
 QS = (0.2, 0.5, 0.9)
 FRACTIONAL = (0.3, 0.5, 1.7, 2.5)
@@ -292,6 +294,26 @@ class TestVerifyInverse:
                 r2 = np.convolve(e, c)[:30]
                 assert np.max(np.abs(r1 - r2)) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "gamma,q,n,calls",
+        [
+            (2.0, 0.5, 3000, 1),  # forward support 3, inverse support n
+            (0.7, 0.05, 3000, 1),  # forward stream underflows to zero early
+            (0.7, 0.9, 3000, 2),  # both supports span the window
+            (1.7, 0.5, 40, 2),
+        ],
+    )
+    def test_second_ordering_only_for_equal_supports(self, gamma, q, n, calls, monkeypatch):
+        qp = QParam(q)
+        c = forward_coeffs(gamma, qp, n - 1).coeffs
+        e = inverse_coeffs(gamma, qp, n - 1).coeffs
+        target = np.eye(1, n)[0]
+        both = max(np.max(np.abs(fracdiff._causal(c, e, n) - target)),
+                   np.max(np.abs(fracdiff._causal(e, c, n) - target)))
+        convs = TestHeadTailSplit._counting(monkeypatch, "_causal")
+        assert verify_inverse(gamma, qp, n) == both
+        assert len(convs) == calls
+
     def test_against_dense_matrix_product(self):
         # Independent oracle: multiply the dense triangular windows and
         # compare against the identity window.
@@ -501,3 +523,82 @@ class TestHeadTailSplit:
         semigroup_defect(gamma, 0.4, qp, n)
         assert len(convs) == 4
         assert max(min(a.size, b.size) for a, b, _ in convs) < n / 10
+
+
+def reference_product(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """First n terms of the Cauchy product by ``np.convolve`` alone."""
+    out = np.convolve(a[:n], b[:n])[:n]
+    return np.pad(out, (0, n - out.size))
+
+
+class TestBlockedKernel:
+    """``_causal`` above the floor is a blocked Toeplitz matmul; these check
+    it against references that do not go through it."""
+
+    @pytest.mark.parametrize("n", [513, 1000, 4097, 8192])
+    def test_matches_numpy_convolve(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n + 7)  # longer than the window
+        cut = x.copy()
+        cut[n - 100 :] = 0.0  # trailing zeros, inside the window and past it
+        blocked = 0
+        for m in (1, 2, 63, 64, 65, 400, n):
+            kernel = rng.standard_normal(m)
+            padded = np.concatenate((kernel, np.zeros(5)))
+            for a in (kernel, padded):
+                for b in (x, cut):
+                    sizes = fracdiff._support(a[:n]).size, fracdiff._support(b[:n]).size
+                    blocked += sizes[0] * sizes[1] > FLOOR
+                    scale = reference_product(np.abs(a), np.abs(b), n)
+                    for lhs, rhs in ((a, b), (b, a)):
+                        got = fracdiff._causal(lhs, rhs, n)
+                        assert got.shape == (n,)
+                        gap = np.abs(got - reference_product(lhs, rhs, n))
+                        assert np.all(gap <= 1e-14 * scale), (m, lhs.size, rhs.size)
+        assert blocked >= 2  # at least the full-length kernel
+
+    @pytest.mark.parametrize("m,size", [(512, 512), (511, 513), (300, 800), (1, 5000)])
+    def test_bit_identical_at_and_below_the_floor(self, m, size):
+        assert m * size <= FLOOR
+        rng = np.random.default_rng(m)
+        a, b = rng.standard_normal(m), rng.standard_normal(size)
+        for lhs, rhs in ((a, b), (b, a)):
+            assert np.array_equal(fracdiff._causal(lhs, rhs, size),
+                                  reference_product(lhs, rhs, size))
+
+    def test_dense_near_one_against_mpmath_oracle(self):
+        # q within 40/n of 1: the head spans the window, so the transform is
+        # one dense product of 8003 by 8003 entries.
+        n, q, gamma = 8003, 1 - 3e-9, 0.7
+        qp = QParam(q)
+        assert fracdiff._tail(forward_coeffs(gamma, qp, n - 1), n) is None
+        x = np.random.default_rng(23).standard_normal(n)
+        got = apply_forward(SeqWindow(x), gamma, qp).values
+        c = stream_oracle("forward", gamma, q, n, dps=30)
+        with mpmath.workdps(30):
+            for j in (1, 64, 2500, 6001, n - 1):
+                exact = mpmath.fsum(c[j - k] * mpmath.mpf(x[k]) for k in range(j + 1))
+                scale = mpmath.fsum(abs(c[j - k] * mpmath.mpf(x[k])) for k in range(j + 1))
+                assert abs(got[j] - exact) <= 1e-13 * scale, j
+
+    def test_no_numpy_convolve_above_the_floor(self, monkeypatch):
+        # A structural guard rather than a timing: a dense near-1 transform
+        # and a split one at n = 8192 run every product above the floor on
+        # the blocked kernel.
+        sizes = []
+        inner = np.convolve
+
+        def counting(a, v, *args, **kwargs):
+            sizes.append(len(a) * len(v))
+            return inner(a, v, *args, **kwargs)
+
+        monkeypatch.setattr(fracdiff.np, "convolve", counting)
+        blocked = TestHeadTailSplit._counting(monkeypatch, "_blocked_causal")
+        n, gamma = 8192, 0.7
+        g = SeqWindow(np.random.default_rng(31).standard_normal(n))
+        near_one = QParam(1 - 3e-9)
+        assert fracdiff._tail(forward_coeffs(gamma, near_one, n - 1), n) is None
+        apply_forward(g, gamma, near_one)
+        apply_inverse(g, gamma, QParam(0.9))
+        assert len(blocked) == 2
+        assert all(size <= FLOOR for size in sizes)

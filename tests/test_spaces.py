@@ -216,13 +216,16 @@ class TestSchauderReconstruct:
     def test_equals_explicit_basis_sum(self):
         # One shared inverse stream gives the same sum, bit for bit, as
         # adding every separately built basis vector.
+        # Windows of 40 entries fit one chunk of rows; 700 entries take 8.
         rng = np.random.default_rng(14)
-        for gamma, q in ((0.7, 0.5), (2.0, 0.9), (1.3, 1 - 1e-9)):
+        cases = ((0.7, 0.5, 40), (2.0, 0.9, 40), (1.3, 1 - 1e-9, 40),
+                 (0.7, 0.9, 700), (1.3, 1 - 1e-9, 700))
+        for gamma, q, n in cases:
             qp = QParam(q)
-            h = SeqWindow(rng.uniform(-1, 1, 40))
-            acc = np.zeros(40)
-            for k in range(40):
-                acc += h.values[k] * schauder_basis_vector(k, gamma, qp, 40).values
+            h = SeqWindow(rng.uniform(-1, 1, n))
+            acc = np.zeros(n)
+            for k in range(n):
+                acc += h.values[k] * schauder_basis_vector(k, gamma, qp, n).values
             assert np.array_equal(schauder_reconstruct(h, gamma, qp).values, acc)
 
     def test_zeros(self):
