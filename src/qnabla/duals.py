@@ -14,7 +14,8 @@ about both: finite-subset suprema are taken over a capped number of rows
 (hard ceiling of 20), in closed form when the columns are sup'd and by
 enumeration of up to about a million subsets, one row add each, when they
 are summed, skipping only subtrees that provably cannot reach the best
-value; and "limit exists" conditions are reported as Cauchy-style
+value and raising to the power only subsets whose norm bound can reach
+it; and "limit exists" conditions are reported as Cauchy-style
 oscillation estimates over the last quarter of the window.  Every report
 carries the evaluated quantity at a strictly increasing list of window
 sizes plus a tri-state verdict: values that have stabilized read as
@@ -65,6 +66,10 @@ MAX_SUBSET_ROWS = 20
 _LOW_ROWS = 13
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 _SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
+# The row bounds take a node's table a slice of this many columns at a time,
+# through scratch of n x 1024 doubles that stays in cache, not one the size
+# of the table.
+_SLICE = 1 << 10
 
 # Trend-classification constants; these shape verdict labels only, never
 # the reported values.
@@ -334,12 +339,65 @@ def _sup_closed_form(block: np.ndarray, exponent: float) -> tuple[float, tuple[i
     )
 
 
-def _node_values(sums: np.ndarray, work: np.ndarray, exponent: float) -> np.ndarray:
+def _node_values(rows: np.ndarray, exponent: float) -> np.ndarray:
     """Sum-mode values of the subsets whose row-order column sums are the
-    rows of ``sums``.  Every node the walk visits is evaluated here, once."""
-    np.abs(sums, out=work)
-    work **= exponent
-    return work.sum(axis=1)
+    rows of the C-contiguous ``rows``, computed in place.  Only subsets
+    whose `_row_bounds` bound can reach the best value come here."""
+    np.abs(rows, out=rows)
+    rows **= exponent
+    return rows.sum(axis=1)
+
+
+def _row_bounds(sums: np.ndarray, work: np.ndarray, exponent: float) -> np.ndarray:
+    """Bound on the `_node_values` value of every subset whose computed
+    column sums s are a column of ``sums`` (n rows), without a power on
+    each entry; ``work`` is scratch of n rows, used a slice at a time.
+
+    In exact arithmetic, with e the exponent:
+
+    - e <= 1: x^e is concave, so sum_k |s_k|^e <= n^(1-e) ||s||_1^e;
+    - 1 < e <= 2: |s_k|^e = |s_k|^(2-e) |s_k|^(2(e-1)), and Hoelder with
+      the exponents 1/(2-e) and 1/(e-1) gives ||s||_1^(2-e) ||s||_2^(2(e-1));
+    - e > 2: |s_k|^e <= ||s||_inf^(e-2) |s_k|^2, so ||s||_inf^(e-2) ||s||_2^2.
+
+    Rounding slack makes it bound the computed values; with u the unit
+    roundoff, to first order.  The column sums are the walk's own, so only
+    the norms, the powers and the final sums err.  |s_k| and the maximum
+    are exact, each square is within u, and a sum of n nonnegative terms,
+    in any order, is within a factor 1 + (n - 1) u of the exact one.  A
+    ``pow`` errs by a few units in the last place (16 are allowed for, on
+    each of the bound's powers and on the walk's); every power in the
+    bound either has an exponent of at most 1 or the exact maximum as its
+    base, so none amplifies a norm's error.  The bound thus falls short of
+    the exact one by a factor of at most 1 - (2 n + 34) u, while the
+    walk's value exceeds sum_k |s_k|^e by a factor of at most
+    1 + (n + 16) u; scaling by 1 + 4 (n + 16) u covers both.  Below the
+    normal range errors are absolute instead: a square loses at most
+    2^-1075, which the n smallest normal doubles added to ||s||_2^2 cover,
+    and a power errs by at most 16 of the 2^-1074 steps, scaled by at most
+    n, which the smallest normal double, added last, covers for any n
+    below 2^43.  A NaN column sum gives a NaN bound.
+    """
+    n, size = sums.shape
+    width = work.shape[1]
+    bound = np.empty(size)
+    norm = np.add if exponent <= 2.0 else np.maximum  # ||s||_1, or ||s||_inf past e = 2
+    for i in range(0, size, width):
+        part, out = work[:, : min(width, size - i)], bound[i : i + width]
+        np.abs(sums[:, i : i + width], out=part)
+        norm.reduce(part, axis=0, out=out)
+        if exponent > 1.0:
+            out **= abs(2.0 - exponent)
+            np.square(part, out=part)
+            l2 = part.sum(axis=0)
+            l2 += n * _SMALLEST_NORMAL
+            out *= l2 ** min(exponent - 1.0, 1.0)
+    if exponent <= 1.0:
+        bound **= exponent
+        bound *= n ** (1.0 - exponent)
+    bound *= 1.0 + 4 * (n + 16) * _UNIT_ROUNDOFF
+    bound += _SMALLEST_NORMAL
+    return bound
 
 
 def _subtree_bound(block: np.ndarray, low: int, exponent: float):
@@ -401,56 +459,72 @@ def _sum_exhaustive(block: np.ndarray, exponent: float) -> tuple[float, tuple[in
     """Sum mode over all 2^r - 1 subsets, one n-vector add per visited subset.
 
     A table holds the row-order sums of every subset of the first
-    ``_LOW_ROWS`` rows.  The subsets of the remaining rows are walked depth
-    first, and the sums at depth d are those at depth d - 1 plus one row, so
-    every subset sum is accumulated in row order.  Each node of the walk is
-    a set H of high rows and is evaluated with the whole table at once.
+    ``_LOW_ROWS`` rows, one subset per column.  The subsets of the
+    remaining rows are walked depth first, and the sums at depth d are
+    those at depth d - 1 plus one row, so every subset sum is accumulated
+    in row order.  Each node of the walk is a set H of high rows and holds
+    one subset per column of the table.
 
     Before the walk descends into the node H + {h}, `_subtree_bound` bounds
     every value in that node's subtree, the table included; the subtree is
-    skipped when its bound is strictly below the best value so far.  The
-    bound covers every rounding error, so a skipped subtree holds no value
-    that reaches the best: a tie is never skipped, since a later subtree
-    can hold a lexicographically smaller witness, and a NaN or infinite
-    bound never prunes.  Visited nodes are evaluated exactly as when every
-    node was, so values and witnesses are those of the exhaustive walk, bit
-    for bit.
+    skipped when its bound is strictly below the best value so far.  At a
+    visited node, `_row_bounds` bounds each subset's value, and only the
+    subsets whose bound is not strictly below the best value (NaN bounds
+    included) are gathered and raised to the power in `_node_values`; at
+    the root the subset with the largest bound is evaluated first, so that
+    the cut has a best value.  Both bounds cover every rounding error, so a
+    skipped subset or subtree holds no value that reaches the best: a tie
+    is never skipped, since a later subset can be a lexicographically
+    smaller witness.  Evaluated subsets are evaluated exactly as when every
+    subset was, so values and witnesses are those of the exhaustive walk,
+    bit for bit.
     """
     rows, n = block.shape
     low = min(rows, _LOW_ROWS)
-    table = np.zeros((1 << low, n))
+    table = np.zeros((n, 1 << low))
     for j in range(low):
-        np.add(table[: 1 << j], block[j], out=table[1 << j : 2 << j])
+        np.add(table[:, : 1 << j], block[j, :, None], out=table[:, 1 << j : 2 << j])
     sums = [table] + [np.empty_like(table) for _ in range(rows - low)]
     if rows > low:
         bound = _subtree_bound(block, low, exponent)
-    work = np.empty_like(table)
+    work = np.empty((n, min(1 << low, _SLICE)))
     low_masks = np.arange(1 << low, dtype=np.int64)
     best = -math.inf
     best_witness: tuple[int, ...] = ()
     path: list[int] = []
     while True:
-        vals = _node_values(sums[len(path)], work, exponent)
+        level = sums[len(path)]
+        bounds = _row_bounds(level, work, exponent)
+        cut = best
         if not path:
-            vals[0] = -math.inf  # the empty subset
-        top = float(vals.max())
-        if top >= best:
-            high = sum(1 << h for h in path)
-            witness = _lex_least(low_masks[vals == top] | high)
-            if top > best or witness < best_witness:
-                best, best_witness = top, witness
-        # Try the first child, then its siblings; row 0 of the sums belongs
-        # to the empty low subset, so it holds the sum of the path's rows.
+            # The empty subset; it survives only a NaN probe, whose NaN
+            # value keeps the node out of the maximum, as when every subset
+            # is evaluated.
+            bounds[0] = -math.inf
+            first = np.argmax(bounds, keepdims=True)
+            cut = max(cut, float(_node_values(level.T[first], exponent)[0]))
+        keep = np.flatnonzero(~(bounds < cut))
+        if keep.size:
+            vals = _node_values(level.T[keep], exponent)
+            top = float(vals.max())
+            if top >= best:
+                high = sum(1 << h for h in path)
+                witness = _lex_least(low_masks[keep[vals == top]] | high)
+                if top > best or witness < best_witness:
+                    best, best_witness = top, witness
+        # Try the first child, then its siblings; column 0 of the sums
+        # belongs to the empty low subset, so it holds the sum of the path's rows.
         h = path[-1] + 1 if path else low
-        while h == rows or bound(sums[len(path)][0], h) < best:
+        while h == rows or bound(level[:, 0], h) < best:
             if h < rows:
                 h += 1
             elif path:
                 h = path.pop() + 1
+                level = sums[len(path)]
             else:
                 return best, best_witness
         path.append(h)
-        np.add(sums[len(path) - 1], block[h], out=sums[len(path)])
+        np.add(level, block[h, :, None], out=sums[len(path)])
 
 
 def subset_sup(
@@ -473,10 +547,11 @@ def subset_sup(
     S(J) = S(J minus max J) + row_{max J}: one n-vector add per subset.
     Past the first 13 rows it skips a subtree of subsets when a bound on
     their values, rounding slack included, is strictly below the best value
-    so far (see `_subtree_bound`), so ties are never skipped and pruning
-    never changes a value or a witness.  Both modes are capped at
-    ``MAX_SUBSET_ROWS`` rows, and a supremum outside double range raises
-    OverflowError.
+    so far (see `_subtree_bound`), and in each visited node it raises to
+    the power only the subsets whose norm bound (`_row_bounds`) is not, so
+    ties are never skipped and pruning never changes a value or a witness.
+    Both modes are capped at ``MAX_SUBSET_ROWS`` rows, and a supremum
+    outside double range raises OverflowError.
     """
     if row_limit != int(row_limit) or row_limit < 1:
         raise ValueError(f"row_limit must be a positive integer, got {row_limit!r}")

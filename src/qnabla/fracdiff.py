@@ -52,7 +52,10 @@ costs O(n K) plus the scan; it differs from the direct convolution in the
 last bits only.  The direct convolution stays for orders <= 0, integer
 forward orders (their support is already exact), composed streams, and
 whenever the split would save fewer than 2^18 multiply-adds, which keeps
-every window of 512 entries or fewer on it.  K grows like
+every window of 512 entries or fewer on it, or would not repay its scan:
+counting each lag it drops over the outputs that lag reaches, it must save
+16 multiply-adds per window entry for a cumsum and 64 for the matmul
+scan.  K grows like
 (37 + ln(1 / (1 - q))) / (1 - q), so for q within roughly 40/n of 1 the
 head spans the window and the transform stays O(n^2), at BLAS rate.
 ``verify_inverse`` never splits: it is the meter of the inverse identity.
@@ -220,16 +223,31 @@ def _support(a: np.ndarray) -> np.ndarray:
 _EPS = np.finfo(np.float64).eps
 # Multiply-adds a product must exceed to leave ``np.convolve`` for the
 # blocked kernel, and a head-plus-tail split must save over the direct
-# product to repay its fixed cost (a scan and a few array passes).  It is
+# product, counted as the lags it drops times the operand's support.  It is
 # 512 * 512, so every product on a window of 512 entries or fewer stays on
-# ``np.convolve``, bit for bit.  Timed with both paths on the blocked kernel
-# (one BLAS thread, 2-vCPU x86-64 VM, order 0.7), the split just inside the
-# floor, at the 40/n edge of q, loses to the direct product by 22% (forward)
-# and 2% (inverse) at n = 1024, 18% and 7% at n = 2048, and 6% and 3% at
-# n = 8192: its scan costs more than the few lag blocks it saves.  From a
-# head of n/2 it wins by 20-34% at n = 2048 and 8192.  The floor stays at
-# 2^18 since the same constant routes products to the kernel, which already
-# wins by 1.4x on 64 taps over 8192 entries (2^19 multiply-adds).
+# ``np.convolve``, bit for bit.  The kernel wins by 1.4x already on 64 taps
+# over 8192 entries (2^19 multiply-adds).
+#
+# That count overstates what a split near the 40/n edge of q saves: the lags
+# it drops lie near n, and lag j reaches only n - j outputs.  With the floor
+# alone a forward split there (K = 765 of 1024, 1917 of 2048, 8157 of 8192)
+# lost to the direct product by 22%, 18% and 6%.  ``_saved`` counts each
+# lag over the outputs it reaches.  Per window entry, the split of the
+# order-0.7 stream at q = 1 - 60/n, with its head cut at K = n - 1 - 64 b,
+# against the direct product, both on the blocked kernel (one BLAS thread,
+# 2-vCPU x86-64 VM, least time over 12 alternating rounds of 5 calls):
+#
+#             forward (matmul scan)           inverse (cumsum)
+#       n    saved/n: split/direct time      saved/n: split/direct time
+#    1024    50: 1.08  72: 1.00 128: 0.90    50: 0.81  72: 0.79 128: 0.70
+#    2048    36: 1.02  64: 1.00 100: 0.93     9: 0.99  16: 0.97  36: 0.92
+#    4096    25: 1.00  72: 0.94 128: 0.91     5: 1.00   8: 0.98  18: 0.96
+#    8192    30: 1.00  64: 1.01 100: 0.97     9: 0.98  16: 0.97  64: 0.97
+#
+# So ``_repaid`` asks a split to save 64 multiply-adds per window entry with
+# the matmul scan and 16 with the cumsum.  Far from the edge the lags it
+# drops reach nearly every output, the two counts agree, and the floor
+# decides as before.
 _SPLIT_FLOOR = 1 << 18
 # Block width of the Toeplitz matmul, measured on one BLAS thread: against
 # widths 32 and 128 it is the fastest on dense 8192-entry products (2.8 ms
@@ -289,9 +307,26 @@ def _blocked_causal(c: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
     return out.ravel()[:n]
 
 
+def _saved(k: int, m: int, sx: int, n: int) -> int:
+    """Multiply-adds a head of k + 1 < m lags saves on the first n terms of
+    the product of a kernel of support m with an operand of support sx: lag
+    j reaches min(n - j, sx) of them, so the lags near n reach few."""
+    j = min(max(n - sx + 1, k + 1), m)  # lags from j on reach n - j outputs
+    return sx * (j - k - 1) + (m - j) * (2 * n - j - m + 1) // 2
+
+
+def _repaid(k: int, rho: float, m: int, sx: int, n: int) -> int:
+    """``_saved`` if a split at head length k and tail ratio rho saves more
+    than ``_SPLIT_FLOOR`` on the rectangle of its dropped lags and repays its
+    scan (module notes), else 0."""
+    saved = _saved(k, m, sx, n)
+    scan = (16 if rho == 1.0 else _BLOCK) * n
+    return saved if (m - k - 1) * sx > _SPLIT_FLOOR and saved > scan else 0
+
+
 def _tail(stream: CoeffStream, n: int) -> tuple[int, float] | None:
     """Head length K and tail ratio rho of a stream on an n-window (module
-    notes), or None when no split can save ``_SPLIT_FLOOR`` multiply-adds.
+    notes), or None when no split of it repays itself (``_repaid``).
     O(1) arithmetic: past lag K the stream is c_K rho^(k - K) to eps/4."""
     order = stream.order
     if order is None or not order > 0.0:
@@ -309,7 +344,7 @@ def _tail(stream: CoeffStream, n: int) -> tuple[int, float] | None:
         log_gap = min(b, 0.0) * logq + math.log(-math.expm1(abs(b) * logq))
         bound = math.log(_EPS / 4.0) + 2.0 * math.log(-math.expm1(logq)) - log_gap
         k = max(0, math.ceil(bound / logq - a))
-    return (k, rho) if (n - k - 1) * n > _SPLIT_FLOOR else None
+    return (k, rho) if _repaid(k, rho, n, n, n) else None
 
 
 def _powers(log_rho: float, count: int) -> np.ndarray:
@@ -370,16 +405,16 @@ def _geometric_scan(x: np.ndarray, rho: float) -> np.ndarray:
 def _convolve(n: int, a: CoeffStream, b: CoeffStream | np.ndarray) -> np.ndarray:
     """First n terms of the Cauchy product of a stream with a window or a
     second stream: head plus geometric tail (module notes) at the operand
-    whose split saves the most multiply-adds, if more than ``_SPLIT_FLOOR``,
-    else the direct convolution."""
+    whose split saves the most multiply-adds, if any repays itself
+    (``_repaid``), else the direct convolution."""
     va = a.coeffs[:n]
     vb = (b.coeffs if isinstance(b, CoeffStream) else b)[:n]
-    best, split = _SPLIT_FLOOR, None
+    best, split = 0, None
     for s, c, x in ((a, va, vb), (b, vb, va)):
         tail = _tail(s, n) if isinstance(s, CoeffStream) else None
         if tail is None:
             continue
-        saved = (_support(c).size - tail[0] - 1) * _support(x).size
+        saved = _repaid(*tail, _support(c).size, _support(x).size, n)
         if saved > best:
             best, split = saved, (c, x, *tail)
     if split is None:

@@ -327,32 +327,39 @@ class TestSumModePruning:
 
     @staticmethod
     def _counted(monkeypatch, block, exponent):
-        evaluate, calls = duals._node_values, []
+        """Result of the walk, checked against the exhaustive one, with the
+        nodes it visits (`_row_bounds` runs once at each) and the calls of
+        `_node_values` (once for the root's probe and once at each node
+        where some subset's row bound reaches the best value)."""
+        visits, calls = [], []
+        for name, log in (("_row_bounds", visits), ("_node_values", calls)):
 
-        def node_values(*args):
-            calls.append(1)
-            return evaluate(*args)
+            def counted(*args, inner=getattr(duals, name), log=log):
+                log.append(1)
+                return inner(*args)
 
-        monkeypatch.setattr(duals, "_node_values", node_values)
+            monkeypatch.setattr(duals, name, counted)
         got = subset_sup(
             MatrixWindow(block), exponent, SubsetMode.SUM_OVER_COLS_OF_ABS_COLSUM, block.shape[0]
         )
         assert got == exhaustive_sum_walk(block, exponent)
-        return got, len(calls)
+        return got, len(visits), len(calls)
 
     def test_termwise_window_visits_few_nodes(self, monkeypatch):
         a = SeqWindow(np.random.default_rng(2).normal(size=36))
         lam = termwise_product_matrix(a, 0.7, QParam(0.6))
-        _, visited = self._counted(monkeypatch, lam.entries[:20], 2.0)
+        _, visited, evaluated = self._counted(monkeypatch, lam.entries[:20], 2.0)
         assert visited <= 32  # of the 2^7 = 128 sets of high rows
+        assert evaluated <= visited + 1
 
     def test_a_later_subtree_keeps_its_smaller_tie(self, monkeypatch):
         # The negative rows reach -12 at the node {13}; +12 needs rows 14
         # and 15, a later subtree, whose witness (0, 1, 2, ...) is smaller.
         col = [0, 0, 3, 0, 3, -3, 1, 1, 0, -3, -2, -3, 0, -1, 1, 3]
-        got, visited = self._counted(monkeypatch, np.array(col, float)[:, None], 2.0)
+        got, visited, evaluated = self._counted(monkeypatch, np.array(col, float)[:, None], 2.0)
         assert got == (144.0, (0, 1, 2, 3, 4, 6, 7, 8, 12, 14, 15))
         assert visited < 8
+        assert evaluated <= visited + 1
 
     @pytest.mark.parametrize("ks", [(-1, 3, 2), (3, -1, 2), (6, 3, 2), (6, 4, 2)])
     def test_rounding_slack_keeps_the_exhaustive_result(self, monkeypatch, ks):
@@ -371,6 +378,97 @@ class TestSumModePruning:
             entries = rng.normal(size=(16, 3)) * 10.0 ** rng.integers(-9, 9, (16, 3))
             for e in (0.5, 1.37, 2.0):
                 self._counted(monkeypatch, entries, e)
+
+
+def subset_column_sums(block):
+    """Row-order column sums of every subset of the rows of ``block``, one
+    subset per column, as the low-row table of `duals._sum_exhaustive`."""
+    rows, n = block.shape
+    sums = np.zeros((n, 1 << rows))
+    for j in range(rows):
+        np.add(sums[:, : 1 << j], block[j, :, None], out=sums[:, 1 << j : 2 << j])
+    return sums
+
+
+class TestSubsetRowBounds:
+    """Sum mode raises to the power only the subsets whose row bound
+    (`duals._row_bounds`) is not strictly below the best value; every value
+    and witness must stay those of the walk that evaluates every subset."""
+
+    EXPONENTS = (0.5, 0.8, 1.0, 1.5, 2.0, 3.0)
+
+    @pytest.mark.parametrize("e", EXPONENTS)
+    @pytest.mark.parametrize("ks", [(0, 0, 0), (-1, 3, 2), (3, -1, 2), (6, 4, -5)])
+    @pytest.mark.parametrize("n", [1, 7, 40])
+    @pytest.mark.parametrize("scale", [1.0, 3.0**-225])
+    def test_rounding_slack_where_the_bound_is_exact(self, e, ks, n, scale):
+        # Rows c_j v with v of +-1 entries: every |s_k| of a subset is
+        # |sum c_j|, where each norm inequality of the bound is an equality,
+        # so only the rounding slack keeps it above the computed values.
+        # Scaled by 3^-225, about 1e-107, the cubes are subnormal.
+        c = np.zeros(16)
+        c[[0, 5]] = scale, -scale
+        c[13:] = np.array(ks) * scale * 2.0**-54
+        v = np.where(np.arange(n) % 3 == 1, -1.0, 1.0)
+        block = np.outer(c, v)
+        sums = subset_column_sums(block[[0, 5, 13, 14, 15]])
+        bounds = duals._row_bounds(sums, np.empty_like(sums), e)
+        values = duals._node_values(np.ascontiguousarray(sums.T), e)
+        assert np.all(bounds >= values)
+        if scale == 1.0:  # subnormal values tie and survive, which makes the walk slow
+            got = subset_sup(MatrixWindow(block), e, SubsetMode.SUM_OVER_COLS_OF_ABS_COLSUM, 16)
+            assert got == exhaustive_sum_walk(block, e)
+
+    @pytest.mark.parametrize("e", (0.7, 1.5, 3.0))
+    def test_nan_bounds_never_prune(self, e):
+        # A NaN in row 3 makes half the subsets of every node NaN, so the
+        # exhaustive walk takes no node's maximum; pruning the NaN bounds
+        # would leave the finite subsets and report one of them.
+        block = np.random.default_rng(37).normal(size=(16, 3))
+        block[3, 1] = np.nan
+        with np.errstate(invalid="ignore"):
+            bounds = duals._row_bounds(subset_column_sums(block[:4]), np.empty((3, 16)), e)
+            assert np.array_equal(np.isnan(bounds), np.arange(16) >= 8)
+            assert duals._sum_exhaustive(block, e) == exhaustive_sum_walk(block, e)
+
+    KINDS = ("gaussian", "integers", "triangular", "wide", "sparse", "tiny")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_random_blocks_match_the_exhaustive_walk(self, kind):
+        rng = np.random.default_rng(self.KINDS.index(kind))
+        # The three bound branches, and the sqrt and square fast paths.
+        exponents = (0.5, 0.73, 1.0, 1.37, 2.0, 2.6)
+        for trial in range(20):
+            r, n = ((1, 1), (18, 40))[trial] if trial < 2 else rng.integers(1, (19, 41))
+            if kind == "gaussian":
+                block = rng.normal(size=(r, n))
+            elif kind == "integers":
+                block = rng.integers(-2, 3, (r, n)).astype(float)
+            elif kind == "triangular":
+                block = np.tril(rng.normal(size=(r, n)) * 0.6 ** np.arange(n))
+            elif kind == "wide":
+                block = rng.normal(size=(r, n)) * 10.0 ** rng.integers(-9, 10, (r, n))
+            elif kind == "sparse":
+                block = rng.normal(size=(r, n)) * (rng.random((r, n)) < 0.1)
+            else:  # squares, and some powers, below the normal range
+                block = rng.normal(size=(r, n)) * 10.0 ** rng.integers(-175, -140)
+            e = exponents[trial % len(exponents)]
+            got = subset_sup(MatrixWindow(block), e, SubsetMode.SUM_OVER_COLS_OF_ABS_COLSUM, r)
+            assert got == exhaustive_sum_walk(block, e), (trial, r, n, e)
+
+    @pytest.mark.parametrize("e", (0.6, 1.28, 2.0))
+    def test_gaussian_blocks_raise_few_subsets(self, monkeypatch, e):
+        evaluate, rows = duals._node_values, []
+
+        def node_values(sums, exponent):
+            rows.append(sums.shape[0])
+            return evaluate(sums, exponent)
+
+        monkeypatch.setattr(duals, "_node_values", node_values)
+        block = np.random.default_rng(41).normal(size=(20, 16))
+        got = subset_sup(MatrixWindow(block), e, SubsetMode.SUM_OVER_COLS_OF_ABS_COLSUM, 20)
+        assert got == exhaustive_sum_walk(block, e)
+        assert sum(rows) < 0.01 * (2**20 - 1)
 
 
 class TestMatrixClassCondition:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import mpmath
@@ -491,6 +492,7 @@ class TestHeadTailSplit:
             ("inverse", 0.7, 1 - 1e-7, 8192),
             ("forward", 0.7, 0.5, 256),  # short windows
             ("inverse", 0.7, 0.5, 256),
+            ("forward", 0.7, 0.947833, 1024),  # near 40/n: repays no scan
         ],
     )
     def test_direct_path_where_split_does_not_apply(self, kind, gamma, q, n):
@@ -506,6 +508,50 @@ class TestHeadTailSplit:
         assert np.array_equal(apply(SeqWindow(x), gamma, qp).values, direct)
         assert np.array_equal(compose_coeffs(stream, stream).coeffs,
                               fracdiff._causal(stream.coeffs, stream.coeffs, n))
+
+    @pytest.mark.parametrize("q,n,k", [(0.947833, 1024, 765), (0.978418, 2048, 1917),
+                                       (0.994717, 8192, 8157)])
+    def test_split_declines_heads_that_do_not_repay_the_scan(self, q, n, k):
+        # These heads drop more than the 2^18 floor's lags times entries, but
+        # the dropped lags lie near n and reach few outputs: fewer than the
+        # 64 multiply-adds per entry that the forward scan costs.
+        stream = forward_coeffs(0.7, QParam(q), n - 1)
+        assert fracdiff._tail(stream, 1 << 20)[0] == k  # the head length itself
+        assert (n - k - 1) * n > FLOOR
+        assert fracdiff._saved(k, n, n, n) < 64 * n
+        assert fracdiff._tail(stream, n) is None
+
+    def test_split_runs_from_a_head_of_half_the_window(self):
+        assert fracdiff._tail(forward_coeffs(0.7, QParam(0.96052), 2047), 2048)[0] == 1023
+
+    def test_split_runs_on_a_short_support(self, monkeypatch):
+        # The order-2.5 forward stream at q = 0.6 ends at lag 553, far from
+        # n = 8192, so each of the 473 lags past its head of 81 reaches
+        # nearly every entry; the split is about twice as fast as the direct
+        # product here.
+        scans = self._counting(monkeypatch, "_geometric_scan")
+        n, qp = 8192, QParam(0.6)
+        stream = forward_coeffs(2.5, qp, n - 1)
+        assert fracdiff._support(stream.coeffs).size == 554
+        assert fracdiff._tail(stream, n)[0] == 80
+        x = np.random.default_rng(41).standard_normal(n)
+        got = apply_forward(SeqWindow(x), 2.5, qp).values
+        scale = fracdiff._causal(np.abs(stream.coeffs), np.abs(x), n)
+        assert np.all(np.abs(got - fracdiff._causal(stream.coeffs, x, n)) <= 1e-13 * scale)
+        assert len(scans) == 1
+
+    def test_saved_counts_each_lag_over_the_outputs_it_reaches(self):
+        for n in range(1, 25):
+            for m, sx, k in itertools.product(range(1, n + 1), range(1, n + 1), range(n)):
+                if k < m:
+                    want = sum(min(n - j, sx) for j in range(k + 1, m))
+                    assert fracdiff._saved(k, m, sx, n) == want, (k, m, sx, n)
+
+    def test_no_split_up_to_512_entries(self):
+        # So every window of 512 entries or fewer keeps its bits.
+        for n in (2, 100, 511, 512):
+            for k, rho in itertools.product(range(n), (1.0, 0.9)):
+                assert not fracdiff._repaid(k, rho, n, n, n)
 
     def test_head_is_short_at_moderate_q(self, monkeypatch):
         # A structural guard rather than a timing: at n = 8192, q = 0.9 every
