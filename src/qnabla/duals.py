@@ -70,6 +70,7 @@ _SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
 # through scratch of n x 1024 doubles that stays in cache, not one the size
 # of the table.
 _SLICE = 1 << 10
+_ETA = 2.0**-26  # splits the rounding drift off a squared norm in `_norm_bounds`
 
 # Trend-classification constants; these shape verdict labels only, never
 # the reported values.
@@ -400,6 +401,44 @@ def _row_bounds(sums: np.ndarray, work: np.ndarray, exponent: float) -> np.ndarr
     return bound
 
 
+def _norm_bounds(table: np.ndarray, norms: np.ndarray, head: np.ndarray) -> np.ndarray:
+    """Bound on ||s||_2^2 for every subset of one node, by one gemv: s is
+    the walk's column sums of a low subset t (a column of ``table``) plus
+    the node's high rows, whose row-order sum is ``head`` c.
+
+    With u the unit roundoff and A_k = sum_j |a_jk| over all r rows, to
+    first order: s, t and c are row-order sums of at most r rows, so
+    ||s - t - c||_2 <= delta = 2 r u ||A||_2, and for any eta > 0
+    ||s||_2^2 <= (1 + eta) ||t + c||_2^2 + (1 + 1/eta) delta^2.  The
+    expansion ||t||^2 + 2 <t, c> + ||c||^2, each sum in any order, FMA
+    included, errs by at most (n + 2) u (||t|| + ||c||)^2; that, eta
+    ||t + c||^2 and the scaling products take at most 4 eta (||t||^2 +
+    ||c||^2) for n < 2^27.  ``norms`` holds (1 + 4 eta) ||t||^2 + (1 +
+    1/eta) delta^2 + n tiny, as 4 n squares and products err by at most
+    2^-1075 each below the normal range.  NaN stays NaN.
+    """
+    return table.T @ (2.0 * head) + norms + head @ head * (1.0 + 4 * _ETA)
+
+
+def _norm_limit(cut, n: int, exponent: float):
+    """A bound q on ||s||_2^2 under which a subset's value is certified
+    strictly below ``cut`` (elementwise), or 0.0, below every bound.
+
+    Over the n columns that are not all zero (the others sum to +-0 and
+    add nothing, in any order), sum_k |s_k|^e <= n^a ||s||_2^e with
+    a = max(1 - e/2, 0) (power means; ||s||_e <= ||s||_2 past e = 2), so,
+    with the walk's rounding as in `_row_bounds`, a subset with
+    ||s||_2^2 <= q has a value below F(q) = n^a q^(e/2) (1 + 4 (n + 16) u)
+    + tiny.  q inverts F, shrunk by 2^-30, and is kept where F(q),
+    computed, is below ``cut``: that rounds down by at most (35 + ln n) u,
+    within the factor's spare 3 (n + 16) u, and by at most 16 n^a
+    subnormal steps, which tiny covers with the walk's own for n < 2^46.
+    """
+    scale = n ** max(1.0 - exponent / 2, 0.0) * (1.0 + 4 * (n + 16) * _UNIT_ROUNDOFF)
+    q = (np.maximum(cut - _SMALLEST_NORMAL, 0.0) / scale) ** (2.0 / exponent) * (1.0 - 2.0**-30)
+    return np.where(q ** (exponent / 2) * scale + _SMALLEST_NORMAL < cut, q, 0.0)
+
+
 def _subtree_bound(block: np.ndarray, low: int, exponent: float):
     """Bound on the sum-mode values in a subtree of the high-row walk.
 
@@ -456,75 +495,74 @@ def _subtree_bound(block: np.ndarray, low: int, exponent: float):
 
 
 def _sum_exhaustive(block: np.ndarray, exponent: float) -> tuple[float, tuple[int, ...]]:
-    """Sum mode over all 2^r - 1 subsets, one n-vector add per visited subset.
+    """Sum mode over all 2^r - 1 subsets, bit for bit as if each were evaluated.
 
     A table holds the row-order sums of every subset of the first
-    ``_LOW_ROWS`` rows, one subset per column.  The subsets of the
-    remaining rows are walked depth first, and the sums at depth d are
-    those at depth d - 1 plus one row, so every subset sum is accumulated
-    in row order.  Each node of the walk is a set H of high rows and holds
-    one subset per column of the table.
-
-    Before the walk descends into the node H + {h}, `_subtree_bound` bounds
-    every value in that node's subtree, the table included; the subtree is
-    skipped when its bound is strictly below the best value so far.  At a
-    visited node, `_row_bounds` bounds each subset's value, and only the
-    subsets whose bound is not strictly below the best value (NaN bounds
-    included) are gathered and raised to the power in `_node_values`; at
-    the root the subset with the largest bound is evaluated first, so that
-    the cut has a best value.  Both bounds cover every rounding error, so a
-    skipped subset or subtree holds no value that reaches the best: a tie
-    is never skipped, since a later subset can be a lexicographically
-    smaller witness.  Evaluated subsets are evaluated exactly as when every
-    subset was, so values and witnesses are those of the exhaustive walk,
-    bit for bit.
+    ``_LOW_ROWS`` rows, one per column; the subsets of the other rows are
+    walked depth first, each node a set H of high rows holding one subset
+    per column.  `_subtree_bound` skips the subtree of H + {h} when it
+    bounds every value in it strictly below the best value so far.  At a
+    visited node one gemv (`_norm_bounds`) bounds every ||s||_2^2, and only
+    the subsets not below the limit of the best value (`_norm_limit`) are
+    gathered from the table, the node's rows added in row order, so their
+    sums are the walk's, bit for bit; of those, only the subsets whose
+    `_row_bounds` bound is not strictly below the best value reach
+    `_node_values`.  NaN bounds pass; at the root the subset with the
+    largest norm bound goes first, so that the cut has a value.  Every
+    bound covers every rounding error, so no skipped subset reaches the
+    best value: a tie is never skipped, since a later subset can be a
+    lexicographically smaller witness.  An all-zero block returns at once:
+    every subset's value is 0, and (0,) is the least subset.
     """
+    if not block.any():
+        return 0.0, (0,)
     rows, n = block.shape
     low = min(rows, _LOW_ROWS)
     table = np.zeros((n, 1 << low))
     for j in range(low):
         np.add(table[:, : 1 << j], block[j, :, None], out=table[:, 1 << j : 2 << j])
-    sums = [table] + [np.empty_like(table) for _ in range(rows - low)]
+    delta = 2 * rows * _UNIT_ROUNDOFF * np.linalg.norm(np.abs(block).sum(axis=0))
+    norms = np.einsum("ij,ij->j", table, table) * (1.0 + 4 * _ETA)
+    norms += (1.0 + 1.0 / _ETA) * delta**2 + n * _SMALLEST_NORMAL  # see `_norm_bounds`
+    live = int(np.count_nonzero(block.any(axis=0)))
+    heads = np.zeros((rows - low + 1, n))  # the row-order sum of each depth's high rows
     if rows > low:
         bound = _subtree_bound(block, low, exponent)
     work = np.empty((n, min(1 << low, _SLICE)))
-    low_masks = np.arange(1 << low, dtype=np.int64)
     best = -math.inf
     best_witness: tuple[int, ...] = ()
     path: list[int] = []
     while True:
-        level = sums[len(path)]
-        bounds = _row_bounds(level, work, exponent)
+        sq = _norm_bounds(table, norms, heads[len(path)])
         cut = best
         if not path:
-            # The empty subset; it survives only a NaN probe, whose NaN
-            # value keeps the node out of the maximum, as when every subset
-            # is evaluated.
-            bounds[0] = -math.inf
-            first = np.argmax(bounds, keepdims=True)
-            cut = max(cut, float(_node_values(level.T[first], exponent)[0]))
-        keep = np.flatnonzero(~(bounds < cut))
+            sq[0] = -math.inf  # the empty subset: below every limit, never probed or kept
+            first = np.argmax(sq, keepdims=True)
+            cut = max(cut, float(_node_values(table.T[first], exponent)[0]))
+        keep = np.flatnonzero(~(sq < _norm_limit(cut, live, exponent)))
+        level = table[:, keep]
+        for h in path:
+            level += block[h, :, None]
+        survive = np.flatnonzero(~(_row_bounds(level, work, exponent) < cut))
+        keep = keep[survive]
         if keep.size:
-            vals = _node_values(level.T[keep], exponent)
+            vals = _node_values(level.T[survive], exponent)
             top = float(vals.max())
             if top >= best:
-                high = sum(1 << h for h in path)
-                witness = _lex_least(low_masks[keep[vals == top]] | high)
+                witness = _lex_least(keep[vals == top] | sum(1 << h for h in path))
                 if top > best or witness < best_witness:
                     best, best_witness = top, witness
-        # Try the first child, then its siblings; column 0 of the sums
-        # belongs to the empty low subset, so it holds the sum of the path's rows.
+        # Try the first child, then its siblings.
         h = path[-1] + 1 if path else low
-        while h == rows or bound(level[:, 0], h) < best:
+        while h == rows or bound(heads[len(path)], h) < best:
             if h < rows:
                 h += 1
             elif path:
                 h = path.pop() + 1
-                level = sums[len(path)]
             else:
                 return best, best_witness
         path.append(h)
-        np.add(level, block[h, :, None], out=sums[len(path)])
+        np.add(heads[len(path) - 1], block[h], out=heads[len(path)])
 
 
 def subset_sup(
@@ -543,12 +581,12 @@ def subset_sup(
     Sup mode uses a closed form: the maximum over columns k and both signs
     of (sum_j max(+-a_jk, 0))^exponent, in O(r n).  Sum mode is a cut-norm
     type quantity and stays exhaustive over all 2^r - 1 subsets up to
-    provable pruning, each by the parent recurrence
-    S(J) = S(J minus max J) + row_{max J}: one n-vector add per subset.
-    Past the first 13 rows it skips a subtree of subsets when a bound on
-    their values, rounding slack included, is strictly below the best value
-    so far (see `_subtree_bound`), and in each visited node it raises to
-    the power only the subsets whose norm bound (`_row_bounds`) is not, so
+    provable pruning.  Past the first 13 rows it skips a subtree of subsets
+    when a bound on their values is strictly below the best value so far
+    (`_subtree_bound`); in each visited node one gemv bounds every subset's
+    2-norm (`_norm_bounds`), and only the subsets whose norm bound, then
+    row bound (`_row_bounds`), can reach the best value are summed in row
+    order and raised to the power.  Every bound includes rounding slack, so
     ties are never skipped and pruning never changes a value or a witness.
     Both modes are capped at ``MAX_SUBSET_ROWS`` rows, and a supremum
     outside double range raises OverflowError.

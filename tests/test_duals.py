@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import time
+
 import numpy as np
 import pytest
 
@@ -328,11 +331,11 @@ class TestSumModePruning:
     @staticmethod
     def _counted(monkeypatch, block, exponent):
         """Result of the walk, checked against the exhaustive one, with the
-        nodes it visits (`_row_bounds` runs once at each) and the calls of
+        nodes it visits (`_norm_bounds` runs once at each) and the calls of
         `_node_values` (once for the root's probe and once at each node
         where some subset's row bound reaches the best value)."""
         visits, calls = [], []
-        for name, log in (("_row_bounds", visits), ("_node_values", calls)):
+        for name, log in (("_norm_bounds", visits), ("_node_values", calls)):
 
             def counted(*args, inner=getattr(duals, name), log=log):
                 log.append(1)
@@ -378,6 +381,42 @@ class TestSumModePruning:
             entries = rng.normal(size=(16, 3)) * 10.0 ** rng.integers(-9, 9, (16, 3))
             for e in (0.5, 1.37, 2.0):
                 self._counted(monkeypatch, entries, e)
+
+    @pytest.mark.parametrize("rows", [1, 13, 16, 20])
+    def test_all_zero_blocks_match_the_exhaustive_walk(self, rows):
+        signed = np.where(np.random.default_rng(rows).random((rows, 5)) < 0.5, -0.0, 0.0)
+        for block in (np.zeros((rows, 5)), signed):
+            for e in (0.5, 1.0, 2.6):
+                got, walked = duals._sum_exhaustive(block, e), exhaustive_sum_walk(block, e)
+                assert got == walked == (0.0, (0,))
+                assert np.signbit(got[0]) == np.signbit(walked[0])
+
+    def test_all_zero_block_returns_at_once(self):
+        m = MatrixWindow(np.zeros((20, 40)))
+        best = np.inf
+        for _ in range(3):
+            t0 = time.perf_counter()
+            assert subset_sup(m, 1.5, SubsetMode.SUM_OVER_COLS_OF_ABS_COLSUM, 20) == (0.0, (0,))
+            best = min(best, time.perf_counter() - t0)
+        assert best <= 0.010
+
+
+def random_block(kind, rng, r, n):
+    """A seeded r x n test block of one kind."""
+    if kind == "gaussian":
+        return rng.normal(size=(r, n))
+    if kind == "integers":
+        return rng.integers(-2, 3, (r, n)).astype(float)
+    if kind == "triangular":
+        return np.tril(rng.normal(size=(r, n)) * 0.6 ** np.arange(n))
+    if kind == "wide":
+        return rng.normal(size=(r, n)) * 10.0 ** rng.integers(-9, 10, (r, n))
+    if kind == "sparse":
+        return rng.normal(size=(r, n)) * (rng.random((r, n)) < 0.1)
+    if kind == "tiny":  # squares, and some powers, below the normal range
+        return rng.normal(size=(r, n)) * 10.0 ** rng.integers(-175, -140)
+    assert kind == "signed-zeros"
+    return rng.choice([-0.0, 0.0, -1.0, 0.5, 2.0], size=(r, n), p=[0.4, 0.4, 0.1, 0.05, 0.05])
 
 
 def subset_column_sums(block):
@@ -440,18 +479,7 @@ class TestSubsetRowBounds:
         exponents = (0.5, 0.73, 1.0, 1.37, 2.0, 2.6)
         for trial in range(20):
             r, n = ((1, 1), (18, 40))[trial] if trial < 2 else rng.integers(1, (19, 41))
-            if kind == "gaussian":
-                block = rng.normal(size=(r, n))
-            elif kind == "integers":
-                block = rng.integers(-2, 3, (r, n)).astype(float)
-            elif kind == "triangular":
-                block = np.tril(rng.normal(size=(r, n)) * 0.6 ** np.arange(n))
-            elif kind == "wide":
-                block = rng.normal(size=(r, n)) * 10.0 ** rng.integers(-9, 10, (r, n))
-            elif kind == "sparse":
-                block = rng.normal(size=(r, n)) * (rng.random((r, n)) < 0.1)
-            else:  # squares, and some powers, below the normal range
-                block = rng.normal(size=(r, n)) * 10.0 ** rng.integers(-175, -140)
+            block = random_block(kind, rng, r, n)
             e = exponents[trial % len(exponents)]
             got = subset_sup(MatrixWindow(block), e, SubsetMode.SUM_OVER_COLS_OF_ABS_COLSUM, r)
             assert got == exhaustive_sum_walk(block, e), (trial, r, n, e)
@@ -469,6 +497,116 @@ class TestSubsetRowBounds:
         got = subset_sup(MatrixWindow(block), e, SubsetMode.SUM_OVER_COLS_OF_ABS_COLSUM, 20)
         assert got == exhaustive_sum_walk(block, e)
         assert sum(rows) < 0.01 * (2**20 - 1)
+
+
+class TestSubsetNormBounds:
+    """Each visited node of the sum-mode walk keeps only the subsets whose
+    squared-norm bound (`duals._norm_bounds`) is not below the limit of the
+    best value (`duals._norm_limit`); no subset may be dropped at a cut its
+    own value reaches, whatever the summation order of the bound's gemv."""
+
+    @staticmethod
+    def _check_every_node(monkeypatch, block, e):
+        """Walk ``block`` with no subtree skipped, so the nodes come in
+        lexicographic order, and check each node's norm bounds against the
+        values `_node_values` computes for all of its subsets."""
+        recorded = []
+
+        def norm_bounds(*args, inner=duals._norm_bounds):
+            sq = inner(*args)
+            recorded.append(sq.copy())
+            return sq
+
+        monkeypatch.setattr(duals, "_norm_bounds", norm_bounds)
+        monkeypatch.setattr(duals, "_subtree_bound", lambda *args: lambda head, h: np.inf)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = duals._sum_exhaustive(block, e)
+        monkeypatch.undo()
+        rows = block.shape[0]
+        low = min(rows, duals._LOW_ROWS)
+        high = range(low, rows)
+        paths = sorted(p for d in range(len(high) + 1) for p in itertools.combinations(high, d))
+        assert len(recorded) == len(paths)
+        table = subset_column_sums(block[:low])
+        live = np.count_nonzero(block.any(axis=0))
+        for path, sq in zip(paths, recorded):
+            sums = table.copy()
+            for h in path:
+                sums += block[h, :, None]
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = duals._node_values(np.ascontiguousarray(sums.T), e)
+                assert not np.any(sq < duals._norm_limit(values, live, e)), path
+        return got, recorded
+
+    @pytest.mark.parametrize("e", TestSubsetRowBounds.EXPONENTS)
+    @pytest.mark.parametrize("ks", [(-1, 3, 2), (6, 4, -5)])
+    @pytest.mark.parametrize("n", [1, 40])
+    @pytest.mark.parametrize("scale", [1.0, 3.0**-225])
+    def test_rounding_slack_where_the_bound_is_exact(self, monkeypatch, e, ks, n, scale):
+        # Rows c_j v with v of +-1 entries and three zero columns: every
+        # nonzero |s_k| of a subset is |sum c_j|, where the power-mean
+        # inequality over the n live columns is an equality (and
+        # ||s||_e = ||s||_2 at n = 1), so only the rounding slack keeps the
+        # bound above the computed values.  At 3^-225 the cubes are subnormal.
+        c = np.zeros(16)
+        c[[0, 5]] = scale, -scale
+        c[13:] = np.array(ks) * scale * 2.0**-54
+        v = np.r_[0.0, np.where(np.arange(n) % 3 == 1, -1.0, 1.0), -0.0, 0.0]
+        got, _ = self._check_every_node(monkeypatch, np.outer(c, v), e)
+        if scale == 1.0:  # subnormal values tie and survive, which makes the walk slow
+            assert got == exhaustive_sum_walk(np.outer(c, v), e)
+
+    @pytest.mark.parametrize("e", TestSubsetRowBounds.EXPONENTS)
+    @pytest.mark.parametrize("n", [1, 40])
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # Row order rounds 3 * 2^-14 + 2^40 up to 2^40 + 2^-12, so the
+            # subset {0, 13, 14} sums to 2^-12, while the table's 3 * 2^-14
+            # plus the head 2^40 - 2^40 is a quarter less.
+            {0: 3 * 2.0**-14, 13: 2.0**40, 14: -(2.0**40)},
+            # {0, 13} sums to 2^-30, but the square of the head -1 + 2^-30
+            # loses its 2^-60, and the expansion of ||t + c||^2 reads 0.
+            {0: 1.0, 13: -1.0 + 2.0**-30},
+        ],
+    )
+    def test_the_walk_and_the_expansion_round_apart(self, monkeypatch, e, n, rows):
+        c = np.zeros(16)
+        c[list(rows)] = list(rows.values())
+        self._check_every_node(monkeypatch, np.outer(c, np.ones(n)), e)
+
+    KINDS = TestSubsetRowBounds.KINDS + ("signed-zeros",)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_no_node_drops_a_subset_its_value_reaches(self, monkeypatch, kind):
+        rng = np.random.default_rng(50 + self.KINDS.index(kind))
+        # Both sides of e = 2, where the power-mean factor n^(1-e/2) ends.
+        exponents = (0.5, 1.37, 2.0, 3.4)
+        for e in exponents[self.KINDS.index(kind) % 2 :: 2]:
+            block = random_block(kind, rng, int(rng.integers(16, 21)), int(rng.integers(1, 41)))
+            got, _ = self._check_every_node(monkeypatch, block, e)
+            assert got == exhaustive_sum_walk(block, e)
+
+    @pytest.mark.parametrize("n", [1, 8, 40])
+    def test_a_single_tiny_row_keeps_its_only_subset(self, monkeypatch, n):
+        # The squares round to 0 or to the least subnormal, while the limit
+        # on ||s||_2^2 of the row's value is a few subnormal steps.
+        rng = np.random.default_rng(n)
+        for _ in range(4):
+            block = rng.uniform(0.5, 1.5, size=(1, n)) * 1e-162
+            for e in (0.5, 1.0, 1.5):
+                got, _ = self._check_every_node(monkeypatch, block, e)
+                assert got == exhaustive_sum_walk(block, e)
+                assert got[0] > 0.0
+
+    @pytest.mark.parametrize("row", [3, 17])
+    def test_nan_rows_are_never_pruned(self, monkeypatch, row):
+        block = np.random.default_rng(38).normal(size=(18, 6))
+        block[row, 2] = np.nan
+        _, recorded = self._check_every_node(monkeypatch, block, 1.37)
+        assert all(np.isnan(sq).all() for sq in recorded)  # the drift term is NaN
+        with np.errstate(invalid="ignore"):
+            assert duals._sum_exhaustive(block, 1.37) == exhaustive_sum_walk(block, 1.37)
 
 
 class TestMatrixClassCondition:

@@ -164,8 +164,9 @@ def test_sup_mode_at_the_row_cap_is_fast():
 
 
 def test_sum_mode_peak_memory_at_the_row_cap():
-    # The 2^13-row table of low-row sums, one buffer of its size per high
-    # row and one work buffer: 8192 x 40 doubles are 2.6 MB, 7 rows are high.
+    # The 2^13-column table of low-row sums and what a node gathers from
+    # it: 8192 x 40 doubles are 2.6 MB.  No buffer of the table's size is
+    # kept per high row (7 rows are high).
     m = _cap_block()
     tracemalloc.start()
     try:
@@ -173,7 +174,7 @@ def test_sum_mode_peak_memory_at_the_row_cap():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 28 * 2**20
+    assert peak <= 12 * 2**20
 
 
 if __name__ == "__main__":
