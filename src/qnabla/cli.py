@@ -22,6 +22,7 @@ from pathlib import Path
 import click
 import numpy as np
 
+from . import __version__
 from .duals import (
     LimitError,
     MatrixWindow,
@@ -30,7 +31,6 @@ from .duals import (
     gamma_dual_check,
 )
 from .fracdiff import (
-    Kind,
     SeqWindow,
     apply_forward,
     apply_inverse,
@@ -52,18 +52,6 @@ def _fail(code: int, exc: BaseException) -> None:
     sys.exit(code)
 
 
-def _guarded(fn):
-    """Map library errors onto the documented exit codes."""
-    try:
-        fn()
-    except (LimitError, TailError) as exc:
-        _fail(3, exc)
-    except (ValueError, ArithmeticError) as exc:
-        _fail(2, exc)
-    except OSError as exc:
-        _fail(1, exc)
-
-
 def _qparam(q: float) -> QParam:
     try:
         return QParam(q)
@@ -71,31 +59,20 @@ def _qparam(q: float) -> QParam:
         raise ValueError(f"--q: {exc}") from exc
 
 
-def _check_order(value: float, flag: str) -> float:
-    if not math.isfinite(value):
-        raise ValueError(f"{flag} must be finite, got {value!r}")
-    return value
-
-
-def _check_window(value: int, flag: str = "--window", minimum: int = 1) -> int:
+def _check_min(value: int, flag: str = "--window", minimum: int = 1) -> int:
     if value < minimum:
         raise ValueError(f"{flag} must be ≥ {minimum}, got {value}")
     return value
 
 
-def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
-
-
 def _read_sequence(path: str) -> SeqWindow:
-    text = _read_text(path).strip()
+    text = Path(path).read_text(encoding="utf-8").strip()
     if not text:
         raise ValueError(f"--input {path}: window must be ≥ 1 (file is empty)")
     if text.startswith("["):
         data = json.loads(text)
-        if not isinstance(data, list) or not all(
-            isinstance(v, (int, float)) for v in data
-        ):
+        # JSON booleans parse as bool, an int subclass: not a real here.
+        if not isinstance(data, list) or not all(type(v) in (int, float) for v in data):
             raise ValueError(f"--input {path}: expected a flat JSON array of reals")
         values = [float(v) for v in data]
     else:
@@ -109,7 +86,7 @@ def _read_sequence(path: str) -> SeqWindow:
 
 
 def _read_matrix(path: str) -> MatrixWindow:
-    text = _read_text(path).strip()
+    text = Path(path).read_text(encoding="utf-8").strip()
     if not text:
         raise ValueError(f"--input {path}: matrix file is empty")
     data = json.loads(text)
@@ -117,6 +94,8 @@ def _read_matrix(path: str) -> MatrixWindow:
         isinstance(row, list) for row in data
     ):
         raise ValueError(f"--input {path}: expected a JSON array of row arrays")
+    if any(isinstance(v, bool) for row in data for v in row):
+        raise ValueError(f"--input {path}: entries must be reals, not booleans")
     entries = np.asarray(data, dtype=np.float64)
     if entries.ndim != 2:
         raise ValueError(f"--input {path}: rows must all have the same length")
@@ -164,321 +143,213 @@ def _emit(payload, output: str | None, fmt: str) -> None:
         click.echo(text, nl=False)
 
 
-_format_option = click.option(
-    "--format", "fmt", type=click.Choice(["json", "csv"]), default="json",
-    show_default=True, help="Output format.",
-)
-_output_option = click.option(
-    "--output", type=click.Path(dir_okay=False), default=None,
-    help="Write the result to this file instead of stdout.",
-)
-_gamma_option = click.option("--gamma", type=float, required=True,
-                             help="Operator order.")
-_q_option = click.option("--q", type=float, required=True,
-                         help="Deformation parameter, strictly inside (0, 1).")
-_p_option = click.option("--p", "p_text", default="2", show_default=True,
-                         help="Norm exponent: a positive real or 'inf'.")
-
-
 @click.group()
-@click.version_option(package_name="qnabla")
+@click.version_option(version=__version__)
 def cli() -> None:
     """Fractional-order q-difference transforms and their window diagnostics."""
 
 
-@cli.command()
-@_gamma_option
-@_q_option
-@click.option("--k", type=int, required=True, help="Largest retained lag K.")
-@click.option("--kind", type=click.Choice(["forward", "inverse"]), default="forward",
-              show_default=True, help="Which coefficient stream to emit.")
-@_output_option
-@_format_option
-def coeffs(gamma: float, q: float, k: int, kind: str, output: str | None, fmt: str) -> None:
+def _command(name: str, *options, orders=(("gamma", "Operator order."),), p: bool = False):
+    """Register the decorated body as subcommand ``name``.
+
+    The command's help lists each (flag, help) pair of ``orders``, --q,
+    --p when ``p`` is set, ``options``, --output and --format.  Before the
+    body runs, --q becomes a QParam, each order is checked finite in flag
+    order and --p is parsed.  The body receives its own options plus ``qp``
+    (and ``p``, next to the raw ``p_text``) and returns the payload: an
+    array, a list, or a report that gets the command name as its first key.
+    Library errors map onto the documented exit codes.
+    """
+
+    def register(body):
+        def callback(q: float, output: str | None, fmt: str, **params) -> None:
+            try:
+                params["qp"] = _qparam(q)
+                for flag, _ in orders:
+                    if not math.isfinite(params[flag]):
+                        raise ValueError(f"--{flag} must be finite, got {params[flag]!r}")
+                if p:
+                    params["p"] = PExponent.parse(params["p_text"])
+                payload = body(**params)
+                if isinstance(payload, dict):
+                    payload = {"command": name, **payload}
+                elif isinstance(payload, np.ndarray):
+                    payload = payload.tolist()
+                _emit(payload, output, fmt)
+            except (LimitError, TailError) as exc:
+                _fail(3, exc)
+            except (ValueError, ArithmeticError) as exc:
+                _fail(2, exc)
+            except OSError as exc:
+                _fail(1, exc)
+
+        decorators = [click.option(f"--{flag}", type=float, required=True, help=text)
+                      for flag, text in orders]
+        decorators.append(click.option("--q", type=float, required=True,
+                                       help="Deformation parameter, strictly inside (0, 1)."))
+        if p:
+            decorators.append(click.option("--p", "p_text", default="2", show_default=True,
+                                           help="Norm exponent: a positive real or 'inf'."))
+        decorators += [
+            *options,
+            click.option("--output", type=click.Path(dir_okay=False), default=None,
+                         help="Write the result to this file instead of stdout."),
+            click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
+                         default="json", show_default=True, help="Output format."),
+        ]
+        for decorate in reversed(decorators):
+            callback = decorate(callback)
+        return cli.command(name=name, help=body.__doc__)(callback)
+
+    return register
+
+
+def _input(help_text: str):
+    return click.option("--input", "input_path", type=click.Path(exists=True, dir_okay=False),
+                        required=True, help=help_text)
+
+
+def _kind(flag: str, **attrs):
+    return click.option(flag, type=click.Choice(["forward", "inverse"]), default="forward",
+                        show_default=True, **attrs)
+
+
+_LAGS = click.option("--k", type=int, required=True, help="Largest retained lag K.")
+
+
+def _stream(kind: str, order: float, qp: QParam, k: int):
+    build = forward_coeffs if kind == "forward" else inverse_coeffs
+    return build(order, qp, _check_min(k, "--k", minimum=0))
+
+
+@_command("coeffs", _LAGS, _kind("--kind", help="Which coefficient stream to emit."))
+def coeffs(gamma: float, qp: QParam, k: int, kind: str):
     """Emit operator coefficients c_0..c_K (or inverse e_0..e_K)."""
-
-    def run() -> None:
-        qp = _qparam(q)
-        _check_order(gamma, "--gamma")
-        if k < 0:
-            raise ValueError(f"--k must be ≥ 0, got {k}")
-        build = forward_coeffs if kind == "forward" else inverse_coeffs
-        _emit([float(c) for c in build(gamma, qp, k).coeffs], output, fmt)
-
-    _guarded(run)
+    return _stream(kind, gamma, qp, k).coeffs
 
 
-def _transform_command(name: str, apply_fn, help_text: str):
-    @cli.command(name=name, help=help_text)
-    @_gamma_option
-    @_q_option
-    @click.option("--input", "input_path", type=click.Path(exists=True, dir_okay=False),
-                  required=True, help="Sequence file (JSON array or one real per line).")
-    @_output_option
-    @_format_option
-    def _cmd(gamma: float, q: float, input_path: str, output: str | None, fmt: str) -> None:
-        def run() -> None:
-            qp = _qparam(q)
-            _check_order(gamma, "--gamma")
-            g = _read_sequence(input_path)
-            out = apply_fn(g, gamma, qp)
-            _emit([float(v) for v in out.values], output, fmt)
-
-        _guarded(run)
-
-    return _cmd
+@_command("transform", _input("Sequence file (JSON array or one real per line)."))
+def transform(gamma: float, qp: QParam, input_path: str):
+    """Apply the forward operator to a sequence file."""
+    return apply_forward(_read_sequence(input_path), gamma, qp).values
 
 
-transform = _transform_command(
-    "transform", apply_forward, "Apply the forward operator to a sequence file."
-)
-invert = _transform_command(
-    "invert", apply_inverse, "Apply the inverse operator to a sequence file."
-)
+@_command("invert", _input("Sequence file (JSON array or one real per line)."))
+def invert(gamma: float, qp: QParam, input_path: str):
+    """Apply the inverse operator to a sequence file."""
+    return apply_inverse(_read_sequence(input_path), gamma, qp).values
 
 
-@cli.command(name="verify-inverse")
-@_gamma_option
-@_q_option
-@click.option("--window", type=int, default=30, show_default=True,
-              help="Number of lags checked against the unit impulse.")
-@_output_option
-@_format_option
-def verify_inverse_cmd(gamma: float, q: float, window: int, output: str | None, fmt: str) -> None:
+@_command("verify-inverse", click.option(
+    "--window", type=int, default=30, show_default=True,
+    help="Number of lags checked against the unit impulse."))
+def verify_inverse_cmd(gamma: float, qp: QParam, window: int):
     """Residual of forward∘inverse against the identity on a window."""
-
-    def run() -> None:
-        qp = _qparam(q)
-        _check_order(gamma, "--gamma")
-        _check_window(window)
-        residual = verify_inverse(gamma, qp, window)
-        _emit(
-            {"command": "verify-inverse", "gamma": gamma, "q": q,
-             "window": window, "residual": residual},
-            output, fmt,
-        )
-
-    _guarded(run)
+    residual = verify_inverse(gamma, qp, _check_min(window))
+    return {"gamma": gamma, "q": qp.q, "window": window, "residual": residual}
 
 
-@cli.command(name="semigroup-defect")
-@click.option("--mu", type=float, required=True, help="First operator order.")
-@click.option("--nu", type=float, required=True, help="Second operator order.")
-@_q_option
-@click.option("--window", type=int, default=8, show_default=True,
-              help="Number of coefficient lags compared.")
-@_output_option
-@_format_option
-def semigroup_defect_cmd(mu: float, nu: float, q: float, window: int,
-                         output: str | None, fmt: str) -> None:
+@_command("semigroup-defect", click.option(
+    "--window", type=int, default=8, show_default=True,
+    help="Number of coefficient lags compared."),
+    orders=(("mu", "First operator order."), ("nu", "Second operator order.")))
+def semigroup_defect_cmd(mu: float, nu: float, qp: QParam, window: int):
     """Coefficient gap between composing two orders and their sum."""
-
-    def run() -> None:
-        qp = _qparam(q)
-        _check_order(mu, "--mu")
-        _check_order(nu, "--nu")
-        _check_window(window, minimum=2)
-        defect = semigroup_defect(mu, nu, qp, window)
-        _emit(
-            {"command": "semigroup-defect", "mu": mu, "nu": nu, "q": q,
-             "window": window, "defect": defect},
-            output, fmt,
-        )
-
-    _guarded(run)
+    defect = semigroup_defect(mu, nu, qp, _check_min(window, minimum=2))
+    return {"mu": mu, "nu": nu, "q": qp.q, "window": window, "defect": defect}
 
 
-@cli.command()
-@_gamma_option
-@_q_option
-@_p_option
-@click.option("--input", "input_path", type=click.Path(exists=True, dir_okay=False),
-              required=True, help="Sequence file.")
-@_output_option
-@_format_option
-def norm(gamma: float, q: float, p_text: str, input_path: str,
-         output: str | None, fmt: str) -> None:
+@_command("norm", _input("Sequence file."), p=True)
+def norm(gamma: float, qp: QParam, p: PExponent, p_text: str, input_path: str):
     """Domain norm of a sequence with its prefix growth profile."""
-
-    def run() -> None:
-        qp = _qparam(q)
-        _check_order(gamma, "--gamma")
-        p = PExponent.parse(p_text)
-        report = domain_norm(_read_sequence(input_path), gamma, qp, p)
-        payload = {"command": "norm", "gamma": gamma, "q": q}
-        payload.update(report.as_dict())
-        _emit(payload, output, fmt)
-
-    _guarded(run)
+    report = domain_norm(_read_sequence(input_path), gamma, qp, p)
+    return {"gamma": gamma, "q": qp.q, **report.as_dict()}
 
 
-@cli.command()
-@_gamma_option
-@_q_option
-@click.option("--window", type=int, required=True, help="Window length N.")
-@click.option("--k", type=int, required=True, help="Basis vector index (0-based).")
-@_output_option
-@_format_option
-def basis(gamma: float, q: float, window: int, k: int, output: str | None, fmt: str) -> None:
+@_command("basis", click.option("--window", type=int, required=True, help="Window length N."),
+          click.option("--k", type=int, required=True, help="Basis vector index (0-based)."))
+def basis(gamma: float, qp: QParam, window: int, k: int):
     """Emit the k-th domain-space basis vector on an N-window."""
-
-    def run() -> None:
-        qp = _qparam(q)
-        _check_order(gamma, "--gamma")
-        _check_window(window)
-        try:
-            vec = schauder_basis_vector(k, gamma, qp, window)
-        except IndexError as exc:
-            raise ValueError(f"--k: {exc}") from exc
-        _emit([float(v) for v in vec.values], output, fmt)
-
-    _guarded(run)
+    _check_min(window)
+    try:
+        return schauder_basis_vector(k, gamma, qp, window).values
+    except IndexError as exc:
+        raise ValueError(f"--k: {exc}") from exc
 
 
-def _dual_payload(command: str, gamma: float, q: float, p_text: str, reports) -> dict:
-    return {
-        "command": command,
-        "gamma": gamma,
-        "q": q,
-        "p": p_text,
-        "reports": [r.as_dict() for r in reports],
-    }
+def _dual_report(gamma: float, qp: QParam, p_text: str, reports) -> dict:
+    return {"gamma": gamma, "q": qp.q, "p": p_text, "reports": [r.as_dict() for r in reports]}
 
 
-@cli.command(name="alpha-dual")
-@_gamma_option
-@_q_option
-@_p_option
-@click.option("--input", "input_path", type=click.Path(exists=True, dir_okay=False),
-              required=True, help="Multiplier sequence file.")
-@click.option("--row-limit", type=int, default=12, show_default=True,
-              help="Largest subset-enumeration row count, clamped to the "
-                   "input length (hard cap 20).")
-@_output_option
-@_format_option
-def alpha_dual(gamma: float, q: float, p_text: str, input_path: str, row_limit: int,
-               output: str | None, fmt: str) -> None:
+@_command("alpha-dual", _input("Multiplier sequence file."), click.option(
+    "--row-limit", type=int, default=12, show_default=True,
+    help="Largest subset-enumeration row count, clamped to the "
+         "input length (hard cap 20)."),
+    p=True)
+def alpha_dual(gamma: float, qp: QParam, p: PExponent, p_text: str, input_path: str,
+               row_limit: int):
     """Subset-supremum diagnostics for alpha-dual membership."""
-
-    def run() -> None:
-        qp = _qparam(q)
-        _check_order(gamma, "--gamma")
-        p = PExponent.parse(p_text)
-        a = _read_sequence(input_path)
-        # Rows past the input would only repeat the supremum over all of it.
-        rows = min(_check_window(row_limit, flag="--row-limit"), a.n)
-        limits = default_checkpoints(rows, start=min(4, rows))
-        rep = alpha_dual_check(a, gamma, qp, p, limits)
-        _emit(_dual_payload("alpha-dual", gamma, q, p_text, [rep]), output, fmt)
-
-    _guarded(run)
+    a = _read_sequence(input_path)
+    # Rows past the input would only repeat the supremum over all of it.
+    rows = min(_check_min(row_limit, "--row-limit"), a.n)
+    rep = alpha_dual_check(a, gamma, qp, p, default_checkpoints(rows, start=min(4, rows)))
+    return _dual_report(gamma, qp, p_text, [rep])
 
 
-def _windowed_dual(command: str, check_fn):
-    @cli.command(name=command)
-    @_gamma_option
-    @_q_option
-    @_p_option
-    @click.option("--input", "input_path", type=click.Path(exists=True, dir_okay=False),
-                  required=True, help="Multiplier sequence file.")
-    @click.option("--window", type=int, default=None,
-                  help="Evaluate on this prefix of the sequence (default: all of it).")
-    @_output_option
-    @_format_option
-    def _cmd(gamma: float, q: float, p_text: str, input_path: str,
-             window: int | None, output: str | None, fmt: str) -> None:
-        def run() -> None:
-            qp = _qparam(q)
-            _check_order(gamma, "--gamma")
-            p = PExponent.parse(p_text)
-            a = _read_sequence(input_path)
-            if window is not None:
-                if not 1 <= window <= a.n:
-                    raise ValueError(f"--window must lie in [1, {a.n}], got {window}")
-                a = a.prefix(window)
-            windows = default_checkpoints(a.n, start=min(4, a.n))
-            result = check_fn(a, gamma, qp, p, windows)
-            reports = result if isinstance(result, list) else [result]
-            _emit(_dual_payload(command, gamma, q, p_text, reports), output, fmt)
-
-        _guarded(run)
-
-    return _cmd
+_PREFIX = click.option("--window", type=int, default=None,
+                       help="Evaluate on this prefix of the sequence (default: all of it).")
 
 
-beta_dual = _windowed_dual("beta-dual", beta_dual_check)
-gamma_dual = _windowed_dual("gamma-dual", gamma_dual_check)
+def _windowed_dual(check_fn, gamma, qp, p, p_text, input_path, window) -> dict:
+    a = _read_sequence(input_path)
+    if window is not None:
+        if not 1 <= window <= a.n:
+            raise ValueError(f"--window must lie in [1, {a.n}], got {window}")
+        a = a.prefix(window)
+    result = check_fn(a, gamma, qp, p, default_checkpoints(a.n, start=min(4, a.n)))
+    return _dual_report(gamma, qp, p_text, result if isinstance(result, list) else [result])
 
 
-@cli.command(name="class-check")
-@_gamma_option
-@_q_option
-@_p_option
-@click.option("--input", "input_path", type=click.Path(exists=True, dir_okay=False),
-              required=True, help="Test matrix (JSON array of row arrays).")
-@click.option("--source", type=click.Choice([s.value for s in Source]), required=True,
-              help="Source space of the matrix class.")
-@click.option("--target", type=click.Choice([t.value for t in Target]), required=True,
-              help="Target space of the matrix class.")
-@click.option("--window", type=int, default=None,
-              help="Evaluation window (default: the matrix size).")
-@click.option("--row-limit", type=int, default=12, show_default=True,
-              help="Subset-enumeration cap for subset conditions.")
-@_output_option
-@_format_option
-def class_check_cmd(gamma: float, q: float, p_text: str, input_path: str,
-                    source: str, target: str, window: int | None, row_limit: int,
-                    output: str | None, fmt: str) -> None:
+@_command("beta-dual", _input("Multiplier sequence file."), _PREFIX, p=True)
+def beta_dual(**params):
+    return _windowed_dual(beta_dual_check, **params)
+
+
+@_command("gamma-dual", _input("Multiplier sequence file."), _PREFIX, p=True)
+def gamma_dual(**params):
+    return _windowed_dual(gamma_dual_check, **params)
+
+
+@_command(
+    "class-check",
+    _input("Test matrix (JSON array of row arrays)."),
+    click.option("--source", type=click.Choice([s.value for s in Source]), required=True,
+                 help="Source space of the matrix class."),
+    click.option("--target", type=click.Choice([t.value for t in Target]), required=True,
+                 help="Target space of the matrix class."),
+    click.option("--window", type=int, default=None,
+                 help="Evaluation window (default: the matrix size)."),
+    click.option("--row-limit", type=int, default=12, show_default=True,
+                 help="Subset-enumeration cap for subset conditions."),
+    p=True,
+)
+def class_check_cmd(gamma: float, qp: QParam, p: PExponent, p_text: str, input_path: str,
+                    source: str, target: str, window: int | None, row_limit: int):
     """Evaluate the dispatch-table condition bundle for a matrix class."""
-
-    def run() -> None:
-        qp = _qparam(q)
-        _check_order(gamma, "--gamma")
-        p = PExponent.parse(p_text)
-        phi = _read_matrix(input_path)
-        w = window if window is not None else min(phi.shape)
-        query = ClassQuery(
-            source=Source(source), target=Target(target), p=p, order=gamma,
-            qp=qp, window=w, row_limit=row_limit,
-        )
-        reports = class_check(query, phi)
-        payload = {
-            "command": "class-check", "source": source, "target": target,
-            "gamma": gamma, "q": q, "p": p_text, "window": w,
-            "reports": [r.as_dict() for r in reports],
-        }
-        _emit(payload, output, fmt)
-
-    _guarded(run)
+    phi = _read_matrix(input_path)
+    w = window if window is not None else min(phi.shape)
+    query = ClassQuery(source=Source(source), target=Target(target), p=p, order=gamma,
+                       qp=qp, window=w, row_limit=row_limit)
+    reports = class_check(query, phi)
+    return {"source": source, "target": target, "gamma": gamma, "q": qp.q, "p": p_text,
+            "window": w, "reports": [r.as_dict() for r in reports]}
 
 
-@cli.command()
-@click.option("--mu", type=float, required=True, help="Order of the first stream.")
-@click.option("--nu", type=float, required=True, help="Order of the second stream.")
-@_q_option
-@click.option("--k", type=int, required=True, help="Largest retained lag K.")
-@click.option("--kind-mu", type=click.Choice(["forward", "inverse"]), default="forward",
-              show_default=True)
-@click.option("--kind-nu", type=click.Choice(["forward", "inverse"]), default="forward",
-              show_default=True)
-@_output_option
-@_format_option
-def compose(mu: float, nu: float, q: float, k: int, kind_mu: str, kind_nu: str,
-            output: str | None, fmt: str) -> None:
+@_command("compose", _LAGS, _kind("--kind-mu"), _kind("--kind-nu"),
+          orders=(("mu", "Order of the first stream."), ("nu", "Order of the second stream.")))
+def compose(mu: float, nu: float, qp: QParam, k: int, kind_mu: str, kind_nu: str):
     """Convolve two coefficient streams and emit the composed stream."""
-
-    def run() -> None:
-        qp = _qparam(q)
-        _check_order(mu, "--mu")
-        _check_order(nu, "--nu")
-        if k < 0:
-            raise ValueError(f"--k must be ≥ 0, got {k}")
-        builders = {"forward": forward_coeffs, "inverse": inverse_coeffs}
-        a = builders[kind_mu](mu, qp, k)
-        b = builders[kind_nu](nu, qp, k)
-        _emit([float(c) for c in compose_coeffs(a, b).coeffs], output, fmt)
-
-    _guarded(run)
+    return compose_coeffs(_stream(kind_mu, mu, qp, k), _stream(kind_nu, nu, qp, k)).coeffs
 
 
 def main() -> None:

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -338,3 +342,115 @@ class TestDoubleRange:
         assert result.stderr == ""
         value = json.loads(result.stdout)["value"]
         assert value == pytest.approx(1.124060513833272e200, rel=1e-14)
+
+
+class TestEntryPoints:
+    def test_version(self, runner):
+        result = invoke(runner, "--version")
+        assert result.exit_code == 0
+        assert "0.1.0" in result.stdout
+
+    def test_python_dash_m(self):
+        # CliRunner never reaches __main__ or main(); run them for real.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qnabla", "coeffs", "--gamma", "2", "--q", "0.5", "--k", "5"],
+            capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [1.0, -1.5, 0.5, 0.0, 0.0, 0.0]
+
+
+class TestBooleanInputs:
+    """JSON booleans parse as Python bools, an int subclass; no reader may
+    take them for reals."""
+
+    def test_sequence_reader(self, runner, tmp_path):
+        src = tmp_path / "g.json"
+        src.write_text("[true, false, 2]")
+        result = invoke(runner, "transform", "--gamma", 1, "--q", 0.5, "--input", src)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"error: --input {src}:")
+
+    def test_matrix_reader(self, runner, tmp_path):
+        src = tmp_path / "phi.json"
+        src.write_text("[[true, 0], [1, 1]]")
+        result = invoke(runner, "class-check", "--gamma", 0.5, "--q", 0.5, "--p", 1,
+                        "--input", src, "--source", "l1-domain", "--target", "l1")
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"error: --input {src}:")
+
+
+# One valid invocation per subcommand and its order flags; {seq} and {mat}
+# stand for a sequence file and a matrix file.
+SUBCOMMANDS = [
+    (("coeffs", "--gamma", "0.5", "--q", "0.5", "--k", "4"), ("gamma",)),
+    (("transform", "--gamma", "0.5", "--q", "0.5", "--input", "{seq}"), ("gamma",)),
+    (("invert", "--gamma", "0.5", "--q", "0.5", "--input", "{seq}"), ("gamma",)),
+    (("verify-inverse", "--gamma", "0.5", "--q", "0.5", "--window", "6"), ("gamma",)),
+    (("semigroup-defect", "--mu", "0.5", "--nu", "0.25", "--q", "0.5"), ("mu", "nu")),
+    (("norm", "--gamma", "0.5", "--q", "0.5", "--p", "2", "--input", "{seq}"), ("gamma",)),
+    (("basis", "--gamma", "0.5", "--q", "0.5", "--window", "6", "--k", "2"), ("gamma",)),
+    (("alpha-dual", "--gamma", "0.5", "--q", "0.5", "--input", "{seq}"), ("gamma",)),
+    (("beta-dual", "--gamma", "0.5", "--q", "0.5", "--input", "{seq}"), ("gamma",)),
+    (("gamma-dual", "--gamma", "0.5", "--q", "0.5", "--input", "{seq}"), ("gamma",)),
+    (("class-check", "--gamma", "0.5", "--q", "0.5", "--p", "inf", "--input", "{mat}",
+      "--source", "linf-domain", "--target", "linf"), ("gamma",)),
+    (("compose", "--mu", "0.5", "--nu", "-0.5", "--q", "0.5", "--k", "4"), ("mu", "nu")),
+]
+
+
+class TestSharedOptions:
+    """Every subcommand validates --q and its orders and writes --output
+    the same way."""
+
+    @pytest.fixture()
+    def argv(self, tmp_path):
+        seq = tmp_path / "g.json"
+        seq.write_text(json.dumps([0.3, -1.25, 2.0, 0.875, 1.5, -0.5]))
+        mat = tmp_path / "phi.json"
+        mat.write_text(json.dumps(np.eye(4).tolist()))
+
+        def build(args, **values):
+            out = [a.format(seq=seq, mat=mat) for a in args]
+            for flag, value in values.items():
+                out[out.index(f"--{flag}") + 1] = value
+            return out
+
+        return build
+
+    def test_all_subcommands_covered(self, runner):
+        listed = set(cli.list_commands(None))
+        assert {args[0] for args, _ in SUBCOMMANDS} == listed
+        assert len(listed) == 12
+
+    @pytest.mark.parametrize("args, orders", SUBCOMMANDS, ids=lambda v: v[0])
+    def test_bad_q(self, runner, argv, args, orders):
+        result = invoke(runner, *argv(args, q="1.5"))
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: --q:")
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("args, orders", SUBCOMMANDS, ids=lambda v: v[0])
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_non_finite_order(self, runner, argv, args, orders, bad):
+        for flag in orders:
+            result = invoke(runner, *argv(args, **{flag: bad}))
+            assert result.exit_code == 2
+            assert result.stderr.startswith(f"error: --{flag} must be finite")
+            assert result.stdout == ""
+
+    @pytest.mark.parametrize("args, orders", SUBCOMMANDS, ids=lambda v: v[0])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_output_file_matches_stdout(self, runner, argv, tmp_path, args, orders, fmt):
+        shown = invoke(runner, *argv(args), "--format", fmt)
+        assert shown.exit_code == 0
+        assert shown.stdout_bytes
+        out = tmp_path / "out"
+        written = invoke(runner, *argv(args), "--format", fmt, "--output", out)
+        assert written.exit_code == 0
+        assert written.stdout == ""
+        assert out.read_bytes() == shown.stdout_bytes
