@@ -7,16 +7,7 @@ and matrix-transformation classification (matclass), with a CLI front-end
 on top.
 """
 
-from .qcore import (
-    PoleError,
-    QParam,
-    q_binomial,
-    q_factorial,
-    q_gamma,
-    q_gamma_ratio,
-    q_integer,
-    q_pochhammer_inf,
-)
+from .qcore import QParam, q_integer
 from .fracdiff import (
     CoeffStream,
     Kind,
@@ -70,7 +61,6 @@ from .matclass import (
     column_cumsum_matrix,
     forward_composite_matrix,
     row_section_matrix,
-    section_consistency_residual,
     target_domain_conditions,
     transform_condition,
 )
@@ -80,8 +70,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # qcore
-    "PoleError", "QParam", "q_binomial", "q_factorial", "q_gamma",
-    "q_gamma_ratio", "q_integer", "q_pochhammer_inf",
+    "QParam", "q_integer",
     # fracdiff
     "CoeffStream", "Kind", "MismatchedParameter", "SeqWindow",
     "apply_forward", "apply_inverse", "compose_coeffs", "forward_coeffs",
@@ -99,6 +88,5 @@ __all__ = [
     "ClassQuery", "Source", "TailError", "Target", "TransformFamily",
     "build_transform_family", "cesaro_composite", "class_check",
     "column_cumsum_matrix", "forward_composite_matrix", "row_section_matrix",
-    "section_consistency_residual", "target_domain_conditions",
-    "transform_condition",
+    "target_domain_conditions", "transform_condition",
 ]

@@ -65,40 +65,46 @@ def _check_min(value: int, flag: str = "--window", minimum: int = 1) -> int:
     return value
 
 
-def _read_sequence(path: str) -> SeqWindow:
-    text = Path(path).read_text(encoding="utf-8").strip()
+def _read_input(path: str, parse):
+    """Parse the stripped text of an --input file.  Every error names the
+    file, the JSON decoder's RecursionError on deep nesting included."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8").strip())
+    except (ValueError, OverflowError, RecursionError) as exc:
+        raise ValueError(f"--input {path}: {exc}") from exc
+
+
+def _parse_sequence(text: str) -> SeqWindow:
     if not text:
-        raise ValueError(f"--input {path}: window must be ≥ 1 (file is empty)")
+        raise ValueError("window must be ≥ 1 (file is empty)")
     if text.startswith("["):
         data = json.loads(text)
         # JSON booleans parse as bool, an int subclass: not a real here.
         if not isinstance(data, list) or not all(type(v) in (int, float) for v in data):
-            raise ValueError(f"--input {path}: expected a flat JSON array of reals")
+            raise ValueError("expected a flat JSON array of reals")
         values = [float(v) for v in data]
     else:
-        try:
-            values = [float(line) for line in text.splitlines() if line.strip()]
-        except ValueError as exc:
-            raise ValueError(f"--input {path}: {exc}") from exc
+        values = [float(line) for line in text.splitlines() if line.strip()]
     if not values:
-        raise ValueError(f"--input {path}: window must be ≥ 1")
+        raise ValueError("window must be ≥ 1")
     return SeqWindow(np.asarray(values, dtype=np.float64))
 
 
-def _read_matrix(path: str) -> MatrixWindow:
-    text = Path(path).read_text(encoding="utf-8").strip()
+def _parse_matrix(text: str) -> MatrixWindow:
     if not text:
-        raise ValueError(f"--input {path}: matrix file is empty")
+        raise ValueError("matrix file is empty")
     data = json.loads(text)
     if not isinstance(data, list) or not data or not all(
         isinstance(row, list) for row in data
     ):
-        raise ValueError(f"--input {path}: expected a JSON array of row arrays")
+        raise ValueError("expected a JSON array of row arrays")
     if any(isinstance(v, bool) for row in data for v in row):
-        raise ValueError(f"--input {path}: entries must be reals, not booleans")
+        raise ValueError("entries must be reals, not booleans")
+    if not all(isinstance(v, (int, float)) for row in data for v in row):
+        raise ValueError("entries must be reals")
+    if len({len(row) for row in data}) != 1:
+        raise ValueError("rows must all have the same length")
     entries = np.asarray(data, dtype=np.float64)
-    if entries.ndim != 2:
-        raise ValueError(f"--input {path}: rows must all have the same length")
     triangular = entries.shape[0] == entries.shape[1] and bool(
         np.all(np.triu(entries, k=1) == 0.0)
     )
@@ -231,13 +237,13 @@ def coeffs(gamma: float, qp: QParam, k: int, kind: str):
 @_command("transform", _input("Sequence file (JSON array or one real per line)."))
 def transform(gamma: float, qp: QParam, input_path: str):
     """Apply the forward operator to a sequence file."""
-    return apply_forward(_read_sequence(input_path), gamma, qp).values
+    return apply_forward(_read_input(input_path, _parse_sequence), gamma, qp).values
 
 
 @_command("invert", _input("Sequence file (JSON array or one real per line)."))
 def invert(gamma: float, qp: QParam, input_path: str):
     """Apply the inverse operator to a sequence file."""
-    return apply_inverse(_read_sequence(input_path), gamma, qp).values
+    return apply_inverse(_read_input(input_path, _parse_sequence), gamma, qp).values
 
 
 @_command("verify-inverse", click.option(
@@ -262,7 +268,7 @@ def semigroup_defect_cmd(mu: float, nu: float, qp: QParam, window: int):
 @_command("norm", _input("Sequence file."), p=True)
 def norm(gamma: float, qp: QParam, p: PExponent, p_text: str, input_path: str):
     """Domain norm of a sequence with its prefix growth profile."""
-    report = domain_norm(_read_sequence(input_path), gamma, qp, p)
+    report = domain_norm(_read_input(input_path, _parse_sequence), gamma, qp, p)
     return {"gamma": gamma, "q": qp.q, **report.as_dict()}
 
 
@@ -289,7 +295,7 @@ def _dual_report(gamma: float, qp: QParam, p_text: str, reports) -> dict:
 def alpha_dual(gamma: float, qp: QParam, p: PExponent, p_text: str, input_path: str,
                row_limit: int):
     """Subset-supremum diagnostics for alpha-dual membership."""
-    a = _read_sequence(input_path)
+    a = _read_input(input_path, _parse_sequence)
     # Rows past the input would only repeat the supremum over all of it.
     rows = min(_check_min(row_limit, "--row-limit"), a.n)
     rep = alpha_dual_check(a, gamma, qp, p, default_checkpoints(rows, start=min(4, rows)))
@@ -301,7 +307,7 @@ _PREFIX = click.option("--window", type=int, default=None,
 
 
 def _windowed_dual(check_fn, gamma, qp, p, p_text, input_path, window) -> dict:
-    a = _read_sequence(input_path)
+    a = _read_input(input_path, _parse_sequence)
     if window is not None:
         if not 1 <= window <= a.n:
             raise ValueError(f"--window must lie in [1, {a.n}], got {window}")
@@ -336,7 +342,7 @@ def gamma_dual(**params):
 def class_check_cmd(gamma: float, qp: QParam, p: PExponent, p_text: str, input_path: str,
                     source: str, target: str, window: int | None, row_limit: int):
     """Evaluate the dispatch-table condition bundle for a matrix class."""
-    phi = _read_matrix(input_path)
+    phi = _read_input(input_path, _parse_matrix)
     w = window if window is not None else min(phi.shape)
     query = ClassQuery(source=Source(source), target=Target(target), p=p, order=gamma,
                        qp=qp, window=w, row_limit=row_limit)

@@ -36,7 +36,6 @@ dispatch against their respective targets.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -55,7 +54,14 @@ from .duals import (
     matrix_class_condition,
     partial_sum_matrix,
 )
-from .fracdiff import CoeffStream, SeqWindow, apply_forward, inverse_coeffs, toeplitz_matrix
+from .fracdiff import (
+    CoeffStream,
+    SeqWindow,
+    _apply,
+    forward_coeffs,
+    inverse_coeffs,
+    toeplitz_matrix,
+)
 from .qcore import QParam, q_integer
 from .spaces import PExponent, _checkpoints, default_checkpoints
 
@@ -70,7 +76,6 @@ __all__ = [
     "TABLE_CLASSICAL_CELLS",
     "row_section_matrix",
     "build_transform_family",
-    "section_consistency_residual",
     "transform_condition",
     "class_check",
     "forward_composite_matrix",
@@ -199,7 +204,6 @@ class ClassQuery:
     qp: QParam
     window: int
     row_limit: int = 12
-    tail_rtol: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.window != int(self.window) or self.window < 1:
@@ -244,8 +248,6 @@ class TransformFamily:
     """
 
     phi: MatrixWindow
-    order: float
-    qp: QParam
     T_e: np.ndarray
     full: MatrixWindow
 
@@ -259,16 +261,19 @@ def row_section_matrix(phi: MatrixWindow, j: int, order: float, qp: QParam) -> M
     return partial_sum_matrix(SeqWindow(phi.entries[int(j)]), order, qp)
 
 
-def _row_tail_bounds(phi: MatrixWindow, e: CoeffStream, tail_rtol: float) -> tuple[float, ...]:
+# A row's tail quarter must carry less than this share of (head mass + 1).
+_TAIL_RTOL = 1e-8
+
+
+def _row_tail_bounds(phi: MatrixWindow, e: CoeffStream) -> tuple[float, ...]:
     """Per-row truncation-error bounds for window-truncated row-tail sums.
 
     Triangular windows and rows with an all-zero tail quarter are exact.
-    Other rows must pass the relative decay test or the whole construction
-    is refused: the inverse coefficients tend to a positive constant, so a
-    non-decaying row genuinely diverges under the rewrite.
+    Other rows must pass the relative decay test against ``_TAIL_RTOL`` or
+    the whole construction is refused: the inverse coefficients tend to a
+    positive constant, so a non-decaying row genuinely diverges under the
+    rewrite.
     """
-    if not (math.isfinite(tail_rtol) and tail_rtol > 0.0):
-        raise ValueError(f"tail_rtol must be positive, got {tail_rtol!r}")
     n_rows, n_cols = phi.entries.shape
     if phi.triangular:
         return (0.0,) * n_rows
@@ -283,7 +288,7 @@ def _row_tail_bounds(phi: MatrixWindow, e: CoeffStream, tail_rtol: float) -> tup
             bounds.append(0.0)
             continue
         head = float(np.sum(row[:ts]))
-        if tail_mass >= tail_rtol * (head + 1.0):
+        if tail_mass >= _TAIL_RTOL * (head + 1.0):
             raise TailError(
                 f"row {j} tail mass {tail_mass:.3e} is not negligible against "
                 f"its head ({head:.3e}); the rewritten row sum cannot be "
@@ -293,9 +298,7 @@ def _row_tail_bounds(phi: MatrixWindow, e: CoeffStream, tail_rtol: float) -> tup
     return tuple(bounds)
 
 
-def build_transform_family(
-    phi: MatrixWindow, order: float, qp: QParam, tail_rtol: float = 1e-8
-) -> TransformFamily:
+def build_transform_family(phi: MatrixWindow, order: float, qp: QParam) -> TransformFamily:
     """One inverse stream and its Toeplitz window, plus the full
     inverse-composite window: entry (j, k) is the window-truncated sum
     sum_{v>=k} e_{v-k} phi_jv, the last row of row j's section.
@@ -306,7 +309,7 @@ def build_transform_family(
     """
     n = phi.entries.shape[1]
     e = inverse_coeffs(order, qp, n - 1)
-    bounds = _row_tail_bounds(phi, e, tail_rtol)
+    bounds = _row_tail_bounds(phi, e)
     t_e = toeplitz_matrix(e, n)
     t_e.setflags(write=False)
     full = np.empty(phi.entries.shape)
@@ -314,36 +317,9 @@ def build_transform_family(
         for j, row in enumerate(phi.entries):
             full[j] = _row_section(row, t_e)[-1]
     return TransformFamily(
-        phi=phi, order=order, qp=qp, T_e=t_e,
+        phi=phi, T_e=t_e,
         full=MatrixWindow(entries=full, triangular=phi.triangular, tail_bounds=bounds),
     )
-
-
-def section_consistency_residual(
-    phi: MatrixWindow, g: SeqWindow, order: float, qp: QParam
-) -> float:
-    """Max gap, over rows j and truncation points m, between the partial sums
-    sum_{k<=m} phi_jk g_k and the section-window rewrite applied to the
-    transform of g.  The rewrite is an identity, so this should sit at
-    rounding level; a residual outside double range raises OverflowError."""
-    if phi.entries.shape[1] != g.n:
-        raise ValueError(
-            f"matrix has {phi.entries.shape[1]} columns but the window has {g.n} entries"
-        )
-    h = apply_forward(g, order, qp).values
-    t_e = toeplitz_matrix(inverse_coeffs(order, qp, g.n - 1), g.n)
-    worst = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        for j, row in enumerate(phi.entries):
-            lhs = np.cumsum(row * g.values)
-            rhs = _row_section(row, t_e) @ h
-            gap = float(np.max(np.abs(lhs - rhs)))
-            if not math.isfinite(gap):
-                raise OverflowError(
-                    f"section consistency residual of row {j} leaves double range"
-                )
-            worst = max(worst, gap)
-    return worst
 
 
 def transform_condition(
@@ -387,10 +363,8 @@ def forward_composite_matrix(phi: MatrixWindow, order: float, qp: QParam) -> Mat
     """Forward operator applied down each column of the test matrix: entry
     (j, k) is sum_{v<=j} c_{j-v} phi_vk.  Column k of the result is exactly
     the forward transform of column k of the input."""
-    cols = [
-        apply_forward(SeqWindow(phi.entries[:, k]), order, qp).values
-        for k in range(phi.entries.shape[1])
-    ]
+    stream = forward_coeffs(order, qp, phi.entries.shape[0] - 1)
+    cols = [_apply(stream, SeqWindow(col)).values for col in phi.entries.T]
     return MatrixWindow(entries=np.column_stack(cols), triangular=phi.triangular)
 
 
@@ -466,7 +440,7 @@ def class_check(query: ClassQuery, phi: MatrixWindow) -> list[ConditionReport]:
         else:
             underlying = query.target
         bundle = TABLE_DOMAIN_CELLS[(query.source, underlying)]
-        family = build_transform_family(block, query.order, query.qp, query.tail_rtol)
+        family = build_transform_family(block, query.order, query.qp)
         table, full, label = 1, family.full, "inverse-composite"
     else:
         bundle = TABLE_CLASSICAL_CELLS[(query.source, query.target)]

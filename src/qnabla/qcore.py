@@ -1,26 +1,9 @@
-"""q-arithmetic primitives.
+"""q-arithmetic primitives: the deformation parameter and q-brackets.
 
-Everything in this module is a pure function of (argument, :class:`QParam`)
-pairs: q-brackets ``[t]_q = (1 - q^t) / (1 - q)``, q-factorials, q-binomial
-coefficients, the infinite q-Pochhammer product
-
-    (x, q)_inf = prod_{j >= 0} (1 - x q^j),
-
-and the q-gamma function
-
-    gamma_q(t) = (q, q)_inf / (q^t, q)_inf * (1 - q)^(1 - t),
-
-which satisfies ``gamma_q(1) = 1``, the recurrence
-``gamma_q(t + 1) = [t]_q gamma_q(t)``, and tends to the classical gamma
-function as q -> 1^-.
-
-Evaluation scheme: q-brackets go through ``expm1(t log q) / expm1(log q)``,
-which keeps full relative precision for q next to 1 and hits [0]_q = 0 and
-[1]_q = 1 exactly.  Infinite products truncate once the running factor
-magnitude ``|x| q^J`` drops below ``QParam.prod_tol``; geometric decay of
-the factors turns that into an a-priori tail bound.  gamma_q and its ratios
-are accumulated in log space so that values stay representable even for q
-very close to 1, where the individual Pochhammer products underflow.
+The q-bracket ``[t]_q = (1 - q^t) / (1 - q)`` of a real t is a pure
+function of (t, :class:`QParam`).  It goes through
+``expm1(t log q) / expm1(log q)``, which keeps full relative precision for q
+next to 1 and hits [0]_q = 0 and [1]_q = 1 exactly.
 """
 
 from __future__ import annotations
@@ -30,46 +13,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "PoleError",
-    "QParam",
-    "q_integer",
-    "q_factorial",
-    "q_binomial",
-    "q_pochhammer_inf",
-    "q_gamma",
-    "q_gamma_ratio",
-]
-
-_CHUNK = 1 << 18
-
-
-class PoleError(ValueError):
-    """The q-gamma function was evaluated at a nonpositive integer."""
+__all__ = ["QParam", "q_integer"]
 
 
 @dataclass(frozen=True)
 class QParam:
-    """Deformation parameter q in the open interval (0, 1) plus tolerances.
-
-    prod_tol controls where infinite products are truncated; eps is the
-    half-width of the window around nonpositive integers that counts as a
-    gamma_q pole (kept loose because arguments are user-supplied decimals).
-    """
+    """Deformation parameter q in the open interval (0, 1)."""
 
     q: float
-    prod_tol: float = 1e-15
-    eps: float = 1e-12
 
     def __post_init__(self) -> None:
         if not (isinstance(self.q, (int, float)) and math.isfinite(self.q)):
             raise ValueError("q must be a finite real number")
         if not 0.0 < self.q < 1.0:
             raise ValueError(f"q must lie strictly inside (0, 1), got {self.q!r}")
-        if not (math.isfinite(self.prod_tol) and self.prod_tol > 0.0):
-            raise ValueError("prod_tol must be a positive real number")
-        if not (math.isfinite(self.eps) and self.eps > 0.0):
-            raise ValueError("eps must be a positive real number")
 
 
 def _require_finite(name: str, x: float) -> float:
@@ -77,11 +34,6 @@ def _require_finite(name: str, x: float) -> float:
     if not math.isfinite(x):
         raise ValueError(f"{name} must be finite, got {x!r}")
     return x
-
-
-def _is_nonpositive_integer(t: float, eps: float) -> bool:
-    r = round(t)
-    return r <= 0 and abs(t - r) < eps
 
 
 def q_integer(t: float | np.ndarray, qp: QParam) -> float | np.ndarray:
@@ -95,114 +47,3 @@ def q_integer(t: float | np.ndarray, qp: QParam) -> float | np.ndarray:
     if isinstance(t, np.ndarray):
         return np.expm1(t * logq) / math.expm1(logq)
     return math.expm1(_require_finite("t", t) * logq) / math.expm1(logq)
-
-
-def q_factorial(n: int, qp: QParam) -> float:
-    """q-factorial [n]_q! = [1]_q [2]_q ... [n]_q, with [0]_q! = 1."""
-    if n != int(n) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    out = 1.0
-    for v in range(1, int(n) + 1):
-        out *= q_integer(float(v), qp)
-    return out
-
-
-def q_binomial(mu: int, nu: int, qp: QParam) -> float:
-    """q-binomial coefficient [mu]_q! / ([mu - nu]_q! [nu]_q!); 0 when mu < nu."""
-    if mu != int(mu) or mu < 0:
-        raise ValueError(f"mu must be a nonnegative integer, got {mu!r}")
-    if nu != int(nu) or nu < 0:
-        raise ValueError(f"nu must be a nonnegative integer, got {nu!r}")
-    mu, nu = int(mu), int(nu)
-    if mu < nu:
-        return 0.0
-    return q_factorial(mu, qp) / (q_factorial(mu - nu, qp) * q_factorial(nu, qp))
-
-
-def _truncation_index(x: float, qp: QParam) -> int:
-    """Smallest J with |x| q^J < prod_tol (0 when |x| is already below it)."""
-    ax = abs(x)
-    if ax < qp.prod_tol:
-        return 0
-    n = (math.log(qp.prod_tol) - math.log(ax)) / math.log(qp.q)
-    return max(0, math.floor(n) + 1)
-
-
-def _factors(x: float, qp: QParam):
-    """Chunks of the factors 1 - x q^j, j = 0..J, of the truncated product."""
-    jmax = _truncation_index(x, qp)
-    logq = math.log(qp.q)
-    for start in range(0, jmax + 1, _CHUNK):
-        j = np.arange(start, min(start + _CHUNK, jmax + 1), dtype=np.float64)
-        yield 1.0 - x * np.exp(j * logq)
-
-
-def q_pochhammer_inf(x: float, qp: QParam) -> float:
-    """Truncated infinite product (x, q)_inf = prod_{j=0..J} (1 - x q^j).
-
-    J is the smallest index with |x| q^J < prod_tol, so the discarded tail
-    factors all differ from 1 by less than prod_tol.  Deterministic for
-    fixed inputs.  Note (1, q)_inf = 0 exactly: the j = 0 factor vanishes.
-    """
-    x = _require_finite("x", x)
-    out = 1.0
-    for f in _factors(x, qp):
-        out *= float(np.prod(f))
-    return out
-
-
-def _log_pochhammer(x: float, qp: QParam) -> tuple[float, float]:
-    """(sign, log |(x, q)_inf|) over the truncated product; sign 0 at an exact zero."""
-    sign = 1.0
-    total = 0.0
-    for f in _factors(x, qp):
-        if np.any(f == 0.0):
-            return 0.0, -math.inf
-        if np.count_nonzero(f < 0.0) % 2:
-            sign = -sign
-        total += float(np.sum(np.log(np.abs(f))))
-    return sign, total
-
-
-def q_gamma(t: float, qp: QParam) -> float:
-    """q-gamma function gamma_q(t) via truncated q-Pochhammer products.
-
-    A test oracle only, never called by the library.  Its cost grows as
-    1 / (1 - q): at q = 1 - 1e-6 it multiplies 3.4e7 factors, about 1 s.
-
-    Raises :class:`PoleError` when t falls within ``qp.eps`` of a
-    nonpositive integer, where gamma_q has a pole.
-    """
-    t = _require_finite("t", t)
-    if _is_nonpositive_integer(t, qp.eps):
-        raise PoleError(f"gamma_q has a pole at t = {t!r}")
-    s_num, l_num = _log_pochhammer(qp.q, qp)
-    s_den, l_den = _log_pochhammer(qp.q**t, qp)
-    if s_den == 0.0:
-        # The denominator product collapsed to an exact zero even though t
-        # passed the pole test; treat it as the pole it numerically is.
-        raise PoleError(f"gamma_q denominator vanished at t = {t!r}")
-    return s_num * s_den * math.exp(l_num - l_den + (1.0 - t) * math.log1p(-qp.q))
-
-
-def q_gamma_ratio(a: float, b: float, qp: QParam) -> float:
-    """gamma_q(a) / gamma_q(b), finite (and exactly 0) at poles of the denominator.
-
-    Evaluated as (q^b, q)_inf / (q^a, q)_inf * (1 - q)^(b - a), which never
-    forms the infinite gamma value: when b sits at a nonpositive integer the
-    ratio is 0.  Raises :class:`PoleError` when a itself is at a pole.  A
-    test oracle only, at the cost of :func:`q_gamma`.
-    """
-    a = _require_finite("a", a)
-    b = _require_finite("b", b)
-    if _is_nonpositive_integer(a, qp.eps):
-        raise PoleError(f"gamma_q has a pole at a = {a!r}")
-    if _is_nonpositive_integer(b, qp.eps):
-        return 0.0
-    s_b, l_b = _log_pochhammer(qp.q**b, qp)
-    s_a, l_a = _log_pochhammer(qp.q**a, qp)
-    if s_a == 0.0:
-        raise PoleError(f"gamma_q denominator vanished at a = {a!r}")
-    if s_b == 0.0:
-        return 0.0
-    return s_b * s_a * math.exp(l_b - l_a + (b - a) * math.log1p(-qp.q))

@@ -1,0 +1,189 @@
+"""Reference implementations the tests compare the library against.
+
+None of this is library code: ``qnabla`` builds every coefficient stream
+from bounded lag ratios and never evaluates a q-gamma value or forms a
+section rewrite against a transformed window.  These routes take the
+textbook definitions instead, so they are independent of the library's
+recurrences.
+
+q-factorials and q-binomials are products of q-brackets.  The infinite
+q-Pochhammer product
+
+    (x, q)_inf = prod_{j >= 0} (1 - x q^j)
+
+is truncated once the running factor magnitude ``|x| q^J`` drops below
+:data:`PROD_TOL`; geometric decay of the factors turns that into an
+a-priori tail bound.  The q-gamma function
+
+    gamma_q(t) = (q, q)_inf / (q^t, q)_inf * (1 - q)^(1 - t)
+
+satisfies ``gamma_q(1) = 1`` and ``gamma_q(t + 1) = [t]_q gamma_q(t)``, and
+tends to the classical gamma function as q -> 1^-.  It and its ratios are
+accumulated in log space so that values stay representable even for q very
+close to 1, where the individual Pochhammer products underflow.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from qnabla.duals import MatrixWindow, _row_section
+from qnabla.fracdiff import SeqWindow, apply_forward, inverse_coeffs, toeplitz_matrix
+from qnabla.qcore import QParam, _require_finite, q_integer
+
+# Infinite products stop at the first factor with |x| q^J below this.
+PROD_TOL = 1e-15
+# Half-width of the window around nonpositive integers that counts as a
+# gamma_q pole (loose because arguments are user-supplied decimals).
+POLE_EPS = 1e-12
+
+_CHUNK = 1 << 18
+
+
+class PoleError(ValueError):
+    """The q-gamma function was evaluated at a nonpositive integer."""
+
+
+def _is_nonpositive_integer(t: float, eps: float) -> bool:
+    r = round(t)
+    return r <= 0 and abs(t - r) < eps
+
+
+def q_factorial(n: int, qp: QParam) -> float:
+    """q-factorial [n]_q! = [1]_q [2]_q ... [n]_q, with [0]_q! = 1."""
+    if n != int(n) or n < 0:
+        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+    out = 1.0
+    for v in range(1, int(n) + 1):
+        out *= q_integer(float(v), qp)
+    return out
+
+
+def q_binomial(mu: int, nu: int, qp: QParam) -> float:
+    """q-binomial coefficient [mu]_q! / ([mu - nu]_q! [nu]_q!); 0 when mu < nu."""
+    if mu != int(mu) or mu < 0:
+        raise ValueError(f"mu must be a nonnegative integer, got {mu!r}")
+    if nu != int(nu) or nu < 0:
+        raise ValueError(f"nu must be a nonnegative integer, got {nu!r}")
+    mu, nu = int(mu), int(nu)
+    if mu < nu:
+        return 0.0
+    return q_factorial(mu, qp) / (q_factorial(mu - nu, qp) * q_factorial(nu, qp))
+
+
+def _truncation_index(x: float, qp: QParam) -> int:
+    """Smallest J with |x| q^J < PROD_TOL (0 when |x| is already below it)."""
+    ax = abs(x)
+    if ax < PROD_TOL:
+        return 0
+    n = (math.log(PROD_TOL) - math.log(ax)) / math.log(qp.q)
+    return max(0, math.floor(n) + 1)
+
+
+def _factors(x: float, qp: QParam):
+    """Chunks of the factors 1 - x q^j, j = 0..J, of the truncated product."""
+    jmax = _truncation_index(x, qp)
+    logq = math.log(qp.q)
+    for start in range(0, jmax + 1, _CHUNK):
+        j = np.arange(start, min(start + _CHUNK, jmax + 1), dtype=np.float64)
+        yield 1.0 - x * np.exp(j * logq)
+
+
+def q_pochhammer_inf(x: float, qp: QParam) -> float:
+    """Truncated infinite product (x, q)_inf = prod_{j=0..J} (1 - x q^j).
+
+    J is the smallest index with |x| q^J < PROD_TOL, so the discarded tail
+    factors all differ from 1 by less than PROD_TOL.  Deterministic for
+    fixed inputs.  Note (1, q)_inf = 0 exactly: the j = 0 factor vanishes.
+    """
+    x = _require_finite("x", x)
+    out = 1.0
+    for f in _factors(x, qp):
+        out *= float(np.prod(f))
+    return out
+
+
+def _log_pochhammer(x: float, qp: QParam) -> tuple[float, float]:
+    """(sign, log |(x, q)_inf|) over the truncated product; sign 0 at an exact zero."""
+    sign = 1.0
+    total = 0.0
+    for f in _factors(x, qp):
+        if np.any(f == 0.0):
+            return 0.0, -math.inf
+        if np.count_nonzero(f < 0.0) % 2:
+            sign = -sign
+        total += float(np.sum(np.log(np.abs(f))))
+    return sign, total
+
+
+def q_gamma(t: float, qp: QParam) -> float:
+    """q-gamma function gamma_q(t) via truncated q-Pochhammer products.
+
+    Its cost grows as 1 / (1 - q): at q = 1 - 1e-6 it multiplies 3.4e7
+    factors, about 1 s.
+
+    Raises :class:`PoleError` when t falls within :data:`POLE_EPS` of a
+    nonpositive integer, where gamma_q has a pole.
+    """
+    t = _require_finite("t", t)
+    if _is_nonpositive_integer(t, POLE_EPS):
+        raise PoleError(f"gamma_q has a pole at t = {t!r}")
+    s_num, l_num = _log_pochhammer(qp.q, qp)
+    s_den, l_den = _log_pochhammer(qp.q**t, qp)
+    if s_den == 0.0:
+        # The denominator product collapsed to an exact zero even though t
+        # passed the pole test; treat it as the pole it numerically is.
+        raise PoleError(f"gamma_q denominator vanished at t = {t!r}")
+    return s_num * s_den * math.exp(l_num - l_den + (1.0 - t) * math.log1p(-qp.q))
+
+
+def q_gamma_ratio(a: float, b: float, qp: QParam) -> float:
+    """gamma_q(a) / gamma_q(b), finite (and exactly 0) at poles of the denominator.
+
+    Evaluated as (q^b, q)_inf / (q^a, q)_inf * (1 - q)^(b - a), which never
+    forms the infinite gamma value: when b sits at a nonpositive integer the
+    ratio is 0.  Raises :class:`PoleError` when a itself is at a pole.  Costs
+    as much as :func:`q_gamma`.
+    """
+    a = _require_finite("a", a)
+    b = _require_finite("b", b)
+    if _is_nonpositive_integer(a, POLE_EPS):
+        raise PoleError(f"gamma_q has a pole at a = {a!r}")
+    if _is_nonpositive_integer(b, POLE_EPS):
+        return 0.0
+    s_b, l_b = _log_pochhammer(qp.q**b, qp)
+    s_a, l_a = _log_pochhammer(qp.q**a, qp)
+    if s_a == 0.0:
+        raise PoleError(f"gamma_q denominator vanished at a = {a!r}")
+    if s_b == 0.0:
+        return 0.0
+    return s_b * s_a * math.exp(l_b - l_a + (b - a) * math.log1p(-qp.q))
+
+
+def section_consistency_residual(
+    phi: MatrixWindow, g: SeqWindow, order: float, qp: QParam
+) -> float:
+    """Max gap, over rows j and truncation points m, between the partial sums
+    sum_{k<=m} phi_jk g_k and the section-window rewrite applied to the
+    transform of g.  The rewrite is an identity, so this should sit at
+    rounding level; a residual outside double range raises OverflowError."""
+    if phi.entries.shape[1] != g.n:
+        raise ValueError(
+            f"matrix has {phi.entries.shape[1]} columns but the window has {g.n} entries"
+        )
+    h = apply_forward(g, order, qp).values
+    t_e = toeplitz_matrix(inverse_coeffs(order, qp, g.n - 1), g.n)
+    worst = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        for j, row in enumerate(phi.entries):
+            lhs = np.cumsum(row * g.values)
+            rhs = _row_section(row, t_e) @ h
+            gap = float(np.max(np.abs(lhs - rhs)))
+            if not math.isfinite(gap):
+                raise OverflowError(
+                    f"section consistency residual of row {j} leaves double range"
+                )
+            worst = max(worst, gap)
+    return worst

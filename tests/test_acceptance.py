@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from oracles import q_gamma, section_consistency_residual
 from qnabla.cli import cli
 from qnabla.duals import (
     MatrixWindow,
@@ -38,9 +39,8 @@ from qnabla.matclass import (
     TABLE_DOMAIN_CELLS,
     Target,
     class_check,
-    section_consistency_residual,
 )
-from qnabla.qcore import QParam, q_gamma, q_integer
+from qnabla.qcore import QParam, q_integer
 from qnabla.spaces import P_INF, PExponent, schauder_reconstruct
 
 GAMMAS = (0.3, 0.5, 1.0, 1.7, 2.0, 2.5)

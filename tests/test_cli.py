@@ -384,6 +384,40 @@ class TestBooleanInputs:
         assert result.stderr.startswith(f"error: --input {src}:")
 
 
+READERS = {
+    "sequence": ("transform", "--gamma", 1, "--q", 0.5),
+    "matrix": ("class-check", "--gamma", 0.5, "--q", 0.5, "--p", 1,
+               "--source", "l1-domain", "--target", "l1"),
+}
+
+
+@pytest.mark.parametrize("reader, name, text", [
+    ("sequence", "g.json", "[1, 2"),
+    ("sequence", "g.json", "[1, 1e400]"),
+    ("sequence", "g.json", "[1, NaN]"),
+    ("sequence", "g.json", "[1, " + "9" * 400 + "]"),
+    ("sequence", "g.txt", "1\nnan\n"),
+    ("sequence", "g.txt", "1\ninf\n"),
+    ("sequence", "g.txt", "1\nabc\n"),
+    ("sequence", "g.json", "[" * 100_000 + "]" * 100_000),
+    ("matrix", "phi.json", '[["a", 0], [1, 1]]'),
+    ("matrix", "phi.json", "[[1, 2], [3]]"),
+    ("matrix", "phi.json", "[[[1]], [[2]]]"),
+    ("matrix", "phi.json", "[[1, null], [1, 1]]"),
+    ("matrix", "phi.json", "[[1e400, 0], [1, 1]]"),
+    ("matrix", "phi.json", "[[NaN, 0], [1, 1]]"),
+    ("matrix", "phi.json", "[[]]"),
+    ("matrix", "phi.json", "[[1, 0], [1, 1]"),
+])
+def test_every_input_error_names_the_file(runner, tmp_path, reader, name, text):
+    src = tmp_path / name
+    src.write_text(text)
+    result = invoke(runner, *READERS[reader], "--input", src)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"error: --input {src}:")
+
+
 # One valid invocation per subcommand and its order flags; {seq} and {mat}
 # stand for a sequence file and a matrix file.
 SUBCOMMANDS = [

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import q_binomial, q_factorial, q_gamma_ratio
 from qnabla import fracdiff
 from qnabla.fracdiff import (
     Kind,
@@ -25,7 +26,7 @@ from qnabla.fracdiff import (
     toeplitz_matrix,
     verify_inverse,
 )
-from qnabla.qcore import QParam, q_binomial, q_factorial, q_gamma_ratio, q_integer
+from qnabla.qcore import QParam, q_integer
 
 FLOOR = fracdiff._SPLIT_FLOOR
 

@@ -1,0 +1,83 @@
+"""The public surface, pinned: removing or adding a public name or a
+settable field means editing this file on purpose."""
+
+from __future__ import annotations
+
+import dataclasses
+import inspect
+
+import pytest
+
+import qnabla
+from qnabla import cli, duals, fracdiff, matclass, qcore, spaces
+
+SURFACE = {
+    qnabla: [
+        "__version__",
+        "QParam", "q_integer",
+        "CoeffStream", "Kind", "MismatchedParameter", "SeqWindow",
+        "apply_forward", "apply_inverse", "compose_coeffs", "forward_coeffs",
+        "inverse_coeffs", "semigroup_defect", "toeplitz_matrix", "verify_inverse",
+        "NormReport", "P_INF", "PExponent", "default_checkpoints", "domain_norm",
+        "lp_norm", "membership_diagnostic", "schauder_basis_vector",
+        "schauder_reconstruct",
+        "Condition", "ConditionReport", "InvalidCondition", "LimitError",
+        "MatrixWindow", "SubsetMode", "Verdict", "alpha_dual_check",
+        "beta_dual_check", "gamma_dual_check", "matrix_class_condition",
+        "partial_sum_matrix", "subset_sup", "termwise_product_matrix",
+        "ClassQuery", "Source", "TailError", "Target", "TransformFamily",
+        "build_transform_family", "cesaro_composite", "class_check",
+        "column_cumsum_matrix", "forward_composite_matrix", "row_section_matrix",
+        "target_domain_conditions", "transform_condition",
+    ],
+    qcore: ["QParam", "q_integer"],
+    fracdiff: [
+        "Kind", "CoeffStream", "SeqWindow", "MismatchedParameter", "forward_coeffs",
+        "inverse_coeffs", "apply_forward", "apply_inverse", "compose_coeffs",
+        "verify_inverse", "semigroup_defect", "toeplitz_matrix",
+    ],
+    spaces: [
+        "PExponent", "P_INF", "NormReport", "default_checkpoints", "lp_norm",
+        "domain_norm", "schauder_basis_vector", "schauder_reconstruct",
+        "membership_diagnostic",
+    ],
+    duals: [
+        "MAX_SUBSET_ROWS", "LimitError", "InvalidCondition", "MatrixWindow",
+        "Condition", "Verdict", "ConditionReport", "SubsetMode",
+        "termwise_product_matrix", "partial_sum_matrix", "subset_sup",
+        "matrix_class_condition", "alpha_dual_check", "beta_dual_check",
+        "gamma_dual_check",
+    ],
+    matclass: [
+        "TailError", "Source", "Target", "ClassQuery", "TransformFamily",
+        "CONDITION_CATALOG", "TABLE_DOMAIN_CELLS", "TABLE_CLASSICAL_CELLS",
+        "row_section_matrix", "build_transform_family", "transform_condition",
+        "class_check", "forward_composite_matrix", "target_domain_conditions",
+        "column_cumsum_matrix", "cesaro_composite",
+    ],
+    cli: ["cli", "main"],
+}
+
+
+@pytest.mark.parametrize("module", SURFACE, ids=lambda m: m.__name__)
+def test_all_is_pinned(module):
+    assert module.__all__ == SURFACE[module]
+    for name in module.__all__:
+        assert hasattr(module, name), name
+
+
+FIELDS = {
+    qcore.QParam: ["q"],
+    matclass.ClassQuery: ["source", "target", "p", "order", "qp", "window", "row_limit"],
+    matclass.TransformFamily: ["phi", "T_e", "full"],
+}
+
+
+@pytest.mark.parametrize("cls", FIELDS, ids=lambda c: c.__name__)
+def test_fields_are_pinned(cls):
+    assert [f.name for f in dataclasses.fields(cls)] == FIELDS[cls]
+
+
+def test_build_transform_family_signature():
+    params = inspect.signature(matclass.build_transform_family).parameters
+    assert list(params) == ["phi", "order", "qp"]
