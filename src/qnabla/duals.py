@@ -281,8 +281,10 @@ def _lex_least(masks: np.ndarray) -> tuple[int, ...]:
 
     The least tuple starts with the smallest lowest row; among the masks
     that share it, drop that row and repeat.  A mask that runs out first is
-    a prefix of the others, hence the least.
+    a prefix of the others, hence the least.  A lone mask is its bits.
     """
+    if masks.size == 1:
+        return tuple(np.flatnonzero(masks[0] >> np.arange(64) & 1).tolist())
     out: list[int] = []
     while True:
         lowest = masks & -masks
@@ -401,23 +403,30 @@ def _row_bounds(sums: np.ndarray, work: np.ndarray, exponent: float) -> np.ndarr
     return bound
 
 
-def _norm_bounds(table: np.ndarray, norms: np.ndarray, head: np.ndarray) -> np.ndarray:
-    """Bound on ||s||_2^2 for every subset of one node, by one gemv: s is
-    the walk's column sums of a low subset t (a column of ``table``) plus
-    the node's high rows, whose row-order sum is ``head`` c.
+def _norm_bounds(dots: np.ndarray, norms: np.ndarray, head: np.ndarray) -> np.ndarray:
+    """Bound on ||s||_2^2 for every subset of one node: s is the walk's
+    column sums of a low subset t (a table column) plus the node's high
+    rows, whose row-order sum is ``head`` c; ``dots`` sums their Gram
+    products 2 <a_h, t> in path order.
 
     With u the unit roundoff and A_k = sum_j |a_jk| over all r rows, to
     first order: s, t and c are row-order sums of at most r rows, so
     ||s - t - c||_2 <= delta = 2 r u ||A||_2, and for any eta > 0
-    ||s||_2^2 <= (1 + eta) ||t + c||_2^2 + (1 + 1/eta) delta^2.  The
-    expansion ||t||^2 + 2 <t, c> + ||c||^2, each sum in any order, FMA
-    included, errs by at most (n + 2) u (||t|| + ||c||)^2; that, eta
-    ||t + c||^2 and the scaling products take at most 4 eta (||t||^2 +
-    ||c||^2) for n < 2^27.  ``norms`` holds (1 + 4 eta) ||t||^2 + (1 +
-    1/eta) delta^2 + n tiny, as 4 n squares and products err by at most
-    2^-1075 each below the normal range.  NaN stays NaN.
+    ||s||_2^2 <= (1 + eta) ||t + c||_2^2 + (1 + 1/eta) delta^2.  ``dots``,
+    each product in any order, FMA included, lies within
+    2 (n + 2 r) u ||t|| ||A|| <= eta ||t||^2 + ((n + 2 r) u ||A||)^2 / eta
+    (AM-GM) of 2 <t, c>.  The rest of the expansion, ||t||^2 + ||c||^2,
+    errs by at most (n + 2) u (||t||^2 + ||c||^2); that, eta ||t + c||^2
+    and the scaling products take at most 4 eta (||t||^2 + ||c||^2) for
+    n < 2^27.  ``norms`` holds (1 + 5 eta) ||t||^2 + (1 + 1/eta) delta^2 +
+    ((n + 2 r) u ||A||)^2 / eta + n tiny, as (r + 2) n squares and products
+    err by at most 2^-1075 each below the normal range.  Each product and
+    partial sum in ``dots`` is at most 2 <B, C> <= ||A||^2 / 2 in size (B,
+    C: A over the high, the low rows), so where one overflows, ||A||^2
+    (taken unscaled) and all of ``norms`` are inf: the bound is +inf or
+    NaN, never -inf.  NaN stays NaN.
     """
-    return table.T @ (2.0 * head) + norms + head @ head * (1.0 + 4 * _ETA)
+    return dots + norms + head @ head * (1.0 + 4 * _ETA)
 
 
 def _norm_limit(cut, n: int, exponent: float):
@@ -501,16 +510,17 @@ def _sum_exhaustive(block: np.ndarray, exponent: float) -> tuple[float, tuple[in
     ``_LOW_ROWS`` rows, one per column; the subsets of the other rows are
     walked depth first, each node a set H of high rows holding one subset
     per column.  `_subtree_bound` skips the subtree of H + {h} when it
-    bounds every value in it strictly below the best value so far.  At a
-    visited node one gemv (`_norm_bounds`) bounds every ||s||_2^2, and only
-    the subsets not below the limit of the best value (`_norm_limit`) are
-    gathered from the table, the node's rows added in row order, so their
-    sums are the walk's, bit for bit; of those, only the subsets whose
-    `_row_bounds` bound is not strictly below the best value reach
-    `_node_values`.  NaN bounds pass; at the root the subset with the
-    largest norm bound goes first, so that the cut has a value.  Every
-    bound covers every rounding error, so no skipped subset reaches the
-    best value: a tie is never skipped, since a later subset can be a
+    bounds every value in it strictly below the best value so far.  One Gram
+    product per call gives 2 <a_h, t> for every high row h and table column
+    t; summed over a visited node's rows, it bounds every ||s||_2^2 of the
+    node (`_norm_bounds`); only the subsets not below the limit of the best
+    value (`_norm_limit`) are gathered from the table, the node's rows added
+    in row order, so their sums are the walk's, bit for bit; of those, only
+    the subsets whose `_row_bounds` bound is not strictly below the best
+    value reach `_node_values`.  NaN bounds pass; at the root the subset
+    with the largest norm bound goes first, so that the cut has a value.
+    Every bound covers every rounding error, so no skipped subset reaches
+    the best value: a tie is never skipped, since a later subset can be a
     lexicographically smaller witness.  An all-zero block returns at once:
     every subset's value is 0, and (0,) is the least subset.
     """
@@ -521,19 +531,25 @@ def _sum_exhaustive(block: np.ndarray, exponent: float) -> tuple[float, tuple[in
     table = np.zeros((n, 1 << low))
     for j in range(low):
         np.add(table[:, : 1 << j], block[j, :, None], out=table[:, 1 << j : 2 << j])
-    delta = 2 * rows * _UNIT_ROUNDOFF * np.linalg.norm(np.abs(block).sum(axis=0))
-    norms = np.einsum("ij,ij->j", table, table) * (1.0 + 4 * _ETA)
-    norms += (1.0 + 1.0 / _ETA) * delta**2 + n * _SMALLEST_NORMAL  # see `_norm_bounds`
+    drift = (1.0 + 1.0 / _ETA) * (2 * rows) ** 2 + (n + 2 * rows) ** 2 / _ETA  # see `_norm_bounds`
+    abs_sums = np.abs(block).sum(axis=0)
+    norms = np.einsum("ij,ij->j", table, table) * (1.0 + 5 * _ETA)
+    norms += drift * _UNIT_ROUNDOFF**2 * (abs_sums @ abs_sums) + n * _SMALLEST_NORMAL
     live = int(np.count_nonzero(block.any(axis=0)))
     heads = np.zeros((rows - low + 1, n))  # the row-order sum of each depth's high rows
+    dots = np.empty(1 << low)  # the path-order sum of the node's Gram products
     if rows > low:
         bound = _subtree_bound(block, low, exponent)
+        gram = (2.0 * block[low:]) @ table
     work = np.empty((n, min(1 << low, _SLICE)))
     best = -math.inf
     best_witness: tuple[int, ...] = ()
     path: list[int] = []
     while True:
-        sq = _norm_bounds(table, norms, heads[len(path)])
+        dots[:] = 0.0  # summed afresh per node: a buffer per depth raises peak memory
+        for h in path:
+            dots += gram[h - low]
+        sq = _norm_bounds(dots, norms, heads[len(path)])
         cut = best
         if not path:
             sq[0] = -math.inf  # the empty subset: below every limit, never probed or kept
@@ -583,13 +599,13 @@ def subset_sup(
     type quantity and stays exhaustive over all 2^r - 1 subsets up to
     provable pruning.  Past the first 13 rows it skips a subtree of subsets
     when a bound on their values is strictly below the best value so far
-    (`_subtree_bound`); in each visited node one gemv bounds every subset's
-    2-norm (`_norm_bounds`), and only the subsets whose norm bound, then
-    row bound (`_row_bounds`), can reach the best value are summed in row
-    order and raised to the power.  Every bound includes rounding slack, so
-    ties are never skipped and pruning never changes a value or a witness.
-    Both modes are capped at ``MAX_SUBSET_ROWS`` rows, and a supremum
-    outside double range raises OverflowError.
+    (`_subtree_bound`); in each visited node a sum of Gram products bounds
+    every subset's 2-norm (`_norm_bounds`), and only the subsets whose norm
+    bound, then row bound (`_row_bounds`), can reach the best value are
+    summed in row order and raised to the power.  Every bound includes
+    rounding slack, so ties are never skipped and pruning never changes a
+    value or a witness.  Both modes are capped at ``MAX_SUBSET_ROWS`` rows,
+    and a supremum outside double range raises OverflowError.
     """
     if row_limit != int(row_limit) or row_limit < 1:
         raise ValueError(f"row_limit must be a positive integer, got {row_limit!r}")

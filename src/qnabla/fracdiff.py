@@ -429,7 +429,11 @@ def _convolve(n: int, a: CoeffStream, b: CoeffStream | np.ndarray) -> np.ndarray
 
 
 def _apply(stream: CoeffStream, g: SeqWindow) -> SeqWindow:
-    return SeqWindow(_convolve(g.n, stream, g.values))
+    try:
+        return SeqWindow(_convolve(g.n, stream, g.values))
+    except ValueError:  # finite inputs: only an overflow makes an entry non-finite
+        what = f"{stream.kind.value} transform of order {stream.order} at q = {stream.qp.q}"
+        raise OverflowError(f"{what} leaves double range") from None
 
 
 def apply_forward(g: SeqWindow, order: float, qp: QParam) -> SeqWindow:

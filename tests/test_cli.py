@@ -334,6 +334,22 @@ class TestDoubleRange:
         assert result.stderr.startswith("error: ")
         assert result.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("args, data", [
+        (("transform",), [1e308] * 3),
+        (("class-check", "--p", 2, "--source", "c", "--target", "lp-domain"),
+         [[1e308, 0], [1e308, 1e308]]),
+    ])
+    def test_transform_past_double_range_is_named(self, runner, tmp_path, args, data):
+        # The input is finite; the order -0.5 forward transform overflows.
+        src = tmp_path / "in.json"
+        src.write_text(json.dumps(data))
+        result = invoke(runner, *args, "--gamma", -0.5, "--q", 0.5, "--input", src)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            "error: forward transform of order -0.5 at q = 0.5 leaves double range\n"
+        )
+
     def test_norm_of_huge_window_is_finite(self, runner, tmp_path):
         src = tmp_path / "g.json"
         src.write_text(json.dumps([1e200] * 4))

@@ -503,7 +503,8 @@ class TestSubsetNormBounds:
     """Each visited node of the sum-mode walk keeps only the subsets whose
     squared-norm bound (`duals._norm_bounds`) is not below the limit of the
     best value (`duals._norm_limit`); no subset may be dropped at a cut its
-    own value reaches, whatever the summation order of the bound's gemv."""
+    own value reaches, whatever the summation order of the bound's Gram
+    product and of its sums over each node's rows."""
 
     @staticmethod
     def _check_every_node(monkeypatch, block, e):
@@ -598,6 +599,79 @@ class TestSubsetNormBounds:
                 got, _ = self._check_every_node(monkeypatch, block, e)
                 assert got == exhaustive_sum_walk(block, e)
                 assert got[0] > 0.0
+
+    @pytest.mark.parametrize("e", (0.73, 1.37, 2.0))
+    @pytest.mark.parametrize("signs", [(1, -1), (1, 1, -1, -1)])
+    def test_overflowed_gram_products_are_never_pruned(self, monkeypatch, e, signs):
+        # High rows +-x v cancel in the head of the deepest node, while
+        # their Gram products 2 <a_h, t> with the low subsets overflow: at
+        # 1e200 over low rows scaled by 1e110 each of them, and for
+        # (1, 1, -1, -1) only the partial sum of the first two, which
+        # reaches -inf on some subsets.  No bound may read -inf there: it
+        # would drop every subset of the node.
+        rng = np.random.default_rng(40)
+        block = rng.normal(size=(18, 5))
+        v = block[13].copy()
+        if len(signs) == 2:
+            block[:13] *= 1e110
+        table = subset_column_sums(block[:13])
+        g = 2.0 * v @ table
+        x = 1e200 if len(signs) == 2 else -0.75 * np.finfo(float).max / g[np.abs(g).argmax()]
+        block[13 : 13 + len(signs)] = np.outer(signs, x * v)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = (2.0 * block[13:]) @ table
+            pair = gram[0] + gram[1]
+        if len(signs) == 2:
+            assert np.isinf(gram).any()
+        else:
+            assert np.isfinite(gram).all() and np.isneginf(pair).any()
+        got, recorded = self._check_every_node(monkeypatch, block, e)
+        assert not any(np.isneginf(sq).any() for sq in recorded)
+        with np.errstate(over="ignore"):
+            assert got == exhaustive_sum_walk(block, e)
+
+    @pytest.mark.parametrize("e", (0.73, 2.0))
+    def test_per_row_dot_products_round_apart_from_the_head(self, monkeypatch, e):
+        # Seven high rows near +-2^40 leave a head near 2^40: the sum of
+        # their seven Gram products, rounded at 2^-12 or so each, differs
+        # from one product with the head on the deepest path.
+        rng = np.random.default_rng(42)
+        block = rng.normal(size=(20, 6))
+        block[13:] += np.where(np.arange(7) % 2 == 0, 2.0**40, -(2.0**40))[:, None]
+        table = subset_column_sums(block[:13])
+        gram = (2.0 * block[13:]) @ table
+        dots, head = np.zeros(table.shape[1]), np.zeros(6)
+        for h in range(13, 20):
+            dots, head = dots + gram[h - 13], head + block[h]
+        assert not np.array_equal(dots, (2.0 * head) @ table)
+        got, _ = self._check_every_node(monkeypatch, block, e)
+        assert got == exhaustive_sum_walk(block, e)
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_witness_of_one_or_several_maximisers(self, monkeypatch, tied):
+        # Rows 0 and 1 of 2^-80 are lost in any sum with the other rows, so
+        # with them every node's top is reached by four subsets, the least
+        # holding both; a Gaussian block has one maximiser per node.
+        block = np.random.default_rng(43).normal(size=(16, 4))
+        if tied:
+            block[:2] = 2.0**-80
+        sizes = []
+
+        def lex_least(masks, inner=duals._lex_least):
+            sizes.append(masks.size)
+            witness = inner(masks)
+            assert witness == min(
+                tuple(j for j in range(16) if m >> j & 1) for m in masks.tolist()
+            )
+            return witness
+
+        monkeypatch.setattr(duals, "_lex_least", lex_least)
+        got = duals._sum_exhaustive(block, 1.37)
+        monkeypatch.undo()
+        assert got == exhaustive_sum_walk(block, 1.37)
+        assert set(sizes) == ({4} if tied else {1})
+        if tied:
+            assert got[1][:2] == (0, 1)
 
     @pytest.mark.parametrize("row", [3, 17])
     def test_nan_rows_are_never_pruned(self, monkeypatch, row):
