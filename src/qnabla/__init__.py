@@ -45,9 +45,7 @@ from .duals import (
     beta_dual_check,
     gamma_dual_check,
     matrix_class_condition,
-    partial_sum_matrix,
     subset_sup,
-    termwise_product_matrix,
 )
 from .matclass import (
     ClassQuery,
@@ -60,8 +58,6 @@ from .matclass import (
     class_check,
     column_cumsum_matrix,
     forward_composite_matrix,
-    row_section_matrix,
-    target_domain_conditions,
     transform_condition,
 )
 
@@ -83,10 +79,9 @@ __all__ = [
     "Condition", "ConditionReport", "InvalidCondition", "LimitError",
     "MatrixWindow", "SubsetMode", "Verdict", "alpha_dual_check",
     "beta_dual_check", "gamma_dual_check", "matrix_class_condition",
-    "partial_sum_matrix", "subset_sup", "termwise_product_matrix",
+    "subset_sup",
     # matclass
     "ClassQuery", "Source", "TailError", "Target", "TransformFamily",
     "build_transform_family", "cesaro_composite", "class_check",
-    "column_cumsum_matrix", "forward_composite_matrix", "row_section_matrix",
-    "target_domain_conditions", "transform_condition",
+    "column_cumsum_matrix", "forward_composite_matrix", "transform_condition",
 ]

@@ -5,8 +5,8 @@ order: the termwise-product matrix, whose action on the transformed
 sequence h returns the products (a_j g_j), and the partial-sum matrix,
 whose action returns the partial sums of the series sum_k a_k g_k.  The
 alpha-, beta-, and gamma-dual checks evaluate the classical matrix-class
-conditions on those windows, with the case split at p = 1 belonging to the
-lower branch throughout.
+conditions on those windows in O(n) memory, with the case split at p = 1
+belonging to the lower branch throughout.
 
 The conditions quantify over all finite subsets of an infinite index set
 and over limits no finite window can certify, so the evaluators are honest
@@ -22,12 +22,13 @@ sizes plus a tri-state verdict: values that have stabilized read as
 bounded-on-window, values that climb at every checkpoint read as growing,
 everything else is inconclusive.  Verdicts are descriptive, never proofs.
 
-Each condition has one evaluator here: one estimate on a leading block
-(`_estimate`) or one subset mode (`_SUBSET_MODE`), and one exponent rule
-(`_EXPONENT_RULE`, resolved with the p regime by `_resolve_exponent`).  A
-section condition is a single-window condition taken over every row's
-section window (`_SECTION_OF`; `matclass.transform_condition` takes the
-maximum over rows).  Every report goes through one constructor, which
+Each condition has one evaluator here: one fold over the rows of its
+leading blocks (`_profile`) or one subset mode (`_SUBSET_MODE`), and one
+exponent rule (`_EXPONENT_RULE`, resolved with the p regime by
+`_resolve_exponent`).  A section condition is a single-window condition
+taken over every row's section window (`_SECTION_OF`); one kernel streams
+section rows (`_sections`), one row's for the partial-sum matrix and every
+row's for `matclass`.  Every report goes through one constructor, which
 refuses a value outside double range with OverflowError.
 """
 
@@ -40,9 +41,9 @@ from typing import Any
 
 import numpy as np
 
-from .fracdiff import SeqWindow, inverse_coeffs, toeplitz_matrix
+from .fracdiff import SeqWindow, _lower_toeplitz, inverse_coeffs
 from .qcore import QParam
-from .spaces import PExponent, _checkpoints
+from .spaces import _CHUNK_ENTRIES, PExponent, _checkpoints
 
 __all__ = [
     "MAX_SUBSET_ROWS",
@@ -53,8 +54,6 @@ __all__ = [
     "Verdict",
     "ConditionReport",
     "SubsetMode",
-    "termwise_product_matrix",
-    "partial_sum_matrix",
     "subset_sup",
     "matrix_class_condition",
     "alpha_dual_check",
@@ -139,10 +138,10 @@ class Condition(enum.Enum):
     VANISHING_ROW_ABS_SUM = "vanishing-row-abs-sum"
 
 
-# Conditions whose reported value is a tail/oscillation estimate that should
-# shrink when the condition holds (a section condition shrinks when its
-# single-window condition does); all others are running suprema that should
-# stabilize.
+# Conditions whose value is a tail/oscillation estimate over a block's last
+# rows, which should shrink when the condition holds (a section condition
+# shrinks when its single-window condition does); all others are running
+# suprema over all rows that should stabilize.
 _TAIL_CONDITIONS = frozenset(
     {
         Condition.COLUMN_LIMITS,
@@ -233,32 +232,6 @@ def classify_trend(values: tuple[tuple[int, float], ...], shrinks: bool) -> Verd
     if increasing and vs[-1] > _GROWTH_FACTOR * abs(vs[0]) + _TINY:
         return Verdict.GROWING
     return Verdict.INCONCLUSIVE
-
-
-def termwise_product_matrix(a: SeqWindow, order: float, qp: QParam) -> MatrixWindow:
-    """Triangular window whose action on the transformed sequence h returns
-    the termwise products (a_j g_j): entry (j, k) is e_{j-k} a_j."""
-    n = a.n
-    inv = toeplitz_matrix(inverse_coeffs(order, qp, n - 1), n)
-    return MatrixWindow(entries=a.values[:, None] * inv, triangular=True)
-
-
-def _row_section(row: np.ndarray, t_e: np.ndarray) -> np.ndarray:
-    """Section window of one row: entry (m, k) is sum_{v=k..m} e_{v-k} row_v,
-    where ``t_e`` is the Toeplitz window of the inverse stream."""
-    return np.cumsum(row[:, None] * t_e, axis=0)
-
-
-def partial_sum_matrix(a: SeqWindow, order: float, qp: QParam) -> MatrixWindow:
-    """Triangular window whose action on the transformed sequence h returns
-    the partial sums sum_{k<=j} a_k g_k: the section window of the row a.
-
-    Row j is the running column sum of the termwise-product rows up to j,
-    so (row j) - (row j-1) reproduces the termwise-product row exactly.
-    """
-    t_e = toeplitz_matrix(inverse_coeffs(order, qp, a.n - 1), a.n)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused as non-finite
-        return MatrixWindow(entries=_row_section(a.values, t_e), triangular=True)
 
 
 class SubsetMode(enum.Enum):
@@ -671,35 +644,106 @@ def _resolve_exponent(
     return p.conjugate
 
 
-def _estimate(
-    cond: Condition, block: np.ndarray, e: float | None, triangular: bool, ref=None
-) -> float:
-    """Value of one non-subset single-window condition on one leading block.
+def _sections(rows: np.ndarray, t_e: np.ndarray):
+    """Section windows of every row r of ``rows`` (R x n) against the Toeplitz
+    window ``t_e`` of the inverse stream: entry (m, k) is sum_{v=k..m} e_{v-k} r_v.
 
-    Limits are oscillation estimates over the last quarter of the rows;
-    ``ref`` overrides the reference row sum of the interchange estimate.
+    Yields c x R x n chunks, row m of every section for m = m0 .. m0 + c - 1,
+    c = 1 once R x n passes `_CHUNK_ENTRIES`.  Every row is the previous row
+    plus the same products, added in the order of the dense
+    cumsum(r[:, None] * t_e, axis=0), so the bits match it; the first row is
+    the products themselves (0.0 + -0.0 would be +0.0).  Chunks are views of
+    two buffers, each valid for one more draw.  A non-finite entry stays
+    non-finite down its column, so the last row shows whether any did.
     """
-    n = block.shape[0]
-    ts = _tail_start(n)
-    if cond is Condition.ENTRY_SUP:
-        top = np.max(np.abs(block))
-        return float(top if e is None else top**e)
-    if cond in (Condition.ROW_ABS_SUM_SUP, Condition.ROW_POWER_SUM_SUP):
-        mags = np.abs(block)
-        return float(np.max(np.sum(mags if e is None else mags**e, axis=1)))
-    if cond in (Condition.COLUMN_LIMITS, Condition.COLUMN_LIMITS_ZERO):
-        sub = block[ts:, : min(block.shape[1], ts + 1) if triangular else block.shape[1]]
-        if sub.size == 0:
-            return 0.0
-        if cond is Condition.COLUMN_LIMITS_ZERO:
-            return float(np.max(np.abs(sub)))
-        return float(np.max(sub.max(axis=0) - sub.min(axis=0)))
-    sums = np.sum(np.abs(block[ts:]), axis=1)
-    if cond is Condition.VANISHING_ROW_ABS_SUM:
-        return float(np.max(sums))
-    if ref is None:  # the interchange of row sums and limits
-        ref = float(np.sum(np.abs(block[n - 1])))
-    return float(np.max(np.abs(sums - ref)))
+    n_rows, n = rows.shape
+    step = max(1, _CHUNK_ENTRIES // (n_rows * n))
+    bufs = np.empty((2, min(step, n), n_rows, n))  # the chunks take turns
+    for j, m0 in enumerate(range(0, n, step)):
+        out = bufs[j % 2, : min(step, n - m0)]
+        np.multiply(rows.T[m0 : m0 + len(out), :, None], t_e[m0 : m0 + len(out), None], out=out)
+        if m0:
+            np.add(bufs[1 - j % 2, -1], out[0], out=out[0])
+        if len(out) == n:  # the window in one chunk: few entries, so one cumsum
+            np.cumsum(out, axis=0, out=out)
+        else:  # one add of R x n per row: numpy's cumsum down an axis goes entry by entry
+            for prev, row in zip(out[:-1], out[1:]):
+                np.add(prev, row, out=row)
+        yield out
+
+
+# Conditions over a tail column block, and on the spread of a row statistic.
+_TAIL_COLUMNS = frozenset({Condition.COLUMN_LIMITS, Condition.COLUMN_LIMITS_ZERO})
+_SPREAD = frozenset({Condition.COLUMN_LIMITS, Condition.ABS_ROW_SUM_INTERCHANGE})
+
+
+def _profile(items, chunks, cps: tuple[int, ...], triangular: bool, refs=None):
+    """Values of non-subset single-window conditions, each with its exponent
+    in ``items``, on the leading cp x cp blocks of R windows, folded over
+    ``chunks``: c x R x n arrays of rows m0 .. m0 + c - 1 of every window,
+    from row 0 (`_sections`, or a dense window whole).
+
+    Each block row gives its entries (column limits), its largest entry or
+    its sum of |entry|^e over the block's full width, trailing zeros
+    included, so each sum groups its terms as on the dense block; the fold
+    keeps their maximum and, for a spread, their minimum, and reduces them to
+    one value per window at the block's last row.  Limits are oscillation
+    estimates over the last quarter of the rows.  ``refs`` (one per window)
+    overrides the interchange estimate's reference row sum, the block's
+    last; rounding is monotone, so |s - ref| peaks at the largest or the
+    smallest s.  Returns per item the maximum over the windows, from zero in
+    window order, at each checkpoint, and the last row.
+    """
+    tails = [_tail_start(cp) for cp in cps]
+    kinds = [(c in _TAIL_CONDITIONS, c in _TAIL_COLUMNS, c in _SPREAD) for c, _ in items]
+    values = [[None] * len(cps) for _ in items]  # running (max, min), then per-window values
+    m0 = 0
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by the report
+        for chunk in chunks:
+            mags = None if all(c is Condition.COLUMN_LIMITS for c, _ in items) else np.abs(chunk)
+            powers = {None: mags}
+            for i, (cp, ts) in enumerate(zip(cps, tails)):
+                if cp <= m0:  # the block ended in an earlier chunk
+                    continue
+                b = min(cp - m0, chunk.shape[0])  # the block's rows in this chunk: [0, b)
+                width = min(cp, chunk.shape[2])
+                for (cond, e), (tail, tail_cols, spread), vals in zip(items, kinds, values):
+                    a = max(ts - m0, 0) if tail else 0
+                    if a >= b:  # no tail row in this chunk
+                        continue
+                    w = min(width, ts + 1) if triangular and tail_cols else width
+                    if cond is Condition.COLUMN_LIMITS:
+                        rows = chunk[a:b, :, :w]
+                    elif cond in (Condition.ENTRY_SUP, Condition.COLUMN_LIMITS_ZERO):
+                        rows = np.maximum.reduce(mags[a:b, :, :w], axis=2)
+                    else:
+                        if e not in powers:
+                            powers[e] = mags**e
+                        rows = np.add.reduce(powers[e][a:b, :, :w], axis=2)
+                    top = np.maximum.reduce(rows)
+                    low = np.minimum.reduce(rows) if spread else None
+                    if vals[i] is not None:  # into the fresh reductions: no third array
+                        top = np.maximum(vals[i][0], top, out=top)
+                        low = None if low is None else np.minimum(vals[i][1], low, out=low)
+                    if m0 + b < cp:  # the block goes on in a later chunk
+                        vals[i] = top, low
+                        continue
+                    if cond is Condition.COLUMN_LIMITS:
+                        top = np.maximum.reduce(top - low, axis=1)
+                    elif cond is Condition.ABS_ROW_SUM_INTERCHANGE:
+                        ref = rows[-1] if refs is None else refs
+                        top = np.maximum(top - ref, ref - low)
+                    elif cond is Condition.ENTRY_SUP and e is not None:
+                        top = [x**e for x in top]  # scalar powers, as on one value
+                    vals[i] = top
+            m0 += chunk.shape[0]
+        out = []
+        for vals in values:
+            worst = np.zeros(len(cps))
+            for row in zip(*vals):  # the windows in order
+                np.maximum(worst, row, out=worst)
+            out.append(worst.tolist())
+    return out, chunk[-1]
 
 
 def _subset_values(windows, e: float, mode: SubsetMode, info: dict[str, Any]):
@@ -766,7 +810,8 @@ def matrix_class_condition(
     info: dict[str, Any] = dict(detail or {})
     mode = _SUBSET_MODE.get(cond)
     if mode is None:
-        values = (_estimate(cond, m.entries[:cp, :cp], e, m.triangular) for cp in cps)
+        (vals,), _ = _profile(((cond, e),), (m.entries[:, None],), cps, m.triangular)
+        values = iter(vals)
     else:
         flip = cond is Condition.COLUMN_SUBSET_POWER_SUM  # subsets of columns
         blocks = ((cp, m.entries[:cp, :cp]) for cp in cps)
@@ -784,14 +829,17 @@ def alpha_dual_check(
 ) -> ConditionReport:
     """Subset-supremum condition deciding membership of a in the alpha dual.
 
-    Builds the termwise-product window and evaluates, per row limit, the
-    subset condition matching the exponent regime: entrywise sup to the
-    power p for 0 < p <= 1, columnwise conjugate-power sums for
-    1 < p < inf, and plain columnwise absolute sums for the sup-norm space.
+    Evaluates, per row limit, the subset condition matching the exponent
+    regime on the termwise-product window, entry (j, k) = e_{j-k} a_j:
+    entrywise sup to the power p for 0 < p <= 1, columnwise
+    conjugate-power sums for 1 < p < inf, and plain columnwise absolute
+    sums for the sup-norm space.  Only the rows the suprema read are built.
     The row limits must rise strictly within [1, a.n].
     """
     rls = _checkpoints(row_limits, a.n)
-    lam = termwise_product_matrix(a, order, qp)
+    rows = min(rls[-1], MAX_SUBSET_ROWS)
+    t_e = _lower_toeplitz(inverse_coeffs(order, qp, a.n - 1).coeffs, a.n)
+    lam = MatrixWindow(a.values[:rows, None] * t_e[:rows], triangular=True)
     cond = Condition.SUBSET_ENTRY_SUP if _regime(p) == "le1" else Condition.SUBSET_ABS_COLSUM_SUP
     e = _resolve_exponent(cond, p, None)
     info: dict[str, Any] = {"matrix": "termwise-product"}
@@ -809,6 +857,18 @@ def _companion(p: PExponent, sup_norm_condition: Condition) -> Condition:
     }[_regime(p)]
 
 
+def _partial_sum_reports(a: SeqWindow, order, qp, p, conds, windows) -> list[ConditionReport]:
+    """Reports of ``conds`` from one sweep of the section window of the row a."""
+    cps = _checkpoints(windows, a.n, start=4)
+    items = [(c, _resolve_exponent(c, p, None)) for c in conds]
+    t_e = _lower_toeplitz(inverse_coeffs(order, qp, a.n - 1).coeffs, a.n)
+    values, last = _profile(items, _sections(a.values[None], t_e), cps, True)
+    if not np.isfinite(last).all():
+        raise ValueError("matrix entries must be finite")
+    return [_report(c, cps, iter(v), e, {"matrix": "partial-sum"})
+            for (c, e), v in zip(items, values)]
+
+
 def beta_dual_check(
     a: SeqWindow,
     order: float,
@@ -823,12 +883,8 @@ def beta_dual_check(
     row sums for 1 < p < inf, the row-sum/limit interchange for the
     sup-norm source).  One report per condition.
     """
-    omega = partial_sum_matrix(a, order, qp)
     conds = (Condition.COLUMN_LIMITS, _companion(p, Condition.ABS_ROW_SUM_INTERCHANGE))
-    return [
-        matrix_class_condition(omega, c, p, checkpoints=windows, detail={"matrix": "partial-sum"})
-        for c in conds
-    ]
+    return _partial_sum_reports(a, order, qp, p, conds, windows)
 
 
 def gamma_dual_check(
@@ -840,10 +896,5 @@ def gamma_dual_check(
 ) -> ConditionReport:
     """Gamma-dual condition: the beta-dual companion condition without the
     column-limit requirement (with exponent 1 for the sup-norm source)."""
-    return matrix_class_condition(
-        partial_sum_matrix(a, order, qp),
-        _companion(p, Condition.ROW_POWER_SUM_SUP),
-        p,
-        checkpoints=windows,
-        detail={"matrix": "partial-sum"},
-    )
+    conds = (_companion(p, Condition.ROW_POWER_SUM_SUP),)
+    return _partial_sum_reports(a, order, qp, p, conds, windows)[0]

@@ -6,10 +6,11 @@ per row j, the section window whose row m carries the m-truncated rewrite
 (so that the partial sums sum_{k<=m} phi_jk g_k equal the section row
 applied to h), and the full inverse-composite window obtained by sending
 every row tail through the inverse coefficients.  Both come from one
-inverse stream and its Toeplitz window T_e, built once per query: section
-j is cumsum(phi_j[:, None] * T_e, axis=0), derived one row at a time and
-dropped after use, and the full window's row j is that section's last row.
-So a query holds O(w^2) doubles and takes O(w^3) time.
+inverse stream per query, whose Toeplitz window T_e is a read-only view of
+its w coefficients: section j is cumsum(phi_j[:, None] * T_e, axis=0), and
+`duals._sections` sweeps row m of every section at once, m = 0 .. w - 1,
+so the full window's row j is the last row of section j.  A query holds
+O(w^2) doubles and takes O(w^3) time.
 
 Membership of the original matrix in a class (domain space -> classical
 space) is equivalent to a bundle of analytic conditions on those windows;
@@ -47,20 +48,14 @@ from .duals import (
     ConditionReport,
     InvalidCondition,
     MatrixWindow,
-    _estimate,
+    _profile,
     _report,
     _resolve_exponent,
-    _row_section,
+    _sections,
     matrix_class_condition,
-    partial_sum_matrix,
 )
 from .fracdiff import (
-    CoeffStream,
-    SeqWindow,
-    _apply,
-    forward_coeffs,
-    inverse_coeffs,
-    toeplitz_matrix,
+    CoeffStream, SeqWindow, _apply, _lower_toeplitz, forward_coeffs, inverse_coeffs,
 )
 from .qcore import QParam, q_integer
 from .spaces import PExponent, _checkpoints, default_checkpoints
@@ -74,12 +69,10 @@ __all__ = [
     "CONDITION_CATALOG",
     "TABLE_DOMAIN_CELLS",
     "TABLE_CLASSICAL_CELLS",
-    "row_section_matrix",
     "build_transform_family",
     "transform_condition",
     "class_check",
     "forward_composite_matrix",
-    "target_domain_conditions",
     "column_cumsum_matrix",
     "cesaro_composite",
 ]
@@ -122,7 +115,6 @@ class Target(enum.Enum):
 
 
 _DOMAIN_SOURCES = (Source.L1_DOMAIN, Source.LP_DOMAIN, Source.LINF_DOMAIN)
-_CLASSICAL_SOURCES = (Source.L1, Source.C0, Source.C, Source.LINF)
 _DOMAIN_TARGETS = (Target.LP_DOMAIN, Target.LINF_DOMAIN)
 
 # Composite targets resolve to (composite builder label, underlying column).
@@ -242,23 +234,15 @@ class TransformFamily:
     """The test matrix, the Toeplitz window ``T_e`` of its inverse stream,
     and the full inverse-composite window, all from one (matrix, order, q).
 
-    Row j's section window is ``cumsum(phi_j[:, None] * T_e, axis=0)``; it
-    is derived when needed and never stored, so a family holds O(w^2)
-    doubles rather than one w x w section per row.
+    ``T_e`` is a read-only strided view of the w inverse coefficients.  Row
+    j's section window is ``cumsum(phi_j[:, None] * T_e, axis=0)``; the
+    sections are streamed together when needed and never stored, and
+    ``full`` holds their last rows, so a family holds O(w^2) doubles.
     """
 
     phi: MatrixWindow
     T_e: np.ndarray
     full: MatrixWindow
-
-
-def row_section_matrix(phi: MatrixWindow, j: int, order: float, qp: QParam) -> MatrixWindow:
-    """Section window of row j: entry (m, k) is the inverse-coefficient sum
-    sum_{v=k..m} e_{v-k} phi_jv, i.e. the m-truncated rewrite of row j."""
-    n_rows = phi.entries.shape[0]
-    if j != int(j) or not 0 <= j < n_rows:
-        raise IndexError(f"row index j must satisfy 0 <= j < {n_rows}, got {j!r}")
-    return partial_sum_matrix(SeqWindow(phi.entries[int(j)]), order, qp)
 
 
 # A row's tail quarter must carry less than this share of (head mass + 1).
@@ -310,15 +294,12 @@ def build_transform_family(phi: MatrixWindow, order: float, qp: QParam) -> Trans
     n = phi.entries.shape[1]
     e = inverse_coeffs(order, qp, n - 1)
     bounds = _row_tail_bounds(phi, e)
-    t_e = toeplitz_matrix(e, n)
-    t_e.setflags(write=False)
-    full = np.empty(phi.entries.shape)
+    t_e = _lower_toeplitz(e.coeffs, n)
     with np.errstate(over="ignore", invalid="ignore"):  # refused as non-finite
-        for j, row in enumerate(phi.entries):
-            full[j] = _row_section(row, t_e)[-1]
+        *_, sections = _sections(phi.entries, t_e)
     return TransformFamily(
         phi=phi, T_e=t_e,
-        full=MatrixWindow(entries=full, triangular=phi.triangular, tail_bounds=bounds),
+        full=MatrixWindow(entries=sections[-1], triangular=phi.triangular, tail_bounds=bounds),
     )
 
 
@@ -335,8 +316,8 @@ def transform_condition(
     and trend semantics as the single-matrix dispatch.
 
     The abs-sum match compares each section's tail row sums with the full
-    window's row sum.  Sections are derived one row at a time, reduced at
-    every checkpoint, and dropped.
+    window's row sum.  The sections' rows are streamed, those of all
+    sections together, and reduced as they come.
     """
     single = _SECTION_OF.get(cond)
     if single is None:
@@ -346,17 +327,11 @@ def transform_condition(
         )
     cps = _checkpoints(checkpoints, family.T_e.shape[0], start=4)
     e = _resolve_exponent(cond, p, None)
-
-    def worst_over_sections():  # drawn lazily, inside the report's errstate
-        refs = np.sum(np.abs(family.full.entries), axis=1)
-        worst = np.zeros(len(cps))
-        for j, row in enumerate(family.phi.entries):
-            section = _row_section(row, family.T_e)
-            values = [_estimate(single, section[:cp, :cp], e, True, refs[j]) for cp in cps]
-            np.maximum(worst, values, out=worst)
-        yield from worst.tolist()
-
-    return _report(cond, cps, worst_over_sections(), e, {"matrix": "sections", **(detail or {})})
+    refs = np.sum(np.abs(family.full.entries), axis=1)
+    top = cps[-1]  # a section's leading block needs only that many entries of its row
+    sections = _sections(family.phi.entries[:, :top], family.T_e[:top, :top])
+    (values,), _ = _profile(((single, e),), sections, cps, True, refs)
+    return _report(cond, cps, iter(values), e, {"matrix": "sections", **(detail or {})})
 
 
 def forward_composite_matrix(phi: MatrixWindow, order: float, qp: QParam) -> MatrixWindow:
@@ -385,28 +360,6 @@ def cesaro_composite(phi: MatrixWindow, qp: QParam) -> MatrixWindow:
     denom = q_integer(np.arange(1, n_rows + 1, dtype=np.float64), qp)
     entries = np.cumsum(qpow[:, None] * phi.entries, axis=0) / denom[:, None]
     return MatrixWindow(entries=entries, triangular=phi.triangular)
-
-
-def target_domain_conditions(
-    m: MatrixWindow,
-    p: PExponent,
-    row_limit: int,
-    checkpoints: tuple[int, ...] | list[int] | None = None,
-) -> list[ConditionReport]:
-    """The two screens for mapping a classical space into the p-domain
-    (catalog items A' and B'): rowwise p-power sums, and p-power sums of
-    row sums over exhaustively enumerated column subsets (capped at
-    ``row_limit`` columns)."""
-    if p.is_inf:
-        raise InvalidCondition("target-domain conditions need a finite exponent p")
-    return [
-        matrix_class_condition(
-            m, cond, checkpoints=checkpoints, row_limit=row_limit,
-            exponent=_resolve_exponent(cond, p, None, rule), detail={"label": item},
-        )
-        for item in ("A'", "B'")
-        for cond, rule in CONDITION_CATALOG[item]
-    ]
 
 
 def class_check(query: ClassQuery, phi: MatrixWindow) -> list[ConditionReport]:

@@ -94,8 +94,8 @@ class PExponent:
 
 P_INF = PExponent.inf()
 _LOG_MAX = math.log(np.finfo(np.float64).max)
-# Entries per chunk of scaled basis vectors in ``schauder_reconstruct``: 512 KB,
-# which stays in cache and costs no memory next to the window.
+# Entries per chunk of rows (basis vectors in ``schauder_reconstruct``, section
+# rows in ``duals._sections``): 512 KB, in cache and small next to the window.
 _CHUNK_ENTRIES = 1 << 16
 
 

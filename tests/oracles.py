@@ -6,6 +6,12 @@ section rewrite against a transformed window.  These routes take the
 textbook definitions instead, so they are independent of the library's
 recurrences.
 
+The dense windows of the dual checks and of the matrix classes are built
+here whole: the termwise-product window Lambda, the partial-sum window
+Omega, and each row's section window, with the estimate of a non-subset
+condition taken on a dense leading block.  The library streams the same
+section rows a chunk at a time and never holds one of these n x n windows.
+
 q-factorials and q-binomials are products of q-brackets.  The infinite
 q-Pochhammer product
 
@@ -29,7 +35,7 @@ import math
 
 import numpy as np
 
-from qnabla.duals import MatrixWindow, _row_section
+from qnabla.duals import Condition, MatrixWindow, _tail_start
 from qnabla.fracdiff import SeqWindow, apply_forward, inverse_coeffs, toeplitz_matrix
 from qnabla.qcore import QParam, _require_finite, q_integer
 
@@ -179,7 +185,7 @@ def section_consistency_residual(
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         for j, row in enumerate(phi.entries):
             lhs = np.cumsum(row * g.values)
-            rhs = _row_section(row, t_e) @ h
+            rhs = dense_section(row, t_e) @ h
             gap = float(np.max(np.abs(lhs - rhs)))
             if not math.isfinite(gap):
                 raise OverflowError(
@@ -187,3 +193,52 @@ def section_consistency_residual(
                 )
             worst = max(worst, gap)
     return worst
+
+
+def dense_section(row: np.ndarray, t_e: np.ndarray) -> np.ndarray:
+    """Section window of one row: entry (m, k) is sum_{v=k..m} e_{v-k} row_v,
+    where ``t_e`` is the Toeplitz window of the inverse stream."""
+    return np.cumsum(row[:, None] * t_e, axis=0)
+
+
+def termwise_window(a: SeqWindow, order: float, qp: QParam) -> np.ndarray:
+    """Dense termwise-product window Lambda: entry (j, k) is e_{j-k} a_j, so
+    Lambda h returns the products (a_j g_j) for h the transform of g."""
+    return a.values[:, None] * toeplitz_matrix(inverse_coeffs(order, qp, a.n - 1), a.n)
+
+
+def partial_sum_window(a: SeqWindow, order: float, qp: QParam) -> np.ndarray:
+    """Dense partial-sum window Omega, the section window of the row a: Omega
+    h returns the partial sums sum_{k<=j} a_k g_k."""
+    return dense_section(a.values, toeplitz_matrix(inverse_coeffs(order, qp, a.n - 1), a.n))
+
+
+def dense_estimate(
+    cond: Condition, block: np.ndarray, e: float | None, triangular: bool, ref=None
+) -> float:
+    """Value of one non-subset single-window condition on one leading block.
+
+    Limits are oscillation estimates over the last quarter of the rows;
+    ``ref`` overrides the reference row sum of the interchange estimate.
+    """
+    n = block.shape[0]
+    ts = _tail_start(n)
+    if cond is Condition.ENTRY_SUP:
+        top = np.max(np.abs(block))
+        return float(top if e is None else top**e)
+    if cond in (Condition.ROW_ABS_SUM_SUP, Condition.ROW_POWER_SUM_SUP):
+        mags = np.abs(block)
+        return float(np.max(np.sum(mags if e is None else mags**e, axis=1)))
+    if cond in (Condition.COLUMN_LIMITS, Condition.COLUMN_LIMITS_ZERO):
+        sub = block[ts:, : min(block.shape[1], ts + 1) if triangular else block.shape[1]]
+        if sub.size == 0:
+            return 0.0
+        if cond is Condition.COLUMN_LIMITS_ZERO:
+            return float(np.max(np.abs(sub)))
+        return float(np.max(sub.max(axis=0) - sub.min(axis=0)))
+    sums = np.sum(np.abs(block[ts:]), axis=1)
+    if cond is Condition.VANISHING_ROW_ABS_SUM:
+        return float(np.max(sums))
+    if ref is None:  # the interchange of row sums and limits
+        ref = float(np.sum(np.abs(block[n - 1])))
+    return float(np.max(np.abs(sums - ref)))

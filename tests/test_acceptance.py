@@ -14,17 +14,17 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from oracles import q_gamma, section_consistency_residual
-from qnabla.cli import cli
-from qnabla.duals import (
-    MatrixWindow,
-    SubsetMode,
-    partial_sum_matrix,
-    subset_sup,
-    termwise_product_matrix,
+from oracles import (
+    partial_sum_window,
+    q_gamma,
+    section_consistency_residual,
+    termwise_window,
 )
+from qnabla.cli import cli
+from qnabla.duals import MatrixWindow, SubsetMode, _sections, subset_sup
 from qnabla.fracdiff import (
     SeqWindow,
+    _lower_toeplitz,
     apply_forward,
     forward_coeffs,
     inverse_coeffs,
@@ -155,10 +155,15 @@ def test_07_dual_window_defining_equalities():
             gamma, q = grid[i % len(grid)]
             qp = QParam(q)
             h = apply_forward(g, gamma, qp)
-            lam = termwise_product_matrix(a, gamma, qp).entries @ h.values
+            lam = termwise_window(a, gamma, qp) @ h.values
             target = a.values * g.values
             assert np.max(np.abs(lam - target) / (1 + np.abs(target))) <= 1e-10
-            om = partial_sum_matrix(a, gamma, qp).entries @ h.values
+            # The library streams the partial-sum window: its rows, stacked,
+            # are the dense window bit for bit.
+            t_e = _lower_toeplitz(inverse_coeffs(gamma, qp, a.n - 1).coeffs, a.n)
+            rows = np.concatenate([c[:, 0].copy() for c in _sections(a.values[None], t_e)])
+            assert np.array_equal(rows, partial_sum_window(a, gamma, qp))
+            om = rows @ h.values
             target2 = np.cumsum(a.values * g.values)
             assert np.max(np.abs(om - target2) / (1 + np.abs(target2))) <= 1e-10
 

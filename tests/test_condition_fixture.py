@@ -4,8 +4,9 @@ which condition.
 The fixture under ``tests/data/`` holds, for a small seeded grid, the
 ``as_dict()`` report (or the exception's type and text) of
 `matrix_class_condition` for every condition, exponent regime and explicit
-exponent, of `transform_condition` for every condition, of
-`target_domain_conditions`, and of the beta- and gamma-dual checks with and
+exponent, of `transform_condition` for every condition, of catalog items A'
+and B' (the "target-domain" records, which the reverse dispatch of
+`class_check` evaluates), and of the beta- and gamma-dual checks with and
 without explicit windows.  It was recorded from the implementation whose
 condition semantics were split between `duals` and `matclass`, so moving a
 condition's estimate or exponent rule must leave each output bit-identical.
@@ -26,12 +27,13 @@ from qnabla.duals import (
     Condition,
     InvalidCondition,
     MatrixWindow,
+    _resolve_exponent,
     beta_dual_check,
     gamma_dual_check,
     matrix_class_condition,
 )
 from qnabla.fracdiff import SeqWindow
-from qnabla.matclass import build_transform_family, target_domain_conditions, transform_condition
+from qnabla.matclass import CONDITION_CATALOG, build_transform_family, transform_condition
 from qnabla.qcore import QParam
 from qnabla.spaces import P_INF, PExponent
 
@@ -58,6 +60,22 @@ def _sequences() -> dict[str, SeqWindow]:
     return {"ones": SeqWindow(np.ones(10)), "gaussian": SeqWindow(rng.normal(size=12))}
 
 
+def _target_domain(m: MatrixWindow, p: PExponent, row_limit: int) -> list:
+    """Catalog items A' and B' on one window, each (condition, exponent
+    rule) pair through `matrix_class_condition`.  Both need a finite p: the
+    records pin the refusal at p = inf by this text."""
+    if p.is_inf:
+        raise InvalidCondition("target-domain conditions need a finite exponent p")
+    return [
+        matrix_class_condition(
+            m, cond, row_limit=row_limit,
+            exponent=_resolve_exponent(cond, p, None, rule), detail={"label": item},
+        )
+        for item in ("A'", "B'")
+        for cond, rule in CONDITION_CATALOG[item]
+    ]
+
+
 def _record(key: list, fn) -> list:
     """``[key, outcome]``: the outcome is the list of ``as_dict()`` reports
     or the exception's type and text."""
@@ -82,7 +100,7 @@ def grid_outputs() -> list[list]:
                     ))
         for p in PS[1:]:
             out.append(_record(["target-domain", name, str(p)],
-                               lambda: target_domain_conditions(m, p, row_limit=5)))
+                               lambda: _target_domain(m, p, row_limit=5)))
     sections = [c for c in Condition if c.value.startswith("section-")]
     for name in ("triangular", "dense"):
         family = build_transform_family(matrices[name], ORDER, Q)

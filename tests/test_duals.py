@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from oracles import dense_estimate, dense_section, partial_sum_window, termwise_window
 from qnabla import duals
 from qnabla.duals import (
     Condition,
@@ -21,11 +23,10 @@ from qnabla.duals import (
     beta_dual_check,
     gamma_dual_check,
     matrix_class_condition,
-    partial_sum_matrix,
     subset_sup,
-    termwise_product_matrix,
 )
-from qnabla.fracdiff import SeqWindow, apply_forward
+from qnabla.fracdiff import SeqWindow, _lower_toeplitz, apply_forward, inverse_coeffs
+from qnabla.matclass import build_transform_family, transform_condition
 from qnabla.qcore import QParam
 from qnabla.spaces import P_INF, PExponent
 
@@ -122,18 +123,22 @@ class TestMatrixWindow:
             m.entries[0, 0] = 2.0
 
 
+def kernel_partial_sums(a: SeqWindow, order: float, qp: QParam) -> np.ndarray:
+    """The partial-sum window of a, stacked from the section kernel's chunks."""
+    t_e = _lower_toeplitz(inverse_coeffs(order, qp, a.n - 1).coeffs, a.n)
+    return np.concatenate([c[:, 0].copy() for c in duals._sections(a.values[None], t_e)])
+
+
 class TestTermwiseProductMatrix:
     def test_all_ones_first_order(self):
-        lam = termwise_product_matrix(SeqWindow(np.ones(5)), 1.0, QParam(0.5))
-        assert np.array_equal(lam.entries, np.tril(np.ones((5, 5))))
+        lam = termwise_window(SeqWindow(np.ones(5)), 1.0, QParam(0.5))
+        assert np.array_equal(lam, np.tril(np.ones((5, 5))))
 
     def test_leading_impulse(self):
-        lam = termwise_product_matrix(
-            SeqWindow(np.eye(6)[0]), 0.7, QParam(0.5)
-        )
+        lam = termwise_window(SeqWindow(np.eye(6)[0]), 0.7, QParam(0.5))
         expect = np.zeros((6, 6))
         expect[0, 0] = 1.0
-        assert np.array_equal(lam.entries, expect)
+        assert np.array_equal(lam, expect)
 
     def test_action_recovers_termwise_products(self):
         rng = np.random.default_rng(21)
@@ -143,7 +148,7 @@ class TestTermwiseProductMatrix:
                 a = SeqWindow(rng.uniform(-1, 1, 16))
                 g = SeqWindow(rng.uniform(-1, 1, 16))
                 h = apply_forward(g, gamma, qp)
-                got = termwise_product_matrix(a, gamma, qp).entries @ h.values
+                got = termwise_window(a, gamma, qp) @ h.values
                 target = a.values * g.values
                 assert np.max(np.abs(got - target) / (1 + np.abs(target))) <= 1e-10
 
@@ -152,11 +157,11 @@ class TestPartialSumMatrix:
     def test_first_order_impulse_pattern(self):
         # Impulse multiplier at position m: entry (j, k) is 1 iff k <= m <= j.
         m_pos = 2
-        om = partial_sum_matrix(SeqWindow(np.eye(6)[m_pos]), 1.0, QParam(0.5))
+        om = kernel_partial_sums(SeqWindow(np.eye(6)[m_pos]), 1.0, QParam(0.5))
         for j in range(6):
             for k in range(6):
                 expect = 1.0 if k <= m_pos <= j else 0.0
-                assert om.entries[j, k] == expect
+                assert om[j, k] == expect
 
     def test_action_recovers_partial_sums(self):
         rng = np.random.default_rng(22)
@@ -166,33 +171,35 @@ class TestPartialSumMatrix:
                 a = SeqWindow(rng.uniform(-1, 1, 16))
                 g = SeqWindow(rng.uniform(-1, 1, 16))
                 h = apply_forward(g, gamma, qp)
-                got = partial_sum_matrix(a, gamma, qp).entries @ h.values
+                om = kernel_partial_sums(a, gamma, qp)
+                assert np.array_equal(om, partial_sum_window(a, gamma, qp))
+                got = om @ h.values
                 target = np.cumsum(a.values * g.values)
                 assert np.max(np.abs(got - target) / (1 + np.abs(target))) <= 1e-10
 
     def test_zero_multiplier(self):
-        om = partial_sum_matrix(SeqWindow(np.zeros(4)), 0.5, QParam(0.5))
-        assert np.all(om.entries == 0.0)
+        om = kernel_partial_sums(SeqWindow(np.zeros(4)), 0.5, QParam(0.5))
+        assert np.all(om == 0.0)
 
     def test_row_difference_recovers_termwise_rows_exactly(self):
         # Dyadic inputs and unit inverse coefficients keep every partial sum
         # exact, so the row-difference identity holds bit-for-bit.
         qp = QParam(0.5)
         a = SeqWindow(np.array([3.0, -1.5, 2.25, 0.5, -4.0, 1.0]))
-        lam = termwise_product_matrix(a, 1.0, qp)
-        om = partial_sum_matrix(a, 1.0, qp)
+        lam = termwise_window(a, 1.0, qp)
+        om = kernel_partial_sums(a, 1.0, qp)
         for j in range(1, 6):
-            assert np.array_equal(om.entries[j] - om.entries[j - 1], lam.entries[j])
+            assert np.array_equal(om[j] - om[j - 1], lam[j])
 
     def test_row_difference_near_exact_generic(self):
         rng = np.random.default_rng(23)
         qp = QParam(0.9)
         a = SeqWindow(rng.uniform(-1, 1, 12))
-        lam = termwise_product_matrix(a, 1.7, qp)
-        om = partial_sum_matrix(a, 1.7, qp)
-        scale = np.max(np.abs(om.entries))
+        lam = termwise_window(a, 1.7, qp)
+        om = kernel_partial_sums(a, 1.7, qp)
+        scale = np.max(np.abs(om))
         for j in range(1, 12):
-            gap = np.max(np.abs((om.entries[j] - om.entries[j - 1]) - lam.entries[j]))
+            gap = np.max(np.abs((om[j] - om[j - 1]) - lam[j]))
             assert gap <= 8 * np.finfo(float).eps * scale
 
 
@@ -350,8 +357,8 @@ class TestSumModePruning:
 
     def test_termwise_window_visits_few_nodes(self, monkeypatch):
         a = SeqWindow(np.random.default_rng(2).normal(size=36))
-        lam = termwise_product_matrix(a, 0.7, QParam(0.6))
-        _, visited, evaluated = self._counted(monkeypatch, lam.entries[:20], 2.0)
+        lam = termwise_window(a, 0.7, QParam(0.6))
+        _, visited, evaluated = self._counted(monkeypatch, lam[:20], 2.0)
         assert visited <= 32  # of the 2^7 = 128 sets of high rows
         assert evaluated <= visited + 1
 
@@ -857,6 +864,113 @@ class TestGammaDual:
         rep = gamma_dual_check(SeqWindow(np.ones(8)), 1.0, QParam(0.5), P_INF)
         assert rep.condition_id is Condition.ROW_POWER_SUM_SUP
         assert rep.detail["exponent"] == 1.0
+
+
+class TestSectionKernel:
+    """The streamed sections against dense windows built whole
+    (`oracles.dense_section` and `oracles.dense_estimate`), bit for bit, on
+    windows that span several chunks.  A 1000-entry sequence takes 65
+    section rows a chunk; a family of 300 rows, whose 300 x 300 entries pass
+    2^16, takes one.  Checkpoints fall on, just before and just past chunk
+    ends, and below the window's end."""
+
+    N, W = 1000, 300
+    ORDER, QP = 0.7, QParam(0.6)
+    SEQ_WINDOWS = (None, (3, 64, 65, 66, 130, 131, 500, 1000), (2, 65, 400))
+    FAMILY_CHECKPOINTS = (None, (3, 5, 9, 150, 299))
+
+    def test_windows_span_several_chunks(self):
+        t_e = _lower_toeplitz(inverse_coeffs(self.ORDER, self.QP, self.N - 1).coeffs, self.N)
+        rows = [c.shape[0] for c in duals._sections(np.ones((1, self.N)), t_e)]
+        assert rows[:2] == [65, 65] and sum(rows) == self.N
+        t_e = t_e[: self.W, : self.W]
+        rows = [c.shape[0] for c in duals._sections(np.ones((self.W, self.W)), t_e)]
+        assert rows == [1] * self.W
+
+    @pytest.mark.parametrize("p", [PExponent(0.5), PExponent(1.5), PExponent(3.0), P_INF], ids=str)
+    def test_dual_checks_match_the_dense_window(self, p):
+        a = SeqWindow(np.random.default_rng(60).normal(size=self.N))
+        omega = partial_sum_window(a, self.ORDER, self.QP)
+        for windows in self.SEQ_WINDOWS:
+            reports = beta_dual_check(a, self.ORDER, self.QP, p, windows)
+            reports.append(gamma_dual_check(a, self.ORDER, self.QP, p, windows))
+            for rep in reports:
+                e = rep.detail.get("exponent")
+                assert list(rep.values) == [
+                    (cp, dense_estimate(rep.condition_id, omega[:cp, :cp], e, True))
+                    for cp, _ in rep.values
+                ]
+
+    def test_dense_windows_match_the_dense_estimate(self):
+        # A dense window is one chunk; checkpoints from 1 put the tail start
+        # at row 0, where a tail column block is narrower than the block,
+        # and the growing diagonal lies outside it.
+        rng = np.random.default_rng(63)
+        tri = np.tril(rng.uniform(-1.0, 1.0, (12, 12))) + np.diag(np.arange(12.0))
+        windows = (MatrixWindow(tri, triangular=True),
+                   MatrixWindow(rng.normal(size=(14, 9))))
+        for m in windows:
+            for cond in Condition:
+                if cond in duals._SUBSET_MODE or cond in duals._SECTION_OF:
+                    continue
+                e = 1.5 if cond in duals._EXPONENT_RULE else None
+                rep = matrix_class_condition(m, cond, exponent=e, checkpoints=(1, 2, 3, 7, 12))
+                assert list(rep.values) == [
+                    (cp, dense_estimate(cond, m.entries[:cp, :cp], e, m.triangular))
+                    for cp, _ in rep.values
+                ]
+
+    def test_section_conditions_match_the_dense_sections(self):
+        rng = np.random.default_rng(61)
+        phi = MatrixWindow(np.tril(rng.uniform(-1.0, 1.0, (self.W, self.W))), triangular=True)
+        family = build_transform_family(phi, self.ORDER, self.QP)
+        refs = np.sum(np.abs(family.full.entries), axis=1)
+        t_e = np.array(family.T_e)
+        # Power sums with p' = 2 take numpy's square; p' = 1.5 takes pow.
+        default, short = self.FAMILY_CHECKPOINTS
+        cases = [
+            (cond, PExponent(2.0), cps)
+            for cond in Condition
+            if cond.value.startswith("section-")
+            for cps in (default, short)
+        ]
+        cases.append((Condition.SECTION_POWER_SUM_SUP, PExponent(3.0), short))
+        reports = [transform_condition(family, cond, p, checkpoints=cps) for cond, p, cps in cases]
+        worst = [np.zeros(len(rep.values)) for rep in reports]
+        for j, row in enumerate(phi.entries):  # one dense section at a time
+            section = dense_section(row, t_e)
+            assert np.array_equal(section[-1], family.full.entries[j])
+            for rep, top in zip(reports, worst):
+                single, e = duals._SECTION_OF[rep.condition_id], rep.detail.get("exponent")
+                values = [dense_estimate(single, section[:cp, :cp], e, True, refs[j])
+                          for cp, _ in rep.values]
+                np.maximum(top, values, out=top)
+        for rep, top in zip(reports, worst):
+            assert list(rep.values) == list(zip((cp for cp, _ in rep.values), top.tolist()))
+
+
+class TestDualCheckMemory:
+    def test_peak_memory_is_linear_in_the_window(self):
+        # The dense n x n windows took 528 MB at n = 4096; the section rows
+        # stream through chunks of 2^16 doubles, and alpha builds the 12 rows
+        # its suprema read.  512 doubles per entry leave room for a dozen
+        # chunk-sized work arrays.
+        n = 4096
+        a = SeqWindow(np.random.default_rng(62).normal(size=n))
+        qp = QParam(0.6)
+        checks = (
+            lambda: beta_dual_check(a, 0.7, qp, PExponent(2.0)),
+            lambda: gamma_dual_check(a, 0.7, qp, PExponent(2.0)),
+            lambda: alpha_dual_check(a, 0.7, qp, PExponent(0.5), (4, 8, 12)),
+        )
+        for check in checks:
+            tracemalloc.start()
+            try:
+                check()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 512 * 8 * n
 
 
 class TestConditionReport:

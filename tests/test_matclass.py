@@ -5,12 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import section_consistency_residual
+from oracles import dense_section, section_consistency_residual
 from qnabla.duals import (
     Condition,
     InvalidCondition,
     MatrixWindow,
     Verdict,
+    _resolve_exponent,
+    _sections,
     matrix_class_condition,
 )
 from qnabla.fracdiff import SeqWindow, apply_forward, apply_inverse
@@ -27,8 +29,6 @@ from qnabla.matclass import (
     class_check,
     column_cumsum_matrix,
     forward_composite_matrix,
-    row_section_matrix,
-    target_domain_conditions,
     transform_condition,
 )
 from qnabla.qcore import QParam, q_integer
@@ -46,33 +46,42 @@ def _source_p(source: Source) -> PExponent:
     }[source]
 
 
+def kernel_section(phi: MatrixWindow, j: int, order: float, qp: QParam) -> np.ndarray:
+    """Row j's section window, stacked from the section kernel's chunks."""
+    t_e = build_transform_family(phi, order, qp).T_e
+    return np.concatenate([c[:, 0].copy() for c in _sections(phi.entries[j : j + 1], t_e)])
+
+
 class TestRowSectionMatrix:
     def test_identity_first_order_pattern(self):
         qp = QParam(0.5)
         phi = MatrixWindow(np.eye(8), triangular=True)
-        section = row_section_matrix(phi, 3, 1.0, qp)
+        section = kernel_section(phi, 3, 1.0, qp)
         for m in range(8):
             for k in range(8):
-                assert section.entries[m, k] == (1.0 if k <= 3 <= m else 0.0)
+                assert section[m, k] == (1.0 if k <= 3 <= m else 0.0)
 
     def test_zero_row_gives_zero_window(self):
         phi = MatrixWindow(np.vstack([np.zeros(5), np.eye(5)[:4]]))
-        section = row_section_matrix(phi, 0, 0.7, QParam(0.5))
-        assert np.all(section.entries == 0.0)
+        section = kernel_section(phi, 0, 0.7, QParam(0.5))
+        assert np.all(section == 0.0)
 
-    def test_bad_row_index(self):
-        phi = MatrixWindow(np.eye(4), triangular=True)
-        with pytest.raises(IndexError):
-            row_section_matrix(phi, 4, 1.0, QParam(0.5))
+    def test_family_holds_one_toeplitz_view(self):
+        # T_e is a read-only strided view of the n inverse coefficients.
+        phi = MatrixWindow(np.eye(64), triangular=True)
+        family = build_transform_family(phi, 0.7, QParam(0.5))
+        assert not family.T_e.flags.writeable
+        assert family.T_e.base.nbytes < 2 * 64 * family.T_e.itemsize
 
     def test_last_row_equals_full_window_row(self):
         rng = np.random.default_rng(51)
         qp = QParam(0.9)
         phi = MatrixWindow(np.tril(rng.uniform(-1, 1, (10, 10))), triangular=True)
-        full = build_transform_family(phi, 1.7, qp).full
+        family = build_transform_family(phi, 1.7, qp)
         for j in range(10):
-            section = row_section_matrix(phi, j, 1.7, qp)
-            assert np.array_equal(section.entries[-1], full.entries[j])
+            section = kernel_section(phi, j, 1.7, qp)
+            assert np.array_equal(section, dense_section(phi.entries[j], np.array(family.T_e)))
+            assert np.array_equal(section[-1], family.full.entries[j])
 
 
 class TestInverseCompositeMatrix:
@@ -254,30 +263,37 @@ class TestForwardComposite:
 
 
 class TestTargetDomainConditions:
+    """Catalog items A' (l1 -> lp-domain) and B' (c0 -> lp-domain) through
+    `class_check` at order 0, whose forward composite is the matrix itself."""
+
+    @staticmethod
+    def _item(source: Source, m: MatrixWindow, row_limit: int):
+        query = ClassQuery(source=source, target=Target.LP_DOMAIN, p=PExponent(2.0),
+                           order=0.0, qp=QParam(0.5), window=8, row_limit=row_limit)
+        (report,) = class_check(query, m)
+        return report
+
     def test_zero_matrix(self):
-        reports = target_domain_conditions(
-            MatrixWindow(np.zeros((8, 8))), PExponent(2.0), row_limit=8
-        )
-        for rep in reports:
+        for source in (Source.L1, Source.C0):
+            rep = self._item(source, MatrixWindow(np.zeros((8, 8))), row_limit=8)
             assert all(v == 0.0 for _, v in rep.values)
 
     def test_identity_values(self):
         # Row power sums stay at 1; disjoint column subsets add across rows,
         # so the column-subset sup equals the window row count.
-        reports = target_domain_conditions(
-            MatrixWindow(np.eye(8)), PExponent(2.0), row_limit=8
-        )
-        a_rep, b_rep = reports
+        a_rep = self._item(Source.L1, MatrixWindow(np.eye(8)), row_limit=8)
+        b_rep = self._item(Source.C0, MatrixWindow(np.eye(8)), row_limit=8)
         assert a_rep.condition_id is Condition.ROW_POWER_SUM_SUP
+        assert a_rep.detail["item"] == "A'"
         assert all(v == 1.0 for _, v in a_rep.values)
         assert b_rep.condition_id is Condition.COLUMN_SUBSET_POWER_SUM
+        assert b_rep.detail["item"] == "B'"
         assert dict(b_rep.values)[8] == 8.0
 
     def test_geometric_rows_match_reverse_enumeration(self):
         rng = np.random.default_rng(57)
         entries = np.array([0.5 ** np.arange(8) * rng.uniform(0.5, 1) for _ in range(8)])
-        m = MatrixWindow(entries)
-        _, b_rep = target_domain_conditions(m, PExponent(2.0), row_limit=8)
+        b_rep = self._item(Source.C0, MatrixWindow(entries), row_limit=8)
         # Independent reverse-order enumeration over column subsets.
         best = -np.inf
         for mask in range((1 << 8) - 1, 0, -1):
@@ -286,8 +302,12 @@ class TestTargetDomainConditions:
         assert dict(b_rep.values)[8] == best
 
     def test_needs_finite_exponent(self):
-        with pytest.raises(InvalidCondition):
-            target_domain_conditions(MatrixWindow(np.eye(4)), P_INF, row_limit=4)
+        with pytest.raises(ValueError, match="target lp-domain requires 1 < p < inf"):
+            ClassQuery(source=Source.C0, target=Target.LP_DOMAIN, p=P_INF, order=0.0,
+                       qp=QParam(0.5), window=4)
+        for cond, rule in CONDITION_CATALOG["A'"] + CONDITION_CATALOG["B'"]:
+            with pytest.raises(InvalidCondition, match="requires a finite exponent"):
+                _resolve_exponent(cond, P_INF, None, rule)
 
 
 class TestRunningSumComposite:

@@ -24,11 +24,10 @@ SURFACE = {
         "Condition", "ConditionReport", "InvalidCondition", "LimitError",
         "MatrixWindow", "SubsetMode", "Verdict", "alpha_dual_check",
         "beta_dual_check", "gamma_dual_check", "matrix_class_condition",
-        "partial_sum_matrix", "subset_sup", "termwise_product_matrix",
+        "subset_sup",
         "ClassQuery", "Source", "TailError", "Target", "TransformFamily",
         "build_transform_family", "cesaro_composite", "class_check",
-        "column_cumsum_matrix", "forward_composite_matrix", "row_section_matrix",
-        "target_domain_conditions", "transform_condition",
+        "column_cumsum_matrix", "forward_composite_matrix", "transform_condition",
     ],
     qcore: ["QParam", "q_integer"],
     fracdiff: [
@@ -43,17 +42,15 @@ SURFACE = {
     ],
     duals: [
         "MAX_SUBSET_ROWS", "LimitError", "InvalidCondition", "MatrixWindow",
-        "Condition", "Verdict", "ConditionReport", "SubsetMode",
-        "termwise_product_matrix", "partial_sum_matrix", "subset_sup",
+        "Condition", "Verdict", "ConditionReport", "SubsetMode", "subset_sup",
         "matrix_class_condition", "alpha_dual_check", "beta_dual_check",
         "gamma_dual_check",
     ],
     matclass: [
         "TailError", "Source", "Target", "ClassQuery", "TransformFamily",
         "CONDITION_CATALOG", "TABLE_DOMAIN_CELLS", "TABLE_CLASSICAL_CELLS",
-        "row_section_matrix", "build_transform_family", "transform_condition",
-        "class_check", "forward_composite_matrix", "target_domain_conditions",
-        "column_cumsum_matrix", "cesaro_composite",
+        "build_transform_family", "transform_condition", "class_check",
+        "forward_composite_matrix", "column_cumsum_matrix", "cesaro_composite",
     ],
     cli: ["cli", "main"],
 }

@@ -23,13 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from qnabla.duals import (
-    MatrixWindow,
-    SubsetMode,
-    alpha_dual_check,
-    subset_sup,
-    termwise_product_matrix,
-)
+from oracles import termwise_window
+from qnabla.duals import MatrixWindow, SubsetMode, alpha_dual_check, subset_sup
 from qnabla.fracdiff import SeqWindow
 from qnabla.qcore import QParam
 from qnabla.spaces import P_INF, PExponent
@@ -111,7 +106,7 @@ def _high_row_blocks() -> dict[str, np.ndarray]:
     a = SeqWindow(rng.normal(size=28))
     blocks = {"gaussian": rng.normal(size=(20, 16))}
     for order, q in TERMWISE:
-        blocks[f"termwise-{order}-{q}"] = termwise_product_matrix(a, order, QParam(q)).entries
+        blocks[f"termwise-{order}-{q}"] = termwise_window(a, order, QParam(q))
     ints = rng.integers(-2, 3, (20, 6)) * (rng.random((20, 6)) >= 0.4)
     blocks["integer"] = ints.astype(np.float64)
     return blocks
