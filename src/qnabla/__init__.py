@@ -19,7 +19,6 @@ from .fracdiff import (
     forward_coeffs,
     inverse_coeffs,
     semigroup_defect,
-    toeplitz_matrix,
     verify_inverse,
 )
 from .spaces import (
@@ -70,7 +69,7 @@ __all__ = [
     # fracdiff
     "CoeffStream", "Kind", "MismatchedParameter", "SeqWindow",
     "apply_forward", "apply_inverse", "compose_coeffs", "forward_coeffs",
-    "inverse_coeffs", "semigroup_defect", "toeplitz_matrix", "verify_inverse",
+    "inverse_coeffs", "semigroup_defect", "verify_inverse",
     # spaces
     "NormReport", "P_INF", "PExponent", "default_checkpoints", "domain_norm",
     "lp_norm", "membership_diagnostic", "schauder_basis_vector",

@@ -649,12 +649,14 @@ def _sections(rows: np.ndarray, t_e: np.ndarray):
     window ``t_e`` of the inverse stream: entry (m, k) is sum_{v=k..m} e_{v-k} r_v.
 
     Yields c x R x n chunks, row m of every section for m = m0 .. m0 + c - 1,
-    c = 1 once R x n passes `_CHUNK_ENTRIES`.  Every row is the previous row
-    plus the same products, added in the order of the dense
-    cumsum(r[:, None] * t_e, axis=0), so the bits match it; the first row is
-    the products themselves (0.0 + -0.0 would be +0.0).  Chunks are views of
-    two buffers, each valid for one more draw.  A non-finite entry stays
-    non-finite down its column, so the last row shows whether any did.
+    c = 1 once R x n passes `_CHUNK_ENTRIES`.  Each chunk is one cumsum of
+    its products, its first row carried on from the previous chunk's last,
+    so every row is the previous row plus the same products, added in the
+    order of the dense cumsum(r[:, None] * t_e, axis=0), and the bits match
+    it; the first row of all is the products themselves (0.0 + -0.0 would be
+    +0.0).  Chunks are views of two buffers, each valid for one more draw.
+    A non-finite entry stays non-finite down its column, so the last row
+    shows whether any did.
     """
     n_rows, n = rows.shape
     step = max(1, _CHUNK_ENTRIES // (n_rows * n))
@@ -664,11 +666,7 @@ def _sections(rows: np.ndarray, t_e: np.ndarray):
         np.multiply(rows.T[m0 : m0 + len(out), :, None], t_e[m0 : m0 + len(out), None], out=out)
         if m0:
             np.add(bufs[1 - j % 2, -1], out[0], out=out[0])
-        if len(out) == n:  # the window in one chunk: few entries, so one cumsum
-            np.cumsum(out, axis=0, out=out)
-        else:  # one add of R x n per row: numpy's cumsum down an axis goes entry by entry
-            for prev, row in zip(out[:-1], out[1:]):
-                np.add(prev, row, out=row)
+        np.cumsum(out, axis=0, out=out)
         yield out
 
 

@@ -83,7 +83,6 @@ __all__ = [
     "compose_coeffs",
     "verify_inverse",
     "semigroup_defect",
-    "toeplitz_matrix",
 ]
 
 
@@ -492,13 +491,3 @@ def semigroup_defect(mu: float, nu: float, qp: QParam, n: int) -> float:
     composed = _convolve(n, forward_coeffs(mu, qp, n - 1), forward_coeffs(nu, qp, n - 1))
     direct = forward_coeffs(mu + nu, qp, n - 1).coeffs
     return float(np.max(np.abs(composed - direct)))
-
-
-def toeplitz_matrix(stream: CoeffStream, n: int) -> np.ndarray:
-    """Dense n-by-n lower triangular Toeplitz window of a coefficient stream.
-
-    Entry (j, k) is coefficient j - k; lags beyond the stream's truncation
-    are zero.
-    """
-    n = _check_int("n", n, 1)
-    return _lower_toeplitz(stream.coeffs, n).copy()

@@ -296,7 +296,8 @@ def build_transform_family(phi: MatrixWindow, order: float, qp: QParam) -> Trans
     bounds = _row_tail_bounds(phi, e)
     t_e = _lower_toeplitz(e.coeffs, n)
     with np.errstate(over="ignore", invalid="ignore"):  # refused as non-finite
-        *_, sections = _sections(phi.entries, t_e)
+        for sections in _sections(phi.entries, t_e):  # full is the last chunk's last row
+            pass
     return TransformFamily(
         phi=phi, T_e=t_e,
         full=MatrixWindow(entries=sections[-1], triangular=phi.triangular, tail_bounds=bounds),

@@ -36,7 +36,7 @@ import math
 import numpy as np
 
 from qnabla.duals import Condition, MatrixWindow, _tail_start
-from qnabla.fracdiff import SeqWindow, apply_forward, inverse_coeffs, toeplitz_matrix
+from qnabla.fracdiff import CoeffStream, SeqWindow, apply_forward, inverse_coeffs
 from qnabla.qcore import QParam, _require_finite, q_integer
 
 # Infinite products stop at the first factor with |x| q^J below this.
@@ -180,7 +180,7 @@ def section_consistency_residual(
             f"matrix has {phi.entries.shape[1]} columns but the window has {g.n} entries"
         )
     h = apply_forward(g, order, qp).values
-    t_e = toeplitz_matrix(inverse_coeffs(order, qp, g.n - 1), g.n)
+    t_e = toeplitz_window(inverse_coeffs(order, qp, g.n - 1), g.n)
     worst = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         for j, row in enumerate(phi.entries):
@@ -195,6 +195,15 @@ def section_consistency_residual(
     return worst
 
 
+def toeplitz_window(stream: CoeffStream, n: int) -> np.ndarray:
+    """Dense n x n lower triangular Toeplitz window of a coefficient stream:
+    entry (j, k) is coefficient j - k, zero past the stream's truncation."""
+    c = np.zeros(n)
+    c[: min(n, stream.coeffs.size)] = stream.coeffs[:n]
+    lags = np.subtract.outer(np.arange(n), np.arange(n))
+    return np.where(lags >= 0, c[np.maximum(lags, 0)], 0.0)
+
+
 def dense_section(row: np.ndarray, t_e: np.ndarray) -> np.ndarray:
     """Section window of one row: entry (m, k) is sum_{v=k..m} e_{v-k} row_v,
     where ``t_e`` is the Toeplitz window of the inverse stream."""
@@ -204,13 +213,13 @@ def dense_section(row: np.ndarray, t_e: np.ndarray) -> np.ndarray:
 def termwise_window(a: SeqWindow, order: float, qp: QParam) -> np.ndarray:
     """Dense termwise-product window Lambda: entry (j, k) is e_{j-k} a_j, so
     Lambda h returns the products (a_j g_j) for h the transform of g."""
-    return a.values[:, None] * toeplitz_matrix(inverse_coeffs(order, qp, a.n - 1), a.n)
+    return a.values[:, None] * toeplitz_window(inverse_coeffs(order, qp, a.n - 1), a.n)
 
 
 def partial_sum_window(a: SeqWindow, order: float, qp: QParam) -> np.ndarray:
     """Dense partial-sum window Omega, the section window of the row a: Omega
     h returns the partial sums sum_{k<=j} a_k g_k."""
-    return dense_section(a.values, toeplitz_matrix(inverse_coeffs(order, qp, a.n - 1), a.n))
+    return dense_section(a.values, toeplitz_window(inverse_coeffs(order, qp, a.n - 1), a.n))
 
 
 def dense_estimate(

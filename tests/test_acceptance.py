@@ -19,6 +19,7 @@ from oracles import (
     q_gamma,
     section_consistency_residual,
     termwise_window,
+    toeplitz_window,
 )
 from qnabla.cli import cli
 from qnabla.duals import MatrixWindow, SubsetMode, _sections, subset_sup
@@ -29,7 +30,6 @@ from qnabla.fracdiff import (
     forward_coeffs,
     inverse_coeffs,
     semigroup_defect,
-    toeplitz_matrix,
     verify_inverse,
 )
 from qnabla.matclass import (
@@ -98,8 +98,8 @@ def test_03_inverse_identity_with_matrix_oracle():
                 qp = QParam(q)
                 assert verify_inverse(gamma, qp, 30) <= 1e-10, (gamma, q)
                 # Independent dense triangular matrix-product oracle.
-                fwd = toeplitz_matrix(forward_coeffs(gamma, qp, 29), 30)
-                inv = toeplitz_matrix(inverse_coeffs(gamma, qp, 29), 30)
+                fwd = toeplitz_window(forward_coeffs(gamma, qp, 29), 30)
+                inv = toeplitz_window(inverse_coeffs(gamma, qp, 29), 30)
                 assert np.max(np.abs(fwd @ inv - np.eye(30))) <= 1e-10, (gamma, q)
 
 

@@ -152,6 +152,21 @@ class TestTermwiseProductMatrix:
                 target = a.values * g.values
                 assert np.max(np.abs(got - target) / (1 + np.abs(target))) <= 1e-10
 
+    def test_alpha_check_reads_the_dense_rows(self):
+        # The alpha check builds only the rows its suprema read; per row
+        # limit its value and witness are subset_sup's on the dense Lambda.
+        rng = np.random.default_rng(24)
+        qp = QParam(0.6)
+        a = SeqWindow(rng.normal(size=40) * 0.9 ** np.arange(40))
+        lam = termwise_window(a, 0.7, qp)
+        rls = (3, 7, 12)
+        for p in (PExponent(0.5), PExponent(2.0), P_INF):
+            rep = alpha_dual_check(a, 0.7, qp, p, rls)
+            mode, e = duals._SUBSET_MODE[rep.condition_id], rep.detail["exponent"]
+            sups = [subset_sup(MatrixWindow(lam[:rl]), e, mode, rl) for rl in rls]
+            assert rep.values == tuple((rl, v) for rl, (v, _) in zip(rls, sups))
+            assert rep.detail["witness"] == list(sups[-1][1])
+
 
 class TestPartialSumMatrix:
     def test_first_order_impulse_pattern(self):

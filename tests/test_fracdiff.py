@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import q_binomial, q_factorial, q_gamma_ratio
+from oracles import q_binomial, q_factorial, q_gamma_ratio, toeplitz_window
 from qnabla import fracdiff
 from qnabla.fracdiff import (
     Kind,
@@ -23,7 +23,6 @@ from qnabla.fracdiff import (
     forward_coeffs,
     inverse_coeffs,
     semigroup_defect,
-    toeplitz_matrix,
     verify_inverse,
 )
 from qnabla.qcore import QParam, q_integer
@@ -209,19 +208,20 @@ class TestApply:
 class TestToeplitzStructure:
     def test_constant_diagonals(self):
         stream = forward_coeffs(1.3, QParam(0.6), 9)
-        m = toeplitz_matrix(stream, 10)
+        m = fracdiff._lower_toeplitz(stream.coeffs, 10)
         assert np.array_equal(m[1:, 1:], m[:-1, :-1])
         assert np.all(np.triu(m, k=1) == 0.0)
 
     def test_entries_are_lagged_coefficients(self):
         # Entry (j, k) is c_{j-k}; lags past the stream's truncation are zero.
         stream = inverse_coeffs(0.8, QParam(0.4), 5)
-        m = toeplitz_matrix(stream, 9)
+        m = fracdiff._lower_toeplitz(stream.coeffs, 9)
         for j in range(9):
             for k in range(9):
                 lag = j - k
                 expect = stream.coeffs[lag] if 0 <= lag <= 5 else 0.0
                 assert m[j, k] == expect
+        assert np.array_equal(toeplitz_window(stream, 9), m)
 
 
 class TestCompose:
@@ -321,8 +321,8 @@ class TestVerifyInverse:
         # compare against the identity window.
         for gamma, q in ((0.5, 0.5), (2.5, 0.9), (1.7, 0.2)):
             qp = QParam(q)
-            fwd = toeplitz_matrix(forward_coeffs(gamma, qp, 29), 30)
-            inv = toeplitz_matrix(inverse_coeffs(gamma, qp, 29), 30)
+            fwd = toeplitz_window(forward_coeffs(gamma, qp, 29), 30)
+            inv = toeplitz_window(inverse_coeffs(gamma, qp, 29), 30)
             assert np.max(np.abs(fwd @ inv - np.eye(30))) <= 1e-10
             assert np.max(np.abs(inv @ fwd - np.eye(30))) <= 1e-10
 

@@ -17,7 +17,7 @@ SURFACE = {
         "QParam", "q_integer",
         "CoeffStream", "Kind", "MismatchedParameter", "SeqWindow",
         "apply_forward", "apply_inverse", "compose_coeffs", "forward_coeffs",
-        "inverse_coeffs", "semigroup_defect", "toeplitz_matrix", "verify_inverse",
+        "inverse_coeffs", "semigroup_defect", "verify_inverse",
         "NormReport", "P_INF", "PExponent", "default_checkpoints", "domain_norm",
         "lp_norm", "membership_diagnostic", "schauder_basis_vector",
         "schauder_reconstruct",
@@ -33,7 +33,7 @@ SURFACE = {
     fracdiff: [
         "Kind", "CoeffStream", "SeqWindow", "MismatchedParameter", "forward_coeffs",
         "inverse_coeffs", "apply_forward", "apply_inverse", "compose_coeffs",
-        "verify_inverse", "semigroup_defect", "toeplitz_matrix",
+        "verify_inverse", "semigroup_defect",
     ],
     spaces: [
         "PExponent", "P_INF", "NormReport", "default_checkpoints", "lp_norm",
