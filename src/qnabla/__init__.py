@@ -51,12 +51,11 @@ from .matclass import (
     Source,
     TailError,
     Target,
-    TransformFamily,
-    build_transform_family,
     cesaro_composite,
     class_check,
     column_cumsum_matrix,
     forward_composite_matrix,
+    inverse_composite_matrix,
     transform_condition,
 )
 
@@ -80,7 +79,7 @@ __all__ = [
     "beta_dual_check", "gamma_dual_check", "matrix_class_condition",
     "subset_sup",
     # matclass
-    "ClassQuery", "Source", "TailError", "Target", "TransformFamily",
-    "build_transform_family", "cesaro_composite", "class_check",
-    "column_cumsum_matrix", "forward_composite_matrix", "transform_condition",
+    "ClassQuery", "Source", "TailError", "Target", "cesaro_composite",
+    "class_check", "column_cumsum_matrix", "forward_composite_matrix",
+    "inverse_composite_matrix", "transform_condition",
 ]

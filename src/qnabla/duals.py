@@ -675,7 +675,7 @@ _TAIL_COLUMNS = frozenset({Condition.COLUMN_LIMITS, Condition.COLUMN_LIMITS_ZERO
 _SPREAD = frozenset({Condition.COLUMN_LIMITS, Condition.ABS_ROW_SUM_INTERCHANGE})
 
 
-def _profile(items, chunks, cps: tuple[int, ...], triangular: bool, refs=None):
+def _profile(items, chunks, cps: tuple[int, ...], triangular: bool, full_ref: bool = False):
     """Values of non-subset single-window conditions, each with its exponent
     in ``items``, on the leading cp x cp blocks of R windows, folded over
     ``chunks``: c x R x n arrays of rows m0 .. m0 + c - 1 of every window,
@@ -686,11 +686,14 @@ def _profile(items, chunks, cps: tuple[int, ...], triangular: bool, refs=None):
     included, so each sum groups its terms as on the dense block; the fold
     keeps their maximum and, for a spread, their minimum, and reduces them to
     one value per window at the block's last row.  Limits are oscillation
-    estimates over the last quarter of the rows.  ``refs`` (one per window)
-    overrides the interchange estimate's reference row sum, the block's
-    last; rounding is monotone, so |s - ref| peaks at the largest or the
-    smallest s.  Returns per item the maximum over the windows, from zero in
-    window order, at each checkpoint, and the last row.
+    estimates over the last quarter of the rows.  The interchange estimate
+    compares a block's tail row sums with a reference row sum: the block's
+    last row, or with ``full_ref`` (section windows, whose limit is the full
+    window) the last row of the whole fold at full width, so that item keeps
+    its running maximum and minimum until the fold ends; rounding is
+    monotone, so |s - ref| peaks at the largest or the smallest s.  Returns
+    per item the maximum over the windows, from zero in window order, at
+    each checkpoint, and the last row.
     """
     tails = [_tail_start(cp) for cp in cps]
     kinds = [(c in _TAIL_CONDITIONS, c in _TAIL_COLUMNS, c in _SPREAD) for c, _ in items]
@@ -723,18 +726,23 @@ def _profile(items, chunks, cps: tuple[int, ...], triangular: bool, refs=None):
                     if vals[i] is not None:  # into the fresh reductions: no third array
                         top = np.maximum(vals[i][0], top, out=top)
                         low = None if low is None else np.minimum(vals[i][1], low, out=low)
-                    if m0 + b < cp:  # the block goes on in a later chunk
+                    interchange = cond is Condition.ABS_ROW_SUM_INTERCHANGE
+                    if m0 + b < cp or interchange and full_ref:  # reduced later
                         vals[i] = top, low
                         continue
                     if cond is Condition.COLUMN_LIMITS:
                         top = np.maximum.reduce(top - low, axis=1)
-                    elif cond is Condition.ABS_ROW_SUM_INTERCHANGE:
-                        ref = rows[-1] if refs is None else refs
-                        top = np.maximum(top - ref, ref - low)
+                    elif interchange:
+                        top = np.maximum(top - rows[-1], rows[-1] - low)
                     elif cond is Condition.ENTRY_SUP and e is not None:
                         top = [x**e for x in top]  # scalar powers, as on one value
                     vals[i] = top
             m0 += chunk.shape[0]
+        if full_ref:
+            ref = np.add.reduce(np.abs(chunk[-1]), axis=1)
+            for (cond, _), vals in zip(items, values):
+                if cond is Condition.ABS_ROW_SUM_INTERCHANGE:
+                    vals[:] = [np.maximum(top - ref, ref - low) for top, low in vals]
         out = []
         for vals in values:
             worst = np.zeros(len(cps))

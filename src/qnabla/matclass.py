@@ -9,8 +9,9 @@ every row tail through the inverse coefficients.  Both come from one
 inverse stream per query, whose Toeplitz window T_e is a read-only view of
 its w coefficients: section j is cumsum(phi_j[:, None] * T_e, axis=0), and
 `duals._sections` sweeps row m of every section at once, m = 0 .. w - 1,
-so the full window's row j is the last row of section j.  A query holds
-O(w^2) doubles and takes O(w^3) time.
+so the full window's row j is the last row of section j.  One sweep per
+query folds the values of its section conditions and leaves the full
+window as its last row.  A query holds O(w^2) doubles and takes O(w^3) time.
 
 Membership of the original matrix in a class (domain space -> classical
 space) is equivalent to a bundle of analytic conditions on those windows;
@@ -65,11 +66,10 @@ __all__ = [
     "Source",
     "Target",
     "ClassQuery",
-    "TransformFamily",
     "CONDITION_CATALOG",
     "TABLE_DOMAIN_CELLS",
     "TABLE_CLASSICAL_CELLS",
-    "build_transform_family",
+    "inverse_composite_matrix",
     "transform_condition",
     "class_check",
     "forward_composite_matrix",
@@ -229,22 +229,6 @@ class ClassQuery:
                 raise ValueError("target lp-domain requires 1 < p < inf")
 
 
-@dataclass(frozen=True)
-class TransformFamily:
-    """The test matrix, the Toeplitz window ``T_e`` of its inverse stream,
-    and the full inverse-composite window, all from one (matrix, order, q).
-
-    ``T_e`` is a read-only strided view of the w inverse coefficients.  Row
-    j's section window is ``cumsum(phi_j[:, None] * T_e, axis=0)``; the
-    sections are streamed together when needed and never stored, and
-    ``full`` holds their last rows, so a family holds O(w^2) doubles.
-    """
-
-    phi: MatrixWindow
-    T_e: np.ndarray
-    full: MatrixWindow
-
-
 # A row's tail quarter must carry less than this share of (head mass + 1).
 _TAIL_RTOL = 1e-8
 
@@ -254,58 +238,63 @@ def _row_tail_bounds(phi: MatrixWindow, e: CoeffStream) -> tuple[float, ...]:
 
     Triangular windows and rows with an all-zero tail quarter are exact.
     Other rows must pass the relative decay test against ``_TAIL_RTOL`` or
-    the whole construction is refused: the inverse coefficients tend to a
-    positive constant, so a non-decaying row genuinely diverges under the
-    rewrite.
+    the whole construction is refused, naming the first failing row: the
+    inverse coefficients tend to a positive constant, so a non-decaying row
+    genuinely diverges under the rewrite.
     """
     n_rows, n_cols = phi.entries.shape
     if phi.triangular:
         return (0.0,) * n_rows
     e_sup = float(np.max(e.coeffs))
-    tail_len = max(1, n_cols // 4)
-    ts = n_cols - tail_len
-    bounds = []
-    for j in range(n_rows):
-        row = np.abs(phi.entries[j])
-        tail_mass = float(np.sum(row[ts:]))
-        if tail_mass == 0.0:
-            bounds.append(0.0)
-            continue
-        head = float(np.sum(row[:ts]))
-        if tail_mass >= _TAIL_RTOL * (head + 1.0):
-            raise TailError(
-                f"row {j} tail mass {tail_mass:.3e} is not negligible against "
-                f"its head ({head:.3e}); the rewritten row sum cannot be "
-                f"honestly truncated at the window edge"
-            )
-        bounds.append(e_sup * tail_mass)
-    return tuple(bounds)
+    ts = n_cols - max(1, n_cols // 4)
+    mags = np.abs(phi.entries)
+    tails = np.sum(mags[:, ts:], axis=1)
+    heads = np.sum(mags[:, :ts], axis=1)
+    failing = np.flatnonzero((tails != 0.0) & (tails >= _TAIL_RTOL * (heads + 1.0)))
+    if failing.size:
+        j = failing[0]
+        raise TailError(
+            f"row {j} tail mass {tails[j]:.3e} is not negligible against "
+            f"its head ({heads[j]:.3e}); the rewritten row sum cannot be "
+            f"honestly truncated at the window edge"
+        )
+    return tuple(e_sup * t if t else 0.0 for t in tails.tolist())
 
 
-def build_transform_family(phi: MatrixWindow, order: float, qp: QParam) -> TransformFamily:
-    """One inverse stream and its Toeplitz window, plus the full
-    inverse-composite window: entry (j, k) is the window-truncated sum
-    sum_{v>=k} e_{v-k} phi_jv, the last row of row j's section.
+def _sweep(phi: MatrixWindow, order: float, qp: QParam, items, cps: tuple[int, ...]):
+    """One sweep of every row's section: the full inverse-composite window
+    (the sections' last rows, with the rows' tail bounds) and the values of
+    the section conditions ``items``, each with its exponent, at ``cps``.
 
-    Raises :class:`TailError` when a row fails the honest-truncation test;
-    per-row error bounds (sup of the inverse coefficients times the row
-    tail mass) ride along on the full window.
+    Raises :class:`TailError` before any sweep work when a row fails the
+    honest-truncation test.
     """
     n = phi.entries.shape[1]
     e = inverse_coeffs(order, qp, n - 1)
     bounds = _row_tail_bounds(phi, e)
-    t_e = _lower_toeplitz(e.coeffs, n)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused as non-finite
-        for sections in _sections(phi.entries, t_e):  # full is the last chunk's last row
-            pass
-    return TransformFamily(
-        phi=phi, T_e=t_e,
-        full=MatrixWindow(entries=sections[-1], triangular=phi.triangular, tail_bounds=bounds),
-    )
+    sections = _sections(phi.entries, _lower_toeplitz(e.coeffs, n))
+    singles = [(_SECTION_OF[cond], x) for cond, x in items]
+    values, last = _profile(singles, sections, cps, True, True)
+    full = MatrixWindow(entries=last, triangular=phi.triangular, tail_bounds=bounds)
+    return full, values
+
+
+def inverse_composite_matrix(phi: MatrixWindow, order: float, qp: QParam) -> MatrixWindow:
+    """Inverse operator sent along each row tail of the test matrix: entry
+    (j, k) is the window-truncated sum sum_{v>=k} e_{v-k} phi_jv, the last
+    row of row j's section.
+
+    Raises :class:`TailError` when a row fails the honest-truncation test;
+    per-row error bounds (sup of the inverse coefficients times the row
+    tail mass) ride along on the window.
+    """
+    return _sweep(phi, order, qp, (), ())[0]
 
 
 def transform_condition(
-    family: TransformFamily,
+    phi: MatrixWindow,
+    order: float,
+    qp: QParam,
     cond: Condition,
     p: PExponent | None = None,
     *,
@@ -318,20 +307,17 @@ def transform_condition(
 
     The abs-sum match compares each section's tail row sums with the full
     window's row sum.  The sections' rows are streamed, those of all
-    sections together, and reduced as they come.
+    sections together, over the whole window, and reduced as they come;
+    a row that fails the honest-truncation test raises :class:`TailError`.
     """
-    single = _SECTION_OF.get(cond)
-    if single is None:
+    if cond not in _SECTION_OF:
         raise InvalidCondition(
             f"{cond.value} applies to a single matrix window; use the "
             "matrix-class dispatch instead"
         )
-    cps = _checkpoints(checkpoints, family.T_e.shape[0], start=4)
+    cps = _checkpoints(checkpoints, phi.entries.shape[1], start=4)
     e = _resolve_exponent(cond, p, None)
-    refs = np.sum(np.abs(family.full.entries), axis=1)
-    top = cps[-1]  # a section's leading block needs only that many entries of its row
-    sections = _sections(family.phi.entries[:, :top], family.T_e[:top, :top])
-    (values,), _ = _profile(((single, e),), sections, cps, True, refs)
+    _, (values,) = _sweep(phi, order, qp, ((cond, e),), cps)
     return _report(cond, cps, iter(values), e, {"matrix": "sections", **(detail or {})})
 
 
@@ -367,8 +353,9 @@ def class_check(query: ClassQuery, phi: MatrixWindow) -> list[ConditionReport]:
     """Dispatch the exact condition bundle for the query's (source, target)
     cell and evaluate it on the appropriate windows of the test matrix.
 
-    Table 1 (operator-domain sources) evaluates its "full" conditions on the
-    inverse composite and its "sections" conditions on the row sections;
+    Table 1 (operator-domain sources) evaluates its "sections" conditions
+    on the row sections and its "full" conditions on the inverse composite,
+    which one sweep of the sections yields together;
     table 2 (classical sources) evaluates on the forward composite.
     Returns one report per evaluated condition; every report's detail
     records the dispatch cell and the bundle item it belongs to.
@@ -394,8 +381,11 @@ def class_check(query: ClassQuery, phi: MatrixWindow) -> list[ConditionReport]:
         else:
             underlying = query.target
         bundle = TABLE_DOMAIN_CELLS[(query.source, underlying)]
-        family = build_transform_family(block, query.order, query.qp)
-        table, full, label = 1, family.full, "inverse-composite"
+        items = [(cond, _resolve_exponent(cond, query.p, None))
+                 for item in bundle for cond, _ in CONDITION_CATALOG[item] if cond in _SECTION_OF]
+        full, values = _sweep(block, query.order, query.qp, items, cps)
+        sections = {cond: (e, vals) for (cond, e), vals in zip(items, values)}
+        table, label = 1, "inverse-composite"
     else:
         bundle = TABLE_CLASSICAL_CELLS[(query.source, query.target)]
         full = forward_composite_matrix(block, query.order, query.qp)
@@ -406,9 +396,8 @@ def class_check(query: ClassQuery, phi: MatrixWindow) -> list[ConditionReport]:
         info = {**cell_info, "table": table, "item": item}
         for cond, rule in CONDITION_CATALOG[item]:
             if cond in _SECTION_OF:
-                reports.append(
-                    transform_condition(family, cond, query.p, checkpoints=cps, detail=info)
-                )
+                e, vals = sections[cond]
+                reports.append(_report(cond, cps, iter(vals), e, {"matrix": "sections", **info}))
             else:
                 reports.append(
                     matrix_class_condition(

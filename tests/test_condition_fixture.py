@@ -33,7 +33,7 @@ from qnabla.duals import (
     matrix_class_condition,
 )
 from qnabla.fracdiff import SeqWindow
-from qnabla.matclass import CONDITION_CATALOG, build_transform_family, transform_condition
+from qnabla.matclass import CONDITION_CATALOG, inverse_composite_matrix, transform_condition
 from qnabla.qcore import QParam
 from qnabla.spaces import P_INF, PExponent
 
@@ -46,7 +46,7 @@ ORDER, Q = 0.7, QParam(0.6)
 
 def _matrices() -> dict[str, MatrixWindow]:
     # The dense matrix decays along its rows by 0.1 per column, so its row
-    # tails pass the truncation test of a transform family at w = 12.
+    # tails pass the truncation test of the inverse composite at w = 12.
     rng = np.random.default_rng(3000)
     return {
         "triangular": MatrixWindow(np.tril(rng.uniform(-1.0, 1.0, (10, 10))), triangular=True),
@@ -103,14 +103,14 @@ def grid_outputs() -> list[list]:
                                lambda: _target_domain(m, p, row_limit=5)))
     sections = [c for c in Condition if c.value.startswith("section-")]
     for name in ("triangular", "dense"):
-        family = build_transform_family(matrices[name], ORDER, Q)
+        m = matrices[name]
         for cond in Condition:
             # A single-window condition is refused whatever p is.
             for p in PS if cond in sections else (PExponent(1.5),):
                 out.append(_record(["sections", name, cond.value, str(p)],
-                                   lambda: transform_condition(family, cond, p)))
+                                   lambda: transform_condition(m, ORDER, Q, cond, p)))
         out.append(_record(["sections", name, "checkpoints 3, 5, 9"], lambda: [
-            transform_condition(family, cond, PExponent(1.5), checkpoints=(3, 5, 9))
+            transform_condition(m, ORDER, Q, cond, PExponent(1.5), checkpoints=(3, 5, 9))
             for cond in sections
         ]))
     for name, a in _sequences().items():
@@ -135,11 +135,11 @@ def test_each_condition_has_exactly_one_evaluator(cond):
     # With p in the middle regime and an explicit exponent, every condition
     # is in its stated regime; what is left to refuse is the wrong window.
     phi = MatrixWindow(np.tril(np.ones((6, 6))), triangular=True)
-    family = build_transform_family(phi, ORDER, Q)
+    full = inverse_composite_matrix(phi, ORDER, Q)
     p = PExponent(1.5)
     calls = (
-        lambda: matrix_class_condition(family.full, cond, p, exponent=1.0),
-        lambda: transform_condition(family, cond, p),
+        lambda: matrix_class_condition(full, cond, p, exponent=1.0),
+        lambda: transform_condition(phi, ORDER, Q, cond, p),
     )
     accepted = []
     for call in calls:

@@ -26,7 +26,7 @@ from qnabla.duals import (
     subset_sup,
 )
 from qnabla.fracdiff import SeqWindow, _lower_toeplitz, apply_forward, inverse_coeffs
-from qnabla.matclass import build_transform_family, transform_condition
+from qnabla.matclass import inverse_composite_matrix, transform_condition
 from qnabla.qcore import QParam
 from qnabla.spaces import P_INF, PExponent
 
@@ -885,8 +885,8 @@ class TestSectionKernel:
     """The streamed sections against dense windows built whole
     (`oracles.dense_section` and `oracles.dense_estimate`), bit for bit, on
     windows that span several chunks.  A 1000-entry sequence takes 65
-    section rows a chunk; a family of 300 rows, whose 300 x 300 entries pass
-    2^16, takes one.  Checkpoints fall on, just before and just past chunk
+    section rows a chunk; a matrix of 300 rows, whose 300 x 300 section
+    entries pass 2^16, takes one.  Checkpoints fall on, just before and just past chunk
     ends, and below the window's end."""
 
     N, W = 1000, 300
@@ -938,9 +938,10 @@ class TestSectionKernel:
     def test_section_conditions_match_the_dense_sections(self):
         rng = np.random.default_rng(61)
         phi = MatrixWindow(np.tril(rng.uniform(-1.0, 1.0, (self.W, self.W))), triangular=True)
-        family = build_transform_family(phi, self.ORDER, self.QP)
-        refs = np.sum(np.abs(family.full.entries), axis=1)
-        t_e = np.array(family.T_e)
+        full = inverse_composite_matrix(phi, self.ORDER, self.QP)
+        refs = np.sum(np.abs(full.entries), axis=1)
+        t_e = np.array(_lower_toeplitz(inverse_coeffs(self.ORDER, self.QP, self.W - 1).coeffs,
+                                       self.W))
         # Power sums with p' = 2 take numpy's square; p' = 1.5 takes pow.
         default, short = self.FAMILY_CHECKPOINTS
         cases = [
@@ -950,11 +951,12 @@ class TestSectionKernel:
             for cps in (default, short)
         ]
         cases.append((Condition.SECTION_POWER_SUM_SUP, PExponent(3.0), short))
-        reports = [transform_condition(family, cond, p, checkpoints=cps) for cond, p, cps in cases]
+        reports = [transform_condition(phi, self.ORDER, self.QP, cond, p, checkpoints=cps)
+                   for cond, p, cps in cases]
         worst = [np.zeros(len(rep.values)) for rep in reports]
         for j, row in enumerate(phi.entries):  # one dense section at a time
             section = dense_section(row, t_e)
-            assert np.array_equal(section[-1], family.full.entries[j])
+            assert np.array_equal(section[-1], full.entries[j])
             for rep, top in zip(reports, worst):
                 single, e = duals._SECTION_OF[rep.condition_id], rep.detail.get("exponent")
                 values = [dense_estimate(single, section[:cp, :cp], e, True, refs[j])

@@ -223,6 +223,13 @@ class TestToeplitzStructure:
                 assert m[j, k] == expect
         assert np.array_equal(toeplitz_window(stream, 9), m)
 
+    def test_window_is_one_read_only_view(self):
+        # The n x n window is a read-only strided view of O(n) coefficients.
+        stream = inverse_coeffs(0.7, QParam(0.5), 63)
+        m = fracdiff._lower_toeplitz(stream.coeffs, 64)
+        assert not m.flags.writeable
+        assert m.base.nbytes < 2 * 64 * m.itemsize
+
 
 class TestCompose:
     def test_identity_element(self):

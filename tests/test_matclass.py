@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import dense_section, section_consistency_residual
+from qnabla import matclass
 from qnabla.duals import (
     Condition,
     InvalidCondition,
@@ -15,7 +16,9 @@ from qnabla.duals import (
     _sections,
     matrix_class_condition,
 )
-from qnabla.fracdiff import SeqWindow, apply_forward, apply_inverse
+from qnabla.fracdiff import (
+    SeqWindow, _lower_toeplitz, apply_forward, apply_inverse, inverse_coeffs,
+)
 from qnabla.matclass import (
     CONDITION_CATALOG,
     ClassQuery,
@@ -24,11 +27,11 @@ from qnabla.matclass import (
     TABLE_DOMAIN_CELLS,
     TailError,
     Target,
-    build_transform_family,
     cesaro_composite,
     class_check,
     column_cumsum_matrix,
     forward_composite_matrix,
+    inverse_composite_matrix,
     transform_condition,
 )
 from qnabla.qcore import QParam, q_integer
@@ -46,9 +49,14 @@ def _source_p(source: Source) -> PExponent:
     }[source]
 
 
+def inverse_toeplitz(n: int, order: float, qp: QParam) -> np.ndarray:
+    """The n x n Toeplitz window T_e of the inverse stream."""
+    return _lower_toeplitz(inverse_coeffs(order, qp, n - 1).coeffs, n)
+
+
 def kernel_section(phi: MatrixWindow, j: int, order: float, qp: QParam) -> np.ndarray:
     """Row j's section window, stacked from the section kernel's chunks."""
-    t_e = build_transform_family(phi, order, qp).T_e
+    t_e = inverse_toeplitz(phi.entries.shape[1], order, qp)
     return np.concatenate([c[:, 0].copy() for c in _sections(phi.entries[j : j + 1], t_e)])
 
 
@@ -66,35 +74,27 @@ class TestRowSectionMatrix:
         section = kernel_section(phi, 0, 0.7, QParam(0.5))
         assert np.all(section == 0.0)
 
-    def test_family_holds_one_toeplitz_view(self):
-        # T_e is a read-only strided view of the n inverse coefficients.
-        phi = MatrixWindow(np.eye(64), triangular=True)
-        family = build_transform_family(phi, 0.7, QParam(0.5))
-        assert not family.T_e.flags.writeable
-        assert family.T_e.base.nbytes < 2 * 64 * family.T_e.itemsize
-
     def test_last_row_equals_full_window_row(self):
         rng = np.random.default_rng(51)
         qp = QParam(0.9)
         phi = MatrixWindow(np.tril(rng.uniform(-1, 1, (10, 10))), triangular=True)
-        family = build_transform_family(phi, 1.7, qp)
+        full = inverse_composite_matrix(phi, 1.7, qp)
+        t_e = np.array(inverse_toeplitz(10, 1.7, qp))
         for j in range(10):
             section = kernel_section(phi, j, 1.7, qp)
-            assert np.array_equal(section, dense_section(phi.entries[j], np.array(family.T_e)))
-            assert np.array_equal(section[-1], family.full.entries[j])
+            assert np.array_equal(section, dense_section(phi.entries[j], t_e))
+            assert np.array_equal(section[-1], full.entries[j])
 
 
 class TestInverseCompositeMatrix:
     def test_identity_first_order(self):
-        full = build_transform_family(
-            MatrixWindow(np.eye(8), triangular=True), 1.0, QParam(0.5)
-        ).full
+        full = inverse_composite_matrix(MatrixWindow(np.eye(8), triangular=True), 1.0, QParam(0.5))
         assert np.array_equal(full.entries, np.tril(np.ones((8, 8))))
         assert full.tail_bounds == (0.0,) * 8
 
     def test_finitely_supported_row_is_exact(self):
         row = np.concatenate([[2.0, -1.0, 0.5], np.zeros(13)])
-        full = build_transform_family(MatrixWindow(row[None, :]), 0.5, QParam(0.5)).full
+        full = inverse_composite_matrix(MatrixWindow(row[None, :]), 0.5, QParam(0.5))
         assert full.tail_bounds == (0.0,)
 
     def test_geometric_row_matches_long_oracle(self):
@@ -106,7 +106,7 @@ class TestInverseCompositeMatrix:
         r, order, q, n = 0.1, 0.5, 0.5, 24
         qp = QParam(q)
         row = r ** np.arange(n, dtype=float)
-        psi = build_transform_family(MatrixWindow(row[None, :]), order, qp).full
+        psi = inverse_composite_matrix(MatrixWindow(row[None, :]), order, qp)
         with mpmath.workdps(50):
             qm, om, rm = mpmath.mpf(q), mpmath.mpf(order), mpmath.mpf(r)
 
@@ -122,17 +122,22 @@ class TestInverseCompositeMatrix:
 
     def test_non_decaying_row_refused(self):
         with pytest.raises(TailError, match="row 1"):
-            build_transform_family(
+            inverse_composite_matrix(
                 MatrixWindow(np.vstack([np.zeros(12), np.ones(12)])),
                 0.5,
                 QParam(0.5),
             )
+        # Rows 2 and 4 fail; the refusal names the first.
+        rows = np.vstack([np.zeros(12), np.eye(12)[:1], np.ones(12), np.zeros(12),
+                          np.full(12, 3.0)])
+        with pytest.raises(TailError, match=r"^row 2 tail mass 3\.000e\+00 .* head \(9\.000e\+00\)"):
+            inverse_composite_matrix(MatrixWindow(rows), 0.5, QParam(0.5))
 
     def test_triangular_rows_are_always_exact(self):
         # Window-edge rows of a triangular matrix still have provably zero
         # tails beyond the window.
         m = MatrixWindow(np.tril(np.ones((12, 12))), triangular=True)
-        full = build_transform_family(m, 0.5, QParam(0.9)).full
+        full = inverse_composite_matrix(m, 0.5, QParam(0.9))
         assert full.tail_bounds == (0.0,) * 12
 
 
@@ -176,50 +181,47 @@ class TestSectionConsistency:
 class TestTransformCondition:
     def test_zero_matrix_all_conditions_vanish(self):
         qp = QParam(0.5)
-        family = build_transform_family(
-            MatrixWindow(np.zeros((8, 8)), triangular=True), 0.5, qp
-        )
+        phi = MatrixWindow(np.zeros((8, 8)), triangular=True)
         for cond in (
             Condition.SECTION_COLUMN_LIMITS,
             Condition.SECTION_ENTRY_SUP,
             Condition.SECTION_ABS_SUM_MATCH,
         ):
-            rep = transform_condition(family, cond, PExponent(2.0))
+            rep = transform_condition(phi, 0.5, qp, cond, PExponent(2.0))
             assert all(v == 0.0 for _, v in rep.values)
-        rep = matrix_class_condition(family.full, Condition.VANISHING_ROW_ABS_SUM)
+        full = inverse_composite_matrix(phi, 0.5, qp)
+        rep = matrix_class_condition(full, Condition.VANISHING_ROW_ABS_SUM)
         assert all(v == 0.0 for _, v in rep.values)
-        rep = transform_condition(family, Condition.SECTION_POWER_SUM_SUP, PExponent(2.0))
+        rep = transform_condition(phi, 0.5, qp, Condition.SECTION_POWER_SUM_SUP, PExponent(2.0))
         assert all(v == 0.0 for _, v in rep.values)
 
     def test_identity_entry_sup_is_one(self):
-        qp = QParam(0.5)
-        family = build_transform_family(
-            MatrixWindow(np.eye(8), triangular=True), 1.0, qp
-        )
-        rep = transform_condition(family, Condition.SECTION_ENTRY_SUP)
+        phi = MatrixWindow(np.eye(8), triangular=True)
+        rep = transform_condition(phi, 1.0, QParam(0.5), Condition.SECTION_ENTRY_SUP)
         assert all(v == 1.0 for _, v in rep.values)
 
     def test_all_ones_triangle_row_sums_grow(self):
-        qp = QParam(0.5)
-        family = build_transform_family(
-            MatrixWindow(np.tril(np.ones((16, 16))), triangular=True), 1.0, qp
+        full = inverse_composite_matrix(
+            MatrixWindow(np.tril(np.ones((16, 16))), triangular=True), 1.0, QParam(0.5)
         )
-        rep = matrix_class_condition(family.full, Condition.VANISHING_ROW_ABS_SUM)
+        rep = matrix_class_condition(full, Condition.VANISHING_ROW_ABS_SUM)
         assert rep.verdict is Verdict.GROWING
 
     def test_power_sum_needs_mid_regime(self):
-        family = build_transform_family(
-            MatrixWindow(np.eye(4), triangular=True), 1.0, QParam(0.5)
-        )
+        phi = MatrixWindow(np.eye(4), triangular=True)
         with pytest.raises(InvalidCondition):
-            transform_condition(family, Condition.SECTION_POWER_SUM_SUP, PExponent(1.0))
+            transform_condition(phi, 1.0, QParam(0.5), Condition.SECTION_POWER_SUM_SUP,
+                                PExponent(1.0))
 
     def test_single_matrix_condition_rejected(self):
-        family = build_transform_family(
-            MatrixWindow(np.eye(4), triangular=True), 1.0, QParam(0.5)
-        )
+        phi = MatrixWindow(np.eye(4), triangular=True)
         with pytest.raises(InvalidCondition):
-            transform_condition(family, Condition.ROW_ABS_SUM_SUP)
+            transform_condition(phi, 1.0, QParam(0.5), Condition.ROW_ABS_SUM_SUP)
+
+    def test_non_decaying_row_refused(self):
+        phi = MatrixWindow(np.vstack([np.zeros(12), np.ones(12)]))
+        with pytest.raises(TailError, match="row 1"):
+            transform_condition(phi, 0.5, QParam(0.5), Condition.SECTION_ENTRY_SUP)
 
 
 class TestForwardComposite:
@@ -474,6 +476,37 @@ class TestClassCheck:
                            window=10)
         with pytest.raises(ValueError, match="window"):
             class_check(query, MatrixWindow(np.eye(8), triangular=True))
+
+    @pytest.mark.parametrize("source", [Source.L1_DOMAIN, Source.LP_DOMAIN, Source.LINF_DOMAIN],
+                             ids=lambda s: s.value)
+    def test_one_section_sweep_per_query(self, source, monkeypatch):
+        # 300 x 300 section entries pass 2^16, so the sweep takes one section
+        # row a chunk, and the abs-sum match's reference comes from the last.
+        w, order, qp = 300, 0.7, QParam(0.6)
+        phi = MatrixWindow(np.tril(np.random.default_rng(65).uniform(-1.0, 1.0, (w, w))),
+                           triangular=True)
+        sweeps = []
+
+        def counted(*args):
+            sweeps.append(args)
+            return sections(*args)
+
+        sections = matclass._sections
+        monkeypatch.setattr(matclass, "_sections", counted)
+        query = ClassQuery(source, Target.C, _source_p(source), order, qp, window=w)
+        reports = class_check(query, phi)
+        assert len(sweeps) == 1
+        full = inverse_composite_matrix(phi, order, qp)
+        cps = [cp for cp, _ in reports[0].values]
+        for rep in reports:
+            if rep.detail["matrix"] == "sections":
+                expect = transform_condition(phi, order, qp, rep.condition_id, query.p,
+                                             checkpoints=cps)
+            else:
+                expect = matrix_class_condition(full, rep.condition_id, checkpoints=cps,
+                                                exponent=rep.detail.get("exponent"))
+            assert rep.values == expect.values
+            assert rep.verdict is expect.verdict
 
     def test_tail_error_propagates(self):
         qp = QParam(0.5)

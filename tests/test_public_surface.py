@@ -25,9 +25,9 @@ SURFACE = {
         "MatrixWindow", "SubsetMode", "Verdict", "alpha_dual_check",
         "beta_dual_check", "gamma_dual_check", "matrix_class_condition",
         "subset_sup",
-        "ClassQuery", "Source", "TailError", "Target", "TransformFamily",
-        "build_transform_family", "cesaro_composite", "class_check",
-        "column_cumsum_matrix", "forward_composite_matrix", "transform_condition",
+        "ClassQuery", "Source", "TailError", "Target", "cesaro_composite",
+        "class_check", "column_cumsum_matrix", "forward_composite_matrix",
+        "inverse_composite_matrix", "transform_condition",
     ],
     qcore: ["QParam", "q_integer"],
     fracdiff: [
@@ -47,9 +47,9 @@ SURFACE = {
         "gamma_dual_check",
     ],
     matclass: [
-        "TailError", "Source", "Target", "ClassQuery", "TransformFamily",
+        "TailError", "Source", "Target", "ClassQuery",
         "CONDITION_CATALOG", "TABLE_DOMAIN_CELLS", "TABLE_CLASSICAL_CELLS",
-        "build_transform_family", "transform_condition", "class_check",
+        "inverse_composite_matrix", "transform_condition", "class_check",
         "forward_composite_matrix", "column_cumsum_matrix", "cesaro_composite",
     ],
     cli: ["cli", "main"],
@@ -66,7 +66,6 @@ def test_all_is_pinned(module):
 FIELDS = {
     qcore.QParam: ["q"],
     matclass.ClassQuery: ["source", "target", "p", "order", "qp", "window", "row_limit"],
-    matclass.TransformFamily: ["phi", "T_e", "full"],
 }
 
 
@@ -75,6 +74,12 @@ def test_fields_are_pinned(cls):
     assert [f.name for f in dataclasses.fields(cls)] == FIELDS[cls]
 
 
-def test_build_transform_family_signature():
-    params = inspect.signature(matclass.build_transform_family).parameters
+def test_inverse_composite_matrix_signature():
+    params = inspect.signature(matclass.inverse_composite_matrix).parameters
     assert list(params) == ["phi", "order", "qp"]
+
+
+def test_transform_condition_signature():
+    params = inspect.signature(matclass.transform_condition).parameters
+    assert list(params) == ["phi", "order", "qp", "cond", "p", "checkpoints", "detail"]
+    assert [params[k].kind for k in ("checkpoints", "detail")] == [inspect.Parameter.KEYWORD_ONLY] * 2
