@@ -51,9 +51,7 @@ from .matclass import (
     Source,
     TailError,
     Target,
-    cesaro_composite,
     class_check,
-    column_cumsum_matrix,
     forward_composite_matrix,
     inverse_composite_matrix,
     transform_condition,
@@ -79,7 +77,6 @@ __all__ = [
     "beta_dual_check", "gamma_dual_check", "matrix_class_condition",
     "subset_sup",
     # matclass
-    "ClassQuery", "Source", "TailError", "Target", "cesaro_composite",
-    "class_check", "column_cumsum_matrix", "forward_composite_matrix",
-    "inverse_composite_matrix", "transform_condition",
+    "ClassQuery", "Source", "TailError", "Target", "class_check",
+    "forward_composite_matrix", "inverse_composite_matrix", "transform_condition",
 ]

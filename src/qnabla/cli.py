@@ -8,8 +8,8 @@ shortest round-trip representation, so identical invocations produce
 byte-identical output and values reload losslessly.
 
 Exit codes: 0 success, 1 I/O failure, 2 validation error (including a
-result outside double range), 3 refusal to truncate a row tail or to
-enumerate past the subset cap.
+result outside double range or a request too large to allocate), 3 refusal
+to truncate a row tail or to enumerate past the subset cap.
 """
 
 from __future__ import annotations
@@ -184,7 +184,7 @@ def _command(name: str, *options, orders=(("gamma", "Operator order."),), p: boo
                 _emit(payload, output, fmt)
             except (LimitError, TailError) as exc:
                 _fail(3, exc)
-            except (ValueError, ArithmeticError) as exc:
+            except (ValueError, ArithmeticError, MemoryError) as exc:
                 _fail(2, exc)
             except OSError as exc:
                 _fail(1, exc)

@@ -654,7 +654,8 @@ def _sections(rows: np.ndarray, t_e: np.ndarray):
     so every row is the previous row plus the same products, added in the
     order of the dense cumsum(r[:, None] * t_e, axis=0), and the bits match
     it; the first row of all is the products themselves (0.0 + -0.0 would be
-    +0.0).  Chunks are views of two buffers, each valid for one more draw.
+    +0.0).  The cumsum of one row is that row, so a one-row chunk skips it.
+    Chunks are views of two buffers, each valid for one more draw.
     A non-finite entry stays non-finite down its column, so the last row
     shows whether any did.
     """
@@ -666,7 +667,8 @@ def _sections(rows: np.ndarray, t_e: np.ndarray):
         np.multiply(rows.T[m0 : m0 + len(out), :, None], t_e[m0 : m0 + len(out), None], out=out)
         if m0:
             np.add(bufs[1 - j % 2, -1], out[0], out=out[0])
-        np.cumsum(out, axis=0, out=out)
+        if len(out) > 1:
+            np.cumsum(out, axis=0, out=out)
         yield out
 
 
@@ -675,11 +677,12 @@ _TAIL_COLUMNS = frozenset({Condition.COLUMN_LIMITS, Condition.COLUMN_LIMITS_ZERO
 _SPREAD = frozenset({Condition.COLUMN_LIMITS, Condition.ABS_ROW_SUM_INTERCHANGE})
 
 
-def _profile(items, chunks, cps: tuple[int, ...], triangular: bool, full_ref: bool = False):
-    """Values of non-subset single-window conditions, each with its exponent
-    in ``items``, on the leading cp x cp blocks of R windows, folded over
-    ``chunks``: c x R x n arrays of rows m0 .. m0 + c - 1 of every window,
-    from row 0 (`_sections`, or a dense window whole).
+def _profile(items, chunks, cps: tuple[int, ...], triangular: bool):
+    """Values of non-subset conditions, each with its exponent in ``items``,
+    on the leading cp x cp blocks of R windows, folded over ``chunks``:
+    c x R x n arrays of rows m0 .. m0 + c - 1 of every window, from row 0
+    (`_sections`, or a dense window whole).  A section condition folds as
+    its single-window twin (`_SECTION_OF`), its windows being the sections.
 
     Each block row gives its entries (column limits), its largest entry or
     its sum of |entry|^e over the block's full width, trailing zeros
@@ -688,7 +691,7 @@ def _profile(items, chunks, cps: tuple[int, ...], triangular: bool, full_ref: bo
     one value per window at the block's last row.  Limits are oscillation
     estimates over the last quarter of the rows.  The interchange estimate
     compares a block's tail row sums with a reference row sum: the block's
-    last row, or with ``full_ref`` (section windows, whose limit is the full
+    last row, or for the section abs-sum match (whose limit is the full
     window) the last row of the whole fold at full width, so that item keeps
     its running maximum and minimum until the fold ends; rounding is
     monotone, so |s - ref| peaks at the largest or the smallest s.  Returns
@@ -696,7 +699,10 @@ def _profile(items, chunks, cps: tuple[int, ...], triangular: bool, full_ref: bo
     each checkpoint, and the last row.
     """
     tails = [_tail_start(cp) for cp in cps]
-    kinds = [(c in _TAIL_CONDITIONS, c in _TAIL_COLUMNS, c in _SPREAD) for c, _ in items]
+    deferred = [c is Condition.SECTION_ABS_SUM_MATCH for c, _ in items]  # full-width reference
+    items = [(_SECTION_OF.get(c, c), e) for c, e in items]
+    kinds = [(c in _TAIL_CONDITIONS, c in _TAIL_COLUMNS, c in _SPREAD, d)
+             for (c, _), d in zip(items, deferred)]
     values = [[None] * len(cps) for _ in items]  # running (max, min), then per-window values
     m0 = 0
     with np.errstate(over="ignore", invalid="ignore"):  # refused by the report
@@ -708,7 +714,7 @@ def _profile(items, chunks, cps: tuple[int, ...], triangular: bool, full_ref: bo
                     continue
                 b = min(cp - m0, chunk.shape[0])  # the block's rows in this chunk: [0, b)
                 width = min(cp, chunk.shape[2])
-                for (cond, e), (tail, tail_cols, spread), vals in zip(items, kinds, values):
+                for (cond, e), (tail, tail_cols, spread, defer), vals in zip(items, kinds, values):
                     a = max(ts - m0, 0) if tail else 0
                     if a >= b:  # no tail row in this chunk
                         continue
@@ -726,23 +732,21 @@ def _profile(items, chunks, cps: tuple[int, ...], triangular: bool, full_ref: bo
                     if vals[i] is not None:  # into the fresh reductions: no third array
                         top = np.maximum(vals[i][0], top, out=top)
                         low = None if low is None else np.minimum(vals[i][1], low, out=low)
-                    interchange = cond is Condition.ABS_ROW_SUM_INTERCHANGE
-                    if m0 + b < cp or interchange and full_ref:  # reduced later
+                    if m0 + b < cp or defer:  # reduced later
                         vals[i] = top, low
                         continue
                     if cond is Condition.COLUMN_LIMITS:
                         top = np.maximum.reduce(top - low, axis=1)
-                    elif interchange:
+                    elif cond is Condition.ABS_ROW_SUM_INTERCHANGE:
                         top = np.maximum(top - rows[-1], rows[-1] - low)
                     elif cond is Condition.ENTRY_SUP and e is not None:
                         top = [x**e for x in top]  # scalar powers, as on one value
                     vals[i] = top
             m0 += chunk.shape[0]
-        if full_ref:
-            ref = np.add.reduce(np.abs(chunk[-1]), axis=1)
-            for (cond, _), vals in zip(items, values):
-                if cond is Condition.ABS_ROW_SUM_INTERCHANGE:
-                    vals[:] = [np.maximum(top - ref, ref - low) for top, low in vals]
+        for d, vals in zip(deferred, values):
+            if d:
+                ref = np.add.reduce(np.abs(chunk[-1]), axis=1)
+                vals[:] = [np.maximum(top - ref, ref - low) for top, low in vals]
         out = []
         for vals in values:
             worst = np.zeros(len(cps))

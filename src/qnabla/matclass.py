@@ -31,15 +31,14 @@ For the reverse direction (classical space -> operator domain), the test
 matrix is composed columnwise with the forward operator, and the resulting
 window is screened with items of the same catalog (row power sums and
 column-subset sums among them).
-Composites with the running-sum and q-Cesàro mean matrices reuse the same
-dispatch against their respective targets.
+Composites with the running-sum and q-Cesàro mean matrices, each one
+weighted running sum down the columns, reuse the same dispatch.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -73,8 +72,6 @@ __all__ = [
     "transform_condition",
     "class_check",
     "forward_composite_matrix",
-    "column_cumsum_matrix",
-    "cesaro_composite",
 ]
 
 
@@ -272,9 +269,7 @@ def _sweep(phi: MatrixWindow, order: float, qp: QParam, items, cps: tuple[int, .
     n = phi.entries.shape[1]
     e = inverse_coeffs(order, qp, n - 1)
     bounds = _row_tail_bounds(phi, e)
-    sections = _sections(phi.entries, _lower_toeplitz(e.coeffs, n))
-    singles = [(_SECTION_OF[cond], x) for cond, x in items]
-    values, last = _profile(singles, sections, cps, True, True)
+    values, last = _profile(items, _sections(phi.entries, _lower_toeplitz(e.coeffs, n)), cps, True)
     full = MatrixWindow(entries=last, triangular=phi.triangular, tail_bounds=bounds)
     return full, values
 
@@ -299,7 +294,6 @@ def transform_condition(
     p: PExponent | None = None,
     *,
     checkpoints: tuple[int, ...] | list[int] | None = None,
-    detail: dict[str, Any] | None = None,
 ) -> ConditionReport:
     """Evaluate a section condition: the maximum over rows of its
     single-window condition on that row's section, with the same truncation
@@ -318,7 +312,7 @@ def transform_condition(
     cps = _checkpoints(checkpoints, phi.entries.shape[1], start=4)
     e = _resolve_exponent(cond, p, None)
     _, (values,) = _sweep(phi, order, qp, ((cond, e),), cps)
-    return _report(cond, cps, iter(values), e, {"matrix": "sections", **(detail or {})})
+    return _report(cond, cps, iter(values), e, {"matrix": "sections"})
 
 
 def forward_composite_matrix(phi: MatrixWindow, order: float, qp: QParam) -> MatrixWindow:
@@ -330,22 +324,18 @@ def forward_composite_matrix(phi: MatrixWindow, order: float, qp: QParam) -> Mat
     return MatrixWindow(entries=np.column_stack(cols), triangular=phi.triangular)
 
 
-def column_cumsum_matrix(phi: MatrixWindow) -> MatrixWindow:
-    """Running column partial sums: entry (j, k) is sum_{v<=j} phi_vk.
-    Row differences recover the original rows exactly."""
-    return MatrixWindow(
-        entries=np.cumsum(phi.entries, axis=0), triangular=phi.triangular
-    )
-
-
-def cesaro_composite(phi: MatrixWindow, qp: QParam) -> MatrixWindow:
-    """q-Cesàro mean down each column: entry (j, k) is
-    sum_{v<=j} (q^v / [j+1]_q) phi_vk.  Row weights sum to one because the
-    geometric sum of q^v over v <= j is the q-bracket [j+1]_q."""
-    n_rows = phi.entries.shape[0]
-    qpow = qp.q ** np.arange(n_rows, dtype=np.float64)
-    denom = q_integer(np.arange(1, n_rows + 1, dtype=np.float64), qp)
-    entries = np.cumsum(qpow[:, None] * phi.entries, axis=0) / denom[:, None]
+def _column_means(phi: MatrixWindow, composite: str, qp: QParam) -> MatrixWindow:
+    """Weighted running sum down each column: entry (j, k) is
+    sum_{v<=j} w_v phi_vk / d_j.  The running sum has w = d = 1, and x * 1
+    and x / 1 are exact, so its bits are those of the plain column cumsum;
+    the q-Cesàro mean has w_v = q^v and d_j = [j+1]_q, the geometric sum of
+    its weights, so each row's weights sum to one."""
+    v = np.arange(phi.entries.shape[0], dtype=np.float64)
+    if composite == "q-cesaro":
+        w, d = qp.q**v, q_integer(v + 1.0, qp)
+    else:
+        w = d = np.ones_like(v)
+    entries = np.cumsum(w[:, None] * phi.entries, axis=0) / d[:, None]
     return MatrixWindow(entries=entries, triangular=phi.triangular)
 
 
@@ -371,15 +361,10 @@ def class_check(query: ClassQuery, phi: MatrixWindow) -> list[ConditionReport]:
     cell_info = {"source": query.source.value, "target": query.target.value}
 
     if query.source in _DOMAIN_SOURCES:
-        if query.target in _COMPOSITE_TARGETS:
-            composite, underlying = _COMPOSITE_TARGETS[query.target]
-            if composite == "running-sum":
-                block = column_cumsum_matrix(block)
-            else:
-                block = cesaro_composite(block, query.qp)
+        composite, underlying = _COMPOSITE_TARGETS.get(query.target, (None, query.target))
+        if composite:
+            block = _column_means(block, composite, query.qp)
             cell_info["composite"] = composite
-        else:
-            underlying = query.target
         bundle = TABLE_DOMAIN_CELLS[(query.source, underlying)]
         items = [(cond, _resolve_exponent(cond, query.p, None))
                  for item in bundle for cond, _ in CONDITION_CATALOG[item] if cond in _SECTION_OF]

@@ -311,6 +311,21 @@ class TestArithmeticBackstop:
         assert result.stderr.startswith("error: ")
         assert "Traceback" not in result.stderr
 
+    # Each asks numpy for about 8 PB at once, which no 64-bit host grants,
+    # so the request fails before anything is allocated.
+    @pytest.mark.parametrize("args", [
+        ("coeffs", "--gamma", 0.5, "--q", 0.5, "--k"),
+        ("compose", "--mu", 0.5, "--nu", 0.3, "--q", 0.5, "--k"),
+        ("verify-inverse", "--gamma", 0.5, "--q", 0.5, "--window"),
+        ("semigroup-defect", "--mu", 0.5, "--nu", 0.3, "--q", 0.5, "--window"),
+        ("basis", "--gamma", 0.5, "--q", 0.5, "--k", 0, "--window"),
+    ], ids=lambda args: args[0])
+    def test_unallocatable_request_is_exit_2(self, runner, args):
+        result = invoke(runner, *args, 10**15)
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.stderr
+
 
 class TestDoubleRange:
     """Values outside double range exit 2 with one error line; the suite

@@ -27,9 +27,8 @@ from qnabla.matclass import (
     TABLE_DOMAIN_CELLS,
     TailError,
     Target,
-    cesaro_composite,
+    _column_means,
     class_check,
-    column_cumsum_matrix,
     forward_composite_matrix,
     inverse_composite_matrix,
     transform_condition,
@@ -312,27 +311,46 @@ class TestTargetDomainConditions:
                 _resolve_exponent(cond, P_INF, None, rule)
 
 
+# Extreme finite entries: signed zeros, the smallest subnormal, and
+# magnitudes whose running sums cancel instead of overflowing.
+_EXTREME = np.array([
+    [1e308, -0.0, 5e-324, -5e-324],
+    [-1e308, 0.0, -0.0, 5e-324],
+    [-0.0, 5e-324, 1e308, -0.0],
+    [5e-324, -1e308, -1e308, 1.5],
+])
+
+
+def _running_sum(phi: MatrixWindow) -> MatrixWindow:
+    return _column_means(phi, "running-sum", QParam(0.5))
+
+
 class TestRunningSumComposite:
     def test_identity_becomes_all_ones_triangle(self):
-        sig = column_cumsum_matrix(MatrixWindow(np.eye(4), triangular=True))
+        sig = _running_sum(MatrixWindow(np.eye(4), triangular=True))
         assert np.array_equal(sig.entries, np.tril(np.ones((4, 4))))
 
     def test_difference_matrix_telescopes_to_identity(self):
         diff = np.eye(4) - np.eye(4, k=-1)
-        sig = column_cumsum_matrix(MatrixWindow(diff, triangular=True))
+        sig = _running_sum(MatrixWindow(diff, triangular=True))
         assert np.array_equal(sig.entries, np.eye(4))
 
     def test_row_differences_recover_rows_exactly(self):
         rng = np.random.default_rng(58)
         entries = rng.integers(-4, 5, size=(6, 6)).astype(float)
-        sig = column_cumsum_matrix(MatrixWindow(entries))
+        sig = _running_sum(MatrixWindow(entries))
         for j in range(1, 6):
             assert np.array_equal(sig.entries[j] - sig.entries[j - 1], entries[j])
+
+    def test_bits_are_the_plain_column_cumsum(self):
+        # Unit weights and divisors are exact in IEEE arithmetic.
+        sig = _running_sum(MatrixWindow(_EXTREME))
+        assert sig.entries.tobytes() == np.cumsum(_EXTREME, axis=0).tobytes()
 
 
 class TestCesaroComposite:
     def test_identity_second_row_weights(self):
-        ces = cesaro_composite(MatrixWindow(np.eye(8), triangular=True), QParam(0.5))
+        ces = _column_means(MatrixWindow(np.eye(8), triangular=True), "q-cesaro", QParam(0.5))
         assert ces.entries[1, 0] == pytest.approx(2.0 / 3.0, rel=1e-14)
         assert ces.entries[1, 1] == pytest.approx(1.0 / 3.0, rel=1e-14)
 
@@ -346,8 +364,16 @@ class TestCesaroComposite:
                 assert abs(total - 1.0) <= 1e-14
 
     def test_zero_matrix(self):
-        ces = cesaro_composite(MatrixWindow(np.zeros((5, 5))), QParam(0.5))
+        ces = _column_means(MatrixWindow(np.zeros((5, 5))), "q-cesaro", QParam(0.5))
         assert np.all(ces.entries == 0.0)
+
+    @pytest.mark.parametrize("q", QS)
+    def test_bits_are_the_weighted_cumsum_over_the_q_bracket(self, q):
+        qp = QParam(q)
+        v = np.arange(4, dtype=np.float64)
+        ces = _column_means(MatrixWindow(_EXTREME), "q-cesaro", qp)
+        expected = np.cumsum(q**v[:, None] * _EXTREME, axis=0) / q_integer(v + 1.0, qp)[:, None]
+        assert ces.entries.tobytes() == expected.tobytes()
 
 
 class TestDispatchTables:

@@ -25,9 +25,8 @@ SURFACE = {
         "MatrixWindow", "SubsetMode", "Verdict", "alpha_dual_check",
         "beta_dual_check", "gamma_dual_check", "matrix_class_condition",
         "subset_sup",
-        "ClassQuery", "Source", "TailError", "Target", "cesaro_composite",
-        "class_check", "column_cumsum_matrix", "forward_composite_matrix",
-        "inverse_composite_matrix", "transform_condition",
+        "ClassQuery", "Source", "TailError", "Target", "class_check",
+        "forward_composite_matrix", "inverse_composite_matrix", "transform_condition",
     ],
     qcore: ["QParam", "q_integer"],
     fracdiff: [
@@ -50,7 +49,7 @@ SURFACE = {
         "TailError", "Source", "Target", "ClassQuery",
         "CONDITION_CATALOG", "TABLE_DOMAIN_CELLS", "TABLE_CLASSICAL_CELLS",
         "inverse_composite_matrix", "transform_condition", "class_check",
-        "forward_composite_matrix", "column_cumsum_matrix", "cesaro_composite",
+        "forward_composite_matrix",
     ],
     cli: ["cli", "main"],
 }
@@ -81,5 +80,5 @@ def test_inverse_composite_matrix_signature():
 
 def test_transform_condition_signature():
     params = inspect.signature(matclass.transform_condition).parameters
-    assert list(params) == ["phi", "order", "qp", "cond", "p", "checkpoints", "detail"]
-    assert [params[k].kind for k in ("checkpoints", "detail")] == [inspect.Parameter.KEYWORD_ONLY] * 2
+    assert list(params) == ["phi", "order", "qp", "cond", "p", "checkpoints"]
+    assert params["checkpoints"].kind is inspect.Parameter.KEYWORD_ONLY
