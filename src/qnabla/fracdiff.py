@@ -16,6 +16,16 @@ classical order-r q-difference operator (order 1 is ``g_j - g_{j-1}``).
 Entries below the smallest normal double are set to zero: they carry no
 relative precision and, as subnormals, would slow convolutions many times.
 
+The ratios are written into the output buffer behind c_0 and one in-place
+cumprod runs over them.  Past lag floor(gamma) the forward factor
+``-sign(gamma - k) q^min(k, gamma)`` is the constant q^gamma, taken once
+from ``np.exp``; up to that lag the full formula runs.  For an integer
+order r >= 0 the ratio at lag r is zero, so every later coefficient is
+zero and no later ratio is taken.  A stream or transform the library has
+just built is scanned for finiteness once, by the routine that built it,
+and wrapped read-only without the constructors' copy and second scan
+(``_built``); public construction keeps both.
+
 The inverse stream deliberately has no ``q^{k(k-1)/2}`` twist: the two
 generating functions are ``prod_j (1 - q^j x) / (1 - q^{gamma+j} x)`` and
 its reciprocal (q-binomial theorem), so the streams convolve exactly to
@@ -166,23 +176,50 @@ def _check_int(name: str, n: int, minimum: int) -> int:
     return int(n)
 
 
+def _built(cls, **fields):
+    """A ``CoeffStream`` or ``SeqWindow`` around arrays the library has just
+    built and checked itself: made read-only in place, with no copy and no
+    second finiteness scan.  Never pass it a view of a caller's array."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def _stream(kind: Kind, order: float, qp: QParam, k: int) -> CoeffStream:
-    """Coefficients 0..K of one stream: a single cumprod over the lag ratios."""
+    """Coefficients 0..K of one stream: the lag ratios written into the
+    output buffer behind its leading 1, then one in-place cumprod."""
     order = _require_finite("order", order)
     k = _check_int("truncation length", k, 0)
     logq = math.log(qp.q)
-    lag = np.arange(k, dtype=np.float64)
+    m = k  # lags whose ratio is computed
+    if kind is Kind.FORWARD:
+        # Module notes: the full formula up to lag floor(order), the constant
+        # q^order past it, and no ratio past an integer order's zero ratio.
+        head = min(k, max(0, math.floor(order) + 1))
+        if order >= 0.0 and order.is_integer():
+            m = head
+    lag = np.arange(m, dtype=np.float64)
+    out = np.empty(k + 1)
+    out[0] = 1.0
+    out[m + 1 :] = 0.0
+    done = out[: m + 1]
+    ratio = done[1:]
     # Only a negative order can overflow.  No ratio is zero or infinite
     # then, so once the cumprod leaves double range it stays non-finite and
     # the last entry alone tells whether the stream fits.
     with np.errstate(over="ignore", invalid="ignore"):
         if kind is Kind.FORWARD:
             gap = order - lag
-            num = -np.sign(gap) * np.exp(np.minimum(lag, order) * logq)
-            num *= np.expm1(np.abs(gap) * logq)
+            ratio[:head] = -np.sign(gap[:head]) * np.exp(np.minimum(lag[:head], order) * logq)
+            ratio[head:] = np.exp(np.array([order * logq]))
+            ratio *= np.expm1(np.abs(gap) * logq)
         else:
-            num = np.expm1((order + lag) * logq)
-        out = np.cumprod(np.concatenate(([1.0], num / np.expm1((lag + 1.0) * logq))))
+            np.expm1((order + lag) * logq, out=ratio)
+        ratio /= np.expm1((lag + 1.0) * logq)
+        np.cumprod(done, out=done)
     if not math.isfinite(out[-1]):
         first = int(np.argmin(np.isfinite(out)))
         raise OverflowError(
@@ -190,8 +227,8 @@ def _stream(kind: Kind, order: float, qp: QParam, k: int) -> CoeffStream:
             f"double range at lag {first}; the largest truncation that fits is "
             f"K = {first - 1}"
         )
-    out[np.abs(out) < _TINY] = 0.0
-    return CoeffStream(order=order, qp=qp, kind=kind, coeffs=out)
+    done[np.abs(done) < _TINY] = 0.0
+    return _built(CoeffStream, order=order, qp=qp, kind=kind, coeffs=out)
 
 
 def forward_coeffs(order: float, qp: QParam, k: int) -> CoeffStream:
@@ -271,7 +308,9 @@ def _causal(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     if a.size * b.size > _SPLIT_FLOOR:
         return _blocked_causal(a, b, n)
     head = np.convolve(a, b)[:n]
-    return np.pad(head, (0, n - head.size))
+    out = np.zeros(n)
+    out[: head.size] = head
+    return out
 
 
 def _blocked_causal(c: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
@@ -428,11 +467,11 @@ def _convolve(n: int, a: CoeffStream, b: CoeffStream | np.ndarray) -> np.ndarray
 
 
 def _apply(stream: CoeffStream, g: SeqWindow) -> SeqWindow:
-    try:
-        return SeqWindow(_convolve(g.n, stream, g.values))
-    except ValueError:  # finite inputs: only an overflow makes an entry non-finite
+    out = _convolve(g.n, stream, g.values)
+    if not np.isfinite(out).all():  # finite inputs: only an overflow makes an entry non-finite
         what = f"{stream.kind.value} transform of order {stream.order} at q = {stream.qp.q}"
-        raise OverflowError(f"{what} leaves double range") from None
+        raise OverflowError(f"{what} leaves double range")
+    return _built(SeqWindow, values=out)
 
 
 def apply_forward(g: SeqWindow, order: float, qp: QParam) -> SeqWindow:
@@ -449,7 +488,8 @@ def compose_coeffs(a: CoeffStream, b: CoeffStream) -> CoeffStream:
     """Cauchy convolution of two symbols, truncated to the shorter stream.
 
     This is the coefficient stream of the composed operator; both streams
-    must share the same deformation parameter.
+    must share the same deformation parameter.  A product past double range
+    raises OverflowError.
     """
     if a.qp.q != b.qp.q:
         raise MismatchedParameter(
@@ -457,7 +497,10 @@ def compose_coeffs(a: CoeffStream, b: CoeffStream) -> CoeffStream:
         )
     n = min(a.coeffs.size, b.coeffs.size)
     out = _convolve(n, a, b)
-    return CoeffStream(order=None, qp=a.qp, kind=Kind.COMPOSED, coeffs=out)
+    if not np.isfinite(out).all():  # finite inputs: only an overflow makes an entry non-finite
+        what = f"composed stream of {n} coefficients at q = {a.qp.q}"
+        raise OverflowError(f"{what} leaves double range")
+    return _built(CoeffStream, order=None, qp=a.qp, kind=Kind.COMPOSED, coeffs=out)
 
 
 def verify_inverse(order: float, qp: QParam, n: int) -> float:

@@ -21,13 +21,19 @@ checkpoints and leave interpretation to the caller.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fracdiff import SeqWindow, _check_int, _lower_toeplitz, apply_forward, inverse_coeffs
+from .fracdiff import (
+    SeqWindow,
+    _built,
+    _check_int,
+    _lower_toeplitz,
+    apply_forward,
+    inverse_coeffs,
+)
 from .qcore import QParam
 
 __all__ = [
@@ -93,7 +99,6 @@ class PExponent:
 
 
 P_INF = PExponent.inf()
-_LOG_MAX = math.log(np.finfo(np.float64).max)
 # Entries per chunk of rows (basis vectors in ``schauder_reconstruct``, section
 # rows in ``duals._sections``): 512 KB, in cache and small next to the window.
 _CHUNK_ENTRIES = 1 << 16
@@ -152,6 +157,39 @@ def _checkpoints(checkpoints, n: int, start: int = 1) -> tuple[int, ...]:
     return cps
 
 
+def _prefix_norms(h: np.ndarray, p: PExponent, cps: tuple[int, ...]) -> list[float]:
+    """Classical norms of the prefixes h[:m], m in cps, in one pass.
+
+    |h| and |h|^p are taken once; each prefix's sum is the sum of a leading
+    slice of |h|^p, which gives the bits of that prefix's norm taken alone,
+    and the sup norms are a running maximum over the maxima between
+    checkpoints.  A root-sum whose plain sum overflows is taken again scaled
+    by the prefix's max|h|; a norm that itself leaves double range raises
+    OverflowError naming the prefix length.
+    """
+    a = np.abs(h[: cps[-1]])
+    if p.is_inf:
+        return np.maximum.accumulate(np.maximum.reduceat(a, (0, *cps[:-1]))).tolist()
+    norms = []
+    # Overflow is refused below, so numpy's warning is silenced.
+    with np.errstate(over="ignore"):
+        pw = a**p.value
+        for m in cps:
+            s = float(pw[:m].sum())
+            if p.value >= 1.0:
+                if math.isfinite(s):
+                    s = s ** (1.0 / p.value)
+                else:
+                    top = float(a[:m].max())
+                    s = top * float(np.sum((a[:m] / top) ** p.value)) ** (1.0 / p.value)
+            if not math.isfinite(s):
+                raise OverflowError(
+                    f"the p = {p} norm of a {m}-entry window leaves double range"
+                )
+            norms.append(s)
+    return norms
+
+
 def lp_norm(h: SeqWindow, p: PExponent) -> float:
     """Classical norm of a window: root-sum for p >= 1, plain p-sum for
     0 < p < 1, sup for p = inf.
@@ -159,22 +197,7 @@ def lp_norm(h: SeqWindow, p: PExponent) -> float:
     A root-sum whose plain sum overflows is taken again scaled by max|h|;
     a norm that itself leaves double range raises OverflowError.
     """
-    a = np.abs(h.values)
-    top = float(a.max())
-    if p.is_inf:
-        return top
-    # No partial sum exceeds n max|h|^p, so only a window within a factor e
-    # of that bound can overflow; only there is numpy's warning silenced.
-    near = top > 0.0 and p.value * math.log(top) + math.log(h.n) > _LOG_MAX - 1.0
-    with np.errstate(over="ignore") if near else contextlib.nullcontext():
-        s = float(np.sum(a**p.value))
-        if p.value >= 1.0:
-            if math.isfinite(s):
-                return s ** (1.0 / p.value)
-            s = top * float(np.sum((a / top) ** p.value)) ** (1.0 / p.value)
-    if not math.isfinite(s):
-        raise OverflowError(f"the p = {p} norm of a {h.n}-entry window leaves double range")
-    return s
+    return _prefix_norms(h.values, p, (h.n,))[0]
 
 
 def domain_norm(g: SeqWindow, order: float, qp: QParam, p: PExponent) -> NormReport:
@@ -195,7 +218,7 @@ def schauder_basis_vector(k: int, order: float, qp: QParam, n: int) -> SeqWindow
     k = int(k)
     vec = np.zeros(n, dtype=np.float64)
     vec[k:] = inverse_coeffs(order, qp, n - 1 - k).coeffs
-    return SeqWindow(vec)
+    return _built(SeqWindow, values=vec)  # zeros and a finite stream
 
 
 def schauder_reconstruct(h: SeqWindow, order: float, qp: QParam) -> SeqWindow:
@@ -210,19 +233,25 @@ def schauder_reconstruct(h: SeqWindow, order: float, qp: QParam) -> SeqWindow:
     one does.
     """
     n = h.n
-    e = inverse_coeffs(order, qp, n - 1).coeffs
+    stream = inverse_coeffs(order, qp, n - 1)
+    e = stream.coeffs
     basis = _lower_toeplitz(e, n).T  # row k is basis vector k
     rows = max(1, _CHUNK_ENTRIES // n)
     buf = np.empty((rows + 1) * n)
     acc = np.zeros(n, dtype=np.float64)
-    for k0 in range(0, n, rows):
-        k1 = min(k0 + rows, n)
-        # Entries before k0 take no term from these rows.
-        block = buf[: (k1 - k0 + 1) * (n - k0)].reshape(k1 - k0 + 1, n - k0)
-        block[0] = acc[k0:]
-        np.multiply(h.values[k0:k1, None], basis[k0:k1, k0:], out=block[1:])
-        np.add.reduce(block, axis=0, out=acc[k0:])
-    return SeqWindow(acc)
+    # A sum past double range is refused below, so numpy's warning is silenced.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0 in range(0, n, rows):
+            k1 = min(k0 + rows, n)
+            # Entries before k0 take no term from these rows.
+            block = buf[: (k1 - k0 + 1) * (n - k0)].reshape(k1 - k0 + 1, n - k0)
+            block[0] = acc[k0:]
+            np.multiply(h.values[k0:k1, None], basis[k0:k1, k0:], out=block[1:])
+            np.add.reduce(block, axis=0, out=acc[k0:])
+    if not np.isfinite(acc).all():  # finite inputs: only an overflow makes an entry non-finite
+        what = f"basis reconstruction of order {stream.order} at q = {qp.q}"
+        raise OverflowError(f"{what} leaves double range")
+    return _built(SeqWindow, values=acc)
 
 
 def membership_diagnostic(
@@ -236,8 +265,12 @@ def membership_diagnostic(
 
     A finite window can never certify membership in an infinite-sum
     condition, so no verdict is attached: the growth profile is the report.
+    It takes one pass: |h| and |h|^p once over the transform h, and each
+    checkpoint's partial norm from a leading slice of them, the same bits as
+    ``lp_norm`` on that prefix.  The first checkpoint whose norm leaves
+    double range raises its OverflowError.
     """
     cps = _checkpoints(checkpoints, g.n)
     h = apply_forward(g, order, qp)
-    partials = tuple((n, lp_norm(h.prefix(n), p)) for n in cps)
+    partials = tuple(zip(cps, _prefix_norms(h.values, p, cps)))
     return NormReport(value=partials[-1][1], p=p, window=g.n, partials=partials)

@@ -6,6 +6,11 @@ section rewrite against a transformed window.  These routes take the
 textbook definitions instead, so they are independent of the library's
 recurrences.
 
+``full_formula_stream`` takes every lag ratio of a coefficient stream by
+the full formula and runs one cumprod over a concatenated copy, and
+``window_norm`` takes the norm of one window on its own: the bit tests pin
+the library's in-place streams and one-pass norm profiles to them.
+
 The dense windows of the dual checks and of the matrix classes are built
 here whole: the termwise-product window Lambda, the partial-sum window
 Omega, and each row's section window, with the estimate of a non-subset
@@ -36,7 +41,7 @@ import math
 import numpy as np
 
 from qnabla.duals import Condition, MatrixWindow, _tail_start
-from qnabla.fracdiff import CoeffStream, SeqWindow, apply_forward, inverse_coeffs
+from qnabla.fracdiff import CoeffStream, Kind, SeqWindow, apply_forward, inverse_coeffs
 from qnabla.qcore import QParam, _require_finite, q_integer
 
 # Infinite products stop at the first factor with |x| q^J below this.
@@ -166,6 +171,51 @@ def q_gamma_ratio(a: float, b: float, qp: QParam) -> float:
     if s_b == 0.0:
         return 0.0
     return s_b * s_a * math.exp(l_b - l_a + (b - a) * math.log1p(-qp.q))
+
+
+def full_formula_stream(kind: Kind, order: float, qp: QParam, k: int) -> np.ndarray:
+    """Coefficients 0..k of a forward or inverse stream, every lag ratio by
+    the full formula (``qnabla.fracdiff`` module notes) and one cumprod over
+    a concatenated copy; a stream that leaves double range raises the
+    library's OverflowError text."""
+    logq = math.log(qp.q)
+    lag = np.arange(k, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind is Kind.FORWARD:
+            gap = order - lag
+            num = -np.sign(gap) * np.exp(np.minimum(lag, order) * logq)
+            num *= np.expm1(np.abs(gap) * logq)
+        else:
+            num = np.expm1((order + lag) * logq)
+        out = np.cumprod(np.concatenate(([1.0], num / np.expm1((lag + 1.0) * logq))))
+    if not math.isfinite(out[-1]):
+        first = int(np.argmin(np.isfinite(out)))
+        raise OverflowError(
+            f"{kind.value} coefficient stream of order {order} at q = {qp.q} leaves "
+            f"double range at lag {first}; the largest truncation that fits is "
+            f"K = {first - 1}"
+        )
+    out[np.abs(out) < np.finfo(np.float64).tiny] = 0.0
+    return out
+
+
+def window_norm(h: np.ndarray, p: float | None) -> float:
+    """Classical norm of one window (p None for the sup), its |h|^p summed
+    afresh; a root-sum whose plain sum overflows is taken again scaled by
+    max|h|.  A norm past double range raises the library's OverflowError."""
+    a = np.abs(h)
+    top = float(a.max())
+    if p is None:
+        return top
+    with np.errstate(over="ignore"):
+        s = float(np.sum(a**p))
+        if p >= 1.0:
+            if math.isfinite(s):
+                return s ** (1.0 / p)
+            s = top * float(np.sum((a / top) ** p)) ** (1.0 / p)
+    if not math.isfinite(s):
+        raise OverflowError(f"the p = {p!r} norm of a {h.size}-entry window leaves double range")
+    return s
 
 
 def section_consistency_residual(

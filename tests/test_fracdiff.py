@@ -11,7 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import q_binomial, q_factorial, q_gamma_ratio, toeplitz_window
+from oracles import (
+    full_formula_stream,
+    q_binomial,
+    q_factorial,
+    q_gamma_ratio,
+    toeplitz_window,
+)
 from qnabla import fracdiff
 from qnabla.fracdiff import (
     Kind,
@@ -53,6 +59,17 @@ class TestSeqWindow:
         g = SeqWindow(np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             g.values[0] = 5.0
+
+    def test_results_are_readonly_and_own_their_entries(self):
+        # Results the library builds skip the constructor's copy: none may
+        # be writable or share memory with the caller's window.
+        x = np.random.default_rng(5).standard_normal(600)
+        g = SeqWindow(x)
+        qp = QParam(0.9)
+        for out in (apply_forward(g, 0.7, qp).values, apply_inverse(g, 0.7, qp).values,
+                    apply_forward(g, 2.0, qp).values, forward_coeffs(0.7, qp, 9).coeffs):
+            assert not out.flags.writeable
+            assert not np.shares_memory(out, x) and not np.shares_memory(out, g.values)
 
 
 class TestForwardCoeffs:
@@ -258,6 +275,12 @@ class TestCompose:
         assert composed[1] == pytest.approx(-4.0 / 3.0, rel=1e-12)
         assert composed[1] == pytest.approx(-2.0 * q_integer(0.5, qp), rel=1e-12)
 
+    def test_product_past_double_range_is_an_overflow(self):
+        # Both streams fit (c_2050 is about 1.6e308); their product does not.
+        a = forward_coeffs(-0.5, QParam(0.5), 2050)
+        with pytest.raises(OverflowError, match="composed stream of 2051 coefficients"):
+            compose_coeffs(a, a)
+
     def test_mismatched_q_rejected(self):
         a = forward_coeffs(0.5, QParam(0.25), 4)
         b = forward_coeffs(0.5, QParam(0.5), 4)
@@ -423,6 +446,37 @@ class TestStreamRange:
     def test_negative_order_largest_fitting_truncation(self):
         c = forward_coeffs(-0.5, QParam(0.5), 2050).coeffs
         assert np.all(np.isfinite(c)) and c[-1] > 1e307
+
+
+class TestStreamBits:
+    """The streams carry the bits of the full-formula builder of
+    ``oracles.full_formula_stream``, whose forward factor takes sign, minimum
+    and exp at every lag, and refuse what it refuses with the same text.
+    The library relies on ``np.exp`` giving an entry the same bits at any
+    position and array length."""
+
+    ORDERS = (-2.5, -1.0, -0.3, 0.0, 0.1, 0.7, 1.0, 2.0, 2.97, 3.0, 10.0)
+    QS = (1e-3, 0.1, 0.5, 0.9, 0.99, 1 - 1e-6, 1 - 1e-12)
+    KS = (0, 1, 2, 3, 3000)
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("kind", [Kind.FORWARD, Kind.INVERSE])
+    def test_bytes_match_the_full_formula(self, kind, order):
+        build = forward_coeffs if kind is Kind.FORWARD else inverse_coeffs
+        refused = 0
+        for q, k in itertools.product(self.QS, self.KS):
+            qp = QParam(q)
+            try:
+                want = full_formula_stream(kind, order, qp, k)
+            except OverflowError as exc:
+                with pytest.raises(OverflowError) as got:
+                    build(order, qp, k)
+                assert str(got.value) == str(exc)
+                refused += 1
+                continue
+            assert build(order, qp, k).coeffs.tobytes() == want.tobytes()
+        # Only forward streams of a negative order leave double range.
+        assert (refused > 0) == (kind is Kind.FORWARD and order < 0.0)
 
 
 class TestHeadTailSplit:

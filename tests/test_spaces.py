@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import window_norm
 from qnabla.fracdiff import SeqWindow, apply_forward, apply_inverse
 from qnabla.qcore import QParam
 from qnabla.spaces import (
@@ -228,6 +229,23 @@ class TestSchauderReconstruct:
                 acc += h.values[k] * schauder_basis_vector(k, gamma, qp, n).values
             assert np.array_equal(schauder_reconstruct(h, gamma, qp).values, acc)
 
+    def test_sum_past_double_range_is_an_overflow(self):
+        # The basis sum leaves double range, not the window: the refusal
+        # names order and q, as apply_inverse's does, and nothing warns.
+        h = SeqWindow(np.full(50, 1e307))
+        for gamma in (0.7, 2.0):
+            with pytest.raises(OverflowError, match=f"order {gamma} at q = 0.9 leaves double"):
+                schauder_reconstruct(h, gamma, QParam(0.9))
+            with pytest.raises(OverflowError, match=f"order {gamma} at q = 0.9 leaves double"):
+                apply_inverse(h, gamma, QParam(0.9))
+
+    def test_results_are_readonly_and_own_their_entries(self):
+        h = SeqWindow(np.random.default_rng(15).uniform(-1, 1, 30))
+        for out in (schauder_reconstruct(h, 0.7, QParam(0.5)).values,
+                    schauder_basis_vector(3, 0.7, QParam(0.5), 30).values):
+            assert not out.flags.writeable
+            assert not np.shares_memory(out, h.values)
+
     def test_zeros(self):
         out = schauder_reconstruct(SeqWindow(np.zeros(5)), 0.5, QParam(0.5))
         assert np.all(out.values == 0.0)
@@ -297,6 +315,56 @@ class TestMembershipDiagnostic:
             membership_diagnostic(g, 1.0, qp, PExponent(1.0), [2, 9])
         with pytest.raises(ValueError):
             membership_diagnostic(g, 1.0, qp, PExponent(1.0), [])
+
+
+def _norm_bytes(norm) -> bytes | str:
+    """The bits of a norm, or the text of its OverflowError."""
+    try:
+        return np.float64(norm()).tobytes()
+    except OverflowError as exc:
+        return str(exc)
+
+
+class TestProfileBits:
+    """The one-pass profile gives, at every checkpoint, the bits of
+    ``lp_norm`` on that prefix alone, and those of ``oracles.window_norm``,
+    which sums the prefix's |h|^p afresh; it refuses with the text of the
+    first prefix whose norm leaves double range."""
+
+    # Positive entries between 5e7 and 1e8, so no transform leaves double
+    # range: scaled by 1e200, |h|^p overflows for p >= 1.7 and the root-sum
+    # is taken again scaled; by 1e300, norms with p >= 1 leave double range.
+    BASE = 1e8 * np.random.default_rng(31).uniform(0.5, 1.0, 300)
+    PATHS = {0.3: {"plain"}, 0.5: {"plain"}, None: {"plain"}, 1.0: {"plain", "refused"},
+             1.7: {"plain", "rescaled", "refused"}, 2.0: {"plain", "rescaled", "refused"},
+             3.0: {"plain", "rescaled", "refused"}}
+
+    @pytest.mark.parametrize("p", [0.3, 0.5, 1.0, 1.7, 2.0, 3.0, None])
+    def test_partials_are_the_prefix_norms(self, p):
+        pe = P_INF if p is None else PExponent(p)
+        qp = QParam(0.5)
+        paths = set()
+        for scale in (1e-300, 1.0, 1e150, 1e200, 1e300):
+            g = SeqWindow(self.BASE * scale)
+            for order in (0.0, 0.7):  # order 0 leaves the window as it is
+                h = apply_forward(g, order, qp)
+                for cps in (None, [1, 3, 7, 50, 300]):
+                    ms = default_checkpoints(g.n) if cps is None else cps
+                    want = [_norm_bytes(lambda: lp_norm(h.prefix(m), pe)) for m in ms]
+                    assert want == [_norm_bytes(lambda: window_norm(h.values[:m], p)) for m in ms]
+                    refusal = next((w for w in want if isinstance(w, str)), None)
+                    if refusal is None:
+                        report = membership_diagnostic(g, order, qp, pe, cps)
+                        assert [np.float64(v).tobytes() for _, v in report.partials] == want
+                        with np.errstate(over="ignore"):
+                            plain = p is None or np.isfinite(np.sum(np.abs(h.values) ** p))
+                        paths.add("plain" if plain else "rescaled")
+                    else:
+                        with pytest.raises(OverflowError) as exc:
+                            membership_diagnostic(g, order, qp, pe, cps)
+                        assert str(exc.value) == refusal
+                        paths.add("refused")
+        assert paths == self.PATHS[p]
 
 
 class TestNormReport:
