@@ -85,8 +85,6 @@ def _parse_sequence(text: str) -> SeqWindow:
         values = [float(v) for v in data]
     else:
         values = [float(line) for line in text.splitlines() if line.strip()]
-    if not values:
-        raise ValueError("window must be ≥ 1")
     return SeqWindow(np.asarray(values, dtype=np.float64))
 
 
@@ -312,7 +310,7 @@ def _windowed_dual(check_fn, gamma, qp, p, p_text, input_path, window) -> dict:
         if not 1 <= window <= a.n:
             raise ValueError(f"--window must lie in [1, {a.n}], got {window}")
         a = a.prefix(window)
-    result = check_fn(a, gamma, qp, p, default_checkpoints(a.n, start=min(4, a.n)))
+    result = check_fn(a, gamma, qp, p)
     return _dual_report(gamma, qp, p_text, result if isinstance(result, list) else [result])
 
 

@@ -41,7 +41,7 @@ from typing import Any
 
 import numpy as np
 
-from .fracdiff import SeqWindow, _lower_toeplitz, inverse_coeffs
+from .fracdiff import SeqWindow, _built, _check_int, _lower_toeplitz, inverse_coeffs
 from .qcore import QParam
 from .spaces import _CHUNK_ENTRIES, PExponent, _checkpoints
 
@@ -580,9 +580,7 @@ def subset_sup(
     value or a witness.  Both modes are capped at ``MAX_SUBSET_ROWS`` rows,
     and a supremum outside double range raises OverflowError.
     """
-    if row_limit != int(row_limit) or row_limit < 1:
-        raise ValueError(f"row_limit must be a positive integer, got {row_limit!r}")
-    row_limit = int(row_limit)
+    row_limit = _check_int("row_limit", row_limit, 1)
     if row_limit > MAX_SUBSET_ROWS:
         raise LimitError(
             f"row_limit {row_limit} exceeds the exhaustive-enumeration cap "
@@ -849,7 +847,10 @@ def alpha_dual_check(
     rls = _checkpoints(row_limits, a.n)
     rows = min(rls[-1], MAX_SUBSET_ROWS)
     t_e = _lower_toeplitz(inverse_coeffs(order, qp, a.n - 1).coeffs, a.n)
-    lam = MatrixWindow(a.values[:rows, None] * t_e[:rows], triangular=True)
+    with np.errstate(over="ignore"):  # refused by `_built`
+        lam = a.values[:rows, None] * t_e[:rows]
+    lam = _built(MatrixWindow, lambda: f"termwise-product window of order {order} at q = {qp.q}",
+                 entries=lam, triangular=True)
     cond = Condition.SUBSET_ENTRY_SUP if _regime(p) == "le1" else Condition.SUBSET_ABS_COLSUM_SUP
     e = _resolve_exponent(cond, p, None)
     info: dict[str, Any] = {"matrix": "termwise-product"}
@@ -873,8 +874,8 @@ def _partial_sum_reports(a: SeqWindow, order, qp, p, conds, windows) -> list[Con
     items = [(c, _resolve_exponent(c, p, None)) for c in conds]
     t_e = _lower_toeplitz(inverse_coeffs(order, qp, a.n - 1).coeffs, a.n)
     values, last = _profile(items, _sections(a.values[None], t_e), cps, True)
-    if not np.isfinite(last).all():
-        raise ValueError("matrix entries must be finite")
+    # The window's last row is non-finite if any of its entries is (`_sections`).
+    _built(SeqWindow, lambda: f"partial-sum window of order {order} at q = {qp.q}", values=last)
     return [_report(c, cps, iter(v), e, {"matrix": "partial-sum"})
             for (c, e), v in zip(items, values)]
 

@@ -21,10 +21,11 @@ cumprod runs over them.  Past lag floor(gamma) the forward factor
 ``-sign(gamma - k) q^min(k, gamma)`` is the constant q^gamma, taken once
 from ``np.exp``; up to that lag the full formula runs.  For an integer
 order r >= 0 the ratio at lag r is zero, so every later coefficient is
-zero and no later ratio is taken.  A stream or transform the library has
-just built is scanned for finiteness once, by the routine that built it,
-and wrapped read-only without the constructors' copy and second scan
-(``_built``); public construction keeps both.
+zero and no later ratio is taken.  Every stream, transform or window the
+library computes is wrapped read-only by ``_built``, which scans it once
+and refuses it with an OverflowError naming it if it left double range,
+without the constructors' copy and checks; public construction keeps both.
+A stream is checked by ``_stream`` itself, from its last entry.
 
 The inverse stream deliberately has no ``q^{k(k-1)/2}`` twist: the two
 generating functions are ``prod_j (1 - q^j x) / (1 - q^{gamma+j} x)`` and
@@ -109,12 +110,6 @@ class Kind(enum.Enum):
 _TINY = np.finfo(np.float64).tiny
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class CoeffStream:
     """Finite prefix of operator coefficients; realizes a causal Toeplitz operator.
@@ -137,7 +132,8 @@ class CoeffStream:
             raise ValueError("coeffs must be a nonempty one-dimensional array")
         if not np.all(np.isfinite(c)):
             raise ValueError("coeffs must be finite")
-        object.__setattr__(self, "coeffs", _readonly(c))
+        c.setflags(write=False)
+        object.__setattr__(self, "coeffs", c)
 
     @property
     def truncation(self) -> int:
@@ -158,7 +154,8 @@ class SeqWindow:
             raise ValueError("window must be ≥ 1")
         if not np.all(np.isfinite(v)):
             raise ValueError("window entries must be finite")
-        object.__setattr__(self, "values", _readonly(v))
+        v.setflags(write=False)
+        object.__setattr__(self, "values", v)
 
     @property
     def n(self) -> int:
@@ -176,13 +173,19 @@ def _check_int(name: str, n: int, minimum: int) -> int:
     return int(n)
 
 
-def _built(cls, **fields):
-    """A ``CoeffStream`` or ``SeqWindow`` around arrays the library has just
-    built and checked itself: made read-only in place, with no copy and no
-    second finiteness scan.  Never pass it a view of a caller's array."""
+def _built(cls, what, **fields):
+    """A ``CoeffStream``, ``SeqWindow`` or ``MatrixWindow`` around arrays the
+    library has just computed from finite inputs: each is scanned once and
+    refused with ``OverflowError(f"{what()} leaves double range")`` if it
+    left, then made read-only in place, with no copy and none of the
+    constructors' checks.  ``what`` is called only on refusal, so the name
+    is formatted only then; it is None only for arrays known finite.  Never
+    pass it a view of a caller's writable array."""
     obj = object.__new__(cls)
     for name, value in fields.items():
         if isinstance(value, np.ndarray):
+            if what is not None and not np.isfinite(value).all():
+                raise OverflowError(f"{what()} leaves double range")
             value.setflags(write=False)
         object.__setattr__(obj, name, value)
     return obj
@@ -228,7 +231,7 @@ def _stream(kind: Kind, order: float, qp: QParam, k: int) -> CoeffStream:
             f"K = {first - 1}"
         )
     done[np.abs(done) < _TINY] = 0.0
-    return _built(CoeffStream, order=order, qp=qp, kind=kind, coeffs=out)
+    return _built(CoeffStream, None, order=order, qp=qp, kind=kind, coeffs=out)
 
 
 def forward_coeffs(order: float, qp: QParam, k: int) -> CoeffStream:
@@ -467,11 +470,9 @@ def _convolve(n: int, a: CoeffStream, b: CoeffStream | np.ndarray) -> np.ndarray
 
 
 def _apply(stream: CoeffStream, g: SeqWindow) -> SeqWindow:
-    out = _convolve(g.n, stream, g.values)
-    if not np.isfinite(out).all():  # finite inputs: only an overflow makes an entry non-finite
-        what = f"{stream.kind.value} transform of order {stream.order} at q = {stream.qp.q}"
-        raise OverflowError(f"{what} leaves double range")
-    return _built(SeqWindow, values=out)
+    return _built(SeqWindow, lambda: (f"{stream.kind.value} transform of order {stream.order}"
+                                      f" at q = {stream.qp.q}"),
+                  values=_convolve(g.n, stream, g.values))
 
 
 def apply_forward(g: SeqWindow, order: float, qp: QParam) -> SeqWindow:
@@ -496,11 +497,8 @@ def compose_coeffs(a: CoeffStream, b: CoeffStream) -> CoeffStream:
             f"cannot compose streams with q = {a.qp.q!r} and q = {b.qp.q!r}"
         )
     n = min(a.coeffs.size, b.coeffs.size)
-    out = _convolve(n, a, b)
-    if not np.isfinite(out).all():  # finite inputs: only an overflow makes an entry non-finite
-        what = f"composed stream of {n} coefficients at q = {a.qp.q}"
-        raise OverflowError(f"{what} leaves double range")
-    return _built(CoeffStream, order=None, qp=a.qp, kind=Kind.COMPOSED, coeffs=out)
+    return _built(CoeffStream, lambda: f"composed stream of {n} coefficients at q = {a.qp.q}",
+                  order=None, qp=a.qp, kind=Kind.COMPOSED, coeffs=_convolve(n, a, b))
 
 
 def verify_inverse(order: float, qp: QParam, n: int) -> float:

@@ -55,7 +55,7 @@ from .duals import (
     matrix_class_condition,
 )
 from .fracdiff import (
-    CoeffStream, SeqWindow, _apply, _lower_toeplitz, forward_coeffs, inverse_coeffs,
+    CoeffStream, _built, _check_int, _convolve, _lower_toeplitz, forward_coeffs, inverse_coeffs,
 )
 from .qcore import QParam, q_integer
 from .spaces import PExponent, _checkpoints, default_checkpoints
@@ -195,12 +195,8 @@ class ClassQuery:
     row_limit: int = 12
 
     def __post_init__(self) -> None:
-        if self.window != int(self.window) or self.window < 1:
-            raise ValueError(f"window must be a positive integer, got {self.window!r}")
-        if self.row_limit != int(self.row_limit) or self.row_limit < 1:
-            raise ValueError(
-                f"row_limit must be a positive integer, got {self.row_limit!r}"
-            )
+        for name in ("window", "row_limit"):
+            object.__setattr__(self, name, _check_int(name, getattr(self, name), 1))
         if self.source in _DOMAIN_SOURCES:
             if self.target in _DOMAIN_TARGETS:
                 raise ValueError(
@@ -270,7 +266,8 @@ def _sweep(phi: MatrixWindow, order: float, qp: QParam, items, cps: tuple[int, .
     e = inverse_coeffs(order, qp, n - 1)
     bounds = _row_tail_bounds(phi, e)
     values, last = _profile(items, _sections(phi.entries, _lower_toeplitz(e.coeffs, n)), cps, True)
-    full = MatrixWindow(entries=last, triangular=phi.triangular, tail_bounds=bounds)
+    full = _built(MatrixWindow, lambda: f"inverse composite of order {order} at q = {qp.q}",
+                  entries=last.copy(), triangular=phi.triangular, tail_bounds=bounds)
     return full, values
 
 
@@ -319,9 +316,11 @@ def forward_composite_matrix(phi: MatrixWindow, order: float, qp: QParam) -> Mat
     """Forward operator applied down each column of the test matrix: entry
     (j, k) is sum_{v<=j} c_{j-v} phi_vk.  Column k of the result is exactly
     the forward transform of column k of the input."""
-    stream = forward_coeffs(order, qp, phi.entries.shape[0] - 1)
-    cols = [_apply(stream, SeqWindow(col)).values for col in phi.entries.T]
-    return MatrixWindow(entries=np.column_stack(cols), triangular=phi.triangular)
+    n = phi.entries.shape[0]
+    stream = forward_coeffs(order, qp, n - 1)
+    cols = np.column_stack([_convolve(n, stream, col) for col in phi.entries.T])
+    return _built(MatrixWindow, lambda: f"forward transform of order {stream.order} at q = {qp.q}",
+                  entries=cols, triangular=phi.triangular)
 
 
 def _column_means(phi: MatrixWindow, composite: str, qp: QParam) -> MatrixWindow:
@@ -335,8 +334,10 @@ def _column_means(phi: MatrixWindow, composite: str, qp: QParam) -> MatrixWindow
         w, d = qp.q**v, q_integer(v + 1.0, qp)
     else:
         w = d = np.ones_like(v)
-    entries = np.cumsum(w[:, None] * phi.entries, axis=0) / d[:, None]
-    return MatrixWindow(entries=entries, triangular=phi.triangular)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by `_built`
+        entries = np.cumsum(w[:, None] * phi.entries, axis=0) / d[:, None]
+    return _built(MatrixWindow, lambda: f"{composite} composite at q = {qp.q}",
+                  entries=entries, triangular=phi.triangular)
 
 
 def class_check(query: ClassQuery, phi: MatrixWindow) -> list[ConditionReport]:
@@ -356,7 +357,7 @@ def class_check(query: ClassQuery, phi: MatrixWindow) -> list[ConditionReport]:
             f"matrix window {phi.entries.shape} is smaller than the requested "
             f"evaluation window {w}"
         )
-    block = MatrixWindow(entries=phi.entries[:w, :w], triangular=phi.triangular)
+    block = _built(MatrixWindow, None, entries=phi.entries[:w, :w], triangular=phi.triangular)
     cps = default_checkpoints(w, start=4)
     cell_info = {"source": query.source.value, "target": query.target.value}
 

@@ -143,11 +143,14 @@ def default_checkpoints(n: int, start: int = 1) -> tuple[int, ...]:
 
 
 def _checkpoints(checkpoints, n: int, start: int = 1) -> tuple[int, ...]:
-    """Given prefix lengths, checked to rise strictly within [1, n], or the
-    power-of-two defaults when None."""
+    """Given prefix lengths, checked to be integers rising strictly within
+    [1, n], or the power-of-two defaults when None."""
     if checkpoints is None:
         return default_checkpoints(n, start)
-    cps = tuple(int(c) for c in checkpoints)
+    cps = tuple(checkpoints)
+    if not all(c == int(c) for c in cps):
+        raise ValueError(f"checkpoints must be integers, got {cps}")
+    cps = tuple(map(int, cps))
     if not cps:
         raise ValueError("checkpoints must be nonempty")
     if any(b <= a for a, b in zip(cps, cps[1:])):
@@ -218,7 +221,7 @@ def schauder_basis_vector(k: int, order: float, qp: QParam, n: int) -> SeqWindow
     k = int(k)
     vec = np.zeros(n, dtype=np.float64)
     vec[k:] = inverse_coeffs(order, qp, n - 1 - k).coeffs
-    return _built(SeqWindow, values=vec)  # zeros and a finite stream
+    return _built(SeqWindow, None, values=vec)  # zeros and a finite stream
 
 
 def schauder_reconstruct(h: SeqWindow, order: float, qp: QParam) -> SeqWindow:
@@ -239,7 +242,7 @@ def schauder_reconstruct(h: SeqWindow, order: float, qp: QParam) -> SeqWindow:
     rows = max(1, _CHUNK_ENTRIES // n)
     buf = np.empty((rows + 1) * n)
     acc = np.zeros(n, dtype=np.float64)
-    # A sum past double range is refused below, so numpy's warning is silenced.
+    # A sum past double range is refused by ``_built``, so numpy's warning is silenced.
     with np.errstate(over="ignore", invalid="ignore"):
         for k0 in range(0, n, rows):
             k1 = min(k0 + rows, n)
@@ -248,10 +251,8 @@ def schauder_reconstruct(h: SeqWindow, order: float, qp: QParam) -> SeqWindow:
             block[0] = acc[k0:]
             np.multiply(h.values[k0:k1, None], basis[k0:k1, k0:], out=block[1:])
             np.add.reduce(block, axis=0, out=acc[k0:])
-    if not np.isfinite(acc).all():  # finite inputs: only an overflow makes an entry non-finite
-        what = f"basis reconstruction of order {stream.order} at q = {qp.q}"
-        raise OverflowError(f"{what} leaves double range")
-    return _built(SeqWindow, values=acc)
+    return _built(SeqWindow, lambda: f"basis reconstruction of order {stream.order} at q = {qp.q}",
+                  values=acc)
 
 
 def membership_diagnostic(

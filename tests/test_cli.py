@@ -365,6 +365,33 @@ class TestDoubleRange:
             "error: forward transform of order -0.5 at q = 0.5 leaves double range\n"
         )
 
+    @pytest.mark.parametrize("args, data, what", [
+        (("alpha-dual",), [1e308] * 16, "termwise-product window"),
+        (("beta-dual",), [1e308] * 16, "partial-sum window"),
+        (("gamma-dual",), [1e308] * 16, "partial-sum window"),
+        (("class-check", "--source", "lp-domain", "--target", "c"),
+         np.tril(np.full((8, 8), 1e308)).tolist(), "inverse composite"),
+    ])
+    def test_window_past_double_range_is_one_line(self, runner, tmp_path, args, data, what):
+        # Finite inputs whose computed window overflows: one refusal naming
+        # the window, its order and q, and no numpy warning before it.
+        src = tmp_path / "in.json"
+        src.write_text(json.dumps(data))
+        result = invoke(runner, *args, "--gamma", 2, "--q", 0.9, "--p", 2, "--input", src)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: {what} of order 2.0 at q = 0.9 leaves double range\n"
+
+    @pytest.mark.parametrize("target, what", [("cs", "running-sum"), ("qcesaro-c", "q-cesaro")])
+    def test_column_means_past_double_range_are_one_line(self, runner, tmp_path, target, what):
+        src = tmp_path / "in.json"
+        src.write_text(json.dumps(np.tril(np.full((8, 8), 1e308)).tolist()))
+        result = invoke(runner, "class-check", "--gamma", 2, "--q", 0.9, "--p", 2,
+                        "--source", "lp-domain", "--target", target, "--input", src)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: {what} composite at q = 0.9 leaves double range\n"
+
     def test_norm_of_huge_window_is_finite(self, runner, tmp_path):
         src = tmp_path / "g.json"
         src.write_text(json.dumps([1e200] * 4))
@@ -447,6 +474,36 @@ def test_every_input_error_names_the_file(runner, tmp_path, reader, name, text):
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr.startswith(f"error: --input {src}:")
+
+
+@pytest.mark.parametrize("reader, name, text, refusal", [
+    ("matrix", "phi.json", "", "matrix file is empty"),
+    ("matrix", "phi.json", " \n\n", "matrix file is empty"),
+    ("matrix", "phi.json", "[]", "expected a JSON array of row arrays"),
+    ("matrix", "phi.json", "{}", "expected a JSON array of row arrays"),
+    ("matrix", "phi.json", "[1, 2]", "expected a JSON array of row arrays"),
+    ("sequence", "g.txt", " \n\n", "window must be ≥ 1 (file is empty)"),
+    ("sequence", "g.json", "[]", "window must be ≥ 1"),
+])
+def test_empty_and_shapeless_inputs_are_refused(runner, tmp_path, reader, name, text, refusal):
+    src = tmp_path / name
+    src.write_text(text)
+    result = invoke(runner, *READERS[reader], "--input", src)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: --input {src}: {refusal}\n"
+
+
+@pytest.mark.parametrize("command", ["beta-dual", "gamma-dual"])
+@pytest.mark.parametrize("window", [0, 9])
+def test_dual_window_past_the_input_is_refused(runner, tmp_path, command, window):
+    src = tmp_path / "a.json"
+    src.write_text(json.dumps([1.0] * 8))
+    result = invoke(runner, command, "--gamma", 1, "--q", 0.5, "--input", src,
+                    "--window", window)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: --window must lie in [1, 8], got {window}\n"
 
 
 # One valid invocation per subcommand and its order flags; {seq} and {mat}

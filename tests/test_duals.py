@@ -330,6 +330,15 @@ class TestSubsetSup:
         with pytest.raises(LimitError):
             subset_sup(m, 1.0, SubsetMode.SUM_OVER_COLS_OF_ABS_COLSUM, 21)
 
+    @pytest.mark.parametrize("mode", list(SubsetMode))
+    def test_row_limit_is_one_checked_integer(self, mode):
+        m = MatrixWindow(np.eye(4))
+        assert subset_sup(m, 1.0, mode, 3.0) == subset_sup(m, 1.0, mode, 3)
+        for bad in (2.5, 0, -1):
+            with pytest.raises(ValueError,
+                               match=rf"^row_limit must be an integer ≥ 1, got {bad!r}$"):
+                subset_sup(m, 1.0, mode, bad)
+
     def test_bad_exponent(self):
         m = MatrixWindow(np.eye(4))
         with pytest.raises(ValueError):
@@ -759,12 +768,32 @@ class TestMatrixClassCondition:
         big = SeqWindow(np.full(4, 1e308))
         with pytest.raises(OverflowError, match="row-subset-abs-colsum-sup"):
             alpha_dual_check(big, 1.0, QParam(0.5), PExponent(2.0), (4,))
-        with pytest.raises(ValueError, match="matrix entries must be finite"):
+        with pytest.raises(OverflowError,
+                           match="^partial-sum window of order 1.0 at q = 0.5 leaves"):
             beta_dual_check(big, 1.0, QParam(0.5), PExponent(2.0))
         # p' = 4.5e15 sends 1.0 ** p' to 1 but the partial sum 2.0 past range.
         with pytest.raises(OverflowError, match="row-power-sum-sup at window size 4"):
             gamma_dual_check(SeqWindow(np.ones(8)), 1.0, QParam(0.5),
                              PExponent(1.0000000000000002))
+
+    @pytest.mark.parametrize("p", [PExponent(0.5), PExponent(2.0), P_INF], ids=str)
+    def test_dual_windows_past_double_range_are_named(self, p):
+        # e_1 = [2]_q = 1.9 at order 2, q = 0.9: the windows' entries pass
+        # 1e308 although every input entry is finite.  The suite turns
+        # numpy's warnings into errors, so none may be raised on the way.
+        big, qp = SeqWindow(np.full(16, 1e308)), QParam(0.9)
+        with pytest.raises(OverflowError, match=r"^termwise-product window of order 2\.0 "
+                                                r"at q = 0\.9 leaves double range$"):
+            alpha_dual_check(big, 2.0, qp, p, (4, 8, 16))
+        for check in (beta_dual_check, gamma_dual_check):
+            with pytest.raises(OverflowError, match=r"^partial-sum window of order 2\.0 "
+                                                    r"at q = 0\.9 leaves double range$"):
+                check(big, 2.0, qp, p)
+
+    def test_alpha_row_limits_must_be_integers(self):
+        # [1.5, 3] was read as row limits 1 and 3.
+        with pytest.raises(ValueError, match=r"^checkpoints must be integers"):
+            alpha_dual_check(SeqWindow(np.ones(8)), 1.0, QParam(0.5), PExponent(2.0), [1.5, 3])
 
 
 class TestAlphaDual:
@@ -991,6 +1020,11 @@ class TestDualCheckMemory:
 
 
 class TestConditionReport:
+    def test_values_must_be_nonempty(self):
+        with pytest.raises(ValueError, match="^values must be nonempty$"):
+            ConditionReport(condition_id=Condition.ENTRY_SUP, values=(),
+                            verdict=Verdict.INCONCLUSIVE)
+
     def test_values_must_increase(self):
         with pytest.raises(ValueError):
             ConditionReport(

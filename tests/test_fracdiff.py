@@ -20,6 +20,7 @@ from oracles import (
 )
 from qnabla import fracdiff
 from qnabla.fracdiff import (
+    CoeffStream,
     Kind,
     MismatchedParameter,
     SeqWindow,
@@ -70,6 +71,69 @@ class TestSeqWindow:
                     apply_forward(g, 2.0, qp).values, forward_coeffs(0.7, qp, 9).coeffs):
             assert not out.flags.writeable
             assert not np.shares_memory(out, x) and not np.shares_memory(out, g.values)
+
+    def test_prefix_is_a_window_of_the_leading_entries(self):
+        g = SeqWindow(np.arange(4.0))
+        assert g.prefix(2).values.tolist() == [0.0, 1.0]
+        assert g.prefix(4).n == 4
+
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_prefix_outside_the_window_is_refused(self, n):
+        with pytest.raises(ValueError, match=rf"^prefix length must be in \[1, 4\], got {n}$"):
+            SeqWindow(np.ones(4)).prefix(n)
+
+
+class TestCoeffStream:
+    def test_public_constructor_copies_and_freezes(self):
+        c = np.array([1.0, -0.5, 0.25])
+        stream = CoeffStream(0.5, QParam(0.5), Kind.FORWARD, c)
+        assert stream.truncation == 2
+        assert stream.coeffs.tolist() == c.tolist()
+        assert not stream.coeffs.flags.writeable
+        assert not np.shares_memory(stream.coeffs, c)
+        c[0] = 7.0  # the caller's array stays writable and apart
+        assert stream.coeffs[0] == 1.0
+
+    @pytest.mark.parametrize("coeffs, text", [
+        ([], "coeffs must be a nonempty one-dimensional array"),
+        (np.ones((2, 2)), "coeffs must be a nonempty one-dimensional array"),
+        ([1.0, float("nan")], "coeffs must be finite"),
+        ([1.0, float("inf")], "coeffs must be finite"),
+    ])
+    def test_public_constructor_refusals(self, coeffs, text):
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            CoeffStream(0.5, QParam(0.5), Kind.FORWARD, coeffs)
+
+    def test_built_streams_report_their_truncation(self):
+        assert forward_coeffs(0.5, QParam(0.5), 9).truncation == 9
+        assert inverse_coeffs(0.5, QParam(0.5), 0).truncation == 0
+
+
+class TestBuilt:
+    """``_built`` is the one refusal for arrays the library computes."""
+
+    def test_wraps_read_only_without_a_copy(self):
+        out = np.array([1.0, 2.0])
+        g = fracdiff._built(SeqWindow, lambda: "a window", values=out)
+        assert g.values is out and not out.flags.writeable
+
+    @pytest.mark.parametrize("bad", [float("inf"), -float("inf"), float("nan")])
+    def test_refuses_a_non_finite_entry_by_name(self, bad):
+        with pytest.raises(OverflowError, match="^the test window leaves double range$"):
+            fracdiff._built(SeqWindow, lambda: "the test window", values=np.array([1.0, bad]))
+
+
+class TestCheckInt:
+    @pytest.mark.parametrize("value, minimum", [(2.5, 1), (0, 1), (-1, 0), (1.0000001, 1)])
+    def test_refusals(self, value, minimum):
+        with pytest.raises(ValueError,
+                           match=rf"^n must be an integer ≥ {minimum}, got {value!r}$"):
+            fracdiff._check_int("n", value, minimum)
+
+    def test_integral_values_come_back_as_int(self):
+        for value in (3, 3.0, np.int64(3), np.float64(3.0)):
+            out = fracdiff._check_int("n", value, 1)
+            assert out == 3 and type(out) is int
 
 
 class TestForwardCoeffs:

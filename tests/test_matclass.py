@@ -496,6 +496,21 @@ class TestClassCheck:
         with pytest.raises(ValueError, match="classical"):
             ClassQuery(Source.C0, Target.C, PExponent(2.0), 0.5, qp, window=8)
 
+    def test_window_and_row_limit_are_checked_integers(self):
+        # window=4.0 passed validation and class_check then failed on the
+        # float slice index; integral floats are stored as ints now.
+        qp, p = QParam(0.5), PExponent(1.0)
+        query = ClassQuery(Source.L1_DOMAIN, Target.L1, p, 0.5, qp, window=4.0, row_limit=3.0)
+        assert (query.window, query.row_limit) == (4, 3)
+        assert type(query.window) is int and type(query.row_limit) is int
+        phi = MatrixWindow(np.eye(8), triangular=True)
+        expect = class_check(ClassQuery(Source.L1_DOMAIN, Target.L1, p, 0.5, qp, 4, 3), phi)
+        assert [r.as_dict() for r in class_check(query, phi)] == [r.as_dict() for r in expect]
+        for name, bad in (("window", 4.5), ("window", 0), ("row_limit", 2.5), ("row_limit", 0)):
+            with pytest.raises(ValueError,
+                               match=rf"^{name} must be an integer ≥ 1, got {bad!r}$"):
+                ClassQuery(Source.L1_DOMAIN, Target.L1, p, 0.5, qp, **{"window": 4, name: bad})
+
     def test_window_larger_than_matrix_rejected(self):
         qp = QParam(0.5)
         query = ClassQuery(Source.L1_DOMAIN, Target.L1, PExponent(1.0), 0.5, qp,
@@ -533,6 +548,23 @@ class TestClassCheck:
                                                 exponent=rep.detail.get("exponent"))
             assert rep.values == expect.values
             assert rep.verdict is expect.verdict
+
+    def test_windows_past_double_range_are_named(self):
+        # Every entry is finite; the window each route builds first is not.
+        # The suite turns numpy's warnings into errors: none may be raised.
+        phi = MatrixWindow(np.tril(np.full((8, 8), 1e308)), triangular=True)
+        qp = QParam(0.9)
+        inverse = r"inverse composite of order 2\.0 at q = 0\.9"
+        with pytest.raises(OverflowError, match=f"^{inverse} leaves double range$"):
+            inverse_composite_matrix(phi, 2.0, qp)
+        with pytest.raises(OverflowError, match=f"^{inverse} leaves double range$"):
+            transform_condition(phi, 2.0, qp, Condition.SECTION_ENTRY_SUP, PExponent(1.0))
+        for target, what in ((Target.C, inverse),
+                             (Target.CS, r"running-sum composite at q = 0\.9"),
+                             (Target.QCES_C, r"q-cesaro composite at q = 0\.9")):
+            query = ClassQuery(Source.LP_DOMAIN, target, PExponent(2.0), 2.0, qp, window=8)
+            with pytest.raises(OverflowError, match=f"^{what} leaves double range$"):
+                class_check(query, phi)
 
     def test_tail_error_propagates(self):
         qp = QParam(0.5)

@@ -49,6 +49,12 @@ class TestPExponent:
         with pytest.raises(ValueError):
             PExponent(bad)
 
+    @pytest.mark.parametrize("text", ["x", "", "-1"])
+    def test_parse_refusal_names_the_text(self, text):
+        refusal = rf"^p must be a positive real or 'inf', got {text!r}$"
+        with pytest.raises(ValueError, match=refusal):
+            PExponent.parse(text)
+
 
 class TestLpNorm:
     def test_euclidean(self):
@@ -119,6 +125,11 @@ class TestDefaultCheckpoints:
         assert default_checkpoints(12) == (1, 2, 4, 8, 12)
         assert default_checkpoints(1) == (1,)
         assert default_checkpoints(12, start=4) == (4, 8, 12)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_empty_window_is_refused(self, n):
+        with pytest.raises(ValueError, match=f"^window length must be ≥ 1, got {n}$"):
+            default_checkpoints(n)
 
 
 class TestDomainNorm:
@@ -316,6 +327,21 @@ class TestMembershipDiagnostic:
         with pytest.raises(ValueError):
             membership_diagnostic(g, 1.0, qp, PExponent(1.0), [])
 
+    def test_non_integral_checkpoints_are_refused(self):
+        # They were truncated: [2.5, 4.9] reported at prefixes 2 and 4.
+        g = SeqWindow(np.ones(8))
+        for cps in ([2.5, 4.9], [2, 4.5], (np.float64(4.25),)):
+            with pytest.raises(ValueError, match=r"^checkpoints must be integers, got \("):
+                membership_diagnostic(g, 1.0, QParam(0.5), PExponent(1.0), cps)
+        # Integral floats are integers; the other texts keep their order.
+        report = membership_diagnostic(g, 1.0, QParam(0.5), PExponent(1.0), [2.0, 4.0])
+        assert [n for n, _ in report.partials] == [2, 4]
+        assert all(type(n) is int for n, _ in report.partials)
+        for cps, text in (([], "nonempty"), ([4, 2.0], "strictly increasing"),
+                          ([0, 4], r"lie in \[1, 8\]"), ([2, 9], r"lie in \[1, 8\]")):
+            with pytest.raises(ValueError, match=f"^checkpoints must (be )?{text}"):
+                membership_diagnostic(g, 1.0, QParam(0.5), PExponent(1.0), cps)
+
 
 def _norm_bytes(norm) -> bytes | str:
     """The bits of a norm, or the text of its OverflowError."""
@@ -368,6 +394,10 @@ class TestProfileBits:
 
 
 class TestNormReport:
+    def test_partials_must_be_nonempty(self):
+        with pytest.raises(ValueError, match="^partials must be nonempty$"):
+            NormReport(value=1.0, p=PExponent(2.0), window=4, partials=())
+
     def test_partials_must_increase(self):
         with pytest.raises(ValueError):
             NormReport(
