@@ -268,39 +268,15 @@ def _lex_least(masks: np.ndarray) -> tuple[int, ...]:
         out.append(first.bit_length() - 1)
 
 
-def _least_reaching(col: np.ndarray, exponent: float, best: float) -> tuple[int, ...]:
-    """Lexicographically least row subset whose row-order sum of ``col``
-    reaches ``best`` once raised to ``exponent``.
-
-    Greedy: append the least row after which some completion still reaches
-    ``best``.  Rounding is monotone, so the largest completion adds every
-    positive entry below that row; the subset stops as soon as its own sum
-    reaches ``best``.  In exact arithmetic this is the positive rows plus
-    the zero rows above the last of them.
-    """
-    r = col.shape[0]
-    tails = np.triu(np.broadcast_to(np.maximum(col, 0.0), (r, r)), k=1)
-    witness: list[int] = []
-    acc = np.zeros(1)
-    while True:
-        j0 = witness[-1] + 1 if witness else 0
-        reach = np.cumsum(np.column_stack([acc + col[j0:], tails[j0:, j0:]]), axis=1)
-        j = j0 + int(np.argmax(np.maximum(reach[:, -1], 0.0) ** exponent == best))
-        witness.append(j)
-        acc = acc + col[j]
-        if (np.maximum(acc, 0.0) ** exponent)[0] == best:
-            return tuple(witness)
-
-
 def _sup_closed_form(block: np.ndarray, exponent: float) -> tuple[float, tuple[int, ...]]:
     """Sup mode in O(r n): the best subset for column k takes all of its
-    entries of one sign.
-
-    Rounding is monotone, so no row-order sum over a subset exceeds the sum
-    of the column's positive entries or falls below that of its negative
-    entries.  The witness is the least subset reaching the maximum over
-    every (column, sign) pair that attains it.
-    """
+    entries of one sign (rounding is monotone).  The witness is the least
+    subset reaching the maximum over every (column, sign) pair attaining
+    it, one pass per pair: row j joins iff the running sum plus entry j plus
+    every later positive entry, added in row order, reaches the maximum,
+    and the pass stops once the running sum does.  Sums are Python float
+    adds; powers are numpy array powers, as the maximum's, in one batch per
+    round, each round taking unraised sums to miss until it reads none."""
     signed = np.stack([block, -block])
     parts = np.maximum(signed, 0.0)
     bases = np.zeros((2, block.shape[1]))
@@ -310,9 +286,29 @@ def _sup_closed_form(block: np.ndarray, exponent: float) -> tuple[float, tuple[i
     best = float(vals.max())
     if best == 0.0:
         return best, (0,)
-    return best, min(
-        _least_reaching(signed[s, :, k], exponent, best) for s, k in np.argwhere(vals == best)
-    )
+    ties = vals == best
+    reaches = dict.fromkeys(bases[ties].tolist(), True)  # sum -> whether it reaches best
+    cols = {tuple(c) for c in signed.transpose(0, 2, 1)[ties].tolist()}  # one witness each
+    while True:
+        witnesses = []
+        for col in cols:
+            tails = [max(x, 0.0) for x in col]
+            witness, acc = [], 0.0
+            for j, x in enumerate(col):
+                reach = acc + x
+                for t in tails[j + 1 :]:
+                    reach += t
+                if reaches.setdefault(reach, None):  # None: not raised yet
+                    witness.append(j)
+                    acc += x
+                    if reaches.setdefault(acc, None):
+                        break
+            witnesses.append(tuple(witness))
+        unseen = [x for x, hit in reaches.items() if hit is None]
+        if not unseen:
+            return best, min(witnesses)
+        powers = np.maximum(np.array(unseen), 0.0) ** exponent
+        reaches.update(zip(unseen, (powers == best).tolist()))
 
 
 def _node_values(rows: np.ndarray, exponent: float) -> np.ndarray:
@@ -554,6 +550,17 @@ def _sum_exhaustive(block: np.ndarray, exponent: float) -> tuple[float, tuple[in
         np.add(heads[len(path) - 1], block[h], out=heads[len(path)])
 
 
+def _live_width(n: int, live: int) -> int:
+    """Columns a subset search keeps of an n-column block whose nonzero
+    entries end by column ``live``: 8 ceil(live / 8) where numpy's pairwise
+    sum adds the padding as exact zeros (see the README), else n."""
+    leaf = n
+    while leaf > 128:
+        leaf = leaf // 2 - leaf // 2 % 8
+    width = 8 * -(-max(live, 1) // 8)
+    return width if width <= leaf - leaf % 8 and width < n else n
+
+
 def subset_sup(
     m: MatrixWindow,
     exponent: float,
@@ -567,8 +574,10 @@ def subset_sup(
     to ``inner``.  Returns the maximum together with the maximizing subset,
     lexicographically least on ties, so the result is deterministic.
 
+    Both modes see only the block's live column prefix (`_live_width`).
     Sup mode uses a closed form: the maximum over columns k and both signs
-    of (sum_j max(+-a_jk, 0))^exponent, in O(r n).  Sum mode is a cut-norm
+    of (sum_j max(+-a_jk, 0))^exponent, in O(r n), its witness one pass per
+    column attaining it.  Sum mode is a cut-norm
     type quantity and stays exhaustive over all 2^r - 1 subsets up to
     provable pruning.  Past the first 13 rows it skips a subtree of subsets
     when a bound on their values is strictly below the best value so far
@@ -589,6 +598,8 @@ def subset_sup(
     if not (math.isfinite(exponent) and exponent > 0.0):
         raise ValueError(f"exponent must be positive and finite, got {exponent!r}")
     block = m.entries[:row_limit]
+    live = np.flatnonzero(block.any(axis=0))
+    block = block[:, : _live_width(block.shape[1], int(live[-1]) + 1 if live.size else 0)]
     search = _sup_closed_form if inner is SubsetMode.SUP_OVER_COLS_OF_ABS else _sum_exhaustive
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         best, witness = search(block, exponent)
@@ -822,8 +833,9 @@ def matrix_class_condition(
         values = iter(vals)
     else:
         flip = cond is Condition.COLUMN_SUBSET_POWER_SUM  # subsets of columns
-        blocks = ((cp, m.entries[:cp, :cp]) for cp in cps)
-        windows = ((MatrixWindow(b.T if flip else b), min(cp, row_limit)) for cp, b in blocks)
+        blocks = ((cp, m.entries[:cp, :cp]) for cp in cps)  # views of a checked window
+        windows = ((_built(MatrixWindow, None, entries=b.T if flip else b), min(cp, row_limit))
+                   for cp, b in blocks)
         values = _subset_values(windows, e, mode, info)
     return _report(cond, cps, values, e, info)
 
@@ -841,14 +853,14 @@ def alpha_dual_check(
     regime on the termwise-product window, entry (j, k) = e_{j-k} a_j:
     entrywise sup to the power p for 0 < p <= 1, columnwise
     conjugate-power sums for 1 < p < inf, and plain columnwise absolute
-    sums for the sup-norm space.  Only the rows the suprema read are built.
-    The row limits must rise strictly within [1, a.n].
+    sums for the sup-norm space.  Only the rows and columns `subset_sup`
+    reads are built.  The row limits must rise strictly within [1, a.n].
     """
-    rls = _checkpoints(row_limits, a.n)
+    rls = _checkpoints(row_limits, a.n, name="row_limits")
     rows = min(rls[-1], MAX_SUBSET_ROWS)
     t_e = _lower_toeplitz(inverse_coeffs(order, qp, a.n - 1).coeffs, a.n)
     with np.errstate(over="ignore"):  # refused by `_built`
-        lam = a.values[:rows, None] * t_e[:rows]
+        lam = a.values[:rows, None] * t_e[:rows, : _live_width(a.n, rows)]
     lam = _built(MatrixWindow, lambda: f"termwise-product window of order {order} at q = {qp.q}",
                  entries=lam, triangular=True)
     cond = Condition.SUBSET_ENTRY_SUP if _regime(p) == "le1" else Condition.SUBSET_ABS_COLSUM_SUP

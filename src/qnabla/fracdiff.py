@@ -74,6 +74,7 @@ head spans the window and the transform stays O(n^2), at BLAS rate.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
 from dataclasses import dataclass
@@ -168,9 +169,10 @@ class SeqWindow:
 
 
 def _check_int(name: str, n: int, minimum: int) -> int:
-    if n != int(n) or n < minimum:
-        raise ValueError(f"{name} must be an integer ≥ {minimum}, got {n!r}")
-    return int(n)
+    with contextlib.suppress(TypeError, ValueError, OverflowError):  # None, NaN, inf
+        if n == int(n) and n >= minimum:
+            return int(n)
+    raise ValueError(f"{name} must be an integer ≥ {minimum}, got {n!r}")
 
 
 def _built(cls, what, **fields):

@@ -142,21 +142,22 @@ def default_checkpoints(n: int, start: int = 1) -> tuple[int, ...]:
     return tuple(cps)
 
 
-def _checkpoints(checkpoints, n: int, start: int = 1) -> tuple[int, ...]:
+def _checkpoints(checkpoints, n: int, start: int = 1, name: str = "checkpoints") -> tuple[int, ...]:
     """Given prefix lengths, checked to be integers rising strictly within
-    [1, n], or the power-of-two defaults when None."""
+    [1, n], or the power-of-two defaults when None; refusals say ``name``."""
     if checkpoints is None:
         return default_checkpoints(n, start)
-    cps = tuple(checkpoints)
-    if not all(c == int(c) for c in cps):
-        raise ValueError(f"checkpoints must be integers, got {cps}")
-    cps = tuple(map(int, cps))
+    given = tuple(checkpoints)
+    try:  # the one integer rule
+        cps = tuple(_check_int(name, c, -math.inf) for c in given)
+    except ValueError:
+        raise ValueError(f"{name} must be integers, got {given}") from None
     if not cps:
-        raise ValueError("checkpoints must be nonempty")
+        raise ValueError(f"{name} must be nonempty")
     if any(b <= a for a, b in zip(cps, cps[1:])):
-        raise ValueError("checkpoints must be strictly increasing")
+        raise ValueError(f"{name} must be strictly increasing")
     if cps[0] < 1 or cps[-1] > n:
-        raise ValueError(f"checkpoints must lie in [1, {n}]")
+        raise ValueError(f"{name} must lie in [1, {n}]")
     return cps
 
 

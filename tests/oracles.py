@@ -6,6 +6,11 @@ section rewrite against a transformed window.  These routes take the
 textbook definitions instead, so they are independent of the library's
 recurrences.
 
+``least_reaching`` finds the least witness of a sup-mode subset supremum by
+the greedy that rebuilds every candidate's completion at each step, and
+``sup_closed_form`` takes the supremum with it: the library's one-pass
+witness scan is pinned to them bit for bit.
+
 ``full_formula_stream`` takes every lag ratio of a coefficient stream by
 the full formula and runs one cumprod over a concatenated copy, and
 ``window_norm`` takes the norm of one window on its own: the bit tests pin
@@ -301,3 +306,47 @@ def dense_estimate(
     if ref is None:  # the interchange of row sums and limits
         ref = float(np.sum(np.abs(block[n - 1])))
     return float(np.max(np.abs(sums - ref)))
+
+
+def least_reaching(col: np.ndarray, exponent: float, best: float) -> tuple[int, ...]:
+    """Lexicographically least row subset whose row-order sum of ``col``
+    reaches ``best`` once raised to ``exponent``, by the greedy that rebuilds
+    every candidate's completion: append the least row after which some
+    completion still reaches ``best``.  Rounding is monotone, so the largest
+    completion adds every positive entry below that row; the subset stops as
+    soon as its own sum reaches ``best``.  Each step stacks the running sum
+    plus every candidate row beside the later positive entries and takes one
+    cumsum, so every sum is a numpy row-order chain and every power a numpy
+    array power.  `duals._sup_closed_form` finds the same subset in one pass.
+    """
+    r = col.shape[0]
+    tails = np.triu(np.broadcast_to(np.maximum(col, 0.0), (r, r)), k=1)
+    witness: list[int] = []
+    acc = np.zeros(1)
+    while True:
+        j0 = witness[-1] + 1 if witness else 0
+        reach = np.cumsum(np.column_stack([acc + col[j0:], tails[j0:, j0:]]), axis=1)
+        j = j0 + int(np.argmax(np.maximum(reach[:, -1], 0.0) ** exponent == best))
+        witness.append(j)
+        acc = acc + col[j]
+        if (np.maximum(acc, 0.0) ** exponent)[0] == best:
+            return tuple(witness)
+
+
+def sup_closed_form(block: np.ndarray, exponent: float) -> tuple[float, tuple[int, ...]]:
+    """Sup-mode subset supremum of ``block``: the maximum over columns and
+    both signs of the row-order sum of the column's entries of that sign,
+    raised to ``exponent``, with the least witness over every (column, sign)
+    pair that attains it found by `least_reaching`, one pair at a time."""
+    signed = np.stack([block, -block])
+    parts = np.maximum(signed, 0.0)
+    bases = np.zeros((2, block.shape[1]))
+    for j in range(block.shape[0]):
+        bases += parts[:, j]
+    vals = bases**exponent
+    best = float(vals.max())
+    if best == 0.0:
+        return best, (0,)
+    return best, min(
+        least_reaching(signed[s, :, k], exponent, best) for s, k in np.argwhere(vals == best)
+    )

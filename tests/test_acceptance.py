@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from oracles import (
     toeplitz_window,
 )
 from qnabla.cli import cli
-from qnabla.duals import MatrixWindow, SubsetMode, _sections, subset_sup
+from qnabla.duals import MatrixWindow, SubsetMode, _sections, alpha_dual_check, subset_sup
 from qnabla.fracdiff import (
     SeqWindow,
     _lower_toeplitz,
@@ -298,3 +299,20 @@ def test_11_cli_round_trip(tmp_path):
                  "--input", str(src), "--output", str(mid2)]
         assert runner.invoke(cli, args2).exit_code == 0
         assert mid.read_bytes() == mid2.read_bytes()
+
+
+def test_12_alpha_dual_at_a_long_window():
+    # The suprema read at most 20 rows of the termwise-product window, whose
+    # live columns end by column 20: the window is built 24 columns wide,
+    # not 8192, and so is its sum-mode table.  Built 20 x 8192, it took
+    # 1 to 2 s and about 700 MB on a 2-vCPU x86-64 VM.
+    a = SeqWindow(np.random.default_rng(2029).normal(size=8192))
+    with _Budget("12 alpha dual at n = 8192", 0.5):
+        tracemalloc.start()
+        try:
+            rep = alpha_dual_check(a, 0.7, QParam(0.6), PExponent(2.0), (4, 8, 16, 20))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [n for n, _ in rep.values] == [4, 8, 16, 20]
+        assert peak < 60e6

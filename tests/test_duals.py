@@ -9,7 +9,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import dense_estimate, dense_section, partial_sum_window, termwise_window
+from oracles import (
+    dense_estimate,
+    dense_section,
+    partial_sum_window,
+    sup_closed_form,
+    termwise_window,
+)
 from qnabla import duals
 from qnabla.duals import (
     Condition,
@@ -353,6 +359,124 @@ class TestSubsetSup:
             for entries in (np.full((rows, 4), 1e308), signs * np.full((rows, 4), 1e308)):
                 with pytest.raises(OverflowError, match=f"over {rows} rows with exponent 2.0 leaves"):
                     subset_sup(MatrixWindow(entries), 2.0, mode, rows)
+
+
+def same_bits(got, want):
+    """Subset suprema with equal value bits and equal witnesses."""
+    return got[0].hex() == want[0].hex() and got[1] == want[1]
+
+
+class TestSupWitnessScan:
+    """Sup mode finds its witness in one pass over each column that attains
+    the maximum; it must give the bits and the witness of the greedy that
+    rebuilds every candidate's completion (`oracles.least_reaching`)."""
+
+    EXPONENTS = (0.3, 0.73, 1.0, 1.5, 3.0)
+
+    @staticmethod
+    def _checked(block, exponent):
+        got = duals._sup_closed_form(np.asarray(block, dtype=float), exponent)
+        assert same_bits(got, sup_closed_form(np.asarray(block, dtype=float), exponent))
+        return got
+
+    @pytest.mark.parametrize("e", EXPONENTS)
+    def test_random_columns(self, e):
+        rng = np.random.default_rng(int(e * 100))
+        for rows in range(1, 21):
+            for cols in (1, 3):
+                block = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-9, 9, (rows, cols))
+                block[rng.random((rows, cols)) < 0.2] = 0.0
+                self._checked(block, e)
+                # Small integers: ties across columns and signs, and zero rows.
+                self._checked(rng.integers(-2, 3, (rows, 4)).astype(float), e)
+
+    @pytest.mark.parametrize("e", EXPONENTS)
+    def test_negatives_that_round_away(self, e):
+        # 1 + (-1e-20) is 1: the negative row's reach ties the best value.
+        for col in ([1.0, -1e-20, 1.0], [-1e-20, 1.0, 0.0], [1.0, -1e-20, -1e-20, 2.0],
+                    [2.0, -2.0**-53, 1.0, -2.0**-52, 1.0]):
+            self._checked(np.array(col)[:, None], e)
+        # Negatives of a few ulps of the best value.  (1 - 2^-53)^0.3 rounds
+        # to 1, so at e = 0.3 a reach below the base reaches the best value:
+        # the first pass guesses that it misses, and the pass runs again.
+        tiny = np.array([0.5, -(2.0**-53), 0.5])[:, None]
+        assert self._checked(tiny, e)[1] == ((0, 1, 2) if e == 0.3 else (0, 2))
+        for k in range(1, 40):
+            col = np.array([1.0, -k * 2.0**-52, 1.0, -k * 2.0**-53, 0.5])
+            self._checked(col[:, None], e)
+
+    @pytest.mark.parametrize("e", EXPONENTS)
+    def test_zeros_and_negative_zeros(self, e):
+        for col in ([0.0, -0.0, 1.0, -0.0, 0.0], [-0.0, -0.0, 2.0], [-0.0, 1.0, -0.0, -1.0],
+                    [0.0, 0.0, 0.0], [-0.0, -0.0]):
+            self._checked(np.array(col)[:, None], e)
+
+    @pytest.mark.parametrize("e", EXPONENTS)
+    def test_equal_maxima_across_columns_and_signs(self, e):
+        block = np.array([[1.0, -1.0, 0.0, 1.0], [-1.0, 1.0, 1.0, 0.0],
+                          [1.0, -1.0, -1.0, 1.0], [-1.0, 1.0, 1.0, -0.0]])
+        self._checked(block, e)
+        for cols in ([[2.0, -2.0]], [[1.0, 1.0], [1.0, 1.0]], [[0.5, -1.0], [1.5, 0.0]]):
+            self._checked(np.array(cols), e)
+        self._checked(np.ones((20, 6)), e)
+
+    @pytest.mark.parametrize("e", EXPONENTS)
+    def test_positive_tail_below_one_ulp(self, e):
+        # Every entry after the first adds less than half an ulp of 1, so
+        # each reach is 1 and the first row alone reaches the best value.
+        for col in ([1.0, 1e-17, 1e-17, 1e-17], [1.0, -0.5, 1e-17, 0.5, 1e-17],
+                    [1e-17, 1.0, 1e-17, -1e-17, 1e-17]):
+            self._checked(np.array(col)[:, None], e)
+
+
+class TestLiveColumnCut:
+    """Both subset modes run on the live column prefix of a block, cut where
+    numpy's pairwise sum keeps the bits (`duals._live_width`)."""
+
+    def test_cut_rows_sum_to_the_bits_of_the_full_rows(self):
+        rng = np.random.default_rng(71)
+        cut = 0
+        for n in [*range(1, 301), 513, 1000, 2048, 8192]:
+            rows = np.tril(rng.random((min(n, 300), n)) * 10.0 ** rng.uniform(-5, 5, (1, n)))
+            full = rows.sum(axis=1)
+            for live, row in enumerate(rows, 1):
+                w = duals._live_width(n, live)
+                assert w == n or (w % 8 == 0 and live <= w < n)
+                assert row[:w].sum().hex() == full[live - 1].hex()
+                cut += w < n
+        assert cut > 10_000
+
+    def test_a_live_prefix_past_the_leftmost_block_keeps_every_column(self):
+        # Past 128 columns numpy sums the halves apart, the first 96 of 200
+        # columns alone, so 127 live columns padded to 128 sum otherwise.
+        rng = np.random.default_rng(72)
+        rows = np.abs(rng.normal(size=(50, 200))) * 10.0 ** rng.uniform(-5, 5, (50, 200))
+        rows[:, 127:] = 0.0
+        assert duals._live_width(200, 127) == 200
+        assert (rows[:, :128].sum(axis=1) != rows.sum(axis=1)).any()
+
+    @pytest.mark.parametrize("live", [7, 8, 9, 127, 128, 129])
+    def test_cut_searches_match_the_uncut_ones(self, live):
+        # Rows ending at row live - 1 of a lower-triangular window have
+        # exactly ``live`` live columns; the width passes 128 both ways.
+        # Past 128 live columns no leftmost block holds them: nothing is cut.
+        rng = np.random.default_rng(live)
+        rows = min(live, 8)
+        widths = []
+        for n in (live, live + 1, 120, 128, 129, 136, 200, 260, 264, 300):
+            if n < live:
+                continue
+            window = np.tril(rng.normal(size=(live, n)) * 10.0 ** rng.uniform(-5, 4, (live, 1)))
+            block = window[live - rows :]
+            widths.append(duals._live_width(n, live) < n)
+            m = MatrixWindow(block)
+            for e in (0.73, 1.0, 2.0, 3.0):
+                got = subset_sup(m, e, SubsetMode.SUM_OVER_COLS_OF_ABS_COLSUM, rows)
+                assert same_bits(got, duals._sum_exhaustive(block, e))
+                assert same_bits(got, exhaustive_sum_walk(block, e))
+                got = subset_sup(m, e, SubsetMode.SUP_OVER_COLS_OF_ABS, rows)
+                assert same_bits(got, sup_closed_form(block, e))
+        assert any(widths) == (live <= 128) and not all(widths)
 
 
 class TestSumModePruning:
@@ -792,7 +916,7 @@ class TestMatrixClassCondition:
 
     def test_alpha_row_limits_must_be_integers(self):
         # [1.5, 3] was read as row limits 1 and 3.
-        with pytest.raises(ValueError, match=r"^checkpoints must be integers"):
+        with pytest.raises(ValueError, match=r"^row_limits must be integers, got \(1\.5, 3\)$"):
             alpha_dual_check(SeqWindow(np.ones(8)), 1.0, QParam(0.5), PExponent(2.0), [1.5, 3])
 
 
@@ -838,7 +962,7 @@ class TestAlphaDual:
             )
 
     def test_row_limits_past_the_window_raise(self):
-        with pytest.raises(ValueError, match=r"must lie in \[1, 4\]"):
+        with pytest.raises(ValueError, match=r"^row_limits must lie in \[1, 4\]$"):
             alpha_dual_check(
                 SeqWindow(np.ones(4)), 0.7, QParam(0.6), PExponent(2.0), [4, 8, 16]
             )

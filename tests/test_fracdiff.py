@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -32,7 +33,10 @@ from qnabla.fracdiff import (
     semigroup_defect,
     verify_inverse,
 )
+from qnabla.duals import MatrixWindow, SubsetMode, alpha_dual_check, subset_sup
+from qnabla.matclass import ClassQuery, Source, Target
 from qnabla.qcore import QParam, q_integer
+from qnabla.spaces import PExponent
 
 FLOOR = fracdiff._SPLIT_FLOOR
 
@@ -129,6 +133,25 @@ class TestCheckInt:
         with pytest.raises(ValueError,
                            match=rf"^n must be an integer ≥ {minimum}, got {value!r}$"):
             fracdiff._check_int("n", value, minimum)
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan"), None, "3"])
+    def test_values_that_are_not_real_integers_are_refused_by_name(self, bad):
+        # inf raised OverflowError, NaN a ValueError and None a TypeError,
+        # each from int() and naming neither the argument nor the rule.
+        def refused(name):
+            text = f"^{name} must be an integer ≥ 1, got {re.escape(repr(bad))}$"
+            return pytest.raises(ValueError, match=text)
+
+        with refused("n"):
+            verify_inverse(0.5, QParam(0.5), bad)
+        for mode in SubsetMode:
+            with refused("row_limit"):
+                subset_sup(MatrixWindow(np.eye(4)), 1.0, mode, bad)
+        with refused("window"):
+            ClassQuery(Source.L1_DOMAIN, Target.L1, PExponent(1.0), 0.5, QParam(0.5), window=bad)
+        text = rf"^row_limits must be integers, got \({re.escape(repr(bad))},\)$"
+        with pytest.raises(ValueError, match=text):
+            alpha_dual_check(SeqWindow(np.ones(8)), 1.0, QParam(0.5), PExponent(2.0), [bad])
 
     def test_integral_values_come_back_as_int(self):
         for value in (3, 3.0, np.int64(3), np.float64(3.0)):
