@@ -65,10 +65,6 @@ MAX_SUBSET_ROWS = 20
 _LOW_ROWS = 13
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 _SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
-# The row bounds take a node's table a slice of this many columns at a time,
-# through scratch of n x 1024 doubles that stays in cache, not one the size
-# of the table.
-_SLICE = 1 << 10
 _ETA = 2.0**-26  # splits the rounding drift off a squared norm in `_norm_bounds`
 
 # Trend-classification constants; these shape verdict labels only, never
@@ -320,10 +316,10 @@ def _node_values(rows: np.ndarray, exponent: float) -> np.ndarray:
     return rows.sum(axis=1)
 
 
-def _row_bounds(sums: np.ndarray, work: np.ndarray, exponent: float) -> np.ndarray:
+def _row_bounds(sums: np.ndarray, exponent: float) -> np.ndarray:
     """Bound on the `_node_values` value of every subset whose computed
     column sums s are a column of ``sums`` (n rows), without a power on
-    each entry; ``work`` is scratch of n rows, used a slice at a time.
+    each entry; ``sums`` becomes |s| in place, with no scratch.
 
     In exact arithmetic, with e the exponent:
 
@@ -350,21 +346,16 @@ def _row_bounds(sums: np.ndarray, work: np.ndarray, exponent: float) -> np.ndarr
     n, which the smallest normal double, added last, covers for any n
     below 2^43.  A NaN column sum gives a NaN bound.
     """
-    n, size = sums.shape
-    width = work.shape[1]
-    bound = np.empty(size)
+    n = sums.shape[0]
+    np.abs(sums, out=sums)
     norm = np.add if exponent <= 2.0 else np.maximum  # ||s||_1, or ||s||_inf past e = 2
-    for i in range(0, size, width):
-        part, out = work[:, : min(width, size - i)], bound[i : i + width]
-        np.abs(sums[:, i : i + width], out=part)
-        norm.reduce(part, axis=0, out=out)
-        if exponent > 1.0:
-            out **= abs(2.0 - exponent)
-            np.square(part, out=part)
-            l2 = part.sum(axis=0)
-            l2 += n * _SMALLEST_NORMAL
-            out *= l2 ** min(exponent - 1.0, 1.0)
-    if exponent <= 1.0:
+    bound = norm.reduce(sums, axis=0)
+    if exponent > 1.0:
+        bound **= abs(2.0 - exponent)
+        l2 = np.einsum("ij,ij->j", sums, sums)
+        l2 += n * _SMALLEST_NORMAL
+        bound *= l2 ** min(exponent - 1.0, 1.0)
+    else:
         bound **= exponent
         bound *= n ** (1.0 - exponent)
     bound *= 1.0 + 4 * (n + 16) * _UNIT_ROUNDOFF
@@ -510,7 +501,6 @@ def _sum_exhaustive(block: np.ndarray, exponent: float) -> tuple[float, tuple[in
     if rows > low:
         bound = _subtree_bound(block, low, exponent)
         gram = (2.0 * block[low:]) @ table
-    work = np.empty((n, min(1 << low, _SLICE)))
     best = -math.inf
     best_witness: tuple[int, ...] = ()
     path: list[int] = []
@@ -528,7 +518,7 @@ def _sum_exhaustive(block: np.ndarray, exponent: float) -> tuple[float, tuple[in
         level = table[:, keep]
         for h in path:
             level += block[h, :, None]
-        survive = np.flatnonzero(~(_row_bounds(level, work, exponent) < cut))
+        survive = np.flatnonzero(~(_row_bounds(level, exponent) < cut))
         keep = keep[survive]
         if keep.size:
             vals = _node_values(level.T[survive], exponent)
@@ -704,8 +694,8 @@ def _profile(items, chunks, cps: tuple[int, ...], triangular: bool):
     window) the last row of the whole fold at full width, so that item keeps
     its running maximum and minimum until the fold ends; rounding is
     monotone, so |s - ref| peaks at the largest or the smallest s.  Returns
-    per item the maximum over the windows, from zero in window order, at
-    each checkpoint, and the last row.
+    per item the maximum over the windows, floored at zero, at each
+    checkpoint, and the last row.
     """
     tails = [_tail_start(cp) for cp in cps]
     deferred = [c is Condition.SECTION_ABS_SUM_MATCH for c, _ in items]  # full-width reference
@@ -756,13 +746,7 @@ def _profile(items, chunks, cps: tuple[int, ...], triangular: bool):
             if d:
                 ref = np.add.reduce(np.abs(chunk[-1]), axis=1)
                 vals[:] = [np.maximum(top - ref, ref - low) for top, low in vals]
-        out = []
-        for vals in values:
-            worst = np.zeros(len(cps))
-            for row in zip(*vals):  # the windows in order
-                np.maximum(worst, row, out=worst)
-            out.append(worst.tolist())
-    return out, chunk[-1]
+    return [np.maximum(np.max(vals, axis=1), 0.0).tolist() for vals in values], chunk[-1]
 
 
 def _subset_values(windows, e: float, mode: SubsetMode, info: dict[str, Any]):
@@ -815,8 +799,8 @@ def matrix_class_condition(
     """Evaluate one single-window matrix-class condition on leading square
     blocks.
 
-    This is the single dispatch point behind the dual checks and the matrix
-    classification tables.  ``checkpoints`` are the block sizes to profile
+    This is the single-window evaluator behind `class_check`'s full-window
+    conditions.  ``checkpoints`` are the block sizes to profile
     (power-of-two defaults); subset conditions additionally cap the
     enumerated rows at ``row_limit``.
     """

@@ -367,9 +367,10 @@ def _repaid(k: int, rho: float, m: int, sx: int, n: int) -> int:
     return saved if (m - k - 1) * sx > _SPLIT_FLOOR and saved > scan else 0
 
 
-def _tail(stream: CoeffStream, n: int) -> tuple[int, float] | None:
-    """Head length K and tail ratio rho of a stream on an n-window (module
-    notes), or None when no split of it repays itself (``_repaid``).
+def _tail(stream: CoeffStream) -> tuple[int, float] | None:
+    """Head length K and tail ratio rho of a stream (module notes), or None
+    only for one with no geometric tail: orders <= 0, integer forward orders
+    and composed streams.  ``_convolve`` decides whether a split repays.
     O(1) arithmetic: past lag K the stream is c_K rho^(k - K) to eps/4."""
     order = stream.order
     if order is None or not order > 0.0:
@@ -387,7 +388,7 @@ def _tail(stream: CoeffStream, n: int) -> tuple[int, float] | None:
         log_gap = min(b, 0.0) * logq + math.log(-math.expm1(abs(b) * logq))
         bound = math.log(_EPS / 4.0) + 2.0 * math.log(-math.expm1(logq)) - log_gap
         k = max(0, math.ceil(bound / logq - a))
-    return (k, rho) if _repaid(k, rho, n, n, n) else None
+    return k, rho
 
 
 def _powers(log_rho: float, count: int) -> np.ndarray:
@@ -447,15 +448,15 @@ def _geometric_scan(x: np.ndarray, rho: float) -> np.ndarray:
 
 def _convolve(n: int, a: CoeffStream, b: CoeffStream | np.ndarray) -> np.ndarray:
     """First n terms of the Cauchy product of a stream with a window or a
-    second stream: head plus geometric tail (module notes) at the operand
-    whose split saves the most multiply-adds, if any repays itself
-    (``_repaid``), else the direct convolution."""
+    second stream: head plus geometric tail at the operand whose split saves
+    the most multiply-adds, if any repays itself (``_repaid``, on the cut
+    lengths, then on the supports), else the direct convolution."""
     va = a.coeffs[:n]
     vb = (b.coeffs if isinstance(b, CoeffStream) else b)[:n]
     best, split = 0, None
     for s, c, x in ((a, va, vb), (b, vb, va)):
-        tail = _tail(s, n) if isinstance(s, CoeffStream) else None
-        if tail is None:
+        tail = _tail(s) if isinstance(s, CoeffStream) else None
+        if tail is None or not _repaid(*tail, c.size, x.size, n):
             continue
         saved = _repaid(*tail, _support(c).size, _support(x).size, n)
         if saved > best:

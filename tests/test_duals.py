@@ -606,7 +606,7 @@ class TestSubsetRowBounds:
         v = np.where(np.arange(n) % 3 == 1, -1.0, 1.0)
         block = np.outer(c, v)
         sums = subset_column_sums(block[[0, 5, 13, 14, 15]])
-        bounds = duals._row_bounds(sums, np.empty_like(sums), e)
+        bounds = duals._row_bounds(sums, e)
         values = duals._node_values(np.ascontiguousarray(sums.T), e)
         assert np.all(bounds >= values)
         if scale == 1.0:  # subnormal values tie and survive, which makes the walk slow
@@ -621,9 +621,22 @@ class TestSubsetRowBounds:
         block = np.random.default_rng(37).normal(size=(16, 3))
         block[3, 1] = np.nan
         with np.errstate(invalid="ignore"):
-            bounds = duals._row_bounds(subset_column_sums(block[:4]), np.empty((3, 16)), e)
+            bounds = duals._row_bounds(subset_column_sums(block[:4]), e)
             assert np.array_equal(np.isnan(bounds), np.arange(16) >= 8)
             assert duals._sum_exhaustive(block, e) == exhaustive_sum_walk(block, e)
+
+    @pytest.mark.parametrize("e", (0.5, 1.0, 1.5, 3.0))
+    @pytest.mark.parametrize("kind", ("gaussian", "tiny", "signed-zeros"))
+    def test_bounds_leave_abs_sums_of_the_same_values(self, e, kind):
+        # `_row_bounds` takes |s| in place; `_node_values` takes |.| again,
+        # exact on entries already >= 0, so its bits do not move.
+        sums = subset_column_sums(random_block(kind, np.random.default_rng(61), 6, 9))
+        signed = sums.copy()
+        duals._row_bounds(sums, e)
+        assert np.array_equal(sums, np.abs(signed))
+        assert not np.signbit(sums).any()
+        assert np.array_equal(duals._node_values(np.ascontiguousarray(sums.T), e),
+                              duals._node_values(np.ascontiguousarray(signed.T), e))
 
     KINDS = ("gaussian", "integers", "triangular", "wide", "sparse", "tiny")
 

@@ -613,7 +613,7 @@ class TestHeadTailSplit:
         for gamma in (1.0, 2.0):
             qp = QParam(0.7)
             e = inverse_coeffs(gamma, qp, 4095)
-            assert fracdiff._tail(e, 4096) is not None
+            assert fracdiff._repaid(*fracdiff._tail(e), 4096, 4096, 4096)
             got = apply_inverse(SeqWindow(x), gamma, qp).values
             ref = fracdiff._causal(e.coeffs, x, 4096)
             scale = fracdiff._causal(e.coeffs, np.abs(x), 4096)
@@ -652,7 +652,8 @@ class TestHeadTailSplit:
             "inverse": (inverse_coeffs, apply_inverse),
         }[kind]
         stream = build(gamma, qp, n - 1)
-        assert fracdiff._tail(stream, n) is None
+        tail = fracdiff._tail(stream)
+        assert tail is None or fracdiff._repaid(*tail, n, n, n) == 0
         direct = fracdiff._causal(stream.coeffs, x, n)
         assert np.array_equal(apply(SeqWindow(x), gamma, qp).values, direct)
         assert np.array_equal(compose_coeffs(stream, stream).coeffs,
@@ -665,13 +666,14 @@ class TestHeadTailSplit:
         # the dropped lags lie near n and reach few outputs: fewer than the
         # 64 multiply-adds per entry that the forward scan costs.
         stream = forward_coeffs(0.7, QParam(q), n - 1)
-        assert fracdiff._tail(stream, 1 << 20)[0] == k  # the head length itself
+        assert fracdiff._tail(stream)[0] == k  # the head length itself
         assert (n - k - 1) * n > FLOOR
         assert fracdiff._saved(k, n, n, n) < 64 * n
-        assert fracdiff._tail(stream, n) is None
+        assert fracdiff._repaid(*fracdiff._tail(stream), n, n, n) == 0
 
     def test_split_runs_from_a_head_of_half_the_window(self):
-        assert fracdiff._tail(forward_coeffs(0.7, QParam(0.96052), 2047), 2048)[0] == 1023
+        k, rho = fracdiff._tail(forward_coeffs(0.7, QParam(0.96052), 2047))
+        assert k == 1023 and fracdiff._repaid(k, rho, 2048, 2048, 2048)
 
     def test_split_runs_on_a_short_support(self, monkeypatch):
         # The order-2.5 forward stream at q = 0.6 ends at lag 553, far from
@@ -682,7 +684,7 @@ class TestHeadTailSplit:
         n, qp = 8192, QParam(0.6)
         stream = forward_coeffs(2.5, qp, n - 1)
         assert fracdiff._support(stream.coeffs).size == 554
-        assert fracdiff._tail(stream, n)[0] == 80
+        assert fracdiff._tail(stream)[0] == 80
         x = np.random.default_rng(41).standard_normal(n)
         got = apply_forward(SeqWindow(x), 2.5, qp).values
         scale = fracdiff._causal(np.abs(stream.coeffs), np.abs(x), n)
@@ -702,13 +704,30 @@ class TestHeadTailSplit:
             for k, rho in itertools.product(range(n), (1.0, 0.9)):
                 assert not fracdiff._repaid(k, rho, n, n, n)
 
+    def test_longer_supports_repay_where_shorter_ones_do(self):
+        # `_convolve` tests a split on the cut lengths before it scans for
+        # the supports, which is sound only if a split that repays on
+        # supports m, sx <= n also repays on any longer ones, n, n included.
+        rng = np.random.default_rng(53)
+        repaid = 0
+        for _ in range(20000):
+            n = int(rng.integers(1, (1 << 14) + 1))
+            m, sx = (int(v) for v in rng.integers(1, n + 1, 2))
+            m2, sx2 = int(rng.integers(m, n + 1)), int(rng.integers(sx, n + 1))
+            k, rho = int(rng.integers(0, n + 1)), (1.0, 0.9)[int(rng.integers(2))]
+            if fracdiff._repaid(k, rho, m, sx, n) > 0:
+                repaid += 1
+                assert fracdiff._repaid(k, rho, n, n, n) > 0, (k, rho, m, sx, n)
+                assert fracdiff._repaid(k, rho, m2, sx2, n) > 0, (k, rho, m, sx, m2, sx2, n)
+        assert repaid > 1000
+
     def test_head_is_short_at_moderate_q(self, monkeypatch):
         # A structural guard rather than a timing: at n = 8192, q = 0.9 every
         # transform convolves a head shorter than n / 10, so a regression to
         # the dense O(n^2) convolution fails here.
         n, gamma, qp = 8192, 0.7, QParam(0.9)
         for build in (forward_coeffs, inverse_coeffs):
-            k, _ = fracdiff._tail(build(gamma, qp, n - 1), n)
+            k, _ = fracdiff._tail(build(gamma, qp, n - 1))
             assert k < n / 10
         convs = self._counting(monkeypatch, "_causal")
         g = SeqWindow(np.random.default_rng(9).standard_normal(n))
@@ -766,7 +785,7 @@ class TestBlockedKernel:
         # one dense product of 8003 by 8003 entries.
         n, q, gamma = 8003, 1 - 3e-9, 0.7
         qp = QParam(q)
-        assert fracdiff._tail(forward_coeffs(gamma, qp, n - 1), n) is None
+        assert fracdiff._repaid(*fracdiff._tail(forward_coeffs(gamma, qp, n - 1)), n, n, n) == 0
         x = np.random.default_rng(23).standard_normal(n)
         got = apply_forward(SeqWindow(x), gamma, qp).values
         c = stream_oracle("forward", gamma, q, n, dps=30)
@@ -792,7 +811,8 @@ class TestBlockedKernel:
         n, gamma = 8192, 0.7
         g = SeqWindow(np.random.default_rng(31).standard_normal(n))
         near_one = QParam(1 - 3e-9)
-        assert fracdiff._tail(forward_coeffs(gamma, near_one, n - 1), n) is None
+        tail = fracdiff._tail(forward_coeffs(gamma, near_one, n - 1))
+        assert fracdiff._repaid(*tail, n, n, n) == 0
         apply_forward(g, gamma, near_one)
         apply_inverse(g, gamma, QParam(0.9))
         assert len(blocked) == 2
