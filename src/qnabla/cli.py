@@ -92,9 +92,7 @@ def _parse_matrix(text: str) -> MatrixWindow:
     if not text:
         raise ValueError("matrix file is empty")
     data = json.loads(text)
-    if not isinstance(data, list) or not data or not all(
-        isinstance(row, list) for row in data
-    ):
+    if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise ValueError("expected a JSON array of row arrays")
     if any(isinstance(v, bool) for row in data for v in row):
         raise ValueError("entries must be reals, not booleans")
@@ -103,9 +101,8 @@ def _parse_matrix(text: str) -> MatrixWindow:
     if len({len(row) for row in data}) != 1:
         raise ValueError("rows must all have the same length")
     entries = np.asarray(data, dtype=np.float64)
-    triangular = entries.shape[0] == entries.shape[1] and bool(
-        np.all(np.triu(entries, k=1) == 0.0)
-    )
+    square = entries.shape[0] == entries.shape[1]
+    triangular = square and bool(np.all(np.triu(entries, k=1) == 0.0))
     return MatrixWindow(entries=entries, triangular=triangular)
 
 
@@ -127,10 +124,7 @@ def _report_csv(payload: dict) -> str:
         lines.append(f"norm,{payload['value']!r}")
     else:
         for key, val in payload.items():
-            if isinstance(val, float):
-                lines.append(f"{key},{val!r}")
-            else:
-                lines.append(f"{key},{val}")
+            lines.append(f"{key},{val!r}" if isinstance(val, float) else f"{key},{val}")
     return "\n".join(lines) + "\n"
 
 

@@ -22,18 +22,21 @@ sizes plus a tri-state verdict: values that have stabilized read as
 bounded-on-window, values that climb at every checkpoint read as growing,
 everything else is inconclusive.  Verdicts are descriptive, never proofs.
 
-Each condition has one evaluator here: one fold over the rows of its
-leading blocks (`_profile`) or one subset mode (`_SUBSET_MODE`), and one
-exponent rule (`_EXPONENT_RULE`, resolved with the p regime by
-`_resolve_exponent`).  A section condition is a single-window condition
-taken over every row's section window (`_SECTION_OF`); one kernel streams
-section rows (`_sections`), one row's for the partial-sum matrix and every
-row's for `matclass`.  Every report goes through one constructor, which
-refuses a value outside double range with OverflowError.
+Each condition has one row in one table (`_CONDITIONS`): its estimate, a
+fold over the rows of its leading blocks (`_profile`) or a subset mode; its
+limit, if any; and its exponent rule, resolved with the p regime by
+`_resolve_exponent`.  A section condition's row names its single-window
+twin, whose estimate it takes over every row's section window; one kernel
+streams section rows (`_sections`), one row's for the partial-sum matrix
+and every row's for `matclass`.  Which condition the alpha, beta and gamma
+checks evaluate in each p regime is one more table (`_DUAL_CONDITIONS`).
+Every report goes through one constructor, which refuses a value outside
+double range with OverflowError.
 """
 
 from __future__ import annotations
 
+import collections
 import enum
 import math
 from dataclasses import dataclass, field
@@ -134,40 +137,49 @@ class Condition(enum.Enum):
     VANISHING_ROW_ABS_SUM = "vanishing-row-abs-sum"
 
 
-# Conditions whose value is a tail/oscillation estimate over a block's last
-# rows, which should shrink when the condition holds (a section condition
-# shrinks when its single-window condition does); all others are running
-# suprema over all rows that should stabilize.
-_TAIL_CONDITIONS = frozenset(
-    {
-        Condition.COLUMN_LIMITS,
-        Condition.COLUMN_LIMITS_ZERO,
-        Condition.ABS_ROW_SUM_INTERCHANGE,
-        Condition.VANISHING_ROW_ABS_SUM,
-    }
-)
+class SubsetMode(enum.Enum):
+    """Inner aggregation for finite-subset suprema over row selections."""
+
+    SUM_OVER_COLS_OF_ABS_COLSUM = "sum-over-cols"
+    SUP_OVER_COLS_OF_ABS = "sup-over-cols"
 
 
-# Per-condition exponent rules, resolved by _resolve_exponent: "conjugate"
-# is p' (1 at p = inf), "strict" p' for 1 < p < inf only, "le1" p for
-# 0 < p <= 1, "finite" any finite p, and "one" the fixed exponent 1.
-_EXPONENT_RULE = {
-    Condition.ROW_POWER_SUM_SUP: "conjugate",
-    Condition.SUBSET_ABS_COLSUM_SUP: "conjugate",
-    Condition.ENTRY_SUP: "le1",
-    Condition.SUBSET_ENTRY_SUP: "le1",
-    Condition.COLUMN_SUBSET_POWER_SUM: "finite",
-    Condition.SECTION_POWER_SUM_SUP: "strict",
+# Each condition's one row.  Estimate, per block row: "entries", "max"
+# (largest |entry|), "sum" (of |entry|^e, or |entry|), or the `SubsetMode` of
+# a supremum over subsets of rows (of columns where ``columns``); a section
+# condition names its single-window twin, taken over every row's section,
+# and shrinks as the twin does.  Limit: None for a running supremum, which
+# should stabilize; else over the last quarter of the rows (and, but for
+# sums, the tail columns), which should shrink: "zero", or "spread" (per
+# column for entries, against the last row's sum for sums).  Exponent rule
+# (`_resolve_exponent`): "conjugate" p' (1 at p = inf), "strict" p' for
+# 1 < p < inf only, "le1" p for 0 < p <= 1, "finite" any finite p, "one" 1.
+_Facts = collections.namedtuple("_Facts", "estimate limit rule columns",
+                                defaults=(None, None, False))
+_CONDITIONS = {
+    Condition.ROW_ABS_SUM_SUP: _Facts("sum"),
+    Condition.COLUMN_LIMITS: _Facts("entries", "spread"),
+    Condition.COLUMN_LIMITS_ZERO: _Facts("max", "zero"),
+    Condition.ABS_ROW_SUM_INTERCHANGE: _Facts("sum", "spread"),
+    Condition.ROW_POWER_SUM_SUP: _Facts("sum", rule="conjugate"),
+    Condition.ENTRY_SUP: _Facts("max", rule="le1"),
+    Condition.SUBSET_ABS_COLSUM_SUP: _Facts(SubsetMode.SUM_OVER_COLS_OF_ABS_COLSUM,
+                                            rule="conjugate"),
+    Condition.SUBSET_ENTRY_SUP: _Facts(SubsetMode.SUP_OVER_COLS_OF_ABS, rule="le1"),
+    Condition.COLUMN_SUBSET_POWER_SUM: _Facts(SubsetMode.SUM_OVER_COLS_OF_ABS_COLSUM,
+                                              rule="finite", columns=True),
+    Condition.SECTION_COLUMN_LIMITS: _Facts(Condition.COLUMN_LIMITS),
+    Condition.SECTION_ENTRY_SUP: _Facts(Condition.ENTRY_SUP),
+    Condition.SECTION_POWER_SUM_SUP: _Facts(Condition.ROW_POWER_SUM_SUP, rule="strict"),
+    Condition.SECTION_ABS_SUM_MATCH: _Facts(Condition.ABS_ROW_SUM_INTERCHANGE),
+    Condition.VANISHING_ROW_ABS_SUM: _Facts("sum", "zero"),
 }
 
-# Section conditions are single-window conditions taken over every row's
-# section window: the value is the maximum over rows of the same estimate.
-_SECTION_OF = {
-    Condition.SECTION_COLUMN_LIMITS: Condition.COLUMN_LIMITS,
-    Condition.SECTION_ENTRY_SUP: Condition.ENTRY_SUP,
-    Condition.SECTION_POWER_SUM_SUP: Condition.ROW_POWER_SUM_SUP,
-    Condition.SECTION_ABS_SUM_MATCH: Condition.ABS_ROW_SUM_INTERCHANGE,
-}
+
+def _single(cond: Condition) -> Condition:
+    """A section condition's single-window twin, else ``cond`` itself."""
+    twin = _CONDITIONS[cond].estimate
+    return twin if isinstance(twin, Condition) else cond
 
 
 class Verdict(enum.Enum):
@@ -228,21 +240,6 @@ def classify_trend(values: tuple[tuple[int, float], ...], shrinks: bool) -> Verd
     if increasing and vs[-1] > _GROWTH_FACTOR * abs(vs[0]) + _TINY:
         return Verdict.GROWING
     return Verdict.INCONCLUSIVE
-
-
-class SubsetMode(enum.Enum):
-    """Inner aggregation for finite-subset suprema over row selections."""
-
-    SUM_OVER_COLS_OF_ABS_COLSUM = "sum-over-cols"
-    SUP_OVER_COLS_OF_ABS = "sup-over-cols"
-
-
-# Subset conditions and the inner aggregation of their suprema.
-_SUBSET_MODE = {
-    Condition.SUBSET_ABS_COLSUM_SUP: SubsetMode.SUM_OVER_COLS_OF_ABS_COLSUM,
-    Condition.SUBSET_ENTRY_SUP: SubsetMode.SUP_OVER_COLS_OF_ABS,
-    Condition.COLUMN_SUBSET_POWER_SUM: SubsetMode.SUM_OVER_COLS_OF_ABS_COLSUM,
-}
 
 
 def _lex_least(masks: np.ndarray) -> tuple[int, ...]:
@@ -515,11 +512,12 @@ def _sum_exhaustive(block: np.ndarray, exponent: float) -> tuple[float, tuple[in
             first = np.argmax(sq, keepdims=True)
             cut = max(cut, float(_node_values(table.T[first], exponent)[0]))
         keep = np.flatnonzero(~(sq < _norm_limit(cut, live, exponent)))
-        level = table[:, keep]
-        for h in path:
-            level += block[h, :, None]
-        survive = np.flatnonzero(~(_row_bounds(level, exponent) < cut))
-        keep = keep[survive]
+        if keep.size:  # gathered, summed and bounded only when any is kept
+            level = table[:, keep]
+            for h in path:
+                level += block[h, :, None]
+            survive = np.flatnonzero(~(_row_bounds(level, exponent) < cut))
+            keep = keep[survive]
         if keep.size:
             vals = _node_values(level.T[survive], exponent)
             top = float(vals.max())
@@ -580,6 +578,7 @@ def subset_sup(
     and a supremum outside double range raises OverflowError.
     """
     row_limit = _check_int("row_limit", row_limit, 1)
+    inner = SubsetMode(inner)
     if row_limit > MAX_SUBSET_ROWS:
         raise LimitError(
             f"row_limit {row_limit} exceeds the exhaustive-enumeration cap "
@@ -610,12 +609,24 @@ def _regime(p: PExponent) -> str:
     return "inf" if p.is_inf else "le1" if p.value <= 1.0 else "mid"
 
 
+# The condition each dual check evaluates in each regime of p (the beta
+# check also requires the column limits).
+_DUAL_CONDITIONS = {
+    "alpha": {"le1": Condition.SUBSET_ENTRY_SUP, "mid": Condition.SUBSET_ABS_COLSUM_SUP,
+              "inf": Condition.SUBSET_ABS_COLSUM_SUP},
+    "beta": {"le1": Condition.ENTRY_SUP, "mid": Condition.ROW_POWER_SUM_SUP,
+             "inf": Condition.ABS_ROW_SUM_INTERCHANGE},
+    "gamma": {"le1": Condition.ENTRY_SUP, "mid": Condition.ROW_POWER_SUM_SUP,
+              "inf": Condition.ROW_POWER_SUM_SUP},
+}
+
+
 def _resolve_exponent(
     cond: Condition, p: PExponent | None, exponent: float | None, rule: str | None = None
 ) -> float | None:
     """Exponent of ``cond`` under ``rule`` (by default the condition's own),
     or None for a condition without one.  An explicit ``exponent`` wins."""
-    rule = rule or _EXPONENT_RULE.get(cond)
+    rule = rule or _CONDITIONS[cond].rule
     if rule is None:
         return None
     if exponent is not None:
@@ -671,79 +682,72 @@ def _sections(rows: np.ndarray, t_e: np.ndarray):
         yield out
 
 
-# Conditions over a tail column block, and on the spread of a row statistic.
-_TAIL_COLUMNS = frozenset({Condition.COLUMN_LIMITS, Condition.COLUMN_LIMITS_ZERO})
-_SPREAD = frozenset({Condition.COLUMN_LIMITS, Condition.ABS_ROW_SUM_INTERCHANGE})
-
-
 def _profile(items, chunks, cps: tuple[int, ...], triangular: bool):
     """Values of non-subset conditions, each with its exponent in ``items``,
     on the leading cp x cp blocks of R windows, folded over ``chunks``:
     c x R x n arrays of rows m0 .. m0 + c - 1 of every window, from row 0
-    (`_sections`, or a dense window whole).  A section condition folds as
-    its single-window twin (`_SECTION_OF`), its windows being the sections.
+    (`_sections`, or a dense window whole).  Each item folds by the
+    estimate and limit of its row of `_CONDITIONS`, a section condition by
+    its single-window twin's, its windows being the sections.
 
-    Each block row gives its entries (column limits), its largest entry or
-    its sum of |entry|^e over the block's full width, trailing zeros
-    included, so each sum groups its terms as on the dense block; the fold
-    keeps their maximum and, for a spread, their minimum, and reduces them to
-    one value per window at the block's last row.  Limits are oscillation
-    estimates over the last quarter of the rows.  The interchange estimate
-    compares a block's tail row sums with a reference row sum: the block's
-    last row, or for the section abs-sum match (whose limit is the full
-    window) the last row of the whole fold at full width, so that item keeps
-    its running maximum and minimum until the fold ends; rounding is
-    monotone, so |s - ref| peaks at the largest or the smallest s.  Returns
-    per item the maximum over the windows, floored at zero, at each
-    checkpoint, and the last row.
+    Each block row gives its entries, its largest entry or its sum of
+    |entry|^e over the block's full width, trailing zeros included, so each
+    sum groups its terms as on the dense block; the fold keeps their maximum
+    and, for a spread, their minimum, and reduces them to one value per
+    window at the block's last row.  Limits are estimates over the last
+    quarter of the rows.  A spread of sums compares a block's tail row sums
+    with a reference row sum: the block's last row, or for the section
+    abs-sum match (whose limit is the full window) the last row of the
+    whole fold at full width, so that item keeps its running maximum and
+    minimum until the fold ends; rounding is monotone, so |s - ref| peaks
+    at the largest or the smallest s.  Returns per item the maximum over the
+    windows, floored at zero, at each checkpoint, and the last row.
     """
     tails = [_tail_start(cp) for cp in cps]
     deferred = [c is Condition.SECTION_ABS_SUM_MATCH for c, _ in items]  # full-width reference
-    items = [(_SECTION_OF.get(c, c), e) for c, e in items]
-    kinds = [(c in _TAIL_CONDITIONS, c in _TAIL_COLUMNS, c in _SPREAD, d)
-             for (c, _), d in zip(items, deferred)]
+    items = [(_CONDITIONS[_single(c)], e, d) for (c, e), d in zip(items, deferred)]
     values = [[None] * len(cps) for _ in items]  # running (max, min), then per-window values
     m0 = 0
     with np.errstate(over="ignore", invalid="ignore"):  # refused by the report
         for chunk in chunks:
-            mags = None if all(c is Condition.COLUMN_LIMITS for c, _ in items) else np.abs(chunk)
+            mags = None if all(f.estimate == "entries" for f, _, _ in items) else np.abs(chunk)
             powers = {None: mags}
             for i, (cp, ts) in enumerate(zip(cps, tails)):
                 if cp <= m0:  # the block ended in an earlier chunk
                     continue
                 b = min(cp - m0, chunk.shape[0])  # the block's rows in this chunk: [0, b)
                 width = min(cp, chunk.shape[2])
-                for (cond, e), (tail, tail_cols, spread, defer), vals in zip(items, kinds, values):
-                    a = max(ts - m0, 0) if tail else 0
+                for ((est, limit, _, _), e, defer), vals in zip(items, values):
+                    a = max(ts - m0, 0) if limit else 0
                     if a >= b:  # no tail row in this chunk
                         continue
-                    w = min(width, ts + 1) if triangular and tail_cols else width
-                    if cond is Condition.COLUMN_LIMITS:
+                    w = min(width, ts + 1) if triangular and limit and est != "sum" else width
+                    if est == "entries":
                         rows = chunk[a:b, :, :w]
-                    elif cond in (Condition.ENTRY_SUP, Condition.COLUMN_LIMITS_ZERO):
+                    elif est == "max":
                         rows = np.maximum.reduce(mags[a:b, :, :w], axis=2)
                     else:
                         if e not in powers:
                             powers[e] = mags**e
                         rows = np.add.reduce(powers[e][a:b, :, :w], axis=2)
                     top = np.maximum.reduce(rows)
-                    low = np.minimum.reduce(rows) if spread else None
+                    low = np.minimum.reduce(rows) if limit == "spread" else None
                     if vals[i] is not None:  # into the fresh reductions: no third array
                         top = np.maximum(vals[i][0], top, out=top)
                         low = None if low is None else np.minimum(vals[i][1], low, out=low)
                     if m0 + b < cp or defer:  # reduced later
                         vals[i] = top, low
                         continue
-                    if cond is Condition.COLUMN_LIMITS:
+                    if est == "entries":
                         top = np.maximum.reduce(top - low, axis=1)
-                    elif cond is Condition.ABS_ROW_SUM_INTERCHANGE:
+                    elif limit == "spread":
                         top = np.maximum(top - rows[-1], rows[-1] - low)
-                    elif cond is Condition.ENTRY_SUP and e is not None:
+                    elif est == "max" and e is not None:
                         top = [x**e for x in top]  # scalar powers, as on one value
                     vals[i] = top
             m0 += chunk.shape[0]
-        for d, vals in zip(deferred, values):
-            if d:
+        for (_, _, defer), vals in zip(items, values):
+            if defer:
                 ref = np.add.reduce(np.abs(chunk[-1]), axis=1)
                 vals[:] = [np.maximum(top - ref, ref - low) for top, low in vals]
     return [np.maximum(np.max(vals, axis=1), 0.0).tolist() for vals in values], chunk[-1]
@@ -778,12 +782,8 @@ def _report(
                 raise OverflowError(f"{cond.value} at window size {n}{with_e} leaves double range")
             vals.append((n, v))
     vals = tuple(vals)
-    return ConditionReport(
-        condition_id=cond,
-        values=vals,
-        verdict=classify_trend(vals, shrinks=_SECTION_OF.get(cond, cond) in _TAIL_CONDITIONS),
-        detail=info,
-    )
+    shrinks = _CONDITIONS[_single(cond)].limit is not None  # a limit should shrink
+    return ConditionReport(cond, vals, classify_trend(vals, shrinks), info)
 
 
 def matrix_class_condition(
@@ -804,23 +804,23 @@ def matrix_class_condition(
     (power-of-two defaults); subset conditions additionally cap the
     enumerated rows at ``row_limit``.
     """
+    cond = Condition(cond)
     cps = _checkpoints(checkpoints, m.entries.shape[0], start=4)
-    if cond in _SECTION_OF:
+    if _single(cond) is not cond:
         raise InvalidCondition(
             f"{cond.value} applies to a family of section windows, not a single matrix"
         )
     e = _resolve_exponent(cond, p, exponent)
     info: dict[str, Any] = dict(detail or {})
-    mode = _SUBSET_MODE.get(cond)
-    if mode is None:
+    facts = _CONDITIONS[cond]
+    if not isinstance(facts.estimate, SubsetMode):
         (vals,), _ = _profile(((cond, e),), (m.entries[:, None],), cps, m.triangular)
         values = iter(vals)
     else:
-        flip = cond is Condition.COLUMN_SUBSET_POWER_SUM  # subsets of columns
         blocks = ((cp, m.entries[:cp, :cp]) for cp in cps)  # views of a checked window
-        windows = ((_built(MatrixWindow, None, entries=b.T if flip else b), min(cp, row_limit))
-                   for cp, b in blocks)
-        values = _subset_values(windows, e, mode, info)
+        windows = ((_built(MatrixWindow, None, entries=b.T if facts.columns else b),
+                    min(cp, row_limit)) for cp, b in blocks)
+        values = _subset_values(windows, e, facts.estimate, info)
     return _report(cond, cps, values, e, info)
 
 
@@ -833,11 +833,10 @@ def alpha_dual_check(
 ) -> ConditionReport:
     """Subset-supremum condition deciding membership of a in the alpha dual.
 
-    Evaluates, per row limit, the subset condition matching the exponent
-    regime on the termwise-product window, entry (j, k) = e_{j-k} a_j:
-    entrywise sup to the power p for 0 < p <= 1, columnwise
-    conjugate-power sums for 1 < p < inf, and plain columnwise absolute
-    sums for the sup-norm space.  Only the rows and columns `subset_sup`
+    Evaluates, per row limit, the subset condition of the regime of p
+    (`_DUAL_CONDITIONS`: entrywise sup to the power p for 0 < p <= 1,
+    columnwise conjugate-power sums past 1) on the termwise-product window,
+    entry (j, k) = e_{j-k} a_j.  Only the rows and columns `subset_sup`
     reads are built.  The row limits must rise strictly within [1, a.n].
     """
     rls = _checkpoints(row_limits, a.n, name="row_limits")
@@ -847,21 +846,11 @@ def alpha_dual_check(
         lam = a.values[:rows, None] * t_e[:rows, : _live_width(a.n, rows)]
     lam = _built(MatrixWindow, lambda: f"termwise-product window of order {order} at q = {qp.q}",
                  entries=lam, triangular=True)
-    cond = Condition.SUBSET_ENTRY_SUP if _regime(p) == "le1" else Condition.SUBSET_ABS_COLSUM_SUP
+    cond = _DUAL_CONDITIONS["alpha"][_regime(p)]
     e = _resolve_exponent(cond, p, None)
     info: dict[str, Any] = {"matrix": "termwise-product"}
-    values = _subset_values(((lam, rl) for rl in rls), e, _SUBSET_MODE[cond], info)
+    values = _subset_values(((lam, rl) for rl in rls), e, _CONDITIONS[cond].estimate, info)
     return _report(cond, rls, values, e, info)
-
-
-def _companion(p: PExponent, sup_norm_condition: Condition) -> Condition:
-    """The beta/gamma condition of the regime of p: entry sup for p <= 1,
-    conjugate-power row sums for 1 < p < inf, ``sup_norm_condition`` at inf."""
-    return {
-        "le1": Condition.ENTRY_SUP,
-        "mid": Condition.ROW_POWER_SUM_SUP,
-        "inf": sup_norm_condition,
-    }[_regime(p)]
 
 
 def _partial_sum_reports(a: SeqWindow, order, qp, p, conds, windows) -> list[ConditionReport]:
@@ -883,14 +872,11 @@ def beta_dual_check(
     p: PExponent,
     windows: tuple[int, ...] | list[int] | None = None,
 ) -> list[ConditionReport]:
-    """Beta-dual conditions on the partial-sum window of a.
-
-    Always requires existence of the columnwise row limits; the companion
-    condition depends on the regime (entry sup for p <= 1, conjugate-power
-    row sums for 1 < p < inf, the row-sum/limit interchange for the
-    sup-norm source).  One report per condition.
+    """Beta-dual conditions on the partial-sum window of a, one report
+    each: the columnwise row limits and the companion condition of the
+    regime of p (`_DUAL_CONDITIONS`).
     """
-    conds = (Condition.COLUMN_LIMITS, _companion(p, Condition.ABS_ROW_SUM_INTERCHANGE))
+    conds = (Condition.COLUMN_LIMITS, _DUAL_CONDITIONS["beta"][_regime(p)])
     return _partial_sum_reports(a, order, qp, p, conds, windows)
 
 
@@ -901,7 +887,7 @@ def gamma_dual_check(
     p: PExponent,
     windows: tuple[int, ...] | list[int] | None = None,
 ) -> ConditionReport:
-    """Gamma-dual condition: the beta-dual companion condition without the
-    column-limit requirement (with exponent 1 for the sup-norm source)."""
-    conds = (_companion(p, Condition.ROW_POWER_SUM_SUP),)
+    """Gamma-dual condition: the companion condition of the regime of p
+    (`_DUAL_CONDITIONS`), without the column-limit requirement."""
+    conds = (_DUAL_CONDITIONS["gamma"][_regime(p)],)
     return _partial_sum_reports(a, order, qp, p, conds, windows)[0]

@@ -163,16 +163,18 @@ class SeqWindow:
         return self.values.size
 
     def prefix(self, n: int) -> "SeqWindow":
+        n = _check_int("prefix length", n)
         if not 1 <= n <= self.n:
             raise ValueError(f"prefix length must be in [1, {self.n}], got {n}")
         return SeqWindow(self.values[:n])
 
 
-def _check_int(name: str, n: int, minimum: int) -> int:
+def _check_int(name: str, n: int, minimum: int | None = None) -> int:
     with contextlib.suppress(TypeError, ValueError, OverflowError):  # None, NaN, inf
-        if n == int(n) and n >= minimum:
+        if n == int(n) and (minimum is None or n >= minimum):
             return int(n)
-    raise ValueError(f"{name} must be an integer ≥ {minimum}, got {n!r}")
+    rule = "" if minimum is None else f" ≥ {minimum}"
+    raise ValueError(f"{name} must be an integer{rule}, got {n!r}")
 
 
 def _built(cls, what, **fields):

@@ -17,8 +17,9 @@ Membership of the original matrix in a class (domain space -> classical
 space) is equivalent to a bundle of analytic conditions on those windows;
 the bundles are catalogued here as static dispatch data, one entry per
 (source, target) cell, and this module only dispatches them.  Each
-condition has one estimate and one exponent rule in `duals`; a section
-condition is a single-window condition taken over every row's section.
+condition has one row, its estimate, limit and exponent rule, in
+`duals._CONDITIONS`; a section condition takes a single-window condition
+over every row's section.
 
 Row tails are the one honest-truncation hazard: the inverse coefficients do
 not decay, so the rewritten row sums converge only through the test
@@ -43,15 +44,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duals import (
-    _SECTION_OF,
     Condition,
     ConditionReport,
     InvalidCondition,
     MatrixWindow,
     _profile,
+    _regime,
     _report,
     _resolve_exponent,
     _sections,
+    _single,
     matrix_class_condition,
 )
 from .fracdiff import (
@@ -114,6 +116,15 @@ class Target(enum.Enum):
 _DOMAIN_SOURCES = (Source.L1_DOMAIN, Source.LP_DOMAIN, Source.LINF_DOMAIN)
 _DOMAIN_TARGETS = (Target.LP_DOMAIN, Target.LINF_DOMAIN)
 
+# The p regime (`duals._regime`) each operator-domain end of a query is stated
+# for and how a refusal names it: l1-domain only at p = 1, linf-domain target any p.
+_DOMAIN_P = {
+    Source.L1_DOMAIN: ("le1", "p = 1"),
+    Source.LP_DOMAIN: ("mid", "1 < p < inf"),
+    Source.LINF_DOMAIN: ("inf", "p = inf"),
+    Target.LP_DOMAIN: ("mid", "1 < p < inf"),
+}
+
 # Composite targets resolve to (composite builder label, underlying column).
 _COMPOSITE_TARGETS = {
     Target.BS: ("running-sum", Target.LINF),
@@ -126,13 +137,13 @@ _COMPOSITE_TARGETS = {
 }
 
 # Condition catalog of both tables: each entry is a tuple of (condition,
-# exponent rule) pairs evaluated together.  Each condition has one estimate
-# and one exponent rule in `duals`; a rule here overrides the exponent of a
-# single-window condition ("one", "conjugate" or "finite", see
-# `duals._resolve_exponent`).  Section conditions are single-window
-# conditions taken over every row's section window; the others run on the
-# full window (the inverse composite for table 1, the forward composite for
-# table 2).
+# exponent rule) pairs evaluated together.  Each condition has one row, its
+# estimate and exponent rule, in `duals._CONDITIONS`; a rule here overrides
+# the exponent of a single-window condition ("one", "conjugate" or
+# "finite", see `duals._resolve_exponent`).  Section conditions take a
+# single-window condition over every row's section window; the others run
+# on the full window (the inverse composite for table 1, the forward
+# composite for table 2).
 CONDITION_CATALOG: dict[int | str, tuple[tuple[Condition, str | None], ...]] = {
     1: ((Condition.SECTION_COLUMN_LIMITS, None), (Condition.SECTION_ENTRY_SUP, None)),
     2: ((Condition.SECTION_COLUMN_LIMITS, None), (Condition.SECTION_POWER_SUM_SUP, None)),
@@ -195,31 +206,19 @@ class ClassQuery:
     row_limit: int = 12
 
     def __post_init__(self) -> None:
+        for name, kind in (("source", Source), ("target", Target)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
         for name in ("window", "row_limit"):
             object.__setattr__(self, name, _check_int(name, getattr(self, name), 1))
-        if self.source in _DOMAIN_SOURCES:
-            if self.target in _DOMAIN_TARGETS:
-                raise ValueError(
-                    "operator-domain sources pair with classical, series, or "
-                    "q-Cesàro targets"
-                )
-            if self.source is Source.L1_DOMAIN and (self.p.is_inf or self.p.value != 1.0):
-                raise ValueError("source l1-domain requires p = 1")
-            if self.source is Source.LP_DOMAIN and (
-                self.p.is_inf or not self.p.value > 1.0
-            ):
-                raise ValueError("source lp-domain requires 1 < p < inf")
-            if self.source is Source.LINF_DOMAIN and not self.p.is_inf:
-                raise ValueError("source linf-domain requires p = inf")
-        else:
-            if self.target not in _DOMAIN_TARGETS:
-                raise ValueError(
-                    "classical sources pair with operator-domain targets"
-                )
-            if self.target is Target.LP_DOMAIN and (
-                self.p.is_inf or not self.p.value > 1.0
-            ):
-                raise ValueError("target lp-domain requires 1 < p < inf")
+        if (self.source in _DOMAIN_SOURCES) == (self.target in _DOMAIN_TARGETS):
+            raise ValueError(
+                "operator-domain sources pair with classical, series, or q-Cesàro targets"
+                if self.source in _DOMAIN_SOURCES
+                else "classical sources pair with operator-domain targets")
+        for end, role in ((self.source, "source"), (self.target, "target")):
+            regime, text = _DOMAIN_P.get(end, (None, None))
+            if regime and (_regime(self.p) != regime or regime == "le1" and self.p.value != 1.0):
+                raise ValueError(f"{role} {end.value} requires {text}")
 
 
 # A row's tail quarter must carry less than this share of (head mass + 1).
@@ -301,7 +300,8 @@ def transform_condition(
     sections together, over the whole window, and reduced as they come;
     a row that fails the honest-truncation test raises :class:`TailError`.
     """
-    if cond not in _SECTION_OF:
+    cond = Condition(cond)
+    if _single(cond) is cond:
         raise InvalidCondition(
             f"{cond.value} applies to a single matrix window; use the "
             "matrix-class dispatch instead"
@@ -368,7 +368,8 @@ def class_check(query: ClassQuery, phi: MatrixWindow) -> list[ConditionReport]:
             cell_info["composite"] = composite
         bundle = TABLE_DOMAIN_CELLS[(query.source, underlying)]
         items = [(cond, _resolve_exponent(cond, query.p, None))
-                 for item in bundle for cond, _ in CONDITION_CATALOG[item] if cond in _SECTION_OF]
+                 for item in bundle for cond, _ in CONDITION_CATALOG[item]
+                 if _single(cond) is not cond]
         full, values = _sweep(block, query.order, query.qp, items, cps)
         sections = {cond: (e, vals) for (cond, e), vals in zip(items, values)}
         table, label = 1, "inverse-composite"
@@ -381,7 +382,7 @@ def class_check(query: ClassQuery, phi: MatrixWindow) -> list[ConditionReport]:
     for item in bundle:
         info = {**cell_info, "table": table, "item": item}
         for cond, rule in CONDITION_CATALOG[item]:
-            if cond in _SECTION_OF:
+            if _single(cond) is not cond:
                 e, vals = sections[cond]
                 reports.append(_report(cond, cps, iter(vals), e, {"matrix": "sections", **info}))
             else:

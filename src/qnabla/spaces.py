@@ -130,11 +130,12 @@ class NormReport:
 
 
 def default_checkpoints(n: int, start: int = 1) -> tuple[int, ...]:
-    """Power-of-two lengths up to n (always ending at n itself)."""
+    """Power-of-two lengths from ``start`` up to n (always ending at n itself)."""
+    n = _check_int("window length", n)
     if n < 1:
         raise ValueError(f"window length must be ≥ 1, got {n}")
     cps: list[int] = []
-    c = start
+    c = _check_int("start", start, 1)
     while c < n:
         cps.append(c)
         c *= 2
@@ -149,7 +150,7 @@ def _checkpoints(checkpoints, n: int, start: int = 1, name: str = "checkpoints")
         return default_checkpoints(n, start)
     given = tuple(checkpoints)
     try:  # the one integer rule
-        cps = tuple(_check_int(name, c, -math.inf) for c in given)
+        cps = tuple(_check_int(name, c) for c in given)
     except ValueError:
         raise ValueError(f"{name} must be integers, got {given}") from None
     if not cps:

@@ -168,7 +168,7 @@ class TestTermwiseProductMatrix:
         rls = (3, 7, 12)
         for p in (PExponent(0.5), PExponent(2.0), P_INF):
             rep = alpha_dual_check(a, 0.7, qp, p, rls)
-            mode, e = duals._SUBSET_MODE[rep.condition_id], rep.detail["exponent"]
+            mode, e = duals._CONDITIONS[rep.condition_id].estimate, rep.detail["exponent"]
             sups = [subset_sup(MatrixWindow(lam[:rl]), e, mode, rl) for rl in rls]
             assert rep.values == tuple((rl, v) for rl, (v, _) in zip(rls, sups))
             assert rep.detail["witness"] == list(sups[-1][1])
@@ -242,6 +242,16 @@ class TestSubsetSup:
         val, witness = subset_sup(m, 2.0, SubsetMode.SUP_OVER_COLS_OF_ABS, 3)
         assert val == 4.0
         assert witness == (0,)
+
+    def test_mode_given_by_value_is_its_member(self):
+        # "sup-over-cols" ran sum mode, (7.0, (1,)), and so did None.
+        m = MatrixWindow(np.array([[1.0, -2.0], [3.0, 4.0]]))
+        assert subset_sup(m, 1.0, "sup-over-cols", 2) == (4.0, (0, 1))
+        for mode in SubsetMode:
+            assert subset_sup(m, 1.0, mode.value, 2) == subset_sup(m, 1.0, mode, 2)
+        for bad in (None, "sup", 1):
+            with pytest.raises(ValueError, match=f"^{bad!r} is not a valid SubsetMode$"):
+                subset_sup(m, 1.0, bad, 2)
 
     def test_cancelling_rows_never_both_selected(self):
         rng = np.random.default_rng(31)
@@ -545,6 +555,35 @@ class TestSumModePruning:
                 got, walked = duals._sum_exhaustive(block, e), exhaustive_sum_walk(block, e)
                 assert got == walked == (0.0, (0,))
                 assert np.signbit(got[0]) == np.signbit(walked[0])
+
+    def test_nodes_that_keep_no_subset_skip_the_row_bounds(self, monkeypatch):
+        # A node whose norm bounds keep no subset was still gathered, summed
+        # and row-bounded on an n x 0 array; it must now skip all three.
+        widths, visits = [], []
+        row_bounds, norm_bounds = duals._row_bounds, duals._norm_bounds
+
+        def logged_row_bounds(sums, e):
+            widths.append(sums.shape[1])
+            return row_bounds(sums, e)
+
+        def logged_norm_bounds(*args):
+            visits.append(1)  # once per visited node
+            return norm_bounds(*args)
+
+        monkeypatch.setattr(duals, "_row_bounds", logged_row_bounds)
+        monkeypatch.setattr(duals, "_norm_bounds", logged_norm_bounds)
+        skipped = 0
+        for seed in range(3):
+            lam = termwise_window(SeqWindow(np.random.default_rng(seed).normal(size=36)),
+                                  0.7, QParam(0.6))[:20]
+            for e in (0.73, 1.5, 2.0):
+                widths.clear()
+                visits.clear()
+                got = subset_sup(MatrixWindow(lam), e, SubsetMode.SUM_OVER_COLS_OF_ABS_COLSUM, 20)
+                assert got == exhaustive_sum_walk(lam, e)
+                assert min(widths) > 0
+                skipped += len(visits) - len(widths)
+        assert skipped > 0
 
     def test_all_zero_block_returns_at_once(self):
         m = MatrixWindow(np.zeros((20, 40)))
@@ -882,6 +921,16 @@ class TestMatrixClassCondition:
         with pytest.raises(InvalidCondition):
             matrix_class_condition(m, Condition.SECTION_ENTRY_SUP)
 
+    def test_condition_given_by_value_is_its_member(self):
+        # "entry-sup" ran the row abs-sum, 7.0, in a report without as_dict.
+        m, p = MatrixWindow(np.array([[1.0, -2.0], [3.0, 4.0]])), PExponent(0.5)
+        rep = matrix_class_condition(m, "entry-sup", p)
+        assert rep.values == ((2, 2.0),)
+        assert rep.as_dict() == matrix_class_condition(m, Condition.ENTRY_SUP, p).as_dict()
+        for bad in (None, "entry", SubsetMode.SUP_OVER_COLS_OF_ABS):
+            with pytest.raises(ValueError, match="is not a valid Condition$"):
+                matrix_class_condition(m, bad, p)
+
     def test_checkpoint_validation(self):
         m = MatrixWindow(np.eye(8))
         with pytest.raises(ValueError):
@@ -931,6 +980,60 @@ class TestMatrixClassCondition:
         # [1.5, 3] was read as row limits 1 and 3.
         with pytest.raises(ValueError, match=r"^row_limits must be integers, got \(1\.5, 3\)$"):
             alpha_dual_check(SeqWindow(np.ones(8)), 1.0, QParam(0.5), PExponent(2.0), [1.5, 3])
+
+
+class TestConditionTable:
+    """Each condition's estimate, limit and exponent rule stand in its one
+    row of `duals._CONDITIONS`; a section condition's row names its twin."""
+
+    SECTIONS = {
+        Condition.SECTION_COLUMN_LIMITS: Condition.COLUMN_LIMITS,
+        Condition.SECTION_ENTRY_SUP: Condition.ENTRY_SUP,
+        Condition.SECTION_POWER_SUM_SUP: Condition.ROW_POWER_SUM_SUP,
+        Condition.SECTION_ABS_SUM_MATCH: Condition.ABS_ROW_SUM_INTERCHANGE,
+    }
+
+    def test_one_row_per_condition(self):
+        assert len(duals._CONDITIONS) == len(Condition)
+        assert set(duals._CONDITIONS) == set(Condition)
+        for facts in duals._CONDITIONS.values():
+            assert isinstance(facts.estimate, (Condition, SubsetMode)) or facts.estimate in (
+                "entries", "max", "sum")
+            assert facts.limit in (None, "zero", "spread")
+            assert facts.rule in (None, "conjugate", "strict", "le1", "finite")
+            assert facts.columns in (False, isinstance(facts.estimate, SubsetMode))
+
+    def test_section_rows_name_a_single_window_twin(self):
+        twins = {cond: facts.estimate for cond, facts in duals._CONDITIONS.items()
+                 if isinstance(facts.estimate, Condition)}
+        assert twins == self.SECTIONS
+        for cond, twin in twins.items():
+            assert duals._single(cond) is twin and duals._single(twin) is twin
+            # Neither a section nor a subset condition: an estimate to fold.
+            assert isinstance(duals._CONDITIONS[twin].estimate, str)
+
+    def test_a_section_condition_shrinks_as_its_twin(self):
+        # The shrink flag is stated once, on the twin's row: a falling
+        # profile reads as bounded for a limit, inconclusive for a supremum.
+        for cond, twin in self.SECTIONS.items():
+            assert duals._CONDITIONS[cond].limit is None
+            shrinks = duals._CONDITIONS[twin].limit is not None
+            limits = (Condition.COLUMN_LIMITS, Condition.ABS_ROW_SUM_INTERCHANGE)
+            assert shrinks == (twin in limits)
+            for c in (cond, twin):
+                rep = duals._report(c, (1, 2), iter([1.0, 0.1]), None, {})
+                want = Verdict.BOUNDED_ON_WINDOW if shrinks else Verdict.INCONCLUSIVE
+                assert rep.verdict is want
+
+    @pytest.mark.parametrize("p", [PExponent(0.5), PExponent(1.0), PExponent(2.0), P_INF],
+                             ids=str)
+    def test_dual_checks_evaluate_the_conditions_of_the_regime(self, p):
+        a, qp = SeqWindow(np.ones(8)), QParam(0.5)
+        want = {check: row[duals._regime(p)] for check, row in duals._DUAL_CONDITIONS.items()}
+        assert alpha_dual_check(a, 1.0, qp, p, [4, 8]).condition_id is want["alpha"]
+        beta = [rep.condition_id for rep in beta_dual_check(a, 1.0, qp, p)]
+        assert beta == [Condition.COLUMN_LIMITS, want["beta"]]
+        assert gamma_dual_check(a, 1.0, qp, p).condition_id is want["gamma"]
 
 
 class TestAlphaDual:
@@ -1092,9 +1195,9 @@ class TestSectionKernel:
                    MatrixWindow(rng.normal(size=(14, 9))))
         for m in windows:
             for cond in Condition:
-                if cond in duals._SUBSET_MODE or cond in duals._SECTION_OF:
+                if not isinstance(duals._CONDITIONS[cond].estimate, str):  # subset, section
                     continue
-                e = 1.5 if cond in duals._EXPONENT_RULE else None
+                e = 1.5 if duals._CONDITIONS[cond].rule else None
                 rep = matrix_class_condition(m, cond, exponent=e, checkpoints=(1, 2, 3, 7, 12))
                 assert list(rep.values) == [
                     (cp, dense_estimate(cond, m.entries[:cp, :cp], e, m.triangular))
@@ -1124,7 +1227,7 @@ class TestSectionKernel:
             section = dense_section(row, t_e)
             assert np.array_equal(section[-1], full.entries[j])
             for rep, top in zip(reports, worst):
-                single, e = duals._SECTION_OF[rep.condition_id], rep.detail.get("exponent")
+                single, e = duals._single(rep.condition_id), rep.detail.get("exponent")
                 values = [dense_estimate(single, section[:cp, :cp], e, True, refs[j])
                           for cp, _ in rep.values]
                 np.maximum(top, values, out=top)

@@ -86,6 +86,14 @@ class TestSeqWindow:
         with pytest.raises(ValueError, match=rf"^prefix length must be in \[1, 4\], got {n}$"):
             SeqWindow(np.ones(4)).prefix(n)
 
+    @pytest.mark.parametrize("n", [2.5, None, "2", float("nan")])
+    def test_prefix_length_must_be_an_integer(self, n):
+        # 2.5 passed the range test and reached the slice as a raw TypeError.
+        text = rf"^prefix length must be an integer, got {re.escape(repr(n))}$"
+        with pytest.raises(ValueError, match=text):
+            SeqWindow(np.ones(5)).prefix(n)
+        assert SeqWindow(np.arange(5.0)).prefix(2.0).values.tolist() == [0.0, 1.0]
+
 
 class TestCoeffStream:
     def test_public_constructor_copies_and_freezes(self):

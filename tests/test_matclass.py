@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import re
+
 import numpy as np
 import pytest
 
@@ -193,6 +196,15 @@ class TestTransformCondition:
         assert all(v == 0.0 for _, v in rep.values)
         rep = transform_condition(phi, 0.5, qp, Condition.SECTION_POWER_SUM_SUP, PExponent(2.0))
         assert all(v == 0.0 for _, v in rep.values)
+
+    def test_condition_given_by_value_is_its_member(self):
+        phi, qp = MatrixWindow(np.tril(np.ones((8, 8))), triangular=True), QParam(0.5)
+        for cond in (Condition.SECTION_ENTRY_SUP, Condition.SECTION_COLUMN_LIMITS):
+            got = transform_condition(phi, 0.7, qp, cond.value)
+            assert got.as_dict() == transform_condition(phi, 0.7, qp, cond).as_dict()
+        for bad in (None, "section"):
+            with pytest.raises(ValueError, match="is not a valid Condition$"):
+                transform_condition(phi, 0.7, qp, bad)
 
     def test_identity_entry_sup_is_one(self):
         phi = MatrixWindow(np.eye(8), triangular=True)
@@ -495,6 +507,47 @@ class TestClassCheck:
                        window=8)
         with pytest.raises(ValueError, match="classical"):
             ClassQuery(Source.C0, Target.C, PExponent(2.0), 0.5, qp, window=8)
+
+    def test_every_cell_and_regime_is_checked_by_its_text(self):
+        # Hard-coded transcription: a query pairs an operator-domain end with
+        # a classical one, and each operator-domain end but a linf-domain
+        # target is stated for one range of p.
+        needs = {"l1-domain": (lambda p: p == 1.0, "p = 1"),
+                 "lp-domain": (lambda p: 1.0 < p < np.inf, "1 < p < inf"),
+                 "linf-domain": (lambda p: p == np.inf, "p = inf")}
+        qp = QParam(0.5)
+        for src, tgt, value in itertools.product(Source, Target, (0.5, 1.0, 1.5, 3.0, np.inf)):
+            p = P_INF if value == np.inf else PExponent(value)
+            domain_src, domain_tgt = src.value.endswith("-domain"), tgt.value.endswith("-domain")
+            if domain_src and domain_tgt:
+                text = "operator-domain sources pair with classical, series, or q-Cesàro targets"
+            elif not domain_src and not domain_tgt:
+                text = "classical sources pair with operator-domain targets"
+            elif domain_src and not needs[src.value][0](value):
+                text = f"source {src.value} requires {needs[src.value][1]}"
+            elif tgt is Target.LP_DOMAIN and not needs[tgt.value][0](value):
+                text = f"target {tgt.value} requires {needs[tgt.value][1]}"
+            else:
+                assert ClassQuery(src, tgt, p, 0.5, qp, window=8).p is p
+                continue
+            with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+                ClassQuery(src, tgt, p, 0.5, qp, window=8)
+
+    def test_source_and_target_given_by_value_are_their_members(self):
+        # A string source or target passed the pairing test or was refused by
+        # it as the wrong kind, and class_check then failed on `.value`.
+        qp, phi = QParam(0.5), MatrixWindow(np.eye(4), triangular=True)
+        for src, tgt, p in ((Source.C0, Target.LP_DOMAIN, PExponent(2.0)),
+                            (Source.LP_DOMAIN, Target.C, PExponent(2.0))):
+            by_value = ClassQuery(src.value, tgt.value, p, 0.5, qp, window=4)
+            assert (by_value.source, by_value.target) == (src, tgt)
+            expect = class_check(ClassQuery(src, tgt, p, 0.5, qp, window=4), phi)
+            assert [r.as_dict() for r in class_check(by_value, phi)] == [
+                r.as_dict() for r in expect]
+        with pytest.raises(ValueError, match="^'lp' is not a valid Source$"):
+            ClassQuery("lp", Target.C, PExponent(2.0), 0.5, qp, window=4)
+        with pytest.raises(ValueError, match="^None is not a valid Target$"):
+            ClassQuery(Source.LP_DOMAIN, None, PExponent(2.0), 0.5, qp, window=4)
 
     def test_window_and_row_limit_are_checked_integers(self):
         # window=4.0 passed validation and class_check then failed on the

@@ -131,6 +131,19 @@ class TestDefaultCheckpoints:
         with pytest.raises(ValueError, match=f"^window length must be ≥ 1, got {n}$"):
             default_checkpoints(n)
 
+    @pytest.mark.parametrize("n", [10.5, None, float("inf")])
+    def test_window_length_must_be_an_integer(self, n):
+        # 10.5 came back as the last checkpoint, (1, 2, 4, 8, 10.5).
+        with pytest.raises(ValueError, match=f"^window length must be an integer, got {n!r}$"):
+            default_checkpoints(n)
+        assert default_checkpoints(10.0) == (1, 2, 4, 8, 10)
+
+    @pytest.mark.parametrize("start", [0, -2, 1.5, None])
+    def test_start_must_be_a_positive_integer(self, start):
+        # start=0 never ended: doubling kept it at 0 while the list grew.
+        with pytest.raises(ValueError, match=f"^start must be an integer ≥ 1, got {start!r}$"):
+            default_checkpoints(10, start=start)
+
 
 class TestDomainNorm:
     def test_first_order_constant_window(self):
