@@ -13,14 +13,15 @@ and over limits no finite window can certify, so the evaluators are honest
 about both: finite-subset suprema are taken over a capped number of rows
 (hard ceiling of 20), in closed form when the columns are sup'd and by
 enumeration of up to about a million subsets, one row add each, when they
-are summed, skipping only subtrees that provably cannot reach the best
-value and raising to the power only subsets whose norm bound can reach
-it; and "limit exists" conditions are reported as Cauchy-style
-oscillation estimates over the last quarter of the window.  Every report
-carries the evaluated quantity at a strictly increasing list of window
-sizes plus a tri-state verdict: values that have stabilized read as
-bounded-on-window, values that climb at every checkpoint read as growing,
-everything else is inconclusive.  Verdicts are descriptive, never proofs.
+are summed, starting from the value of a hill-climbed subset, skipping only
+subtrees that provably cannot reach the best value and raising to the
+power only subsets whose norm bound can reach it; and "limit exists"
+conditions are reported as Cauchy-style oscillation estimates over the
+last quarter of the window.  Every report carries the evaluated quantity
+at a strictly increasing list of window sizes plus a tri-state verdict:
+values that have stabilized read as bounded-on-window, values that climb
+at every checkpoint read as growing, everything else is inconclusive.
+Verdicts are descriptive, never proofs.
 
 Each condition has one row in one table (`_CONDITIONS`): its estimate, a
 fold over the rows of its leading blocks (`_profile`) or a subset mode; its
@@ -45,7 +46,7 @@ from typing import Any
 import numpy as np
 
 from .fracdiff import SeqWindow, _built, _check_int, _lower_toeplitz, inverse_coeffs
-from .qcore import QParam
+from .qcore import QParam, _coerce
 from .spaces import _CHUNK_ENTRIES, PExponent, _checkpoints
 
 __all__ = [
@@ -269,19 +270,19 @@ def _sup_closed_form(block: np.ndarray, exponent: float) -> tuple[float, tuple[i
     every later positive entry, added in row order, reaches the maximum,
     and the pass stops once the running sum does.  Sums are Python float
     adds; powers are numpy array powers, as the maximum's, in one batch per
-    round, each round taking unraised sums to miss until it reads none."""
-    signed = np.stack([block, -block])
-    parts = np.maximum(signed, 0.0)
-    bases = np.zeros((2, block.shape[1]))
-    for j in range(block.shape[0]):  # in row order, as every subset sum
-        bases += parts[:, j]
+    round, each round taking unraised sums to miss until it reads none.
+    The sums are one axis-0 fold of the r x 2 x n parts from +0.0, which
+    adds row after row, as every subset sum; with the 2 x n rows inner,
+    numpy never reorders it pairwise, even at n = 1."""
+    signed = np.stack([block, -block], axis=1)
+    bases = np.add.reduce(np.maximum(signed, 0.0), axis=0, initial=0.0)
     vals = bases**exponent
     best = float(vals.max())
     if best == 0.0:
         return best, (0,)
     ties = vals == best
     reaches = dict.fromkeys(bases[ties].tolist(), True)  # sum -> whether it reaches best
-    cols = {tuple(c) for c in signed.transpose(0, 2, 1)[ties].tolist()}  # one witness each
+    cols = {tuple(c) for c in signed.transpose(1, 2, 0)[ties].tolist()}  # one witness each
     while True:
         witnesses = []
         for col in cols:
@@ -460,6 +461,39 @@ def _subtree_bound(block: np.ndarray, low: int, exponent: float):
     return bound
 
 
+def _climb(block: np.ndarray, exponent: float) -> tuple[int, ...]:
+    """A good subset to seed the sum-mode walk with, sorted: from the rows
+    of each sign in the column of the largest |entry|, flip the one row
+    that raises sum_k |s_k|^e the most while any does, never emptying the
+    set.  Its sums are kept by adds and subtracts, so its values are only
+    estimates; the walk values the subset it returns afresh."""
+    rows = block.shape[0]
+    col = block[:, np.argmax(np.abs(block).max(axis=0))]
+    found, found_value = (), -math.inf
+    for inside in (col > 0, col < 0):
+        if not inside.any():
+            continue
+        sums = block[inside].sum(axis=0)
+        flips = np.where(inside[:, None], -block, block)  # what flipping each row adds
+        value = float((np.abs(sums) ** exponent).sum())
+        for _ in range(rows * rows):  # a cap, should rounding ever cycle the rises
+            values = np.abs(sums + flips)
+            values **= exponent
+            values = values.sum(axis=1)
+            if np.count_nonzero(inside) == 1:
+                values[inside] = -math.inf
+            j = int(np.argmax(values))
+            if not values[j] > value:
+                break
+            inside[j] = not inside[j]
+            sums += flips[j]
+            flips[j] *= -1.0
+            value = float(values[j])
+        if value > found_value:
+            found, found_value = tuple(np.flatnonzero(inside).tolist()), value
+    return found
+
+
 def _sum_exhaustive(block: np.ndarray, exponent: float) -> tuple[float, tuple[int, ...]]:
     """Sum mode over all 2^r - 1 subsets, bit for bit as if each were evaluated.
 
@@ -476,10 +510,17 @@ def _sum_exhaustive(block: np.ndarray, exponent: float) -> tuple[float, tuple[in
     the subsets whose `_row_bounds` bound is not strictly below the best
     value reach `_node_values`.  NaN bounds pass; at the root the subset
     with the largest norm bound goes first, so that the cut has a value.
+    With high rows and only finite entries, the best value starts at a
+    subset found by `_climb`, valued as the walk values it (its low rows'
+    table column, its high rows added in row order, `_node_values`): a real
+    subset's value, so above no maximum.  A non-finite value seeds nothing,
+    nor does a block with NaN: the walk passes over every node that holds a
+    NaN value, finite subsets and all, and a seed from one would not.
     Every bound covers every rounding error, so no skipped subset reaches
     the best value: a tie is never skipped, since a later subset can be a
-    lexicographically smaller witness.  An all-zero block returns at once:
-    every subset's value is 0, and (0,) is the least subset.
+    lexicographically smaller witness, and the seed is replaced by the
+    least maximiser however early it is met.  An all-zero block returns at
+    once: every subset's value is 0, and (0,) is the least subset.
     """
     if not block.any():
         return 0.0, (0,)
@@ -500,6 +541,15 @@ def _sum_exhaustive(block: np.ndarray, exponent: float) -> tuple[float, tuple[in
         gram = (2.0 * block[low:]) @ table
     best = -math.inf
     best_witness: tuple[int, ...] = ()
+    if rows > low and np.isfinite(block).all():
+        seed = _climb(block, exponent)
+        sums = table[:, sum(1 << j for j in seed if j < low)].copy()
+        for h in seed:
+            if h >= low:
+                sums += block[h]
+        value = float(_node_values(sums[None], exponent)[0])
+        if math.isfinite(value):
+            best, best_witness = value, seed
     path: list[int] = []
     while True:
         dots[:] = 0.0  # summed afresh per node: a buffer per depth raises peak memory
@@ -567,7 +617,8 @@ def subset_sup(
     of (sum_j max(+-a_jk, 0))^exponent, in O(r n), its witness one pass per
     column attaining it.  Sum mode is a cut-norm
     type quantity and stays exhaustive over all 2^r - 1 subsets up to
-    provable pruning.  Past the first 13 rows it skips a subtree of subsets
+    provable pruning.  Past the first 13 rows the best value starts at a
+    hill-climbed subset's (`_climb`), and the walk skips a subtree of subsets
     when a bound on their values is strictly below the best value so far
     (`_subtree_bound`); in each visited node a sum of Gram products bounds
     every subset's 2-norm (`_norm_bounds`), and only the subsets whose norm
@@ -805,6 +856,7 @@ def matrix_class_condition(
     enumerated rows at ``row_limit``.
     """
     cond = Condition(cond)
+    p = None if p is None else _coerce(PExponent, p)
     cps = _checkpoints(checkpoints, m.entries.shape[0], start=4)
     if _single(cond) is not cond:
         raise InvalidCondition(
@@ -839,6 +891,7 @@ def alpha_dual_check(
     entry (j, k) = e_{j-k} a_j.  Only the rows and columns `subset_sup`
     reads are built.  The row limits must rise strictly within [1, a.n].
     """
+    qp, p = _coerce(QParam, qp), _coerce(PExponent, p)
     rls = _checkpoints(row_limits, a.n, name="row_limits")
     rows = min(rls[-1], MAX_SUBSET_ROWS)
     t_e = _lower_toeplitz(inverse_coeffs(order, qp, a.n - 1).coeffs, a.n)
@@ -876,6 +929,7 @@ def beta_dual_check(
     each: the columnwise row limits and the companion condition of the
     regime of p (`_DUAL_CONDITIONS`).
     """
+    qp, p = _coerce(QParam, qp), _coerce(PExponent, p)
     conds = (Condition.COLUMN_LIMITS, _DUAL_CONDITIONS["beta"][_regime(p)])
     return _partial_sum_reports(a, order, qp, p, conds, windows)
 
@@ -889,5 +943,6 @@ def gamma_dual_check(
 ) -> ConditionReport:
     """Gamma-dual condition: the companion condition of the regime of p
     (`_DUAL_CONDITIONS`), without the column-limit requirement."""
+    qp, p = _coerce(QParam, qp), _coerce(PExponent, p)
     conds = (_DUAL_CONDITIONS["gamma"][_regime(p)],)
     return _partial_sum_reports(a, order, qp, p, conds, windows)[0]

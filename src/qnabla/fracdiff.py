@@ -81,7 +81,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import QParam, _require_finite
+from .qcore import QParam, _coerce, _require_finite
 
 __all__ = [
     "Kind",
@@ -198,6 +198,7 @@ def _built(cls, what, **fields):
 def _stream(kind: Kind, order: float, qp: QParam, k: int) -> CoeffStream:
     """Coefficients 0..K of one stream: the lag ratios written into the
     output buffer behind its leading 1, then one in-place cumprod."""
+    qp = _coerce(QParam, qp)
     order = _require_finite("order", order)
     k = _check_int("truncation length", k, 0)
     logq = math.log(qp.q)

@@ -59,7 +59,7 @@ from .duals import (
 from .fracdiff import (
     CoeffStream, _built, _check_int, _convolve, _lower_toeplitz, forward_coeffs, inverse_coeffs,
 )
-from .qcore import QParam, q_integer
+from .qcore import QParam, _coerce, q_integer
 from .spaces import PExponent, _checkpoints, default_checkpoints
 
 __all__ = [
@@ -206,8 +206,8 @@ class ClassQuery:
     row_limit: int = 12
 
     def __post_init__(self) -> None:
-        for name, kind in (("source", Source), ("target", Target)):
-            object.__setattr__(self, name, kind(getattr(self, name)))
+        for name, kind in zip(("source", "target", "p", "qp"), (Source, Target, PExponent, QParam)):
+            object.__setattr__(self, name, _coerce(kind, getattr(self, name)))
         for name in ("window", "row_limit"):
             object.__setattr__(self, name, _check_int(name, getattr(self, name), 1))
         if (self.source in _DOMAIN_SOURCES) == (self.target in _DOMAIN_TARGETS):
@@ -265,7 +265,7 @@ def _sweep(phi: MatrixWindow, order: float, qp: QParam, items, cps: tuple[int, .
     e = inverse_coeffs(order, qp, n - 1)
     bounds = _row_tail_bounds(phi, e)
     values, last = _profile(items, _sections(phi.entries, _lower_toeplitz(e.coeffs, n)), cps, True)
-    full = _built(MatrixWindow, lambda: f"inverse composite of order {order} at q = {qp.q}",
+    full = _built(MatrixWindow, lambda: f"inverse composite of order {order} at q = {e.qp.q}",
                   entries=last.copy(), triangular=phi.triangular, tail_bounds=bounds)
     return full, values
 
@@ -301,6 +301,7 @@ def transform_condition(
     a row that fails the honest-truncation test raises :class:`TailError`.
     """
     cond = Condition(cond)
+    p = None if p is None else _coerce(PExponent, p)
     if _single(cond) is cond:
         raise InvalidCondition(
             f"{cond.value} applies to a single matrix window; use the "
@@ -319,7 +320,8 @@ def forward_composite_matrix(phi: MatrixWindow, order: float, qp: QParam) -> Mat
     n = phi.entries.shape[0]
     stream = forward_coeffs(order, qp, n - 1)
     cols = np.column_stack([_convolve(n, stream, col) for col in phi.entries.T])
-    return _built(MatrixWindow, lambda: f"forward transform of order {stream.order} at q = {qp.q}",
+    return _built(MatrixWindow,
+                  lambda: f"forward transform of order {stream.order} at q = {stream.qp.q}",
                   entries=cols, triangular=phi.triangular)
 
 

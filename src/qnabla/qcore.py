@@ -29,6 +29,13 @@ class QParam:
             raise ValueError(f"q must lie strictly inside (0, 1), got {self.q!r}")
 
 
+def _coerce(cls, value):
+    """``value`` itself if it is a ``cls``, else ``cls(value)``: a plain float
+    q or p becomes its type, and the type's own checks refuse an
+    out-of-range value with ValueError."""
+    return value if isinstance(value, cls) else cls(value)
+
+
 def _require_finite(name: str, x: float) -> float:
     x = float(x)
     if not math.isfinite(x):
@@ -43,7 +50,7 @@ def q_integer(t: float | np.ndarray, qp: QParam) -> float | np.ndarray:
     1 + q + ... + q^(t-1); it tends to t as q -> 1^-.  Evaluated as
     ``expm1(t log q) / expm1(log q)`` (see the module notes).
     """
-    logq = math.log(qp.q)
+    logq = math.log(_coerce(QParam, qp).q)
     if isinstance(t, np.ndarray):
         return np.expm1(t * logq) / math.expm1(logq)
     return math.expm1(_require_finite("t", t) * logq) / math.expm1(logq)

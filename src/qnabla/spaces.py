@@ -34,7 +34,7 @@ from .fracdiff import (
     apply_forward,
     inverse_coeffs,
 )
-from .qcore import QParam
+from .qcore import QParam, _coerce
 
 __all__ = [
     "PExponent",
@@ -202,7 +202,7 @@ def lp_norm(h: SeqWindow, p: PExponent) -> float:
     A root-sum whose plain sum overflows is taken again scaled by max|h|;
     a norm that itself leaves double range raises OverflowError.
     """
-    return _prefix_norms(h.values, p, (h.n,))[0]
+    return _prefix_norms(h.values, _coerce(PExponent, p), (h.n,))[0]
 
 
 def domain_norm(g: SeqWindow, order: float, qp: QParam, p: PExponent) -> NormReport:
@@ -253,7 +253,8 @@ def schauder_reconstruct(h: SeqWindow, order: float, qp: QParam) -> SeqWindow:
             block[0] = acc[k0:]
             np.multiply(h.values[k0:k1, None], basis[k0:k1, k0:], out=block[1:])
             np.add.reduce(block, axis=0, out=acc[k0:])
-    return _built(SeqWindow, lambda: f"basis reconstruction of order {stream.order} at q = {qp.q}",
+    return _built(SeqWindow,
+                  lambda: f"basis reconstruction of order {stream.order} at q = {stream.qp.q}",
                   values=acc)
 
 
@@ -274,6 +275,7 @@ def membership_diagnostic(
     double range raises its OverflowError.
     """
     cps = _checkpoints(checkpoints, g.n)
+    p = _coerce(PExponent, p)
     h = apply_forward(g, order, qp)
     partials = tuple(zip(cps, _prefix_norms(h.values, p, cps)))
     return NormReport(value=partials[-1][1], p=p, window=g.n, partials=partials)

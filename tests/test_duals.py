@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import time
 import tracemalloc
 
@@ -430,6 +431,25 @@ class TestSupWitnessScan:
             self._checked(np.array(cols), e)
         self._checked(np.ones((20, 6)), e)
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 40, 1024, 8192])
+    def test_row_fold_adds_in_row_order_from_positive_zero(self, n):
+        # The column sums are one numpy fold; they must be the row-order loop
+        # of `oracles.sup_closed_form` bit for bit.  At n = 1 a fold over a
+        # 2 x r x n layout runs numpy's pairwise sum, which groups 8 or more
+        # rows apart; sums of terms within a few decades make that show.  An
+        # odd power keeps the sign of a zero sum: all -0.0 or all-zero blocks
+        # must give +0.0, as the loop's +0.0 start does.
+        rng = np.random.default_rng(n)
+        for rows in [1, 7, 8] + [9, 16, 20] * 4:
+            block = rng.normal(size=(rows, n)) * 10.0 ** rng.integers(-3, 4, (rows, n))
+            block[rng.random((rows, n)) < 0.3] = -0.0
+            block[:, 1::4] = 0.0  # all-zero columns, but at n = 1
+            block[:, 2::4] = -0.0
+            for e in (1.0, 3.0):
+                self._checked(block, e)
+                for zeros in (np.zeros((rows, n)), np.full((rows, n), -0.0)):
+                    assert self._checked(zeros, e)[0].hex() == "0x0.0p+0"
+
     @pytest.mark.parametrize("e", EXPONENTS)
     def test_positive_tail_below_one_ulp(self, e):
         # Every entry after the first adds less than half an ulp of 1, so
@@ -621,6 +641,104 @@ def subset_column_sums(block):
     for j in range(rows):
         np.add(sums[:, : 1 << j], block[j, :, None], out=sums[:, 1 << j : 2 << j])
     return sums
+
+
+def walk_value(block, subset, exponent):
+    """Sum-mode value of ``subset`` in the walk's arithmetic: its rows added
+    to +0.0 in row order, then `duals._node_values`."""
+    sums = np.zeros((1, block.shape[1]))
+    for j in subset:
+        sums += block[j]
+    return float(duals._node_values(sums, exponent)[0])
+
+
+class TestSumModeSeed:
+    """Past the low-row table the walk starts from a hill-climbed subset
+    (`duals._climb`), valued as the walk values every subset; the results
+    must stay those of the walk that evaluates every subset, bit for bit."""
+
+    @pytest.mark.parametrize("e", (0.6, 1.0, 1.37, 2.0, 3.0))
+    def test_seeded_walk_matches_the_exhaustive_walk(self, e):
+        rng = np.random.default_rng(int(e * 100))
+        for r in range(14, 21):
+            a = SeqWindow(rng.normal(size=r + 16))
+            lam = termwise_window(a, float(rng.uniform(0.1, 2.9)), QParam(rng.uniform(0.1, 0.9)))
+            for block in (rng.normal(size=(r, int(rng.integers(1, 33)))), lam[:r, : r + 4]):
+                got = subset_sup(MatrixWindow(block), e, SubsetMode.SUM_OVER_COLS_OF_ABS_COLSUM, r)
+                assert got == exhaustive_sum_walk(block, e), (r, e)
+
+    def test_a_smaller_subset_that_ties_the_seed_is_the_witness(self):
+        # Zero rows and duplicated rows leave the sums of a subset as they
+        # are, so many subsets tie: the climb never adds a zero row, yet the
+        # least witness takes every zero row below its last nonzero one.
+        rng = np.random.default_rng(43)
+        smaller = 0
+        for trial in range(24):
+            r, n = 14 + trial % 7, int(rng.integers(1, 9))
+            block = rng.integers(-2, 3, (r, n)).astype(float)
+            if trial % 2:
+                block[rng.random(r) < 0.3] = 0.0
+            else:
+                block[r // 2 :] = block[: r - r // 2]
+            for e in (0.5, 1.0, 2.0):
+                got = duals._sum_exhaustive(block, e)
+                assert got == exhaustive_sum_walk(block, e), (trial, e)
+                seed = duals._climb(block, e)
+                if walk_value(block, seed, e) == got[0] and got[1] != seed:
+                    assert got[1] < seed
+                    smaller += 1
+        assert smaller > 10
+
+    def test_sums_past_double_range_still_raise(self):
+        # Row 13 alone is a finite local maximum of the climb: adding row 14
+        # or 15 cancels two of its columns.  Rows 14 and 15 together pass
+        # double range, so the seeded walk must still reach them and refuse.
+        block = np.zeros((16, 3))
+        block[13] = 0.5e154, 0.5e154, 0.9e154
+        block[14:] = -0.5e154, -0.5e154, 0.0
+        assert duals._climb(block, 2.0) == (13,)
+        assert math.isfinite(walk_value(block, (13,), 2.0))
+        wide = np.random.default_rng(44).uniform(-1.0, 1.0, (16, 6)) * 1e308
+        for m, e in ((block, 2.0), (wide, 1.0), (wide, 3.0)):
+            with pytest.raises(OverflowError, match="leaves double range$"):
+                subset_sup(MatrixWindow(m), e, SubsetMode.SUM_OVER_COLS_OF_ABS_COLSUM, len(m))
+
+    @pytest.mark.parametrize("kind", ("gaussian", "integers", "triangular", "wide", "sparse",
+                                      "tiny", "signed-zeros"))
+    def test_climb_returns_a_sorted_nonempty_row_tuple(self, kind):
+        rng = np.random.default_rng(len(kind))
+        for r in range(14, 21):
+            block = random_block(kind, rng, r, int(rng.integers(1, 41)))
+            if not block.any():
+                continue
+            for e in (0.5, 1.0, 2.6):
+                seed = duals._climb(block, e)
+                assert seed and list(seed) == sorted(set(seed))
+                assert all(type(j) is int and 0 <= j < r for j in seed)
+
+    def test_the_seed_spares_most_raised_subsets(self, monkeypatch):
+        # Without a good seed the cut starts at the root's probe and the
+        # walk raises many subsets a better cut would have skipped.  Counted
+        # as the rows `_node_values` is given; no timing.
+        lam = termwise_window(SeqWindow(np.random.default_rng(2).normal(size=36)),
+                              0.7, QParam(0.6))[:20]
+        evaluate, rows = duals._node_values, []
+
+        def node_values(sums, exponent):
+            rows.append(sums.shape[0])
+            return evaluate(sums, exponent)
+
+        monkeypatch.setattr(duals, "_node_values", node_values)
+        raised, results = [], []
+        for climb in (duals._climb, lambda block, e: (0,)):
+            monkeypatch.setattr(duals, "_climb", climb)
+            rows.clear()
+            results.append([subset_sup(MatrixWindow(lam), e, SubsetMode.SUM_OVER_COLS_OF_ABS_COLSUM,
+                                       20) for e in (0.73, 1.5, 2.0)])
+            raised.append(sum(rows))
+        monkeypatch.undo()
+        assert results[0] == results[1] == [exhaustive_sum_walk(lam, e) for e in (0.73, 1.5, 2.0)]
+        assert raised[0] < raised[1] / 10
 
 
 class TestSubsetRowBounds:
@@ -931,6 +1049,15 @@ class TestMatrixClassCondition:
             with pytest.raises(ValueError, match="is not a valid Condition$"):
                 matrix_class_condition(m, bad, p)
 
+    def test_plain_float_p_is_its_type(self):
+        # A float p failed in `_regime` with a raw AttributeError.
+        m = MatrixWindow(np.array([[1.0, -2.0], [3.0, 4.0]]))
+        for cond, p in ((Condition.ENTRY_SUP, 0.5), (Condition.ROW_POWER_SUM_SUP, 3.0)):
+            expect = matrix_class_condition(m, cond, PExponent(p))
+            assert matrix_class_condition(m, cond, p).as_dict() == expect.as_dict()
+        with pytest.raises(ValueError, match="^p must be positive and finite, got -2.0$"):
+            matrix_class_condition(m, Condition.ENTRY_SUP, -2.0)
+
     def test_checkpoint_validation(self):
         m = MatrixWindow(np.eye(8))
         with pytest.raises(ValueError):
@@ -1089,6 +1216,16 @@ class TestAlphaDual:
                 SeqWindow(np.ones(24)), 1.0, QParam(0.5), PExponent(2.0), [21]
             )
 
+    def test_plain_float_q_and_p_are_their_types(self):
+        # A float q or p failed with a raw AttributeError (no `.q`, no `.is_inf`).
+        a = SeqWindow(np.random.default_rng(3).normal(size=16))
+        expect = alpha_dual_check(a, 0.7, QParam(0.6), PExponent(2.0), [4, 14])
+        assert alpha_dual_check(a, 0.7, 0.6, 2.0, [4, 14]).as_dict() == expect.as_dict()
+        with pytest.raises(ValueError, match=r"^q must lie strictly inside \(0, 1\), got 1.5$"):
+            alpha_dual_check(a, 0.7, 1.5, 2.0, [4, 14])
+        with pytest.raises(ValueError, match="^p must be positive and finite, got -2.0$"):
+            alpha_dual_check(a, 0.7, 0.6, -2.0, [4, 14])
+
 
 class TestBetaDual:
     def test_leading_impulse(self):
@@ -1122,6 +1259,17 @@ class TestBetaDual:
         assert mid.condition_id is Condition.ROW_POWER_SUM_SUP
         _, top = beta_dual_check(a, 1.0, qp, P_INF)
         assert top.condition_id is Condition.ABS_ROW_SUM_INTERCHANGE
+
+    def test_plain_float_q_and_p_are_their_types(self):
+        # A float p failed in `_regime` with a raw AttributeError.
+        a = SeqWindow(np.random.default_rng(4).normal(size=16))
+        expect = beta_dual_check(a, 0.7, QParam(0.6), PExponent(0.5))
+        got = beta_dual_check(a, 0.7, 0.6, 0.5)
+        assert [r.as_dict() for r in got] == [r.as_dict() for r in expect]
+        with pytest.raises(ValueError, match=r"^q must lie strictly inside \(0, 1\), got 1.5$"):
+            beta_dual_check(a, 0.7, 1.5, 0.5)
+        with pytest.raises(ValueError, match="^p must be positive and finite, got -2.0$"):
+            beta_dual_check(a, 0.7, 0.6, -2.0)
 
 
 class TestGammaDual:

@@ -283,6 +283,14 @@ class TestApply:
         out = apply_forward(g, 2.0, qp)
         assert np.allclose(out.values, [1.0, -1.5, 0.5, 0.0], atol=1e-12)
 
+    def test_plain_float_q_is_its_type(self):
+        # A float q failed with a raw AttributeError (no `.q`).
+        g = SeqWindow(np.random.default_rng(7).normal(size=16))
+        got = apply_forward(g, 0.7, 0.6).values
+        assert got.tobytes() == apply_forward(g, 0.7, QParam(0.6)).values.tobytes()
+        with pytest.raises(ValueError, match=r"^q must lie strictly inside \(0, 1\), got 1.5$"):
+            apply_forward(g, 0.7, 1.5)
+
     def test_zero_window_maps_to_zero(self):
         out = apply_forward(SeqWindow(np.zeros(6)), 0.5, QParam(0.25))
         assert np.all(out.values == 0.0)

@@ -549,6 +549,19 @@ class TestClassCheck:
         with pytest.raises(ValueError, match="^None is not a valid Target$"):
             ClassQuery(Source.LP_DOMAIN, None, PExponent(2.0), 0.5, qp, window=4)
 
+    def test_plain_float_q_and_p_are_their_types(self):
+        # A float p failed in `_regime` with a raw AttributeError.
+        phi = MatrixWindow(np.tril(np.random.default_rng(5).normal(size=(6, 6))), triangular=True)
+        query = ClassQuery(Source.LP_DOMAIN, Target.C, 2.0, 0.7, 0.6, window=6)
+        assert (query.p, query.qp) == (PExponent(2.0), QParam(0.6))
+        expect = class_check(ClassQuery(Source.LP_DOMAIN, Target.C, PExponent(2.0), 0.7,
+                                        QParam(0.6), window=6), phi)
+        assert [r.as_dict() for r in class_check(query, phi)] == [r.as_dict() for r in expect]
+        with pytest.raises(ValueError, match=r"^q must lie strictly inside \(0, 1\), got 1.5$"):
+            ClassQuery(Source.LP_DOMAIN, Target.C, 2.0, 0.7, 1.5, window=6)
+        with pytest.raises(ValueError, match="^p must be positive and finite, got -2.0$"):
+            ClassQuery(Source.LP_DOMAIN, Target.C, -2.0, 0.7, 0.6, window=6)
+
     def test_window_and_row_limit_are_checked_integers(self):
         # window=4.0 passed validation and class_check then failed on the
         # float slice index; integral floats are stored as ints now.

@@ -169,6 +169,17 @@ class TestDomainNorm:
         )
         assert report.value == pytest.approx(1.5, abs=1e-12)
 
+    def test_plain_float_q_and_p_are_their_types(self):
+        # A float q or p failed with a raw AttributeError (no `.q`, no `.value`).
+        g = SeqWindow(np.random.default_rng(6).normal(size=16))
+        report = domain_norm(g, 0.7, 0.6, 2.0)
+        assert report == domain_norm(g, 0.7, QParam(0.6), PExponent(2.0))
+        assert report.p == PExponent(2.0)
+        with pytest.raises(ValueError, match=r"^q must lie strictly inside \(0, 1\), got 1.5$"):
+            domain_norm(g, 0.7, 1.5, 2.0)
+        with pytest.raises(ValueError, match="^p must be positive and finite, got -2.0$"):
+            domain_norm(g, 0.7, 0.6, -2.0)
+
     def test_value_is_norm_of_transform(self):
         rng = np.random.default_rng(8)
         g = SeqWindow(rng.uniform(-1, 1, 16))
