@@ -27,7 +27,6 @@ from .spaces import (
     PExponent,
     default_checkpoints,
     domain_norm,
-    lp_norm,
     membership_diagnostic,
     schauder_basis_vector,
     schauder_reconstruct,
@@ -53,8 +52,6 @@ from .matclass import (
     Target,
     class_check,
     forward_composite_matrix,
-    inverse_composite_matrix,
-    transform_condition,
 )
 
 __version__ = "0.1.0"
@@ -69,8 +66,7 @@ __all__ = [
     "inverse_coeffs", "semigroup_defect", "verify_inverse",
     # spaces
     "NormReport", "P_INF", "PExponent", "default_checkpoints", "domain_norm",
-    "lp_norm", "membership_diagnostic", "schauder_basis_vector",
-    "schauder_reconstruct",
+    "membership_diagnostic", "schauder_basis_vector", "schauder_reconstruct",
     # duals
     "Condition", "ConditionReport", "InvalidCondition", "LimitError",
     "MatrixWindow", "SubsetMode", "Verdict", "alpha_dual_check",
@@ -78,5 +74,5 @@ __all__ = [
     "subset_sup",
     # matclass
     "ClassQuery", "Source", "TailError", "Target", "class_check",
-    "forward_composite_matrix", "inverse_composite_matrix", "transform_condition",
+    "forward_composite_matrix",
 ]

@@ -100,10 +100,7 @@ def _parse_matrix(text: str) -> MatrixWindow:
         raise ValueError("entries must be reals")
     if len({len(row) for row in data}) != 1:
         raise ValueError("rows must all have the same length")
-    entries = np.asarray(data, dtype=np.float64)
-    square = entries.shape[0] == entries.shape[1]
-    triangular = square and bool(np.all(np.triu(entries, k=1) == 0.0))
-    return MatrixWindow(entries=entries, triangular=triangular)
+    return MatrixWindow(entries=np.asarray(data, dtype=np.float64))
 
 
 def _sequence_csv(values) -> str:
@@ -338,6 +335,11 @@ def class_check_cmd(gamma: float, qp: QParam, p: PExponent, p_text: str, input_p
     w = window if window is not None else min(phi.shape)
     query = ClassQuery(source=Source(source), target=Target(target), p=p, order=gamma,
                        qp=qp, window=w, row_limit=row_limit)
+    # Triangularity is decided on the w x w block evaluated, so entries
+    # outside it cannot change the result.
+    block = phi.entries[:w, :w]
+    if block.shape == (w, w) and not np.triu(block, k=1).any():
+        phi = MatrixWindow(entries=block, triangular=True)
     reports = class_check(query, phi)
     return {"source": source, "target": target, "gamma": gamma, "q": qp.q, "p": p_text,
             "window": w, "reports": [r.as_dict() for r in reports]}

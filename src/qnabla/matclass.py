@@ -10,8 +10,9 @@ inverse stream per query, whose Toeplitz window T_e is a read-only view of
 its w coefficients: section j is cumsum(phi_j[:, None] * T_e, axis=0), and
 `duals._sections` sweeps row m of every section at once, m = 0 .. w - 1,
 so the full window's row j is the last row of section j.  One sweep per
-query folds the values of its section conditions and leaves the full
-window as its last row.  A query holds O(w^2) doubles and takes O(w^3) time.
+query (`_sweep`, which only `class_check` runs) folds the values of its
+section conditions and leaves the full window as its last row.  A query
+holds O(w^2) doubles and takes O(w^3) time.
 
 Membership of the original matrix in a class (domain space -> classical
 space) is equivalent to a bundle of analytic conditions on those windows;
@@ -46,7 +47,6 @@ import numpy as np
 from .duals import (
     Condition,
     ConditionReport,
-    InvalidCondition,
     MatrixWindow,
     _profile,
     _regime,
@@ -60,7 +60,7 @@ from .fracdiff import (
     CoeffStream, _built, _check_int, _convolve, _lower_toeplitz, forward_coeffs, inverse_coeffs,
 )
 from .qcore import QParam, _coerce, q_integer
-from .spaces import PExponent, _checkpoints, default_checkpoints
+from .spaces import PExponent, default_checkpoints
 
 __all__ = [
     "TailError",
@@ -70,8 +70,6 @@ __all__ = [
     "CONDITION_CATALOG",
     "TABLE_DOMAIN_CELLS",
     "TABLE_CLASSICAL_CELLS",
-    "inverse_composite_matrix",
-    "transform_condition",
     "class_check",
     "forward_composite_matrix",
 ]
@@ -255,11 +253,15 @@ def _row_tail_bounds(phi: MatrixWindow, e: CoeffStream) -> tuple[float, ...]:
 
 def _sweep(phi: MatrixWindow, order: float, qp: QParam, items, cps: tuple[int, ...]):
     """One sweep of every row's section: the full inverse-composite window
-    (the sections' last rows, with the rows' tail bounds) and the values of
-    the section conditions ``items``, each with its exponent, at ``cps``.
+    and the values of the section conditions ``items``, each with its
+    exponent, at ``cps``.
 
-    Raises :class:`TailError` before any sweep work when a row fails the
-    honest-truncation test.
+    The inverse composite sends the inverse operator along each row tail of
+    the test matrix: entry (j, k) is the window-truncated sum
+    sum_{v>=k} e_{v-k} phi_jv, the last row of row j's section.  Per-row
+    error bounds (sup of the inverse coefficients times the row tail mass)
+    ride along on it as ``tail_bounds``.  Raises :class:`TailError` before
+    any sweep work when a row fails the honest-truncation test.
     """
     n = phi.entries.shape[1]
     e = inverse_coeffs(order, qp, n - 1)
@@ -268,49 +270,6 @@ def _sweep(phi: MatrixWindow, order: float, qp: QParam, items, cps: tuple[int, .
     full = _built(MatrixWindow, lambda: f"inverse composite of order {order} at q = {e.qp.q}",
                   entries=last.copy(), triangular=phi.triangular, tail_bounds=bounds)
     return full, values
-
-
-def inverse_composite_matrix(phi: MatrixWindow, order: float, qp: QParam) -> MatrixWindow:
-    """Inverse operator sent along each row tail of the test matrix: entry
-    (j, k) is the window-truncated sum sum_{v>=k} e_{v-k} phi_jv, the last
-    row of row j's section.
-
-    Raises :class:`TailError` when a row fails the honest-truncation test;
-    per-row error bounds (sup of the inverse coefficients times the row
-    tail mass) ride along on the window.
-    """
-    return _sweep(phi, order, qp, (), ())[0]
-
-
-def transform_condition(
-    phi: MatrixWindow,
-    order: float,
-    qp: QParam,
-    cond: Condition,
-    p: PExponent | None = None,
-    *,
-    checkpoints: tuple[int, ...] | list[int] | None = None,
-) -> ConditionReport:
-    """Evaluate a section condition: the maximum over rows of its
-    single-window condition on that row's section, with the same truncation
-    and trend semantics as the single-matrix dispatch.
-
-    The abs-sum match compares each section's tail row sums with the full
-    window's row sum.  The sections' rows are streamed, those of all
-    sections together, over the whole window, and reduced as they come;
-    a row that fails the honest-truncation test raises :class:`TailError`.
-    """
-    cond = Condition(cond)
-    p = None if p is None else _coerce(PExponent, p)
-    if _single(cond) is cond:
-        raise InvalidCondition(
-            f"{cond.value} applies to a single matrix window; use the "
-            "matrix-class dispatch instead"
-        )
-    cps = _checkpoints(checkpoints, phi.entries.shape[1], start=4)
-    e = _resolve_exponent(cond, p, None)
-    _, (values,) = _sweep(phi, order, qp, ((cond, e),), cps)
-    return _report(cond, cps, iter(values), e, {"matrix": "sections"})
 
 
 def forward_composite_matrix(phi: MatrixWindow, order: float, qp: QParam) -> MatrixWindow:

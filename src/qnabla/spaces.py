@@ -41,7 +41,6 @@ __all__ = [
     "P_INF",
     "NormReport",
     "default_checkpoints",
-    "lp_norm",
     "domain_norm",
     "schauder_basis_vector",
     "schauder_reconstruct",
@@ -195,16 +194,6 @@ def _prefix_norms(h: np.ndarray, p: PExponent, cps: tuple[int, ...]) -> list[flo
     return norms
 
 
-def lp_norm(h: SeqWindow, p: PExponent) -> float:
-    """Classical norm of a window: root-sum for p >= 1, plain p-sum for
-    0 < p < 1, sup for p = inf.
-
-    A root-sum whose plain sum overflows is taken again scaled by max|h|;
-    a norm that itself leaves double range raises OverflowError.
-    """
-    return _prefix_norms(h.values, _coerce(PExponent, p), (h.n,))[0]
-
-
 def domain_norm(g: SeqWindow, order: float, qp: QParam, p: PExponent) -> NormReport:
     """Norm of g in the operator's matrix-domain space: the classical norm
     of its forward transform, profiled over power-of-two prefixes."""
@@ -271,8 +260,10 @@ def membership_diagnostic(
     condition, so no verdict is attached: the growth profile is the report.
     It takes one pass: |h| and |h|^p once over the transform h, and each
     checkpoint's partial norm from a leading slice of them, the same bits as
-    ``lp_norm`` on that prefix.  The first checkpoint whose norm leaves
-    double range raises its OverflowError.
+    the classical norm of that prefix taken alone.  At order 0 the forward
+    stream is [1, 0, 0, ...], so h is g and the value is g's classical norm.
+    The first checkpoint whose norm leaves double range raises its
+    OverflowError.
     """
     cps = _checkpoints(checkpoints, g.n)
     p = _coerce(PExponent, p)

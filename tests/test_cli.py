@@ -258,6 +258,28 @@ class TestClassCheck:
                         "--source", "l1-domain", "--target", "lp-domain")
         assert result.exit_code == 2
 
+    def test_triangularity_is_decided_on_the_evaluated_block(self, runner, tmp_path):
+        # Without the triangular flag the block's last rows fail the tail
+        # test, so entries outside the block must not take the flag away:
+        # neither trailing zero columns nor an entry past the block's edge.
+        rng = np.random.default_rng(66)
+        lower = np.tril(rng.uniform(-1.0, 1.0, (20, 20)))
+        corner = lower.copy()
+        corner[0, 19] = 1.0
+        files = {"block": (lower[:16, :16], ()),
+                 "trapezoid": (np.hstack([lower[:16, :16], np.zeros((16, 4))]), ()),
+                 "corner": (corner, ("--window", 16))}
+        outputs = {}
+        for name, (phi, extra) in files.items():
+            src = tmp_path / f"{name}.json"
+            src.write_text(json.dumps(phi.tolist()))
+            result = invoke(runner, "class-check", "--gamma", 0.7, "--q", 0.6, "--p", 2,
+                            "--input", src, "--source", "lp-domain", "--target", "c", *extra)
+            assert result.exit_code == 0, result.output
+            outputs[name] = result.output
+        assert outputs["trapezoid"] == outputs["block"]
+        assert outputs["corner"] == outputs["block"]
+
     def test_ragged_matrix_is_exit_2(self, runner, tmp_path):
         src = tmp_path / "phi.json"
         src.write_text("[[1.0, 2.0], [3.0]]")

@@ -4,7 +4,8 @@ which condition.
 The fixture under ``tests/data/`` holds, for a small seeded grid, the
 ``as_dict()`` report (or the exception's type and text) of
 `matrix_class_condition` for every condition, exponent regime and explicit
-exponent, of `transform_condition` for every condition, of catalog items A'
+exponent, of every section condition as `class_check` evaluates it (one
+section sweep, `matclass._sweep`, then `duals._report`), of catalog items A'
 and B' (the "target-domain" records, which the reverse dispatch of
 `class_check` evaluates), and of the beta- and gamma-dual checks with and
 without explicit windows.  It was recorded from the implementation whose
@@ -25,17 +26,19 @@ import pytest
 
 from qnabla.duals import (
     Condition,
+    ConditionReport,
     InvalidCondition,
     MatrixWindow,
+    _report,
     _resolve_exponent,
     beta_dual_check,
     gamma_dual_check,
     matrix_class_condition,
 )
 from qnabla.fracdiff import SeqWindow
-from qnabla.matclass import CONDITION_CATALOG, inverse_composite_matrix, transform_condition
+from qnabla.matclass import CONDITION_CATALOG, _sweep
 from qnabla.qcore import QParam
-from qnabla.spaces import P_INF, PExponent
+from qnabla.spaces import P_INF, PExponent, default_checkpoints
 
 FIXTURE = Path(__file__).parent / "data" / "condition_grid.json"
 PS = (None, PExponent(0.5), PExponent(1.0), PExponent(1.5), PExponent(3.0), P_INF)
@@ -58,6 +61,18 @@ def _matrices() -> dict[str, MatrixWindow]:
 def _sequences() -> dict[str, SeqWindow]:
     rng = np.random.default_rng(3100)
     return {"ones": SeqWindow(np.ones(10)), "gaussian": SeqWindow(rng.normal(size=12))}
+
+
+def section_report(phi: MatrixWindow, order: float, qp: QParam, cond: Condition,
+                   p: PExponent | None, checkpoints: tuple[int, ...] | None = None
+                   ) -> ConditionReport:
+    """One section condition as `class_check` evaluates it: its exponent,
+    one section sweep, and the report, at ``checkpoints`` or the class-check
+    defaults."""
+    cps = checkpoints or default_checkpoints(phi.entries.shape[1], start=4)
+    e = _resolve_exponent(cond, p, None)
+    _, (values,) = _sweep(phi, order, qp, ((cond, e),), cps)
+    return _report(cond, cps, iter(values), e, {"matrix": "sections"})
 
 
 def _target_domain(m: MatrixWindow, p: PExponent, row_limit: int) -> list:
@@ -104,13 +119,12 @@ def grid_outputs() -> list[list]:
     sections = [c for c in Condition if c.value.startswith("section-")]
     for name in ("triangular", "dense"):
         m = matrices[name]
-        for cond in Condition:
-            # A single-window condition is refused whatever p is.
-            for p in PS if cond in sections else (PExponent(1.5),):
+        for cond in sections:
+            for p in PS:
                 out.append(_record(["sections", name, cond.value, str(p)],
-                                   lambda: transform_condition(m, ORDER, Q, cond, p)))
+                                   lambda: section_report(m, ORDER, Q, cond, p)))
         out.append(_record(["sections", name, "checkpoints 3, 5, 9"], lambda: [
-            transform_condition(m, ORDER, Q, cond, PExponent(1.5), checkpoints=(3, 5, 9))
+            section_report(m, ORDER, Q, cond, PExponent(1.5), checkpoints=(3, 5, 9))
             for cond in sections
         ]))
     for name, a in _sequences().items():
@@ -134,21 +148,17 @@ def test_grid_outputs_match_fixture():
 def test_each_condition_has_exactly_one_evaluator(cond):
     # With p in the middle regime and an explicit exponent, every condition
     # is in its stated regime; what is left to refuse is the wrong window.
+    # The single-window dispatch takes exactly the conditions that the
+    # section sweep does not.
     phi = MatrixWindow(np.tril(np.ones((6, 6))), triangular=True)
-    full = inverse_composite_matrix(phi, ORDER, Q)
-    p = PExponent(1.5)
-    calls = (
-        lambda: matrix_class_condition(full, cond, p, exponent=1.0),
-        lambda: transform_condition(phi, ORDER, Q, cond, p),
-    )
-    accepted = []
-    for call in calls:
-        try:
-            call()
-            accepted.append(True)
-        except InvalidCondition:
-            accepted.append(False)
-    assert accepted.count(True) == 1
+    full = _sweep(phi, ORDER, Q, (), ())[0]
+    section = cond.value.startswith("section-")
+    try:
+        matrix_class_condition(full, cond, PExponent(1.5), exponent=1.0)
+    except InvalidCondition:
+        assert section
+    else:
+        assert not section
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ from oracles import (
     sup_closed_form,
     termwise_window,
 )
+from test_condition_fixture import section_report
 from qnabla import duals
 from qnabla.duals import (
     Condition,
@@ -33,7 +34,7 @@ from qnabla.duals import (
     subset_sup,
 )
 from qnabla.fracdiff import SeqWindow, _lower_toeplitz, apply_forward, inverse_coeffs
-from qnabla.matclass import inverse_composite_matrix, transform_condition
+from qnabla.matclass import _sweep
 from qnabla.qcore import QParam
 from qnabla.spaces import P_INF, PExponent
 
@@ -1355,7 +1356,7 @@ class TestSectionKernel:
     def test_section_conditions_match_the_dense_sections(self):
         rng = np.random.default_rng(61)
         phi = MatrixWindow(np.tril(rng.uniform(-1.0, 1.0, (self.W, self.W))), triangular=True)
-        full = inverse_composite_matrix(phi, self.ORDER, self.QP)
+        full = _sweep(phi, self.ORDER, self.QP, (), ())[0]
         refs = np.sum(np.abs(full.entries), axis=1)
         t_e = np.array(_lower_toeplitz(inverse_coeffs(self.ORDER, self.QP, self.W - 1).coeffs,
                                        self.W))
@@ -1368,7 +1369,7 @@ class TestSectionKernel:
             for cps in (default, short)
         ]
         cases.append((Condition.SECTION_POWER_SUM_SUP, PExponent(3.0), short))
-        reports = [transform_condition(phi, self.ORDER, self.QP, cond, p, checkpoints=cps)
+        reports = [section_report(phi, self.ORDER, self.QP, cond, p, cps)
                    for cond, p, cps in cases]
         worst = [np.zeros(len(rep.values)) for rep in reports]
         for j, row in enumerate(phi.entries):  # one dense section at a time

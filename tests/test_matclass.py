@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from oracles import dense_section, section_consistency_residual
+from test_condition_fixture import section_report
 from qnabla import matclass
 from qnabla.duals import (
     Condition,
@@ -31,10 +32,9 @@ from qnabla.matclass import (
     TailError,
     Target,
     _column_means,
+    _sweep,
     class_check,
     forward_composite_matrix,
-    inverse_composite_matrix,
-    transform_condition,
 )
 from qnabla.qcore import QParam, q_integer
 from qnabla.spaces import P_INF, PExponent
@@ -80,7 +80,7 @@ class TestRowSectionMatrix:
         rng = np.random.default_rng(51)
         qp = QParam(0.9)
         phi = MatrixWindow(np.tril(rng.uniform(-1, 1, (10, 10))), triangular=True)
-        full = inverse_composite_matrix(phi, 1.7, qp)
+        full = _sweep(phi, 1.7, qp, (), ())[0]
         t_e = np.array(inverse_toeplitz(10, 1.7, qp))
         for j in range(10):
             section = kernel_section(phi, j, 1.7, qp)
@@ -90,13 +90,13 @@ class TestRowSectionMatrix:
 
 class TestInverseCompositeMatrix:
     def test_identity_first_order(self):
-        full = inverse_composite_matrix(MatrixWindow(np.eye(8), triangular=True), 1.0, QParam(0.5))
+        full = _sweep(MatrixWindow(np.eye(8), triangular=True), 1.0, QParam(0.5), (), ())[0]
         assert np.array_equal(full.entries, np.tril(np.ones((8, 8))))
         assert full.tail_bounds == (0.0,) * 8
 
     def test_finitely_supported_row_is_exact(self):
         row = np.concatenate([[2.0, -1.0, 0.5], np.zeros(13)])
-        full = inverse_composite_matrix(MatrixWindow(row[None, :]), 0.5, QParam(0.5))
+        full = _sweep(MatrixWindow(row[None, :]), 0.5, QParam(0.5), (), ())[0]
         assert full.tail_bounds == (0.0,)
 
     def test_geometric_row_matches_long_oracle(self):
@@ -108,7 +108,7 @@ class TestInverseCompositeMatrix:
         r, order, q, n = 0.1, 0.5, 0.5, 24
         qp = QParam(q)
         row = r ** np.arange(n, dtype=float)
-        psi = inverse_composite_matrix(MatrixWindow(row[None, :]), order, qp)
+        psi = _sweep(MatrixWindow(row[None, :]), order, qp, (), ())[0]
         with mpmath.workdps(50):
             qm, om, rm = mpmath.mpf(q), mpmath.mpf(order), mpmath.mpf(r)
 
@@ -124,22 +124,18 @@ class TestInverseCompositeMatrix:
 
     def test_non_decaying_row_refused(self):
         with pytest.raises(TailError, match="row 1"):
-            inverse_composite_matrix(
-                MatrixWindow(np.vstack([np.zeros(12), np.ones(12)])),
-                0.5,
-                QParam(0.5),
-            )
+            _sweep(MatrixWindow(np.vstack([np.zeros(12), np.ones(12)])), 0.5, QParam(0.5), (), ())
         # Rows 2 and 4 fail; the refusal names the first.
         rows = np.vstack([np.zeros(12), np.eye(12)[:1], np.ones(12), np.zeros(12),
                           np.full(12, 3.0)])
         with pytest.raises(TailError, match=r"^row 2 tail mass 3\.000e\+00 .* head \(9\.000e\+00\)"):
-            inverse_composite_matrix(MatrixWindow(rows), 0.5, QParam(0.5))
+            _sweep(MatrixWindow(rows), 0.5, QParam(0.5), (), ())
 
     def test_triangular_rows_are_always_exact(self):
         # Window-edge rows of a triangular matrix still have provably zero
         # tails beyond the window.
         m = MatrixWindow(np.tril(np.ones((12, 12))), triangular=True)
-        full = inverse_composite_matrix(m, 0.5, QParam(0.9))
+        full = _sweep(m, 0.5, QParam(0.9), (), ())[0]
         assert full.tail_bounds == (0.0,) * 12
 
 
@@ -189,50 +185,33 @@ class TestTransformCondition:
             Condition.SECTION_ENTRY_SUP,
             Condition.SECTION_ABS_SUM_MATCH,
         ):
-            rep = transform_condition(phi, 0.5, qp, cond, PExponent(2.0))
+            rep = section_report(phi, 0.5, qp, cond, PExponent(2.0))
             assert all(v == 0.0 for _, v in rep.values)
-        full = inverse_composite_matrix(phi, 0.5, qp)
+        full = _sweep(phi, 0.5, qp, (), ())[0]
         rep = matrix_class_condition(full, Condition.VANISHING_ROW_ABS_SUM)
         assert all(v == 0.0 for _, v in rep.values)
-        rep = transform_condition(phi, 0.5, qp, Condition.SECTION_POWER_SUM_SUP, PExponent(2.0))
+        rep = section_report(phi, 0.5, qp, Condition.SECTION_POWER_SUM_SUP, PExponent(2.0))
         assert all(v == 0.0 for _, v in rep.values)
-
-    def test_condition_given_by_value_is_its_member(self):
-        phi, qp = MatrixWindow(np.tril(np.ones((8, 8))), triangular=True), QParam(0.5)
-        for cond in (Condition.SECTION_ENTRY_SUP, Condition.SECTION_COLUMN_LIMITS):
-            got = transform_condition(phi, 0.7, qp, cond.value)
-            assert got.as_dict() == transform_condition(phi, 0.7, qp, cond).as_dict()
-        for bad in (None, "section"):
-            with pytest.raises(ValueError, match="is not a valid Condition$"):
-                transform_condition(phi, 0.7, qp, bad)
 
     def test_identity_entry_sup_is_one(self):
         phi = MatrixWindow(np.eye(8), triangular=True)
-        rep = transform_condition(phi, 1.0, QParam(0.5), Condition.SECTION_ENTRY_SUP)
+        rep = section_report(phi, 1.0, QParam(0.5), Condition.SECTION_ENTRY_SUP, None)
         assert all(v == 1.0 for _, v in rep.values)
 
     def test_all_ones_triangle_row_sums_grow(self):
-        full = inverse_composite_matrix(
-            MatrixWindow(np.tril(np.ones((16, 16))), triangular=True), 1.0, QParam(0.5)
-        )
+        phi = MatrixWindow(np.tril(np.ones((16, 16))), triangular=True)
+        full = _sweep(phi, 1.0, QParam(0.5), (), ())[0]
         rep = matrix_class_condition(full, Condition.VANISHING_ROW_ABS_SUM)
         assert rep.verdict is Verdict.GROWING
 
     def test_power_sum_needs_mid_regime(self):
-        phi = MatrixWindow(np.eye(4), triangular=True)
-        with pytest.raises(InvalidCondition):
-            transform_condition(phi, 1.0, QParam(0.5), Condition.SECTION_POWER_SUM_SUP,
-                                PExponent(1.0))
-
-    def test_single_matrix_condition_rejected(self):
-        phi = MatrixWindow(np.eye(4), triangular=True)
-        with pytest.raises(InvalidCondition):
-            transform_condition(phi, 1.0, QParam(0.5), Condition.ROW_ABS_SUM_SUP)
+        with pytest.raises(InvalidCondition, match="stated only for 1 < p < inf; got p = 1.0$"):
+            _resolve_exponent(Condition.SECTION_POWER_SUM_SUP, PExponent(1.0), None)
 
     def test_non_decaying_row_refused(self):
         phi = MatrixWindow(np.vstack([np.zeros(12), np.ones(12)]))
         with pytest.raises(TailError, match="row 1"):
-            transform_condition(phi, 0.5, QParam(0.5), Condition.SECTION_ENTRY_SUP)
+            section_report(phi, 0.5, QParam(0.5), Condition.SECTION_ENTRY_SUP, None)
 
 
 class TestForwardComposite:
@@ -603,12 +582,11 @@ class TestClassCheck:
         query = ClassQuery(source, Target.C, _source_p(source), order, qp, window=w)
         reports = class_check(query, phi)
         assert len(sweeps) == 1
-        full = inverse_composite_matrix(phi, order, qp)
-        cps = [cp for cp, _ in reports[0].values]
+        full = _sweep(phi, order, qp, (), ())[0]
+        cps = tuple(cp for cp, _ in reports[0].values)
         for rep in reports:
             if rep.detail["matrix"] == "sections":
-                expect = transform_condition(phi, order, qp, rep.condition_id, query.p,
-                                             checkpoints=cps)
+                expect = section_report(phi, order, qp, rep.condition_id, query.p, cps)
             else:
                 expect = matrix_class_condition(full, rep.condition_id, checkpoints=cps,
                                                 exponent=rep.detail.get("exponent"))
@@ -622,9 +600,9 @@ class TestClassCheck:
         qp = QParam(0.9)
         inverse = r"inverse composite of order 2\.0 at q = 0\.9"
         with pytest.raises(OverflowError, match=f"^{inverse} leaves double range$"):
-            inverse_composite_matrix(phi, 2.0, qp)
+            _sweep(phi, 2.0, qp, (), ())
         with pytest.raises(OverflowError, match=f"^{inverse} leaves double range$"):
-            transform_condition(phi, 2.0, qp, Condition.SECTION_ENTRY_SUP, PExponent(1.0))
+            section_report(phi, 2.0, qp, Condition.SECTION_ENTRY_SUP, PExponent(1.0))
         for target, what in ((Target.C, inverse),
                              (Target.CS, r"running-sum composite at q = 0\.9"),
                              (Target.QCES_C, r"q-cesaro composite at q = 0\.9")):

@@ -4,7 +4,6 @@ settable field means editing this file on purpose."""
 from __future__ import annotations
 
 import dataclasses
-import inspect
 
 import pytest
 
@@ -19,14 +18,13 @@ SURFACE = {
         "apply_forward", "apply_inverse", "compose_coeffs", "forward_coeffs",
         "inverse_coeffs", "semigroup_defect", "verify_inverse",
         "NormReport", "P_INF", "PExponent", "default_checkpoints", "domain_norm",
-        "lp_norm", "membership_diagnostic", "schauder_basis_vector",
-        "schauder_reconstruct",
+        "membership_diagnostic", "schauder_basis_vector", "schauder_reconstruct",
         "Condition", "ConditionReport", "InvalidCondition", "LimitError",
         "MatrixWindow", "SubsetMode", "Verdict", "alpha_dual_check",
         "beta_dual_check", "gamma_dual_check", "matrix_class_condition",
         "subset_sup",
         "ClassQuery", "Source", "TailError", "Target", "class_check",
-        "forward_composite_matrix", "inverse_composite_matrix", "transform_condition",
+        "forward_composite_matrix",
     ],
     qcore: ["QParam", "q_integer"],
     fracdiff: [
@@ -35,7 +33,7 @@ SURFACE = {
         "verify_inverse", "semigroup_defect",
     ],
     spaces: [
-        "PExponent", "P_INF", "NormReport", "default_checkpoints", "lp_norm",
+        "PExponent", "P_INF", "NormReport", "default_checkpoints",
         "domain_norm", "schauder_basis_vector", "schauder_reconstruct",
         "membership_diagnostic",
     ],
@@ -48,8 +46,7 @@ SURFACE = {
     matclass: [
         "TailError", "Source", "Target", "ClassQuery",
         "CONDITION_CATALOG", "TABLE_DOMAIN_CELLS", "TABLE_CLASSICAL_CELLS",
-        "inverse_composite_matrix", "transform_condition", "class_check",
-        "forward_composite_matrix",
+        "class_check", "forward_composite_matrix",
     ],
     cli: ["cli", "main"],
 }
@@ -64,6 +61,12 @@ def test_all_is_pinned(module):
 
 FIELDS = {
     qcore.QParam: ["q"],
+    fracdiff.CoeffStream: ["order", "qp", "kind", "coeffs"],
+    fracdiff.SeqWindow: ["values"],
+    spaces.PExponent: ["value"],
+    spaces.NormReport: ["value", "p", "window", "partials"],
+    duals.MatrixWindow: ["entries", "triangular", "tail_bounds"],
+    duals.ConditionReport: ["condition_id", "values", "verdict", "detail"],
     matclass.ClassQuery: ["source", "target", "p", "order", "qp", "window", "row_limit"],
 }
 
@@ -71,14 +74,3 @@ FIELDS = {
 @pytest.mark.parametrize("cls", FIELDS, ids=lambda c: c.__name__)
 def test_fields_are_pinned(cls):
     assert [f.name for f in dataclasses.fields(cls)] == FIELDS[cls]
-
-
-def test_inverse_composite_matrix_signature():
-    params = inspect.signature(matclass.inverse_composite_matrix).parameters
-    assert list(params) == ["phi", "order", "qp"]
-
-
-def test_transform_condition_signature():
-    params = inspect.signature(matclass.transform_condition).parameters
-    assert list(params) == ["phi", "order", "qp", "cond", "p", "checkpoints"]
-    assert params["checkpoints"].kind is inspect.Parameter.KEYWORD_ONLY

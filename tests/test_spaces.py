@@ -16,7 +16,6 @@ from qnabla.spaces import (
     PExponent,
     default_checkpoints,
     domain_norm,
-    lp_norm,
     membership_diagnostic,
     schauder_basis_vector,
     schauder_reconstruct,
@@ -56,27 +55,33 @@ class TestPExponent:
             PExponent.parse(text)
 
 
+def classical_norm(values: np.ndarray, p: PExponent) -> float:
+    """The classical norm: the domain norm at order 0, whose forward stream
+    is [1, 0, 0, ...]."""
+    return domain_norm(SeqWindow(values), 0.0, QParam(0.5), p).value
+
+
 class TestLpNorm:
     def test_euclidean(self):
-        assert lp_norm(SeqWindow(np.array([3.0, 4.0])), PExponent(2.0)) == 5.0
+        assert classical_norm(np.array([3.0, 4.0]), PExponent(2.0)) == 5.0
 
     def test_subunit_exponent_sums_without_root(self):
-        assert lp_norm(SeqWindow(np.ones(3)), PExponent(0.5)) == 3.0
+        assert classical_norm(np.ones(3), PExponent(0.5)) == 3.0
 
     def test_sup(self):
-        assert lp_norm(SeqWindow(np.array([-2.0, 1.0])), P_INF) == 2.0
+        assert classical_norm(np.array([-2.0, 1.0]), P_INF) == 2.0
 
     def test_homogeneity(self):
         rng = np.random.default_rng(3)
         g = rng.uniform(-1, 1, 12)
         for alpha in (-3.0, 0.25, 7.5):
             for p in (PExponent(1.0), PExponent(2.0), PExponent(3.5), P_INF):
-                lhs = lp_norm(SeqWindow(alpha * g), p)
-                rhs = abs(alpha) * lp_norm(SeqWindow(g), p)
+                lhs = classical_norm(alpha * g, p)
+                rhs = abs(alpha) * classical_norm(g, p)
                 assert abs(lhs - rhs) <= 1e-12 * max(1.0, rhs)
             for p in (PExponent(0.3), PExponent(0.5)):
-                lhs = lp_norm(SeqWindow(alpha * g), p)
-                rhs = abs(alpha) ** p.value * lp_norm(SeqWindow(g), p)
+                lhs = classical_norm(alpha * g, p)
+                rhs = abs(alpha) ** p.value * classical_norm(g, p)
                 assert abs(lhs - rhs) <= 1e-12 * max(1.0, rhs)
 
     def test_triangle_inequality_spot_checks(self):
@@ -85,8 +90,8 @@ class TestLpNorm:
             g = rng.uniform(-1, 1, 10)
             h = rng.uniform(-1, 1, 10)
             for p in (PExponent(0.5), PExponent(1.0), PExponent(2.0), P_INF):
-                lhs = lp_norm(SeqWindow(g + h), p)
-                rhs = lp_norm(SeqWindow(g), p) + lp_norm(SeqWindow(h), p)
+                lhs = classical_norm(g + h, p)
+                rhs = classical_norm(g, p) + classical_norm(h, p)
                 assert lhs <= rhs + 1e-12
 
 
@@ -94,29 +99,30 @@ class TestLpNorm:
         # 4 x (1e200)^2 leaves double range, the norm 2e200 does not.  The
         # suite turns warnings into errors, so no overflow may reach numpy's
         # warning machinery.
-        assert lp_norm(SeqWindow(np.full(4, 1e200)), PExponent(2.0)) == 2e200
-        assert lp_norm(SeqWindow(np.full(4, 1e250)), PExponent(1.5)) == pytest.approx(
+        assert classical_norm(np.full(4, 1e200), PExponent(2.0)) == 2e200
+        assert classical_norm(np.full(4, 1e250), PExponent(1.5)) == pytest.approx(
             4 ** (1 / 1.5) * 1e250, rel=1e-15
         )
 
     def test_norm_outside_double_range_raises(self):
-        with pytest.raises(OverflowError, match="p = 1.0 norm of a 4-entry window"):
-            lp_norm(SeqWindow(np.full(4, 1e308)), PExponent(1.0))
+        # The profile refuses at its first prefix past double range: 2 x 1e308.
+        with pytest.raises(OverflowError, match="p = 1.0 norm of a 2-entry window"):
+            classical_norm(np.full(4, 1e308), PExponent(1.0))
         # Below p = 1 the norm is the p-sum itself: 4 x 4.9e307 overflows.
-        with pytest.raises(OverflowError, match="p = 0.999 norm"):
-            lp_norm(SeqWindow(np.full(4, 1e308)), PExponent(0.999))
+        with pytest.raises(OverflowError, match="p = 0.999 norm of a 4-entry window"):
+            classical_norm(np.full(4, 1e308), PExponent(0.999))
 
     def test_finite_results_keep_their_bits(self):
         rng = np.random.default_rng(11)
         a = rng.uniform(-1, 1, 64)
         for p in (0.5, 1.0, 1.5, 2.0, 3.5):
-            assert lp_norm(SeqWindow(a), PExponent(p)) == float(np.sum(np.abs(a) ** p)) ** (
+            assert classical_norm(a, PExponent(p)) == float(np.sum(np.abs(a) ** p)) ** (
                 1.0 / p if p >= 1.0 else 1.0
             )
         # 64 (1e154)^2 bounds the plain sum past double range, but the sum
         # itself, 1e308 plus change, is finite and keeps the plain path.
         near = np.concatenate([[1e154], a[1:]])
-        assert lp_norm(SeqWindow(near), PExponent(2.0)) == float(np.sum(near**2)) ** 0.5
+        assert classical_norm(near, PExponent(2.0)) == float(np.sum(near**2)) ** 0.5
 
 
 class TestDefaultCheckpoints:
@@ -186,7 +192,7 @@ class TestDomainNorm:
         qp = QParam(0.5)
         for p in (PExponent(0.5), PExponent(2.0), P_INF):
             report = domain_norm(g, 1.7, qp, p)
-            assert report.value == lp_norm(apply_forward(g, 1.7, qp), p)
+            assert report.value == window_norm(apply_forward(g, 1.7, qp).values, p.value)
 
     def test_partials_nondecreasing(self):
         rng = np.random.default_rng(9)
@@ -210,8 +216,8 @@ class TestDomainNorm:
         qp = QParam(0.5)
         h = SeqWindow(rng.uniform(-1, 1, 20))
         for p in (PExponent(1.0), PExponent(2.0), P_INF):
-            back = apply_forward(apply_inverse(h, 1.7, qp), 1.7, qp)
-            assert abs(lp_norm(back, p) - lp_norm(h, p)) <= 1e-10
+            norm = domain_norm(apply_inverse(h, 1.7, qp), 1.7, qp, p).value
+            assert abs(norm - classical_norm(h.values, p)) <= 1e-10
 
 
 class TestSchauderBasis:
@@ -377,9 +383,9 @@ def _norm_bytes(norm) -> bytes | str:
 
 class TestProfileBits:
     """The one-pass profile gives, at every checkpoint, the bits of
-    ``lp_norm`` on that prefix alone, and those of ``oracles.window_norm``,
-    which sums the prefix's |h|^p afresh; it refuses with the text of the
-    first prefix whose norm leaves double range."""
+    ``oracles.window_norm`` on that prefix alone, which sums the prefix's
+    |h|^p afresh; it refuses with the text of the first prefix whose norm
+    leaves double range."""
 
     # Positive entries between 5e7 and 1e8, so no transform leaves double
     # range: scaled by 1e200, |h|^p overflows for p >= 1.7 and the root-sum
@@ -400,8 +406,7 @@ class TestProfileBits:
                 h = apply_forward(g, order, qp)
                 for cps in (None, [1, 3, 7, 50, 300]):
                     ms = default_checkpoints(g.n) if cps is None else cps
-                    want = [_norm_bytes(lambda: lp_norm(h.prefix(m), pe)) for m in ms]
-                    assert want == [_norm_bytes(lambda: window_norm(h.values[:m], p)) for m in ms]
+                    want = [_norm_bytes(lambda: window_norm(h.values[:m], p)) for m in ms]
                     refusal = next((w for w in want if isinstance(w, str)), None)
                     if refusal is None:
                         report = membership_diagnostic(g, order, qp, pe, cps)
