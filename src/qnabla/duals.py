@@ -67,7 +67,7 @@ __all__ = [
 
 MAX_SUBSET_ROWS = 20
 _LOW_ROWS = 13
-_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+_UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2
 _SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
 _ETA = 2.0**-26  # splits the rounding drift off a squared norm in `_norm_bounds`
 
@@ -361,35 +361,43 @@ def _row_bounds(sums: np.ndarray, exponent: float) -> np.ndarray:
     return bound
 
 
-def _norm_bounds(dots: np.ndarray, norms: np.ndarray, head: np.ndarray) -> np.ndarray:
-    """Bound on ||s||_2^2 for every subset of one node: s is the walk's
-    column sums of a low subset t (a table column) plus the node's high
-    rows, whose row-order sum is ``head`` c; ``dots`` sums their Gram
-    products 2 <a_h, t> in path order.
+def _norm_bounds(run: np.ndarray, head: np.ndarray) -> np.ndarray:
+    """Bound on ||s||_2^2 for every subset of one node, formed once per
+    visited node: s is the walk's column sums of a low subset t (a table
+    column) plus the node's high rows, whose row-order sum is ``head`` c;
+    ``run`` is the node's running row, the table's ``norms`` (below) with
+    the Gram products 2 <a_h, t> of the node's rows added in path order.
 
     With u the unit roundoff and A_k = sum_j |a_jk| over all r rows, to
     first order: s, t and c are row-order sums of at most r rows, so
     ||s - t - c||_2 <= delta = 2 r u ||A||_2, and for any eta > 0
-    ||s||_2^2 <= (1 + eta) ||t + c||_2^2 + (1 + 1/eta) delta^2.  ``dots``,
-    each product in any order, FMA included, lies within
-    2 (n + 2 r) u ||t|| ||A|| <= eta ||t||^2 + ((n + 2 r) u ||A||)^2 / eta
-    (AM-GM) of 2 <t, c>.  The rest of the expansion, ||t||^2 + ||c||^2,
-    errs by at most (n + 2) u (||t||^2 + ||c||^2); that, eta ||t + c||^2
-    and the scaling products take at most 4 eta (||t||^2 + ||c||^2) for
-    n < 2^27.  ``norms`` holds (1 + 5 eta) ||t||^2 + (1 + 1/eta) delta^2 +
+    ||s||_2^2 <= (1 + eta) ||t + c||_2^2 + (1 + 1/eta) delta^2.  Each
+    product, in any order, FMA included, errs by at most 2 n u
+    sum_k |a_hk t_k|, and c lies within r u A_k of the exact sum of its
+    rows, so the exact sum of the products is within 2 (n + r) u ||t|| ||A||
+    of 2 <t, c>.  ``run`` adds at most r of them to ``norms``, each add
+    within u of its partial sum, hence within r u (norms + 2 ||t|| ||A||)
+    of the exact sum: in all, r u norms plus 2 (n + 2 r) u ||t|| ||A|| <=
+    eta ||t||^2 + ((n + 2 r) u ||A||)^2 / eta (AM-GM).  r u norms is
+    (r + 1) u ||t||^2 to first order (its other terms are O(u^2 ||A||^2)),
+    and the rest of the expansion, ||t||^2 + ||c||^2, errs by at most
+    (n + 2) u (||t||^2 + ||c||^2); those, eta ||t + c||^2 and the scaling
+    products take at most 4 eta (||t||^2 + ||c||^2) for n + r < 2^27.
+    ``norms`` holds (1 + 5 eta) ||t||^2 + (1 + 1/eta) delta^2 +
     ((n + 2 r) u ||A||)^2 / eta + n tiny, as (r + 2) n squares and products
     err by at most 2^-1075 each below the normal range.  Each product and
-    partial sum in ``dots`` is at most 2 <B, C> <= ||A||^2 / 2 in size (B,
-    C: A over the high, the low rows), so where one overflows, ||A||^2
-    (taken unscaled) and all of ``norms`` are inf: the bound is +inf or
-    NaN, never -inf.  NaN stays NaN.
+    partial sum of products is at most 2 <B, C> <= ||A||^2 / 2 in size (B,
+    C: A over the high, the low rows), and ``norms`` >= 0, so ``run`` stays
+    above -||A||^2 / 2 while that is finite; where a product overflows,
+    ||A||^2 (taken unscaled) and all of ``norms`` are inf: the bound is
+    +inf or NaN, never -inf.  NaN stays NaN.
     """
-    return dots + norms + head @ head * (1.0 + 4 * _ETA)
+    return run + head @ head * (1.0 + 4 * _ETA)
 
 
-def _norm_limit(cut, n: int, exponent: float):
+def _norm_limit(cut: float, n: int, exponent: float) -> float:
     """A bound q on ||s||_2^2 under which a subset's value is certified
-    strictly below ``cut`` (elementwise), or 0.0, below every bound.
+    strictly below ``cut``, or 0.0, below every bound; Python floats.
 
     Over the n columns that are not all zero (the others sum to +-0 and
     add nothing, in any order), sum_k |s_k|^e <= n^a ||s||_2^e with
@@ -400,24 +408,30 @@ def _norm_limit(cut, n: int, exponent: float):
     computed, is below ``cut``: that rounds down by at most (35 + ln n) u,
     within the factor's spare 3 (n + 16) u, and by at most 16 n^a
     subnormal steps, which tiny covers with the walk's own for n < 2^46.
+    A cut at or below tiny, NaN or inf, or one whose q leaves double range
+    (Python's ``**`` raises OverflowError there), certifies nothing.
     """
     scale = n ** max(1.0 - exponent / 2, 0.0) * (1.0 + 4 * (n + 16) * _UNIT_ROUNDOFF)
-    q = (np.maximum(cut - _SMALLEST_NORMAL, 0.0) / scale) ** (2.0 / exponent) * (1.0 - 2.0**-30)
-    return np.where(q ** (exponent / 2) * scale + _SMALLEST_NORMAL < cut, q, 0.0)
+    try:
+        q = (max(cut - _SMALLEST_NORMAL, 0.0) / scale) ** (2.0 / exponent) * (1.0 - 2.0**-30)
+    except OverflowError:
+        return 0.0
+    return q if q ** (exponent / 2) * scale + _SMALLEST_NORMAL < cut else 0.0
 
 
 def _subtree_bound(block: np.ndarray, low: int, exponent: float):
-    """Bound on the sum-mode values in a subtree of the high-row walk.
+    """Bounds on the sum-mode values in the subtrees of the high-row walk.
 
-    Returns ``bound(head, h)``: an upper bound on the value, as
-    `_node_values` computes it, of every subset L + H + {h} + S, where L is
-    any subset of the first ``low`` rows, H the high rows before h whose
-    row-order sum is ``head``, and S any subset of the rows after h.  Column
-    k of such a subset sums to s_k = t_k + H_k + a_hk + S_k in exact
-    arithmetic.  t_k lies between the column extremes of the low table,
-    tmin_k and tmax_k, the sums of the column's negative and positive
-    entries in the low rows; S_k lies between N_k and P_k, those sums over
-    the rows after h.  |x|^e is monotone in |x|, so
+    Returns ``bounds(head, first)``: for each high row h from ``first`` on,
+    an upper bound on the value, as `_node_values` computes it, of every
+    subset L + H + {h} + S, where L is any subset of the first ``low`` rows,
+    H the high rows before ``first`` whose row-order sum is ``head``, and S
+    any subset of the rows after h.  Column k of such a subset sums to
+    s_k = t_k + H_k + a_hk + S_k in exact arithmetic.  t_k lies between the
+    column extremes of the low table, tmin_k and tmax_k, the sums of the
+    column's negative and positive entries in the low rows; S_k lies between
+    N_k and P_k, those sums over the rows after h.  |x|^e is monotone in
+    |x|, so
 
         sum_k max(|tmax_k + H_k + a_hk + P_k|, |tmin_k + H_k + a_hk + N_k|)^e
 
@@ -433,15 +447,22 @@ def _subtree_bound(block: np.ndarray, low: int, exponent: float):
     - the three adds that form each argument err by at most 3 u A_k, and
       the add of the slack and its own product by about 2 u A_k.
 
-    That is under (2 r + 6) u A_k, which 4 r u A_k covers for r > 13, the
-    only case in which there are high rows; it is added to each column
-    before the power, so the exponent cannot amplify it.  ``pow`` errs by a
-    few units in the last place (16 are allowed for, on the bound's power
-    and on the walk's), and each sum of n nonnegative terms, in any order,
-    by a factor of at most 1 + (n - 1) u, so the sum is scaled by
-    1 + 4 (n + 16) u.  Powers in the subnormal range err absolutely, by at
-    most 16 of the 2^-1074 steps each, which the smallest normal double,
-    added last, covers for any n below 2^47.
+    That is under (2 r + 6) u A_k, which 4 r u A_k covers for r >= 3; it is
+    added to each column before the power, so the exponent cannot amplify
+    it.  ``pow`` errs by a few units in the last place (16 are allowed for,
+    on the bound's power and on the walk's), and each sum of n nonnegative
+    terms, in any order, by a factor of at most 1 + (n - 1) u, so the sum
+    is scaled by 1 + 4 (n + 16) u.  Powers in the subnormal range err
+    absolutely, by at most 16 of the 2^-1074 steps each, which the smallest
+    normal double, added last, covers for any n below 2^47.
+
+    All of a node's children are bounded in one evaluation over an m x n
+    array, m of them, with the same bits as one child at a time: the
+    computed tmax + ... + P is never below tmin + ... + N (rounding is
+    monotone), so the larger of their absolute values is the larger of the
+    first and the negated second, and -(x + y) rounds to -fl(x + y) (up to
+    the sign of a zero, which the slack's +0.0 or more then clears); numpy
+    sums each row along its contiguous last axis as it sums a lone row.
     """
     rows, n = block.shape
 
@@ -451,14 +472,46 @@ def _subtree_bound(block: np.ndarray, low: int, exponent: float):
 
     upper = reach(np.maximum(block, 0.0)) + block[low:]
     lower = reach(np.minimum(block, 0.0)) + block[low:]
+    np.negative(lower, out=lower)
     slack = 4 * rows * _UNIT_ROUNDOFF * np.abs(block).sum(axis=0)
     scale = 1.0 + 4 * (n + 16) * _UNIT_ROUNDOFF
 
-    def bound(head: np.ndarray, h: int) -> float:
-        ends = np.maximum(np.abs(head + upper[h - low]), np.abs(head + lower[h - low]))
-        return float(((ends + slack) ** exponent).sum()) * scale + _SMALLEST_NORMAL
+    def bounds(head: np.ndarray, first: int) -> list[float]:
+        ends = head + upper[first - low :]
+        np.maximum(ends, lower[first - low :] - head, out=ends)
+        ends += slack
+        ends **= exponent
+        return (ends.sum(axis=1) * scale + _SMALLEST_NORMAL).tolist()
 
-    return bound
+    return bounds
+
+
+def _split(block: np.ndarray, exponent: float, best: float):
+    """Rows s of the sum-mode walk's low table, for a block whose seed value
+    is ``best`` (-inf: no seed), with the walk's `_subtree_bound` at s, or
+    None when the table holds every row.
+
+    The table holds the 2^s row-order sums of the subsets of the first s
+    rows; building it, its norms and its Gram products cost in proportion
+    to 2^s, and each visited node passes over 2^s columns, while the walk
+    over the other rows visits a subtree for each child of the root whose
+    bound reaches the best value.  s is the smallest of 10 to 13 for which
+    at most 13 - s rows h >= s keep a depth-1 bound (head 0) that reaches
+    ``best``, else 13; a block of at most 13 rows or without a seed keeps
+    all of its rows, up to 13, in the table.  The split moves no value or witness: a
+    subset's sums are its rows added in row order from +0.0, whichever of
+    them the table holds, and every bound covers its rounding.
+    """
+    rows = block.shape[0]
+    if rows <= _LOW_ROWS or best == -math.inf:
+        low = min(rows, _LOW_ROWS)
+        return low, _subtree_bound(block, low, exponent) if rows > low else None
+    head = np.zeros(block.shape[1])
+    for low in range(_LOW_ROWS - 3, _LOW_ROWS):
+        bounds = _subtree_bound(block, low, exponent)
+        if sum(not b < best for b in bounds(head, low)) <= _LOW_ROWS - low:
+            return low, bounds
+    return _LOW_ROWS, _subtree_bound(block, _LOW_ROWS, exponent)
 
 
 def _climb(block: np.ndarray, exponent: float) -> tuple[int, ...]:
@@ -497,65 +550,74 @@ def _climb(block: np.ndarray, exponent: float) -> tuple[int, ...]:
 def _sum_exhaustive(block: np.ndarray, exponent: float) -> tuple[float, tuple[int, ...]]:
     """Sum mode over all 2^r - 1 subsets, bit for bit as if each were evaluated.
 
-    A table holds the row-order sums of every subset of the first
-    ``_LOW_ROWS`` rows, one per column; the subsets of the other rows are
-    walked depth first, each node a set H of high rows holding one subset
-    per column.  `_subtree_bound` skips the subtree of H + {h} when it
-    bounds every value in it strictly below the best value so far.  One Gram
-    product per call gives 2 <a_h, t> for every high row h and table column
-    t; summed over a visited node's rows, it bounds every ||s||_2^2 of the
-    node (`_norm_bounds`); only the subsets not below the limit of the best
-    value (`_norm_limit`) are gathered from the table, the node's rows added
-    in row order, so their sums are the walk's, bit for bit; of those, only
-    the subsets whose `_row_bounds` bound is not strictly below the best
-    value reach `_node_values`.  NaN bounds pass; at the root the subset
-    with the largest norm bound goes first, so that the cut has a value.
-    With high rows and only finite entries, the best value starts at a
-    subset found by `_climb`, valued as the walk values it (its low rows'
-    table column, its high rows added in row order, `_node_values`): a real
-    subset's value, so above no maximum.  A non-finite value seeds nothing,
-    nor does a block with NaN: the walk passes over every node that holds a
-    NaN value, finite subsets and all, and a seed from one would not.
-    Every bound covers every rounding error, so no skipped subset reaches
-    the best value: a tie is never skipped, since a later subset can be a
-    lexicographically smaller witness, and the seed is replaced by the
-    least maximiser however early it is met.  An all-zero block returns at
-    once: every subset's value is 0, and (0,) is the least subset.
+    With more than 13 rows, all finite, the best value starts at a
+    subset found by `_climb`, valued as the walk values every subset (its
+    rows added to +0.0 in row order, `_node_values`): a real subset's value,
+    so above no maximum.  A non-finite value seeds nothing, nor does a block
+    with NaN: the walk passes over every node that holds a NaN value, finite
+    subsets and all, and a seed from one would not.  `_split` then chooses
+    how many leading rows a table holds, the row-order sums of all their
+    subsets, one per column; the subsets of the other rows are walked depth
+    first, each node a set H of high rows holding one subset per column.
+    Which subsets share a node thus depends on the split, so a block with
+    NaN, having no seed, keeps 13 rows in the table.
+
+    One Gram product per call gives 2 <a_h, t> for every high row h and
+    table column t.  Each depth keeps one row of a buffer: the table's norm
+    terms plus the Gram products of the node's rows, in path order, then
+    the node's head, the row-order sum of its rows; descending is one add
+    of the child's row of products and entries.  A visited node forms its
+    bound on every ||s||_2^2 from that row and its head (`_norm_bounds`);
+    only the subsets not below the limit of the best value (`_norm_limit`)
+    are gathered from the table, the node's rows added in row order, so
+    their sums are the walk's, bit for bit; of those, only the subsets whose
+    `_row_bounds` bound is not strictly below the best value reach
+    `_node_values`.  NaN bounds pass; at the root the subset with the
+    largest norm bound goes first, so that the cut has a value.  The node
+    then bounds all of its children in one call (`_subtree_bound`), and the
+    walk skips a child's subtree when its bound, compared as that child
+    comes up, is strictly below the best value so far.  Every bound covers
+    every rounding error, so no skipped subset reaches the best value: a
+    tie is never skipped, since a later subset can be a lexicographically
+    smaller witness, and the seed is replaced by the least maximiser however
+    early it is met.  An all-zero block returns at once: every subset's
+    value is 0, and (0,) is the least subset.
     """
     if not block.any():
         return 0.0, (0,)
     rows, n = block.shape
-    low = min(rows, _LOW_ROWS)
-    table = np.zeros((n, 1 << low))
-    for j in range(low):
-        np.add(table[:, : 1 << j], block[j, :, None], out=table[:, 1 << j : 2 << j])
-    drift = (1.0 + 1.0 / _ETA) * (2 * rows) ** 2 + (n + 2 * rows) ** 2 / _ETA  # see `_norm_bounds`
-    abs_sums = np.abs(block).sum(axis=0)
-    norms = np.einsum("ij,ij->j", table, table) * (1.0 + 5 * _ETA)
-    norms += drift * _UNIT_ROUNDOFF**2 * (abs_sums @ abs_sums) + n * _SMALLEST_NORMAL
-    live = int(np.count_nonzero(block.any(axis=0)))
-    heads = np.zeros((rows - low + 1, n))  # the row-order sum of each depth's high rows
-    dots = np.empty(1 << low)  # the path-order sum of the node's Gram products
-    if rows > low:
-        bound = _subtree_bound(block, low, exponent)
-        gram = (2.0 * block[low:]) @ table
     best = -math.inf
     best_witness: tuple[int, ...] = ()
-    if rows > low and np.isfinite(block).all():
+    if rows > _LOW_ROWS and np.isfinite(block).all():
         seed = _climb(block, exponent)
-        sums = table[:, sum(1 << j for j in seed if j < low)].copy()
-        for h in seed:
-            if h >= low:
-                sums += block[h]
-        value = float(_node_values(sums[None], exponent)[0])
+        sums = np.zeros((1, n))
+        for j in seed:
+            sums[0] += block[j]
+        value = float(_node_values(sums, exponent)[0])
         if math.isfinite(value):
             best, best_witness = value, seed
+    low, bounds = _split(block, exponent, best)
+    width = 1 << low
+    table = np.empty((n, width))
+    table[:, 0] = 0.0
+    for j in range(low):
+        np.add(table[:, : 1 << j], block[j, :, None], out=table[:, 1 << j : 2 << j])
+    # Per depth: the norm terms plus the path's Gram products, then the head.
+    run = np.empty((rows - low + 1, width + n))
+    drift = (1.0 + 1.0 / _ETA) * (2 * rows) ** 2 + (n + 2 * rows) ** 2 / _ETA  # see `_norm_bounds`
+    abs_sums = np.abs(block).sum(axis=0)
+    norms = np.einsum("ij,ij->j", table, table, out=run[0, :width])
+    norms *= 1.0 + 5 * _ETA
+    norms += drift * _UNIT_ROUNDOFF**2 * (abs_sums @ abs_sums) + n * _SMALLEST_NORMAL
+    run[0, width:] = 0.0
+    if rows > low:
+        steps = np.hstack([(2.0 * block[low:]) @ table, block[low:]])
+    live = int(np.count_nonzero(block.any(axis=0)))
     path: list[int] = []
+    children: list[tuple[int, list[float]]] = []  # per depth: the first child and all bounds
     while True:
-        dots[:] = 0.0  # summed afresh per node: a buffer per depth raises peak memory
-        for h in path:
-            dots += gram[h - low]
-        sq = _norm_bounds(dots, norms, heads[len(path)])
+        head = run[len(path), width:]
+        sq = _norm_bounds(run[len(path), :width], head)
         cut = best
         if not path:
             sq[0] = -math.inf  # the empty subset: below every limit, never probed or kept
@@ -575,17 +637,21 @@ def _sum_exhaustive(block: np.ndarray, exponent: float) -> tuple[float, tuple[in
                 witness = _lex_least(keep[vals == top] | sum(1 << h for h in path))
                 if top > best or witness < best_witness:
                     best, best_witness = top, witness
-        # Try the first child, then its siblings.
+        # Try the first child, then its siblings, then the parent's siblings.
         h = path[-1] + 1 if path else low
-        while h == rows or bound(heads[len(path)], h) < best:
-            if h < rows:
+        children.append((h, bounds(head, h) if h < rows else []))
+        while True:
+            start, above = children[-1]
+            while h < rows and above[h - start] < best:
                 h += 1
-            elif path:
-                h = path.pop() + 1
-            else:
+            if h < rows:
+                break
+            children.pop()
+            if not path:
                 return best, best_witness
+            h = path.pop() + 1
         path.append(h)
-        np.add(heads[len(path) - 1], block[h], out=heads[len(path)])
+        np.add(run[len(path) - 1], steps[h - low], out=run[len(path)])
 
 
 def _live_width(n: int, live: int) -> int:
@@ -617,16 +683,21 @@ def subset_sup(
     of (sum_j max(+-a_jk, 0))^exponent, in O(r n), its witness one pass per
     column attaining it.  Sum mode is a cut-norm
     type quantity and stays exhaustive over all 2^r - 1 subsets up to
-    provable pruning.  Past the first 13 rows the best value starts at a
-    hill-climbed subset's (`_climb`), and the walk skips a subtree of subsets
-    when a bound on their values is strictly below the best value so far
-    (`_subtree_bound`); in each visited node a sum of Gram products bounds
-    every subset's 2-norm (`_norm_bounds`), and only the subsets whose norm
-    bound, then row bound (`_row_bounds`), can reach the best value are
-    summed in row order and raised to the power.  Every bound includes
-    rounding slack, so ties are never skipped and pruning never changes a
-    value or a witness.  Both modes are capped at ``MAX_SUBSET_ROWS`` rows,
-    and a supremum outside double range raises OverflowError.
+    provable pruning.  A table holds the sums of every subset of the first
+    10 to 13 rows, as many as the subtree bounds leave worth it
+    (`_split`), and the subsets of the other rows are walked depth first.
+    Past 13 rows the best value starts at a hill-climbed subset's
+    (`_climb`), and the walk skips a subtree of subsets when a bound on
+    their values is strictly below the best value so far
+    (`_subtree_bound`, one evaluation for all of a node's children); in
+    each visited node a running sum of Gram products, kept per depth,
+    bounds every subset's 2-norm (`_norm_bounds`), and only the subsets
+    whose norm bound, then row bound (`_row_bounds`), can reach the best
+    value are summed in row order and raised to the power.  Every bound
+    includes rounding slack, so ties are never skipped and neither pruning
+    nor the split changes a value or a witness.  Both modes are capped at
+    ``MAX_SUBSET_ROWS`` rows, and a supremum outside double range raises
+    OverflowError.
     """
     row_limit = _check_int("row_limit", row_limit, 1)
     inner = SubsetMode(inner)

@@ -7,6 +7,7 @@ import math
 import time
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -517,10 +518,11 @@ class TestSumModePruning:
     @staticmethod
     def _counted(monkeypatch, block, exponent):
         """Result of the walk, checked against the exhaustive one, with the
-        nodes it visits (`_norm_bounds` runs once at each) and the calls of
-        `_node_values` (once for the root's probe and once at each node
-        where some subset's row bound reaches the best value)."""
-        visits, calls = [], []
+        nodes it visits (`_norm_bounds` forms each node's bound row, once
+        per visited node), the calls of `_node_values` (once for the root's
+        probe and once at each node where some subset's row bound reaches
+        the best value) and the split, the rows of the low table."""
+        visits, calls, splits = [], [], []
         for name, log in (("_norm_bounds", visits), ("_node_values", calls)):
 
             def counted(*args, inner=getattr(duals, name), log=log):
@@ -528,26 +530,36 @@ class TestSumModePruning:
                 return inner(*args)
 
             monkeypatch.setattr(duals, name, counted)
+
+        def split(*args, inner=duals._split):
+            low, bounds = inner(*args)
+            splits.append(low)
+            return low, bounds
+
+        monkeypatch.setattr(duals, "_split", split)
         got = subset_sup(
             MatrixWindow(block), exponent, SubsetMode.SUM_OVER_COLS_OF_ABS_COLSUM, block.shape[0]
         )
         assert got == exhaustive_sum_walk(block, exponent)
-        return got, len(visits), len(calls)
+        return got, len(visits), len(calls), splits[0]
 
     def test_termwise_window_visits_few_nodes(self, monkeypatch):
         a = SeqWindow(np.random.default_rng(2).normal(size=36))
         lam = termwise_window(a, 0.7, QParam(0.6))
-        _, visited, evaluated = self._counted(monkeypatch, lam[:20], 2.0)
-        assert visited <= 32  # of the 2^7 = 128 sets of high rows
+        _, visited, evaluated, split = self._counted(monkeypatch, lam[:20], 2.0)
+        assert split < 13
+        assert visited <= 2 ** (20 - split) // 64  # of the sets of high rows
         assert evaluated <= visited + 1
 
     def test_a_later_subtree_keeps_its_smaller_tie(self, monkeypatch):
         # The negative rows reach -12 at the node {13}; +12 needs rows 14
         # and 15, a later subtree, whose witness (0, 1, 2, ...) is smaller.
         col = [0, 0, 3, 0, 3, -3, 1, 1, 0, -3, -2, -3, 0, -1, 1, 3]
-        got, visited, evaluated = self._counted(monkeypatch, np.array(col, float)[:, None], 2.0)
+        got, visited, evaluated, split = self._counted(
+            monkeypatch, np.array(col, float)[:, None], 2.0
+        )
         assert got == (144.0, (0, 1, 2, 3, 4, 6, 7, 8, 12, 14, 15))
-        assert visited < 8
+        assert visited < 2 ** (16 - split) // 4  # of the sets of high rows
         assert evaluated <= visited + 1
 
     @pytest.mark.parametrize("ks", [(-1, 3, 2), (3, -1, 2), (6, 3, 2), (6, 4, 2)])
@@ -825,6 +837,34 @@ class TestSubsetRowBounds:
         assert sum(rows) < 0.01 * (2**20 - 1)
 
 
+def overflowing_gram_block(signs):
+    """An 18 x 5 block whose high rows 13, 14, ... are +-x v, signed by
+    ``signs``: at 1e200 over low rows scaled by 1e110 for two signs, so
+    each Gram product 2 <a_h, t> with a low subset t overflows, and for
+    four signs so that only the sum of the first two products does."""
+    block = np.random.default_rng(40).normal(size=(18, 5))
+    v = block[13].copy()
+    if len(signs) == 2:
+        block[:13] *= 1e110
+    g = 2.0 * v @ subset_column_sums(block[:13])
+    x = 1e200 if len(signs) == 2 else -0.75 * np.finfo(float).max / g[np.abs(g).argmax()]
+    block[13 : 13 + len(signs)] = np.outer(signs, x * v)
+    return block
+
+
+def assert_no_bound_below_its_limit(sq, values, n, e, where):
+    """No bound sq[j] lies below `duals._norm_limit` of values[j].  The
+    limit is 0.0 or within a few units in the last place of a numpy
+    estimate, so only the bounds below the estimate widened by 2^-40 (and
+    a few subnormal steps) are checked against the Python-float limit."""
+    scale = n ** max(1.0 - e / 2, 0.0) * (1.0 + 4 * (n + 16) * duals._UNIT_ROUNDOFF)
+    with np.errstate(over="ignore", invalid="ignore"):
+        estimate = (np.maximum(values - duals._SMALLEST_NORMAL, 0.0) / scale) ** (2.0 / e)
+        near = ~(sq >= estimate * (1.0 + 2.0**-40) + 2.0**-1060) & ~np.isnan(sq)
+    for j in np.flatnonzero(near).tolist():
+        assert not sq[j] < duals._norm_limit(float(values[j]), int(n), e), (where, j)
+
+
 class TestSubsetNormBounds:
     """Each visited node of the sum-mode walk keeps only the subsets whose
     squared-norm bound (`duals._norm_bounds`) is not below the limit of the
@@ -833,27 +873,38 @@ class TestSubsetNormBounds:
     product and of its sums over each node's rows."""
 
     @staticmethod
-    def _check_every_node(monkeypatch, block, e):
+    def _check_every_node(monkeypatch, block, e, split=None):
         """Walk ``block`` with no subtree skipped, so the nodes come in
-        lexicographic order, and check each node's norm bounds against the
-        values `_node_values` computes for all of its subsets."""
-        recorded = []
+        lexicographic order, at the walk's own split or at ``split``, and
+        check each node's bound row (`_norm_bounds`, formed once per visited
+        node) against the values `_node_values` computes for all of its
+        subsets: no bound may lie below its subset's `_norm_limit`."""
+        recorded, splits = [], []
 
         def norm_bounds(*args, inner=duals._norm_bounds):
             sq = inner(*args)
             recorded.append(sq.copy())
             return sq
 
+        def never_prune(block, low, e):
+            return lambda head, first: [np.inf] * (len(block) - first)
+
+        def split_never_pruning(block, e, best, inner=duals._split):
+            low = inner(block, e, best)[0] if split is None else min(split, len(block))
+            splits.append(low)
+            return low, never_prune(block, low, e)
+
         monkeypatch.setattr(duals, "_norm_bounds", norm_bounds)
-        monkeypatch.setattr(duals, "_subtree_bound", lambda *args: lambda head, h: np.inf)
+        monkeypatch.setattr(duals, "_split", split_never_pruning)
+        monkeypatch.setattr(duals, "_subtree_bound", never_prune)
         with np.errstate(over="ignore", invalid="ignore"):
             got = duals._sum_exhaustive(block, e)
         monkeypatch.undo()
         rows = block.shape[0]
-        low = min(rows, duals._LOW_ROWS)
+        low = splits[0] if splits else rows  # an all-zero block returns first
         high = range(low, rows)
         paths = sorted(p for d in range(len(high) + 1) for p in itertools.combinations(high, d))
-        assert len(recorded) == len(paths)
+        assert len(recorded) == (len(paths) if splits else 0)
         table = subset_column_sums(block[:low])
         live = np.count_nonzero(block.any(axis=0))
         for path, sq in zip(paths, recorded):
@@ -862,9 +913,8 @@ class TestSubsetNormBounds:
                 sums += block[h, :, None]
             with np.errstate(over="ignore", invalid="ignore"):
                 values = duals._node_values(np.ascontiguousarray(sums.T), e)
-                assert not np.any(sq < duals._norm_limit(values, live, e)), path
+            assert_no_bound_below_its_limit(sq, values, live, e, path)
         return got, recorded
-
     @pytest.mark.parametrize("e", TestSubsetRowBounds.EXPONENTS)
     @pytest.mark.parametrize("ks", [(-1, 3, 2), (6, 4, -5)])
     @pytest.mark.parametrize("n", [1, 40])
@@ -911,8 +961,9 @@ class TestSubsetNormBounds:
         exponents = (0.5, 1.37, 2.0, 3.4)
         for e in exponents[self.KINDS.index(kind) % 2 :: 2]:
             block = random_block(kind, rng, int(rng.integers(16, 21)), int(rng.integers(1, 41)))
-            got, _ = self._check_every_node(monkeypatch, block, e)
-            assert got == exhaustive_sum_walk(block, e)
+            for split in (None, 11):
+                got, _ = self._check_every_node(monkeypatch, block, e, split)
+                assert got == exhaustive_sum_walk(block, e)
 
     @pytest.mark.parametrize("n", [1, 8, 40])
     def test_a_single_tiny_row_keeps_its_only_subset(self, monkeypatch, n):
@@ -935,15 +986,8 @@ class TestSubsetNormBounds:
         # (1, 1, -1, -1) only the partial sum of the first two, which
         # reaches -inf on some subsets.  No bound may read -inf there: it
         # would drop every subset of the node.
-        rng = np.random.default_rng(40)
-        block = rng.normal(size=(18, 5))
-        v = block[13].copy()
-        if len(signs) == 2:
-            block[:13] *= 1e110
+        block = overflowing_gram_block(signs)
         table = subset_column_sums(block[:13])
-        g = 2.0 * v @ table
-        x = 1e200 if len(signs) == 2 else -0.75 * np.finfo(float).max / g[np.abs(g).argmax()]
-        block[13 : 13 + len(signs)] = np.outer(signs, x * v)
         with np.errstate(over="ignore", invalid="ignore"):
             gram = (2.0 * block[13:]) @ table
             pair = gram[0] + gram[1]
@@ -956,11 +1000,13 @@ class TestSubsetNormBounds:
         with np.errstate(over="ignore"):
             assert got == exhaustive_sum_walk(block, e)
 
+    @pytest.mark.parametrize("split", (None, 7))
     @pytest.mark.parametrize("e", (0.73, 2.0))
-    def test_per_row_dot_products_round_apart_from_the_head(self, monkeypatch, e):
+    def test_per_row_dot_products_round_apart_from_the_head(self, monkeypatch, e, split):
         # Seven high rows near +-2^40 leave a head near 2^40: the sum of
         # their seven Gram products, rounded at 2^-12 or so each, differs
-        # from one product with the head on the deepest path.
+        # from one product with the head on the deepest path.  At split 7
+        # up to 13 products are added to the table's norm terms.
         rng = np.random.default_rng(42)
         block = rng.normal(size=(20, 6))
         block[13:] += np.where(np.arange(7) % 2 == 0, 2.0**40, -(2.0**40))[:, None]
@@ -970,7 +1016,7 @@ class TestSubsetNormBounds:
         for h in range(13, 20):
             dots, head = dots + gram[h - 13], head + block[h]
         assert not np.array_equal(dots, (2.0 * head) @ table)
-        got, _ = self._check_every_node(monkeypatch, block, e)
+        got, _ = self._check_every_node(monkeypatch, block, e, split)
         assert got == exhaustive_sum_walk(block, e)
 
     @pytest.mark.parametrize("tied", [False, True])
@@ -1007,6 +1053,189 @@ class TestSubsetNormBounds:
         assert all(np.isnan(sq).all() for sq in recorded)  # the drift term is NaN
         with np.errstate(invalid="ignore"):
             assert duals._sum_exhaustive(block, 1.37) == exhaustive_sum_walk(block, 1.37)
+
+
+def per_child_bound(block, low, exponent):
+    """Subtree bounds of one child at a time, ``bound(head, h)``: the sum
+    over columns of max(|tmax + H + a_h + P|, |tmin + H + a_h + N|) plus
+    slack, raised and scaled, each child's row on its own."""
+    rows, n = block.shape
+
+    def reach(part):
+        after = np.vstack([np.cumsum(part[:low:-1], axis=0)[::-1], np.zeros((1, n))])
+        return part[:low].sum(axis=0) + after
+
+    upper = reach(np.maximum(block, 0.0)) + block[low:]
+    lower = reach(np.minimum(block, 0.0)) + block[low:]
+    slack = 4 * rows * duals._UNIT_ROUNDOFF * np.abs(block).sum(axis=0)
+    scale = 1.0 + 4 * (n + 16) * duals._UNIT_ROUNDOFF
+
+    def bound(head, h):
+        ends = np.maximum(np.abs(head + upper[h - low]), np.abs(head + lower[h - low]))
+        return float(((ends + slack) ** exponent).sum()) * scale + duals._SMALLEST_NORMAL
+
+    return bound
+
+
+def forced_split(block, e, split):
+    """What `duals._split` returns for a walk forced to a low table of
+    ``split`` rows (all rows, for a shorter block)."""
+    low = min(split, len(block))
+    return low, duals._subtree_bound(block, low, e) if len(block) > low else None
+
+
+class TestSumModeSplit:
+    """The walk's low table holds the first s rows, s chosen per block
+    (`duals._split`).  A subset's sums are its rows added in row order from
+    +0.0 whichever rows the table holds, so every s from 7 to 13 must give
+    the value and the witness of the walk that evaluates every subset,
+    bit for bit."""
+
+    @staticmethod
+    def _at_every_split(monkeypatch, block, e):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = exhaustive_sum_walk(block, e)
+            for s in range(7, 14):
+                monkeypatch.setattr(duals, "_split", lambda b, e, best, s=s: forced_split(b, e, s))
+                assert same_bits(duals._sum_exhaustive(block, e), want), s
+        monkeypatch.undo()
+        return want
+
+    @pytest.mark.parametrize("kind", TestSubsetNormBounds.KINDS)
+    def test_random_blocks(self, monkeypatch, kind):
+        rng = np.random.default_rng(80 + TestSubsetNormBounds.KINDS.index(kind))
+        for trial in range(3):
+            block = random_block(kind, rng, int(rng.integers(8, 19)), int(rng.integers(1, 25)))
+            self._at_every_split(monkeypatch, block, (0.6, 1.37, 2.9)[trial])
+
+    def test_termwise_windows(self, monkeypatch):
+        for seed in range(2):
+            a = SeqWindow(np.random.default_rng(seed).normal(size=36))
+            lam = termwise_window(a, 0.7, QParam(0.6))
+            for r, e in ((16, 0.73), (20, 1.5), (18, 3.0)):
+                self._at_every_split(monkeypatch, lam[:r], e)
+
+    @pytest.mark.parametrize("rows", [(2,), (14,), (3, 15), (16,)])
+    def test_nan_rows(self, monkeypatch, rows):
+        # The walk passes over every node holding a NaN value, finite
+        # subsets and all, so which subsets share a node with a NaN row
+        # decides the result.  A row below 7 is in the table at every split
+        # (no subset is taken: the result is (-inf, ())) and a row past 12
+        # is a high row at every split.  A NaN between them would be taken
+        # apart by the splits; a block with NaN gets no seed, and the walk
+        # keeps 13 rows for it.
+        block = np.random.default_rng(39).normal(size=(17, 5))
+        block[list(rows), 1] = np.nan
+        block[rows[-1]] = np.nan
+        want = self._at_every_split(monkeypatch, block, 1.37)
+        assert (want[0] == -math.inf) == (min(rows) < 7)
+        assert duals._split(block, 1.37, -math.inf)[0] == 13
+
+    @pytest.mark.parametrize("signs", [(1, -1), (1, 1, -1, -1)])
+    def test_overflowing_gram_products(self, monkeypatch, signs):
+        self._at_every_split(monkeypatch, overflowing_gram_block(signs), 1.37)
+
+    def test_signed_zeros_and_subnormal_scale(self, monkeypatch):
+        # Rows c_j v of the rounding-slack blocks, whose norm bounds are
+        # exact; at 3^-225 the values are subnormal and tie.
+        c = np.zeros(16)
+        c[[0, 5]] = 1.0, -1.0
+        c[13:] = np.array((6, 4, -5)) * 2.0**-54
+        v = np.r_[0.0, -0.0, 1.0, -1.0, 1.0]
+        for scale in (1.0, 3.0**-225):
+            for e in (0.5, 1.0, 3.0):
+                self._at_every_split(monkeypatch, np.outer(c * scale, v), e)
+        signed = np.where(np.random.default_rng(5).random((15, 4)) < 0.5, -0.0, 0.0)
+        signed[[3, 9, 14], 2] = -1.0, 0.5, 2.0
+        self._at_every_split(monkeypatch, signed, 1.5)
+
+    def test_the_chosen_split(self, monkeypatch):
+        # Dense Gaussian blocks prune no child of the root: 13 rows.  On a
+        # termwise-product window the root keeps few children: fewer rows.
+        splits = []
+
+        def split(*args, inner=duals._split):
+            low, bounds = inner(*args)
+            splits.append(low)
+            return low, bounds
+
+        monkeypatch.setattr(duals, "_split", split)
+        for seed in range(3):
+            block = np.random.default_rng(seed).normal(size=(20, 16))
+            for e in (0.73, 1.28, 2.0, 2.6):
+                duals._sum_exhaustive(block, e)
+        assert splits == [13] * 12
+        lam = termwise_window(SeqWindow(np.random.default_rng(2).normal(size=36)), 0.7, QParam(0.6))
+        duals._sum_exhaustive(lam[:20], 2.0)
+        assert splits[-1] < 13
+
+
+class TestNormLimit:
+    """`duals._norm_limit` takes the cut as a Python float.  At every edge of
+    the double range it returns 0.0, or a q whose computed F(q) is below the
+    cut and whose exact F(q), less the spare of its rounding factor, is too."""
+
+    CUTS = (-math.inf, -1.0, -0.0, 0.0, 5e-324, 1e-310, 2.0**-1022 / 2, 2.0**-1022,
+            math.nextafter(2.0**-1022, 1.0), 3 * 2.0**-1022, 1e-300, 1e-150, 1e-5, 1.0, 2.0,
+            1e150, 1e300, 1e308, float(np.finfo(float).max), math.inf, math.nan)
+    EXPONENTS = tuple(np.geomspace(1e-3, 1e3, 13).tolist()) + (0.73, 1.0, 2.0, 2.6)
+    NS = (1, 2, 3, 8, 40, 1000, 2**20)
+
+    def test_zero_or_a_limit_below_the_cut(self):
+        u, tiny = duals._UNIT_ROUNDOFF, duals._SMALLEST_NORMAL
+        positive = 0
+        for cut, e, n in itertools.product(self.CUTS, self.EXPONENTS, self.NS):
+            q = duals._norm_limit(cut, n, e)
+            assert type(q) is float
+            if not tiny < cut < math.inf:
+                assert q == 0.0, (cut, e, n)
+            if q == 0.0:
+                continue
+            positive += 1
+            a = max(1.0 - e / 2, 0.0)
+            scale = n**a * (1.0 + 4 * (n + 16) * u)
+            assert 0.0 < q < math.inf and q ** (e / 2) * scale + tiny < cut, (cut, e, n)
+            with mpmath.workdps(60):
+                exact = mpmath.mpf(n) ** a * mpmath.mpf(q) ** (mpmath.mpf(e) / 2)
+                assert exact * (1 + (n + 16) * mpmath.mpf(u)) < cut, (cut, e, n)
+        assert positive > len(self.EXPONENTS) * len(self.NS) * 6
+
+
+class TestSubtreeBounds:
+    """`duals._subtree_bound` bounds all of a node's children in one call;
+    each bound must have the bits of that child's own evaluation."""
+
+    @pytest.mark.parametrize("kind", TestSubsetNormBounds.KINDS + ("nan", "inf"))
+    def test_one_call_matches_each_child(self, kind):
+        rng = np.random.default_rng(90 + len(kind))
+        checked = 0
+        for trial in range(16):
+            r, n = int(rng.integers(8, 21)), int(rng.integers(1, 41))
+            if kind in ("nan", "inf"):
+                block = rng.normal(size=(r, n))
+                bad = rng.random((r, n)) < 0.05
+                bad[rng.integers(r)] = True  # and one whole row
+                block[bad] = np.nan if kind == "nan" else np.where(rng.random(bad.sum()) < 0.5,
+                                                                   -np.inf, np.inf)
+            else:
+                block = random_block(kind, rng, r, n)
+            low = int(rng.integers(7, min(13, r - 1) + 1))
+            e = float(rng.choice([0.5, 0.73, 1.0, 1.37, 2.0, 2.6, 3.4]))
+            with np.errstate(over="ignore", invalid="ignore"):
+                bounds, own = duals._subtree_bound(block, low, e), per_child_bound(block, low, e)
+                for first in range(low, r):
+                    head = np.zeros(n)
+                    for h in range(low, first):
+                        if rng.random() < 0.5:
+                            head += block[h]
+                    got = bounds(head, first)
+                    want = [own(head, h) for h in range(first, r)]
+                    assert len(got) == len(want)
+                    for g, w in zip(got, want):
+                        assert type(g) is float
+                        assert g.hex() == w.hex() or (math.isnan(g) and math.isnan(w)), (trial, first)
+                    checked += len(got)
+        assert checked > 100
 
 
 class TestMatrixClassCondition:
