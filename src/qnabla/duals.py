@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import collections
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Any
@@ -262,7 +263,7 @@ def _lex_least(masks: np.ndarray) -> tuple[int, ...]:
         out.append(first.bit_length() - 1)
 
 
-def _sup_closed_form(block: np.ndarray, exponent: float) -> tuple[float, tuple[int, ...]]:
+def _sup_closed_form(block: np.ndarray, exponent: float, witness: bool = True):
     """Sup mode in O(r n): the best subset for column k takes all of its
     entries of one sign (rounding is monotone).  The witness is the least
     subset reaching the maximum over every (column, sign) pair attaining
@@ -273,13 +274,14 @@ def _sup_closed_form(block: np.ndarray, exponent: float) -> tuple[float, tuple[i
     round, each round taking unraised sums to miss until it reads none.
     The sums are one axis-0 fold of the r x 2 x n parts from +0.0, which
     adds row after row, as every subset sum; with the 2 x n rows inner,
-    numpy never reorders it pairwise, even at n = 1."""
+    numpy never reorders it pairwise, even at n = 1.  Without ``witness``
+    the witness is (), and no pass runs."""
     signed = np.stack([block, -block], axis=1)
     bases = np.add.reduce(np.maximum(signed, 0.0), axis=0, initial=0.0)
     vals = bases**exponent
     best = float(vals.max())
-    if best == 0.0:
-        return best, (0,)
+    if best == 0.0 or not witness:
+        return best, (0,) if witness else ()
     ties = vals == best
     reaches = dict.fromkeys(bases[ties].tolist(), True)  # sum -> whether it reaches best
     cols = {tuple(c) for c in signed.transpose(1, 2, 0)[ties].tolist()}  # one witness each
@@ -419,19 +421,28 @@ def _norm_limit(cut: float, n: int, exponent: float) -> float:
     return q if q ** (exponent / 2) * scale + _SMALLEST_NORMAL < cut else 0.0
 
 
-def _subtree_bound(block: np.ndarray, low: int, exponent: float):
-    """Bounds on the sum-mode values in the subtrees of the high-row walk.
+def _subtree_bound(block: np.ndarray, exponent: float, abs_sums, best: float, low=None):
+    """The sum-mode walk's split and subtree bounds, from one build per block.
 
-    Returns ``bounds(head, first)``: for each high row h from ``first`` on,
-    an upper bound on the value, as `_node_values` computes it, of every
-    subset L + H + {h} + S, where L is any subset of the first ``low`` rows,
-    H the high rows before ``first`` whose row-order sum is ``head``, and S
-    any subset of the rows after h.  Column k of such a subset sums to
-    s_k = t_k + H_k + a_hk + S_k in exact arithmetic.  t_k lies between the
-    column extremes of the low table, tmin_k and tmax_k, the sums of the
-    column's negative and positive entries in the low rows; S_k lies between
-    N_k and P_k, those sums over the rows after h.  |x|^e is monotone in
-    |x|, so
+    Returns (s, bounds): the rows s of the low table and ``bounds(head,
+    first)``, or None when the table holds every row.  ``best`` is the seed
+    value (-inf: none), ``abs_sums`` the absolute column sums, and ``low``
+    forces s.  Else s is the smallest of 10 to 12 for which at most 13 - s
+    rows h >= s keep a depth-1 bound (head 0) reaching ``best``, else 13; a
+    block of at most 13 rows or without a seed keeps every row up to 13.
+    Each node passes over the table's 2^s columns, and the walk visits a
+    subtree per child of the root whose bound reaches the best value.  The
+    split moves no value or witness: a subset's sums are its rows added in
+    row order from +0.0, whichever of them the table holds.
+
+    ``bounds(head, first)`` holds, for each high row h from ``first`` on, an
+    upper bound on the value, as `_node_values` computes it, of every subset
+    L + H + {h} + S: L any subset of the first s rows, H the high rows
+    before ``first`` (row-order sum ``head``), S any subset of the rows
+    after h.  In exact arithmetic its column k sums to t_k + H_k + a_hk +
+    S_k, with t_k between tmin_k and tmax_k, the sums of the column's
+    negative and positive entries in the low rows, and S_k between N_k and
+    P_k, those sums over the rows after h.  |x|^e is monotone in |x|, so
 
         sum_k max(|tmax_k + H_k + a_hk + P_k|, |tmin_k + H_k + a_hk + N_k|)^e
 
@@ -442,8 +453,8 @@ def _subtree_bound(block: np.ndarray, low: int, exponent: float):
     - the computed s_k is a row-order sum of at most r terms, so it lies
       within (r - 1) u A_k of the exact sum;
     - tmax, tmin, H, P and N are computed sums over disjoint row sets, each
-      within (its row count) u times the absolute sum of its rows, so
-      together they misplace the exact range by at most r u A_k;
+      within (its row count) u times the absolute sum of its rows in any
+      summation order, so together they misplace the range by r u A_k;
     - the three adds that form each argument err by at most 3 u A_k, and
       the add of the slack and its own product by about 2 u A_k.
 
@@ -456,6 +467,12 @@ def _subtree_bound(block: np.ndarray, low: int, exponent: float):
     absolutely, by at most 16 of the 2^-1074 steps each, which the smallest
     normal double, added last, covers for any n below 2^47.
 
+    The build holds the signed parts, one cumsum down their rows (its row
+    s - 1 is tmax and tmin at split s) and one up from the last row (P and
+    N after each row); each split's ends are built once.  On one column
+    numpy sums a column pairwise, not in row order as the cumsum does, so
+    tmax and tmin can differ in their last bits from a plain sum's; the
+    slack holds for any order, so only which subtrees are skipped can tell.
     All of a node's children are bounded in one evaluation over an m x n
     array, m of them, with the same bits as one child at a time: the
     computed tmax + ... + P is never below tmin + ... + N (rounding is
@@ -465,53 +482,35 @@ def _subtree_bound(block: np.ndarray, low: int, exponent: float):
     sums each row along its contiguous last axis as it sums a lone row.
     """
     rows, n = block.shape
-
-    def reach(part: np.ndarray) -> np.ndarray:  # the low rows and those after each high row
-        after = np.vstack([np.cumsum(part[:low:-1], axis=0)[::-1], np.zeros((1, n))])
-        return part[:low].sum(axis=0) + after
-
-    upper = reach(np.maximum(block, 0.0)) + block[low:]
-    lower = reach(np.minimum(block, 0.0)) + block[low:]
-    np.negative(lower, out=lower)
-    slack = 4 * rows * _UNIT_ROUNDOFF * np.abs(block).sum(axis=0)
+    if low is None and (rows <= _LOW_ROWS or best == -math.inf):
+        low = _LOW_ROWS
+    if low is not None and rows <= low:
+        return rows, None
+    parts = np.stack([np.maximum(block, 0.0), np.minimum(block, 0.0)])
+    lead = np.cumsum(parts, axis=1)
+    after = np.zeros_like(parts)  # row j: the rows after j, summed from the last
+    np.cumsum(parts[:, :0:-1], axis=1, out=after[:, -2::-1])
+    slack = 4 * rows * _UNIT_ROUNDOFF * abs_sums
     scale = 1.0 + 4 * (n + 16) * _UNIT_ROUNDOFF
 
-    def bounds(head: np.ndarray, first: int) -> list[float]:
-        ends = head + upper[first - low :]
-        np.maximum(ends, lower[first - low :] - head, out=ends)
-        ends += slack
-        ends **= exponent
-        return (ends.sum(axis=1) * scale + _SMALLEST_NORMAL).tolist()
+    @functools.cache  # each split's ends are built once
+    def at(low: int):
+        upper, lower = lead[:, low - 1, None] + after[:, low:] + block[low:]
+        np.negative(lower, out=lower)
 
-    return bounds
+        def bounds(head: np.ndarray, first: int) -> list[float]:
+            ends = head + upper[first - low :]
+            np.maximum(ends, lower[first - low :] - head, out=ends)
+            ends += slack
+            ends **= exponent
+            return (ends.sum(axis=1) * scale + _SMALLEST_NORMAL).tolist()
 
+        return bounds
 
-def _split(block: np.ndarray, exponent: float, best: float):
-    """Rows s of the sum-mode walk's low table, for a block whose seed value
-    is ``best`` (-inf: no seed), with the walk's `_subtree_bound` at s, or
-    None when the table holds every row.
-
-    The table holds the 2^s row-order sums of the subsets of the first s
-    rows; building it, its norms and its Gram products cost in proportion
-    to 2^s, and each visited node passes over 2^s columns, while the walk
-    over the other rows visits a subtree for each child of the root whose
-    bound reaches the best value.  s is the smallest of 10 to 13 for which
-    at most 13 - s rows h >= s keep a depth-1 bound (head 0) that reaches
-    ``best``, else 13; a block of at most 13 rows or without a seed keeps
-    all of its rows, up to 13, in the table.  The split moves no value or witness: a
-    subset's sums are its rows added in row order from +0.0, whichever of
-    them the table holds, and every bound covers its rounding.
-    """
-    rows = block.shape[0]
-    if rows <= _LOW_ROWS or best == -math.inf:
-        low = min(rows, _LOW_ROWS)
-        return low, _subtree_bound(block, low, exponent) if rows > low else None
-    head = np.zeros(block.shape[1])
-    for low in range(_LOW_ROWS - 3, _LOW_ROWS):
-        bounds = _subtree_bound(block, low, exponent)
-        if sum(not b < best for b in bounds(head, low)) <= _LOW_ROWS - low:
-            return low, bounds
-    return _LOW_ROWS, _subtree_bound(block, _LOW_ROWS, exponent)
+    if low is None:
+        low = next((s for s in range(_LOW_ROWS - 3, _LOW_ROWS)
+                    if sum(not b < best for b in at(s)(np.zeros(n), s)) <= _LOW_ROWS - s), _LOW_ROWS)
+    return low, at(low)
 
 
 def _climb(block: np.ndarray, exponent: float) -> tuple[int, ...]:
@@ -550,38 +549,36 @@ def _climb(block: np.ndarray, exponent: float) -> tuple[int, ...]:
 def _sum_exhaustive(block: np.ndarray, exponent: float) -> tuple[float, tuple[int, ...]]:
     """Sum mode over all 2^r - 1 subsets, bit for bit as if each were evaluated.
 
-    With more than 13 rows, all finite, the best value starts at a
-    subset found by `_climb`, valued as the walk values every subset (its
-    rows added to +0.0 in row order, `_node_values`): a real subset's value,
-    so above no maximum.  A non-finite value seeds nothing, nor does a block
-    with NaN: the walk passes over every node that holds a NaN value, finite
-    subsets and all, and a seed from one would not.  `_split` then chooses
-    how many leading rows a table holds, the row-order sums of all their
-    subsets, one per column; the subsets of the other rows are walked depth
-    first, each node a set H of high rows holding one subset per column.
-    Which subsets share a node thus depends on the split, so a block with
-    NaN, having no seed, keeps 13 rows in the table.
+    With more than 13 rows, all finite, the best value starts at a subset
+    found by `_climb`, valued as the walk values every subset (its rows
+    added to +0.0 in row order, `_node_values`), so above no maximum.  A
+    non-finite value seeds nothing, nor does a block with NaN: the walk
+    passes over every node holding a NaN value, finite subsets and all.
+    One `_subtree_bound` build chooses the rows of a table, the row-order
+    sums of all subsets of the leading rows, one per column, and bounds the
+    subtrees of the depth-first visit over the other rows, each node a set
+    H of them.  Which subsets share a node depends on the split, so a block
+    with NaN, having no seed, keeps 13 rows in the table.
 
     One Gram product per call gives 2 <a_h, t> for every high row h and
-    table column t.  Each depth keeps one row of a buffer: the table's norm
-    terms plus the Gram products of the node's rows, in path order, then
-    the node's head, the row-order sum of its rows; descending is one add
-    of the child's row of products and entries.  A visited node forms its
-    bound on every ||s||_2^2 from that row and its head (`_norm_bounds`);
-    only the subsets not below the limit of the best value (`_norm_limit`)
-    are gathered from the table, the node's rows added in row order, so
-    their sums are the walk's, bit for bit; of those, only the subsets whose
-    `_row_bounds` bound is not strictly below the best value reach
-    `_node_values`.  NaN bounds pass; at the root the subset with the
-    largest norm bound goes first, so that the cut has a value.  The node
-    then bounds all of its children in one call (`_subtree_bound`), and the
-    walk skips a child's subtree when its bound, compared as that child
-    comes up, is strictly below the best value so far.  Every bound covers
-    every rounding error, so no skipped subset reaches the best value: a
-    tie is never skipped, since a later subset can be a lexicographically
-    smaller witness, and the seed is replaced by the least maximiser however
-    early it is met.  An all-zero block returns at once: every subset's
-    value is 0, and (0,) is the least subset.
+    table column t.  Each depth keeps one buffer row: the table's norm terms
+    plus the Gram products of the node's rows, in path order, then the
+    node's head, the row-order sum of its rows; entering a child is one add
+    of its row of products and entries.  A visited node bounds every
+    ||s||_2^2 from that row and its head (`_norm_bounds`); only the subsets
+    not below the limit of the best value (`_norm_limit`) are gathered from
+    the table, the node's rows added in row order (the walk's sums, bit for
+    bit), and of those only the subsets whose `_row_bounds` bound is not
+    strictly below the best value reach `_node_values`.  NaN bounds pass; at
+    the root the subset with the largest norm bound goes first, so that the
+    cut has a value.  Only then, with the node's arrays freed, are its
+    children bounded in one evaluation and visited in row order, skipping a
+    child's subtree when its bound, compared as that child comes up, is
+    strictly below the best value so far.  Every bound covers every rounding
+    error, so no skipped subset reaches the best value: a tie is never
+    skipped, since a later subset can be a smaller witness, and the seed
+    gives way to the least maximiser however early it is met.  An all-zero
+    block returns at once: every value is 0, and (0,) is least.
     """
     if not block.any():
         return 0.0, (0,)
@@ -596,7 +593,8 @@ def _sum_exhaustive(block: np.ndarray, exponent: float) -> tuple[float, tuple[in
         value = float(_node_values(sums, exponent)[0])
         if math.isfinite(value):
             best, best_witness = value, seed
-    low, bounds = _split(block, exponent, best)
+    abs_sums = np.abs(block).sum(axis=0)
+    low, bounds = _subtree_bound(block, exponent, abs_sums, best)
     width = 1 << low
     table = np.empty((n, width))
     table[:, 0] = 0.0
@@ -605,7 +603,6 @@ def _sum_exhaustive(block: np.ndarray, exponent: float) -> tuple[float, tuple[in
     # Per depth: the norm terms plus the path's Gram products, then the head.
     run = np.empty((rows - low + 1, width + n))
     drift = (1.0 + 1.0 / _ETA) * (2 * rows) ** 2 + (n + 2 * rows) ** 2 / _ETA  # see `_norm_bounds`
-    abs_sums = np.abs(block).sum(axis=0)
     norms = np.einsum("ij,ij->j", table, table, out=run[0, :width])
     norms *= 1.0 + 5 * _ETA
     norms += drift * _UNIT_ROUNDOFF**2 * (abs_sums @ abs_sums) + n * _SMALLEST_NORMAL
@@ -613,16 +610,15 @@ def _sum_exhaustive(block: np.ndarray, exponent: float) -> tuple[float, tuple[in
     if rows > low:
         steps = np.hstack([(2.0 * block[low:]) @ table, block[low:]])
     live = int(np.count_nonzero(block.any(axis=0)))
-    path: list[int] = []
-    children: list[tuple[int, list[float]]] = []  # per depth: the first child and all bounds
-    while True:
-        head = run[len(path), width:]
+
+    def evaluate(path: tuple[int, ...], head: np.ndarray) -> None:
+        nonlocal best, best_witness
         sq = _norm_bounds(run[len(path), :width], head)
         cut = best
         if not path:
             sq[0] = -math.inf  # the empty subset: below every limit, never probed or kept
-            first = np.argmax(sq, keepdims=True)
-            cut = max(cut, float(_node_values(table.T[first], exponent)[0]))
+            probe = np.argmax(sq, keepdims=True)
+            cut = max(cut, float(_node_values(table.T[probe], exponent)[0]))
         keep = np.flatnonzero(~(sq < _norm_limit(cut, live, exponent)))
         if keep.size:  # gathered, summed and bounded only when any is kept
             level = table[:, keep]
@@ -637,21 +633,20 @@ def _sum_exhaustive(block: np.ndarray, exponent: float) -> tuple[float, tuple[in
                 witness = _lex_least(keep[vals == top] | sum(1 << h for h in path))
                 if top > best or witness < best_witness:
                     best, best_witness = top, witness
-        # Try the first child, then its siblings, then the parent's siblings.
-        h = path[-1] + 1 if path else low
-        children.append((h, bounds(head, h) if h < rows else []))
-        while True:
-            start, above = children[-1]
-            while h < rows and above[h - start] < best:
-                h += 1
-            if h < rows:
-                break
-            children.pop()
-            if not path:
-                return best, best_witness
-            h = path.pop() + 1
-        path.append(h)
-        np.add(run[len(path) - 1], steps[h - low], out=run[len(path)])
+
+    def visit(path: tuple[int, ...]) -> None:
+        head = run[len(path), width:]
+        evaluate(path, head)
+        first = path[-1] + 1 if path else low
+        above = bounds(head, first) if first < rows else []
+        for h in range(first, rows):
+            if not above[h - first] < best:
+                np.add(run[len(path)], steps[h - low], out=run[len(path) + 1])
+                visit(path + (h,))
+
+    visit(())
+    del visit  # it refers to itself: free the table and buffers now, not at a GC pass
+    return best, best_witness
 
 
 def _live_width(n: int, live: int) -> int:
@@ -681,24 +676,25 @@ def subset_sup(
     Both modes see only the block's live column prefix (`_live_width`).
     Sup mode uses a closed form: the maximum over columns k and both signs
     of (sum_j max(+-a_jk, 0))^exponent, in O(r n), its witness one pass per
-    column attaining it.  Sum mode is a cut-norm
-    type quantity and stays exhaustive over all 2^r - 1 subsets up to
-    provable pruning.  A table holds the sums of every subset of the first
-    10 to 13 rows, as many as the subtree bounds leave worth it
-    (`_split`), and the subsets of the other rows are walked depth first.
-    Past 13 rows the best value starts at a hill-climbed subset's
-    (`_climb`), and the walk skips a subtree of subsets when a bound on
-    their values is strictly below the best value so far
-    (`_subtree_bound`, one evaluation for all of a node's children); in
-    each visited node a running sum of Gram products, kept per depth,
-    bounds every subset's 2-norm (`_norm_bounds`), and only the subsets
-    whose norm bound, then row bound (`_row_bounds`), can reach the best
-    value are summed in row order and raised to the power.  Every bound
-    includes rounding slack, so ties are never skipped and neither pruning
-    nor the split changes a value or a witness.  Both modes are capped at
-    ``MAX_SUBSET_ROWS`` rows, and a supremum outside double range raises
-    OverflowError.
+    column attaining it.  Sum mode is a cut-norm type quantity and stays
+    exhaustive over all 2^r - 1 subsets up to provable pruning
+    (`_sum_exhaustive`): a table holds the sums of every subset of the
+    first 10 to 13 rows, and the subsets of the other rows are visited
+    depth first from a hill-climbed subset's value (`_climb`), skipping a
+    subtree when a bound on its values (`_subtree_bound`, one build per
+    block) is strictly below the best value so far; in each visited node
+    only the subsets whose norm bound (`_norm_bounds`), then row bound
+    (`_row_bounds`), can reach the best value are summed in row order and
+    raised to the power.  Every bound includes rounding slack, so ties are
+    never skipped and neither pruning nor the split changes a value or a
+    witness.  Both modes are capped at ``MAX_SUBSET_ROWS`` rows, and a
+    supremum outside double range raises OverflowError.
     """
+    return _subset_sup(m, exponent, inner, row_limit, True)
+
+
+def _subset_sup(m: MatrixWindow, exponent: float, inner, row_limit: int, witness: bool):
+    """`subset_sup`; sup mode finds a witness only where ``witness``."""
     row_limit = _check_int("row_limit", row_limit, 1)
     inner = SubsetMode(inner)
     if row_limit > MAX_SUBSET_ROWS:
@@ -711,15 +707,17 @@ def subset_sup(
     block = m.entries[:row_limit]
     live = np.flatnonzero(block.any(axis=0))
     block = block[:, : _live_width(block.shape[1], int(live[-1]) + 1 if live.size else 0)]
-    search = _sup_closed_form if inner is SubsetMode.SUP_OVER_COLS_OF_ABS else _sum_exhaustive
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        best, witness = search(block, exponent)
+        if inner is SubsetMode.SUP_OVER_COLS_OF_ABS:
+            best, found = _sup_closed_form(block, exponent, witness)
+        else:
+            best, found = _sum_exhaustive(block, exponent)
     if not math.isfinite(best):
         raise OverflowError(
             f"subset supremum over {row_limit} rows with exponent {exponent} "
             f"leaves double range"
         )
-    return best, witness
+    return best, found
 
 
 def _tail_start(n: int) -> int:
@@ -876,10 +874,11 @@ def _profile(items, chunks, cps: tuple[int, ...], triangular: bool):
 
 
 def _subset_values(windows, e: float, mode: SubsetMode, info: dict[str, Any]):
-    """Subset suprema over (window, row limit) pairs, drawn lazily; the last
-    pair's witness goes into ``info``."""
-    for m, row_limit in windows:
-        val, witness = subset_sup(m, e, mode, row_limit)
+    """Subset suprema over (window, row limit) pairs, drawn lazily; only the
+    last pair's witness, the one ``info`` keeps, is looked for."""
+    windows = list(windows)
+    for i, (m, row_limit) in enumerate(windows, 1 - len(windows)):  # i = 0 at the last
+        val, witness = _subset_sup(m, e, mode, row_limit, not i)
         info["witness"] = list(witness)
         yield val
 

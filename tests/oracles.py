@@ -11,6 +11,10 @@ the greedy that rebuilds every candidate's completion at each step, and
 ``sup_closed_form`` takes the supremum with it: the library's one-pass
 witness scan is pinned to them bit for bit.
 
+``subtree_bounds_at`` builds the sum-mode walk's subtree bounds for one
+split on its own, each column extreme of the low rows a plain column sum:
+the library's one build for every split is pinned to it bit for bit.
+
 ``full_formula_stream`` takes every lag ratio of a coefficient stream by
 the full formula and runs one cumprod over a concatenated copy, and
 ``window_norm`` takes the norm of one window on its own: the bit tests pin
@@ -45,7 +49,7 @@ import math
 
 import numpy as np
 
-from qnabla.duals import Condition, MatrixWindow, _tail_start
+from qnabla.duals import _SMALLEST_NORMAL, _UNIT_ROUNDOFF, Condition, MatrixWindow, _tail_start
 from qnabla.fracdiff import CoeffStream, Kind, SeqWindow, apply_forward, inverse_coeffs
 from qnabla.qcore import QParam, _require_finite, q_integer
 
@@ -350,3 +354,31 @@ def sup_closed_form(block: np.ndarray, exponent: float) -> tuple[float, tuple[in
     return best, min(
         least_reaching(signed[s, :, k], exponent, best) for s, k in np.argwhere(vals == best)
     )
+
+
+def subtree_bounds_at(block: np.ndarray, low: int, exponent: float):
+    """The sum-mode walk's subtree bounds at a low table of ``low`` rows,
+    ``bounds(head, first)`` as `qnabla.duals._subtree_bound` returns them,
+    built for that split alone: the column extremes of the low rows are
+    plain column sums, and the sums over the rows after each high row a
+    cumsum from the last row up to row ``low`` + 1."""
+    rows, n = block.shape
+
+    def reach(part: np.ndarray) -> np.ndarray:  # the low rows and those after each high row
+        after = np.vstack([np.cumsum(part[:low:-1], axis=0)[::-1], np.zeros((1, n))])
+        return part[:low].sum(axis=0) + after
+
+    upper = reach(np.maximum(block, 0.0)) + block[low:]
+    lower = reach(np.minimum(block, 0.0)) + block[low:]
+    np.negative(lower, out=lower)
+    slack = 4 * rows * _UNIT_ROUNDOFF * np.abs(block).sum(axis=0)
+    scale = 1.0 + 4 * (n + 16) * _UNIT_ROUNDOFF
+
+    def bounds(head: np.ndarray, first: int) -> list[float]:
+        ends = head + upper[first - low :]
+        np.maximum(ends, lower[first - low :] - head, out=ends)
+        ends += slack
+        ends **= exponent
+        return (ends.sum(axis=1) * scale + _SMALLEST_NORMAL).tolist()
+
+    return bounds

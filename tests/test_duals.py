@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import time
@@ -15,6 +16,7 @@ from oracles import (
     dense_estimate,
     dense_section,
     partial_sum_window,
+    subtree_bounds_at,
     sup_closed_form,
     termwise_window,
 )
@@ -521,7 +523,8 @@ class TestSumModePruning:
         nodes it visits (`_norm_bounds` forms each node's bound row, once
         per visited node), the calls of `_node_values` (once for the root's
         probe and once at each node where some subset's row bound reaches
-        the best value) and the split, the rows of the low table."""
+        the best value) and the split, the rows of the low table, from the
+        walk's one bound build (`_subtree_bound`)."""
         visits, calls, splits = [], [], []
         for name, log in (("_norm_bounds", visits), ("_node_values", calls)):
 
@@ -531,16 +534,17 @@ class TestSumModePruning:
 
             monkeypatch.setattr(duals, name, counted)
 
-        def split(*args, inner=duals._split):
+        def build(*args, inner=duals._subtree_bound):
             low, bounds = inner(*args)
             splits.append(low)
             return low, bounds
 
-        monkeypatch.setattr(duals, "_split", split)
+        monkeypatch.setattr(duals, "_subtree_bound", build)
         got = subset_sup(
             MatrixWindow(block), exponent, SubsetMode.SUM_OVER_COLS_OF_ABS_COLSUM, block.shape[0]
         )
         assert got == exhaustive_sum_walk(block, exponent)
+        assert len(splits) == 1
         return got, len(visits), len(calls), splits[0]
 
     def test_termwise_window_visits_few_nodes(self, monkeypatch):
@@ -617,6 +621,34 @@ class TestSumModePruning:
                 assert min(widths) > 0
                 skipped += len(visits) - len(widths)
         assert skipped > 0
+
+    def test_a_walk_leaves_no_reference_cycle(self):
+        # The walk's visit refers to itself; dropping it after the walk frees
+        # the table and buffers at once, with nothing left for the collector.
+        block = np.random.default_rng(41).normal(size=(16, 12))
+        gc.collect()
+        gc.disable()
+        try:
+            for e in (0.73, 1.5, 2.6):
+                duals._sum_exhaustive(block, e)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_a_node_frees_its_arrays_before_its_subtrees(self):
+        # The visit recurses; were a node's norm bounds, gathered sums and
+        # values kept while its subtrees run, each depth would hold its own.
+        rng = np.random.default_rng(5)
+        for block in (rng.normal(size=(20, 40)),
+                      np.tril(rng.normal(size=(20, 24)) * 0.6 ** np.arange(24))):
+            rows, n = block.shape
+            walk = 8 * (n + 2 * (rows - 12)) * (2**13 + n)  # table, buffer and Gram rows
+            for e in (0.73, 2.6):
+                tracemalloc.start()
+                duals._sum_exhaustive(block, e)
+                peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+                assert peak < 2.75 * walk, (n, e, peak / walk)
 
     def test_all_zero_block_returns_at_once(self):
         m = MatrixWindow(np.zeros((20, 40)))
@@ -886,17 +918,13 @@ class TestSubsetNormBounds:
             recorded.append(sq.copy())
             return sq
 
-        def never_prune(block, low, e):
-            return lambda head, first: [np.inf] * (len(block) - first)
-
-        def split_never_pruning(block, e, best, inner=duals._split):
-            low = inner(block, e, best)[0] if split is None else min(split, len(block))
+        def never_pruning(block, e, abs_sums, best, inner=duals._subtree_bound):
+            low = inner(block, e, abs_sums, best)[0] if split is None else min(split, len(block))
             splits.append(low)
-            return low, never_prune(block, low, e)
+            return low, lambda head, first: [np.inf] * (len(block) - first)
 
         monkeypatch.setattr(duals, "_norm_bounds", norm_bounds)
-        monkeypatch.setattr(duals, "_split", split_never_pruning)
-        monkeypatch.setattr(duals, "_subtree_bound", never_prune)
+        monkeypatch.setattr(duals, "_subtree_bound", never_pruning)
         with np.errstate(over="ignore", invalid="ignore"):
             got = duals._sum_exhaustive(block, e)
         monkeypatch.undo()
@@ -1077,26 +1105,20 @@ def per_child_bound(block, low, exponent):
     return bound
 
 
-def forced_split(block, e, split):
-    """What `duals._split` returns for a walk forced to a low table of
-    ``split`` rows (all rows, for a shorter block)."""
-    low = min(split, len(block))
-    return low, duals._subtree_bound(block, low, e) if len(block) > low else None
-
-
 class TestSumModeSplit:
-    """The walk's low table holds the first s rows, s chosen per block
-    (`duals._split`).  A subset's sums are its rows added in row order from
-    +0.0 whichever rows the table holds, so every s from 7 to 13 must give
-    the value and the witness of the walk that evaluates every subset,
-    bit for bit."""
+    """The walk's low table holds the first s rows, s chosen per block by
+    its bound build (`duals._subtree_bound`).  A subset's sums are its rows
+    added in row order from +0.0 whichever rows the table holds, so every s
+    from 7 to 13, forced through the build's ``low``, must give the value
+    and the witness of the walk that evaluates every subset, bit for bit."""
 
     @staticmethod
     def _at_every_split(monkeypatch, block, e):
+        build = duals._subtree_bound
         with np.errstate(over="ignore", invalid="ignore"):
             want = exhaustive_sum_walk(block, e)
             for s in range(7, 14):
-                monkeypatch.setattr(duals, "_split", lambda b, e, best, s=s: forced_split(b, e, s))
+                monkeypatch.setattr(duals, "_subtree_bound", lambda *args, s=s: build(*args, s))
                 assert same_bits(duals._sum_exhaustive(block, e), want), s
         monkeypatch.undo()
         return want
@@ -1129,7 +1151,7 @@ class TestSumModeSplit:
         block[rows[-1]] = np.nan
         want = self._at_every_split(monkeypatch, block, 1.37)
         assert (want[0] == -math.inf) == (min(rows) < 7)
-        assert duals._split(block, 1.37, -math.inf)[0] == 13
+        assert duals._subtree_bound(block, 1.37, np.abs(block).sum(axis=0), -math.inf)[0] == 13
 
     @pytest.mark.parametrize("signs", [(1, -1), (1, 1, -1, -1)])
     def test_overflowing_gram_products(self, monkeypatch, signs):
@@ -1154,12 +1176,12 @@ class TestSumModeSplit:
         # termwise-product window the root keeps few children: fewer rows.
         splits = []
 
-        def split(*args, inner=duals._split):
+        def build(*args, inner=duals._subtree_bound):
             low, bounds = inner(*args)
             splits.append(low)
             return low, bounds
 
-        monkeypatch.setattr(duals, "_split", split)
+        monkeypatch.setattr(duals, "_subtree_bound", build)
         for seed in range(3):
             block = np.random.default_rng(seed).normal(size=(20, 16))
             for e in (0.73, 1.28, 2.0, 2.6):
@@ -1202,15 +1224,31 @@ class TestNormLimit:
 
 
 class TestSubtreeBounds:
-    """`duals._subtree_bound` bounds all of a node's children in one call;
-    each bound must have the bits of that child's own evaluation."""
+    """`duals._subtree_bound` builds the walk's bounds once per block, for
+    any split, and bounds all of a node's children in one call.  On blocks
+    of two or more columns each bound must have the bits of the per-split
+    builder (`oracles.subtree_bounds_at`) and of that child's own
+    evaluation; on one column, where numpy sums a column pairwise and the
+    build's cumsum adds in row order, each must still bound every subset
+    of its subtree."""
+
+    @staticmethod
+    def _nodes(rng, block, low):
+        """(head, first) for each high row ``first``: a random set of the
+        high rows before it, summed from +0.0 in row order as the walk does."""
+        for first in range(low, len(block)):
+            head = np.zeros(block.shape[1])
+            for h in range(low, first):
+                if rng.random() < 0.5:
+                    head += block[h]
+            yield head, first
 
     @pytest.mark.parametrize("kind", TestSubsetNormBounds.KINDS + ("nan", "inf"))
-    def test_one_call_matches_each_child(self, kind):
+    def test_one_build_matches_each_split_and_child(self, kind):
         rng = np.random.default_rng(90 + len(kind))
         checked = 0
         for trial in range(16):
-            r, n = int(rng.integers(8, 21)), int(rng.integers(1, 41))
+            r, n = int(rng.integers(8, 21)), int(rng.integers(2, 41))
             if kind in ("nan", "inf"):
                 block = rng.normal(size=(r, n))
                 bad = rng.random((r, n)) < 0.05
@@ -1222,20 +1260,48 @@ class TestSubtreeBounds:
             low = int(rng.integers(7, min(13, r - 1) + 1))
             e = float(rng.choice([0.5, 0.73, 1.0, 1.37, 2.0, 2.6, 3.4]))
             with np.errstate(over="ignore", invalid="ignore"):
-                bounds, own = duals._subtree_bound(block, low, e), per_child_bound(block, low, e)
-                for first in range(low, r):
-                    head = np.zeros(n)
-                    for h in range(low, first):
-                        if rng.random() < 0.5:
-                            head += block[h]
+                got_low, bounds = duals._subtree_bound(block, e, np.abs(block).sum(axis=0),
+                                                       -math.inf, low)
+                assert got_low == low
+                split, own = subtree_bounds_at(block, low, e), per_child_bound(block, low, e)
+                for head, first in self._nodes(rng, block, low):
                     got = bounds(head, first)
-                    want = [own(head, h) for h in range(first, r)]
-                    assert len(got) == len(want)
-                    for g, w in zip(got, want):
+                    want = split(head, first)
+                    assert len(got) == len(want) == r - first
+                    for h, (g, w) in enumerate(zip(got, want), first):
                         assert type(g) is float
-                        assert g.hex() == w.hex() or (math.isnan(g) and math.isnan(w)), (trial, first)
+                        assert g.hex() == w.hex() or (math.isnan(g) and math.isnan(w)), (trial, h)
+                        x = own(head, h)
+                        assert g.hex() == x.hex() or (math.isnan(g) and math.isnan(x)), (trial, h)
                     checked += len(got)
         assert checked > 100
+
+    def test_one_column_bounds_cover_their_subtrees(self):
+        # Every subset L + H + {h} + S is checked against the bound of each
+        # node on its path, at every split, valued in the walk's arithmetic.
+        rng = np.random.default_rng(94)
+        checked = 0
+        for trial in range(12):
+            r = int(rng.integers(9, 13))
+            block = rng.normal(size=(r, 1)) * 10.0 ** rng.integers(-8, 9, (r, 1))
+            if trial % 3 == 1:
+                block = np.round(block * 4) / 4
+            e = (0.5, 1.0, 2.6)[trial % 3]
+            values = duals._node_values(np.ascontiguousarray(subset_column_sums(block).T), e)
+            for low in range(7, r):
+                _, bounds = duals._subtree_bound(block, e, np.abs(block).sum(axis=0),
+                                                 -math.inf, low)
+                for high in range(1, 1 << (r - low)):
+                    path = [low + j for j in range(r - low) if high >> j & 1]
+                    masks = np.arange(1 << low) | sum(1 << h for h in path)
+                    head = np.zeros(1)
+                    for i, h in enumerate(path):  # the subtree of child h at node path[:i]
+                        first = path[i - 1] + 1 if i else low
+                        bound = bounds(head, first)[h - first]
+                        assert not (values[masks] > bound).any(), (trial, low, path[: i + 1])
+                        head += block[h]
+                        checked += 1
+        assert checked > 500
 
 
 class TestMatrixClassCondition:
@@ -1394,6 +1460,28 @@ class TestConditionTable:
 
 
 class TestAlphaDual:
+    def test_one_witness_pass_per_sup_mode_check(self, monkeypatch):
+        # A report keeps the witness of its last window only, so sup mode
+        # looks for no other; the values stay subset_sup's.
+        passes = []
+
+        def counted(block, e, witness=True, inner=duals._sup_closed_form):
+            passes.append(witness)
+            return inner(block, e, witness)
+
+        monkeypatch.setattr(duals, "_sup_closed_form", counted)
+        a = SeqWindow(np.random.default_rng(25).normal(size=24))
+        rls = (2, 5, 9, 14, 20)
+        rep = alpha_dual_check(a, 0.7, QParam(0.6), PExponent(0.7), rls)
+        assert passes == [False] * 4 + [True]
+        m = MatrixWindow(termwise_window(a, 0.7, QParam(0.6)))
+        sups = [subset_sup(m, 0.7, SubsetMode.SUP_OVER_COLS_OF_ABS, rl) for rl in rls]
+        assert rep.values == tuple((rl, v) for rl, (v, _) in zip(rls, sups))
+        assert rep.detail["witness"] == list(sups[-1][1])
+        passes.clear()
+        rep = matrix_class_condition(m, Condition.SUBSET_ENTRY_SUP, PExponent(0.5), row_limit=20)
+        assert passes == [False] * (len(rep.values) - 1) + [True]
+
     def test_finitely_supported_multiplier_stabilizes(self):
         a = SeqWindow(np.concatenate([[1.0, -2.0], np.zeros(14)]))
         rep = alpha_dual_check(a, 1.0, QParam(0.5), PExponent(2.0), [4, 8, 12])
