@@ -421,15 +421,14 @@ def _norm_limit(cut: float, n: int, exponent: float) -> float:
     return q if q ** (exponent / 2) * scale + _SMALLEST_NORMAL < cut else 0.0
 
 
-def _subtree_bound(block: np.ndarray, exponent: float, abs_sums, best: float, low=None):
+def _subtree_bound(block: np.ndarray, exponent: float, best: float):
     """The sum-mode walk's split and subtree bounds, from one build per block.
 
     Returns (s, bounds): the rows s of the low table and ``bounds(head,
-    first)``, or None when the table holds every row.  ``best`` is the seed
-    value (-inf: none), ``abs_sums`` the absolute column sums, and ``low``
-    forces s.  Else s is the smallest of 10 to 12 for which at most 13 - s
-    rows h >= s keep a depth-1 bound (head 0) reaching ``best``, else 13; a
-    block of at most 13 rows or without a seed keeps every row up to 13.
+    first)``, or None when the table holds every row, as it does in a block
+    of at most 13 rows.  Else s is the smallest of 10 to 12 for which at
+    most 13 - s rows h >= s keep a depth-1 bound (head 0) reaching ``best``,
+    the seed value, else 13 (as without a seed, -inf, which all reach).
     Each node passes over the table's 2^s columns, and the walk visits a
     subtree per child of the root whose bound reaches the best value.  The
     split moves no value or witness: a subset's sums are its rows added in
@@ -482,15 +481,13 @@ def _subtree_bound(block: np.ndarray, exponent: float, abs_sums, best: float, lo
     sums each row along its contiguous last axis as it sums a lone row.
     """
     rows, n = block.shape
-    if low is None and (rows <= _LOW_ROWS or best == -math.inf):
-        low = _LOW_ROWS
-    if low is not None and rows <= low:
+    if rows <= _LOW_ROWS:
         return rows, None
     parts = np.stack([np.maximum(block, 0.0), np.minimum(block, 0.0)])
     lead = np.cumsum(parts, axis=1)
     after = np.zeros_like(parts)  # row j: the rows after j, summed from the last
     np.cumsum(parts[:, :0:-1], axis=1, out=after[:, -2::-1])
-    slack = 4 * rows * _UNIT_ROUNDOFF * abs_sums
+    slack = 4 * rows * _UNIT_ROUNDOFF * np.abs(block).sum(axis=0)
     scale = 1.0 + 4 * (n + 16) * _UNIT_ROUNDOFF
 
     @functools.cache  # each split's ends are built once
@@ -507,9 +504,8 @@ def _subtree_bound(block: np.ndarray, exponent: float, abs_sums, best: float, lo
 
         return bounds
 
-    if low is None:
-        low = next((s for s in range(_LOW_ROWS - 3, _LOW_ROWS)
-                    if sum(not b < best for b in at(s)(np.zeros(n), s)) <= _LOW_ROWS - s), _LOW_ROWS)
+    low = next((s for s in range(_LOW_ROWS - 3, _LOW_ROWS)
+                if sum(not b < best for b in at(s)(np.zeros(n), s)) <= _LOW_ROWS - s), _LOW_ROWS)
     return low, at(low)
 
 
@@ -593,8 +589,7 @@ def _sum_exhaustive(block: np.ndarray, exponent: float) -> tuple[float, tuple[in
         value = float(_node_values(sums, exponent)[0])
         if math.isfinite(value):
             best, best_witness = value, seed
-    abs_sums = np.abs(block).sum(axis=0)
-    low, bounds = _subtree_bound(block, exponent, abs_sums, best)
+    low, bounds = _subtree_bound(block, exponent, best)
     width = 1 << low
     table = np.empty((n, width))
     table[:, 0] = 0.0
@@ -603,6 +598,7 @@ def _sum_exhaustive(block: np.ndarray, exponent: float) -> tuple[float, tuple[in
     # Per depth: the norm terms plus the path's Gram products, then the head.
     run = np.empty((rows - low + 1, width + n))
     drift = (1.0 + 1.0 / _ETA) * (2 * rows) ** 2 + (n + 2 * rows) ** 2 / _ETA  # see `_norm_bounds`
+    abs_sums = np.abs(block).sum(axis=0)
     norms = np.einsum("ij,ij->j", table, table, out=run[0, :width])
     norms *= 1.0 + 5 * _ETA
     norms += drift * _UNIT_ROUNDOFF**2 * (abs_sums @ abs_sums) + n * _SMALLEST_NORMAL
@@ -644,8 +640,10 @@ def _sum_exhaustive(block: np.ndarray, exponent: float) -> tuple[float, tuple[in
                 np.add(run[len(path)], steps[h - low], out=run[len(path) + 1])
                 visit(path + (h,))
 
-    visit(())
-    del visit  # it refers to itself: free the table and buffers now, not at a GC pass
+    try:
+        visit(())
+    finally:
+        del visit  # it refers to itself: free the table and buffers now, not at a GC pass
     return best, best_witness
 
 
@@ -873,12 +871,13 @@ def _profile(items, chunks, cps: tuple[int, ...], triangular: bool):
     return [np.maximum(np.max(vals, axis=1), 0.0).tolist() for vals in values], chunk[-1]
 
 
-def _subset_values(windows, e: float, mode: SubsetMode, info: dict[str, Any]):
-    """Subset suprema over (window, row limit) pairs, drawn lazily; only the
-    last pair's witness, the one ``info`` keeps, is looked for."""
-    windows = list(windows)
-    for i, (m, row_limit) in enumerate(windows, 1 - len(windows)):  # i = 0 at the last
-        val, witness = _subset_sup(m, e, mode, row_limit, not i)
+def _subset_values(windows: list, e: float, mode: SubsetMode, info: dict[str, Any]):
+    """Subset suprema over a list of (window, row limit) pairs, each taken
+    as the report draws it; only the last pair's witness, the one ``info``
+    keeps, is looked for."""
+    last = len(windows) - 1
+    for i, (m, row_limit) in enumerate(windows):
+        val, witness = _subset_sup(m, e, mode, row_limit, i == last)
         info["witness"] = list(witness)
         yield val
 
@@ -940,8 +939,8 @@ def matrix_class_condition(
         values = iter(vals)
     else:
         blocks = ((cp, m.entries[:cp, :cp]) for cp in cps)  # views of a checked window
-        windows = ((_built(MatrixWindow, None, entries=b.T if facts.columns else b),
-                    min(cp, row_limit)) for cp, b in blocks)
+        windows = [(_built(MatrixWindow, None, entries=b.T if facts.columns else b),
+                    min(cp, row_limit)) for cp, b in blocks]
         values = _subset_values(windows, e, facts.estimate, info)
     return _report(cond, cps, values, e, info)
 
@@ -972,7 +971,7 @@ def alpha_dual_check(
     cond = _DUAL_CONDITIONS["alpha"][_regime(p)]
     e = _resolve_exponent(cond, p, None)
     info: dict[str, Any] = {"matrix": "termwise-product"}
-    values = _subset_values(((lam, rl) for rl in rls), e, _CONDITIONS[cond].estimate, info)
+    values = _subset_values([(lam, rl) for rl in rls], e, _CONDITIONS[cond].estimate, info)
     return _report(cond, rls, values, e, info)
 
 

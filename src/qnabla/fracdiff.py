@@ -15,11 +15,6 @@ Integer gamma = r gives an exact zero ratio at lag r, recovering the
 classical order-r q-difference operator (order 1 is ``g_j - g_{j-1}``).
 Entries below the smallest normal double are set to zero: they carry no
 relative precision and, as subnormals, would slow convolutions many times.
-Past lag h = floor(gamma) + 1 a positive non-integer order's forward
-ratios are below q^gamma < 1 in size, and no earlier one exceeds
-1 / (1 - q), so every |c_k| is below the smallest normal from lag
-h + 2 + x on, where (1 / (1 - q))^h q^(gamma x) is the smallest normal:
-no ratio or product is taken past that lag, and the rest is zero.
 
 The ratios are written into the output buffer behind c_0 and one in-place
 cumprod runs over them.  Past lag floor(gamma) the forward factor
@@ -202,9 +197,7 @@ def _built(cls, what, **fields):
 
 def _stream(kind: Kind, order: float, qp: QParam, k: int) -> CoeffStream:
     """Coefficients 0..K of one stream: the lag ratios written into the
-    output buffer behind its leading 1, then one in-place cumprod, both
-    stopped past the lag where a forward stream is known to have left the
-    normal range (module notes)."""
+    output buffer behind its leading 1, then one in-place cumprod."""
     qp = _coerce(QParam, qp)
     order = _require_finite("order", order)
     k = _check_int("truncation length", k, 0)
@@ -216,17 +209,15 @@ def _stream(kind: Kind, order: float, qp: QParam, k: int) -> CoeffStream:
         head = min(k, max(0, math.floor(order) + 1))
         if order >= 0.0 and order.is_integer():
             m = head
-        elif order > 0.0:  # no |c| past this lag is normal
-            m = int(min(k, head + 2 + (math.log(_TINY) + head * math.log1p(-qp.q)) / order / logq))
     lag = np.arange(m, dtype=np.float64)
     out = np.empty(k + 1)
     out[0] = 1.0
     out[m + 1 :] = 0.0
     done = out[: m + 1]
     ratio = done[1:]
-    # Only a negative order can overflow.  No ratio is zero or infinite
-    # then, so once the cumprod leaves double range it stays non-finite and
-    # the last entry alone tells whether the stream fits.
+    # Once the cumprod leaves double range it stays non-finite (a zero
+    # ratio turns inf into NaN), so its last entry, not the zero fill after
+    # it, alone tells whether the stream fits.
     with np.errstate(over="ignore", invalid="ignore"):
         if kind is Kind.FORWARD:
             gap = order - lag
@@ -237,7 +228,7 @@ def _stream(kind: Kind, order: float, qp: QParam, k: int) -> CoeffStream:
             np.expm1((order + lag) * logq, out=ratio)
         ratio /= np.expm1((lag + 1.0) * logq)
         np.cumprod(done, out=done)
-    if not math.isfinite(out[-1]):
+    if not math.isfinite(done[-1]):
         first = int(np.argmin(np.isfinite(out)))
         raise OverflowError(
             f"{kind.value} coefficient stream of order {order} at q = {qp.q} leaves "

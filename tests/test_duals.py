@@ -638,17 +638,24 @@ class TestSumModePruning:
     def test_a_node_frees_its_arrays_before_its_subtrees(self):
         # The visit recurses; were a node's norm bounds, gathered sums and
         # values kept while its subtrees run, each depth would hold its own.
+        # The walk holds its table (n x 2^13), its per-depth buffer
+        # (rows - 12 rows) and its Gram rows (rows - 13), each row with n
+        # more entries; one node at a time adds at most its gathered sums and
+        # their copy for the powers (n x 2^13 each) and 16 vectors of 2^13
+        # (bounds, indices, masks, values), which also covers the Gram
+        # product before it is stacked (rows - 13 rows).
         rng = np.random.default_rng(5)
         for block in (rng.normal(size=(20, 40)),
                       np.tril(rng.normal(size=(20, 24)) * 0.6 ** np.arange(24))):
             rows, n = block.shape
-            walk = 8 * (n + 2 * (rows - 12)) * (2**13 + n)  # table, buffer and Gram rows
+            walk = 8 * (2**13 + n) * (n + 2 * (rows - 12))
+            node = 8 * 2**13 * (2 * n + 16)
             for e in (0.73, 2.6):
                 tracemalloc.start()
                 duals._sum_exhaustive(block, e)
                 peak = tracemalloc.get_traced_memory()[1]
                 tracemalloc.stop()
-                assert peak < 2.75 * walk, (n, e, peak / walk)
+                assert peak < walk + node, (n, e, peak / (walk + node))
 
     def test_all_zero_block_returns_at_once(self):
         m = MatrixWindow(np.zeros((20, 40)))
@@ -918,8 +925,8 @@ class TestSubsetNormBounds:
             recorded.append(sq.copy())
             return sq
 
-        def never_pruning(block, e, abs_sums, best, inner=duals._subtree_bound):
-            low = inner(block, e, abs_sums, best)[0] if split is None else min(split, len(block))
+        def never_pruning(block, e, best, inner=duals._subtree_bound):
+            low = inner(block, e, best)[0] if split is None else min(split, len(block))
             splits.append(low)
             return low, lambda head, first: [np.inf] * (len(block) - first)
 
@@ -1109,16 +1116,17 @@ class TestSumModeSplit:
     """The walk's low table holds the first s rows, s chosen per block by
     its bound build (`duals._subtree_bound`).  A subset's sums are its rows
     added in row order from +0.0 whichever rows the table holds, so every s
-    from 7 to 13, forced through the build's ``low``, must give the value
+    from 7 to 13, forced by putting the per-split builder
+    (`oracles.subtree_bounds_at`) in the build's place, must give the value
     and the witness of the walk that evaluates every subset, bit for bit."""
 
     @staticmethod
     def _at_every_split(monkeypatch, block, e):
-        build = duals._subtree_bound
         with np.errstate(over="ignore", invalid="ignore"):
             want = exhaustive_sum_walk(block, e)
             for s in range(7, 14):
-                monkeypatch.setattr(duals, "_subtree_bound", lambda *args, s=s: build(*args, s))
+                monkeypatch.setattr(duals, "_subtree_bound", lambda b, e, best, s=s: (
+                    min(s, len(b)), subtree_bounds_at(b, s, e) if len(b) > s else None))
                 assert same_bits(duals._sum_exhaustive(block, e), want), s
         monkeypatch.undo()
         return want
@@ -1151,7 +1159,7 @@ class TestSumModeSplit:
         block[rows[-1]] = np.nan
         want = self._at_every_split(monkeypatch, block, 1.37)
         assert (want[0] == -math.inf) == (min(rows) < 7)
-        assert duals._subtree_bound(block, 1.37, np.abs(block).sum(axis=0), -math.inf)[0] == 13
+        assert duals._subtree_bound(block, 1.37, -math.inf)[0] == 13
 
     @pytest.mark.parametrize("signs", [(1, -1), (1, 1, -1, -1)])
     def test_overflowing_gram_products(self, monkeypatch, signs):
@@ -1225,12 +1233,13 @@ class TestNormLimit:
 
 class TestSubtreeBounds:
     """`duals._subtree_bound` builds the walk's bounds once per block, for
-    any split, and bounds all of a node's children in one call.  On blocks
-    of two or more columns each bound must have the bits of the per-split
-    builder (`oracles.subtree_bounds_at`) and of that child's own
-    evaluation; on one column, where numpy sums a column pairwise and the
-    build's cumsum adds in row order, each must still bound every subset
-    of its subtree."""
+    the split it chooses, and bounds all of a node's children in one call.
+    On blocks of two or more columns the split must be the one the
+    per-split builder (`oracles.subtree_bounds_at`) gives by the same rule,
+    and each bound must have the bits of that builder and of the child's
+    own evaluation; on one column, where numpy sums a column pairwise and
+    the build's cumsum adds in row order, each must still bound every
+    subset of its subtree."""
 
     @staticmethod
     def _nodes(rng, block, low):
@@ -1243,12 +1252,21 @@ class TestSubtreeBounds:
                     head += block[h]
             yield head, first
 
+    @staticmethod
+    def _split_rule(block, e, best):
+        """The smallest s of 10 to 12 with at most 13 - s depth-1 bounds of
+        the per-split builder reaching ``best``, else 13."""
+        zeros = np.zeros(block.shape[1])
+        return next((s for s in (10, 11, 12)
+                     if sum(not b < best for b in subtree_bounds_at(block, s, e)(zeros, s)) <= 13 - s),
+                    13)
+
     @pytest.mark.parametrize("kind", TestSubsetNormBounds.KINDS + ("nan", "inf"))
     def test_one_build_matches_each_split_and_child(self, kind):
         rng = np.random.default_rng(90 + len(kind))
-        checked = 0
+        checked, splits = 0, set()
         for trial in range(16):
-            r, n = int(rng.integers(8, 21)), int(rng.integers(2, 41))
+            r, n = int(rng.integers(14, 21)), int(rng.integers(2, 41))
             if kind in ("nan", "inf"):
                 block = rng.normal(size=(r, n))
                 bad = rng.random((r, n)) < 0.05
@@ -1257,12 +1275,13 @@ class TestSubtreeBounds:
                                                                    -np.inf, np.inf)
             else:
                 block = random_block(kind, rng, r, n)
-            low = int(rng.integers(7, min(13, r - 1) + 1))
             e = float(rng.choice([0.5, 0.73, 1.0, 1.37, 2.0, 2.6, 3.4]))
             with np.errstate(over="ignore", invalid="ignore"):
-                got_low, bounds = duals._subtree_bound(block, e, np.abs(block).sum(axis=0),
-                                                       -math.inf, low)
-                assert got_low == low
+                root = subtree_bounds_at(block, 10, e)(np.zeros(n), 10)
+                best = (-math.inf, math.inf, float(np.median(root)))[trial % 3]
+                low, bounds = duals._subtree_bound(block, e, best)
+                assert low == self._split_rule(block, e, best), trial
+                splits.add(low)
                 split, own = subtree_bounds_at(block, low, e), per_child_bound(block, low, e)
                 for head, first in self._nodes(rng, block, low):
                     got = bounds(head, first)
@@ -1275,22 +1294,24 @@ class TestSubtreeBounds:
                         assert g.hex() == x.hex() or (math.isnan(g) and math.isnan(x)), (trial, h)
                     checked += len(got)
         assert checked > 100
+        assert {10, 13} <= splits or kind in ("nan", "inf")
 
     def test_one_column_bounds_cover_their_subtrees(self):
         # Every subset L + H + {h} + S is checked against the bound of each
-        # node on its path, at every split, valued in the walk's arithmetic.
+        # node on its path, at the splits of three best values, valued in
+        # the walk's arithmetic.
         rng = np.random.default_rng(94)
-        checked = 0
-        for trial in range(12):
-            r = int(rng.integers(9, 13))
+        checked, splits = 0, set()
+        for trial in range(6):
+            r = int(rng.integers(14, 16))
             block = rng.normal(size=(r, 1)) * 10.0 ** rng.integers(-8, 9, (r, 1))
             if trial % 3 == 1:
                 block = np.round(block * 4) / 4
             e = (0.5, 1.0, 2.6)[trial % 3]
             values = duals._node_values(np.ascontiguousarray(subset_column_sums(block).T), e)
-            for low in range(7, r):
-                _, bounds = duals._subtree_bound(block, e, np.abs(block).sum(axis=0),
-                                                 -math.inf, low)
+            for best in (-math.inf, float(values.max()), math.inf):
+                low, bounds = duals._subtree_bound(block, e, best)
+                splits.add(low)
                 for high in range(1, 1 << (r - low)):
                     path = [low + j for j in range(r - low) if high >> j & 1]
                     masks = np.arange(1 << low) | sum(1 << h for h in path)
@@ -1301,7 +1322,7 @@ class TestSubtreeBounds:
                         assert not (values[masks] > bound).any(), (trial, low, path[: i + 1])
                         head += block[h]
                         checked += 1
-        assert checked > 500
+        assert {10, 13} <= splits and checked > 500
 
 
 class TestMatrixClassCondition:

@@ -581,62 +581,15 @@ class TestStreamBits:
         # Only forward streams of a negative order leave double range.
         assert (refused > 0) == (kind is Kind.FORWARD and order < 0.0)
 
-
-class TestStreamStop:
-    """A forward stream of a positive non-integer order stops past the lag
-    where an a-priori bound puts it below the smallest normal: past lag
-    floor(order) + 1 every |ratio| is below q^order < 1, so every later
-    entry would be zeroed anyway.  Its bits stay those of the full-cumprod
-    builder.  Its cumprod runs over at least the support (up to the last
-    nonzero entry) and at most head + 3 + x entries (head: floor(order) + 1
-    lags, up to K; x where (1 / (1 - q))^head q^(order x) is the smallest
-    normal), which on these streams is within support / 16 of the support;
-    other orders run it over at most support + head + 2 entries."""
-
-    CASES = (
-        [(order, q) for order, q in ((0.5, 0.5), (1.3, 0.7), (2.5, 0.9), (0.3, 0.2), (4.7, 0.95))]
-        + [(order, 1 - 1e-12) for order in (0.5, 2.5)]  # no entry leaves the normal range
-        + [(order, q) for order in (0.0, 1.0, 3.0, -0.5, -2.3) for q in (0.5, 0.9)]
-    )
-
-    @pytest.mark.parametrize("order, q", CASES)
-    def test_bits_and_cumprod_length(self, monkeypatch, order, q):
-        if 0.0 < order and not order.is_integer():
-            assert 0.5 < q**order < 1.0
-        qp, head = QParam(q), max(0, math.floor(order) + 1)
-        lengths, cumprod = [], np.cumprod
-
-        def counted(a, *args, **kwargs):
-            lengths.append(a.size)
-            return cumprod(a, *args, **kwargs)
-
-        for k in (0, 1, 5, 100, 8191, 65535):
-            try:
-                want = full_formula_stream(Kind.FORWARD, order, qp, k)
-            except OverflowError as exc:  # a negative order past double range
-                with pytest.raises(OverflowError, match=re.escape(str(exc))):
-                    forward_coeffs(order, qp, k)
-                continue
-            lengths.clear()
-            monkeypatch.setattr(np, "cumprod", counted)
-            got = forward_coeffs(order, qp, k).coeffs
-            monkeypatch.undo()
-            assert got.tobytes() == want.tobytes(), k
-            support = np.flatnonzero(got)[-1] + 1
-            assert len(lengths) == 1 and support <= lengths[0], k
-            if 0.0 < order and not order.is_integer():
-                x = (math.log(np.finfo(float).tiny) + head * math.log1p(-q)) / (order * math.log(q))
-                assert lengths[0] <= min(k + 1, head + 3 + x), k
-                assert lengths[0] <= support + max(head + 2, support // 16), k
-            else:
-                assert lengths[0] <= support + min(head, k) + 2, k
-
-    def test_a_stream_past_its_normal_range_ends_in_zeros(self):
-        # At K = 8191, q = 0.7 and order 1.3 the entries past lag 1,520 are
-        # below the smallest normal double: zeros, from a cumprod of 1,537
-        # entries (the a-priori stop, lag 1,536), not 8,192.
-        c = forward_coeffs(1.3, QParam(0.7), 8191).coeffs
-        assert np.flatnonzero(c)[-1] == 1520 and np.abs(c[1520]) >= np.finfo(float).tiny
+    @pytest.mark.parametrize("order", [5000.0, 5000.5])
+    def test_a_large_positive_order_is_refused(self, order):
+        # |c_k| passes 1e308 near lag 388 at q = 0.999; an integer order's
+        # zero ratio then gives NaN at lag 5001, with zeros after it.
+        qp = QParam(0.999)
+        with pytest.raises(OverflowError) as want:
+            full_formula_stream(Kind.FORWARD, order, qp, 20000)
+        with pytest.raises(OverflowError, match=re.escape(str(want.value))):
+            forward_coeffs(order, qp, 20000)
 
 
 class TestHeadTailSplit:
