@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import collections
 import enum
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Any
@@ -263,7 +262,7 @@ def _lex_least(masks: np.ndarray) -> tuple[int, ...]:
         out.append(first.bit_length() - 1)
 
 
-def _sup_closed_form(block: np.ndarray, exponent: float, witness: bool = True):
+def _sup_closed_form(block: np.ndarray, exponent: float):
     """Sup mode in O(r n): the best subset for column k takes all of its
     entries of one sign (rounding is monotone).  The witness is the least
     subset reaching the maximum over every (column, sign) pair attaining
@@ -274,14 +273,13 @@ def _sup_closed_form(block: np.ndarray, exponent: float, witness: bool = True):
     round, each round taking unraised sums to miss until it reads none.
     The sums are one axis-0 fold of the r x 2 x n parts from +0.0, which
     adds row after row, as every subset sum; with the 2 x n rows inner,
-    numpy never reorders it pairwise, even at n = 1.  Without ``witness``
-    the witness is (), and no pass runs."""
+    numpy never reorders it pairwise, even at n = 1."""
     signed = np.stack([block, -block], axis=1)
     bases = np.add.reduce(np.maximum(signed, 0.0), axis=0, initial=0.0)
     vals = bases**exponent
     best = float(vals.max())
-    if best == 0.0 or not witness:
-        return best, (0,) if witness else ()
+    if best == 0.0:
+        return best, (0,)
     ties = vals == best
     reaches = dict.fromkeys(bases[ties].tolist(), True)  # sum -> whether it reaches best
     cols = {tuple(c) for c in signed.transpose(1, 2, 0)[ties].tolist()}  # one witness each
@@ -426,13 +424,16 @@ def _subtree_bound(block: np.ndarray, exponent: float, best: float):
 
     Returns (s, bounds): the rows s of the low table and ``bounds(head,
     first)``, or None when the table holds every row, as it does in a block
-    of at most 13 rows.  Else s is the smallest of 10 to 12 for which at
-    most 13 - s rows h >= s keep a depth-1 bound (head 0) reaching ``best``,
-    the seed value, else 13 (as without a seed, -inf, which all reach).
-    Each node passes over the table's 2^s columns, and the walk visits a
-    subtree per child of the root whose bound reaches the best value.  The
-    split moves no value or witness: a subset's sums are its rows added in
-    row order from +0.0, whichever of them the table holds.
+    of at most 13 rows.  Else s is 10 if at most 3 rows h >= 10 keep a
+    depth-1 bound (head 0) reaching ``best``, the seed value, else 13 (as
+    without a seed, -inf, which all reach).  Each node passes over the
+    table's 2^s columns, and the walk visits a subtree per child of the root
+    whose bound reaches the best value.  The depth-1 bound of a row h >= s
+    only grows with s, its table gaining the rows from 10 to s - 1, so
+    wherever a split of 11 or 12 rows would keep at most 13 - s such rows,
+    10 keeps at most 3.  The split moves no value or witness: a subset's
+    sums are its rows added in row order from +0.0, whichever of them the
+    table holds.
 
     ``bounds(head, first)`` holds, for each high row h from ``first`` on, an
     upper bound on the value, as `_node_values` computes it, of every subset
@@ -466,33 +467,28 @@ def _subtree_bound(block: np.ndarray, exponent: float, best: float):
     absolutely, by at most 16 of the 2^-1074 steps each, which the smallest
     normal double, added last, covers for any n below 2^47.
 
-    The build holds the signed parts, one cumsum down their rows (its row
-    s - 1 is tmax and tmin at split s) and one up from the last row (P and
-    N after each row); each split's ends are built once.  On one column
-    numpy sums a column pairwise, not in row order as the cumsum does, so
-    tmax and tmin can differ in their last bits from a plain sum's; the
-    slack holds for any order, so only which subtrees are skipped can tell.
-    All of a node's children are bounded in one evaluation over an m x n
-    array, m of them, with the same bits as one child at a time: the
-    computed tmax + ... + P is never below tmin + ... + N (rounding is
-    monotone), so the larger of their absolute values is the larger of the
-    first and the negated second, and -(x + y) rounds to -fl(x + y) (up to
-    the sign of a zero, which the slack's +0.0 or more then clears); numpy
-    sums each row along its contiguous last axis as it sums a lone row.
+    The build holds the signed parts and one cumsum up from their last row
+    (P and N after each row); tmax and tmin are plain column sums of the
+    split's low rows.  At most two splits are built.  All of a node's
+    children are bounded in one evaluation over an m x n array, m of them,
+    with the same bits as one child at a time: the computed tmax + ... + P
+    is never below tmin + ... + N (rounding is monotone), so the larger of
+    their absolute values is the larger of the first and the negated second,
+    and -(x + y) rounds to -fl(x + y) (up to the sign of a zero, which the
+    slack's +0.0 or more then clears); numpy sums each row along its
+    contiguous last axis as it sums a lone row.
     """
     rows, n = block.shape
     if rows <= _LOW_ROWS:
         return rows, None
     parts = np.stack([np.maximum(block, 0.0), np.minimum(block, 0.0)])
-    lead = np.cumsum(parts, axis=1)
     after = np.zeros_like(parts)  # row j: the rows after j, summed from the last
     np.cumsum(parts[:, :0:-1], axis=1, out=after[:, -2::-1])
     slack = 4 * rows * _UNIT_ROUNDOFF * np.abs(block).sum(axis=0)
     scale = 1.0 + 4 * (n + 16) * _UNIT_ROUNDOFF
 
-    @functools.cache  # each split's ends are built once
     def at(low: int):
-        upper, lower = lead[:, low - 1, None] + after[:, low:] + block[low:]
+        upper, lower = parts[:, :low].sum(axis=1)[:, None] + after[:, low:] + block[low:]
         np.negative(lower, out=lower)
 
         def bounds(head: np.ndarray, first: int) -> list[float]:
@@ -504,9 +500,12 @@ def _subtree_bound(block: np.ndarray, exponent: float, best: float):
 
         return bounds
 
-    low = next((s for s in range(_LOW_ROWS - 3, _LOW_ROWS)
-                if sum(not b < best for b in at(s)(np.zeros(n), s)) <= _LOW_ROWS - s), _LOW_ROWS)
-    return low, at(low)
+    low = _LOW_ROWS - 3
+    bounds = at(low)
+    if sum(not b < best for b in bounds(np.zeros(n), low)) > _LOW_ROWS - low:
+        low = _LOW_ROWS
+        bounds = at(low)
+    return low, bounds
 
 
 def _climb(block: np.ndarray, exponent: float) -> tuple[int, ...]:
@@ -677,7 +676,7 @@ def subset_sup(
     column attaining it.  Sum mode is a cut-norm type quantity and stays
     exhaustive over all 2^r - 1 subsets up to provable pruning
     (`_sum_exhaustive`): a table holds the sums of every subset of the
-    first 10 to 13 rows, and the subsets of the other rows are visited
+    first 10 or 13 rows, and the subsets of the other rows are visited
     depth first from a hill-climbed subset's value (`_climb`), skipping a
     subtree when a bound on its values (`_subtree_bound`, one build per
     block) is strictly below the best value so far; in each visited node
@@ -688,11 +687,6 @@ def subset_sup(
     witness.  Both modes are capped at ``MAX_SUBSET_ROWS`` rows, and a
     supremum outside double range raises OverflowError.
     """
-    return _subset_sup(m, exponent, inner, row_limit, True)
-
-
-def _subset_sup(m: MatrixWindow, exponent: float, inner, row_limit: int, witness: bool):
-    """`subset_sup`; sup mode finds a witness only where ``witness``."""
     row_limit = _check_int("row_limit", row_limit, 1)
     inner = SubsetMode(inner)
     if row_limit > MAX_SUBSET_ROWS:
@@ -705,11 +699,9 @@ def _subset_sup(m: MatrixWindow, exponent: float, inner, row_limit: int, witness
     block = m.entries[:row_limit]
     live = np.flatnonzero(block.any(axis=0))
     block = block[:, : _live_width(block.shape[1], int(live[-1]) + 1 if live.size else 0)]
+    search = _sup_closed_form if inner is SubsetMode.SUP_OVER_COLS_OF_ABS else _sum_exhaustive
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        if inner is SubsetMode.SUP_OVER_COLS_OF_ABS:
-            best, found = _sup_closed_form(block, exponent, witness)
-        else:
-            best, found = _sum_exhaustive(block, exponent)
+        best, found = search(block, exponent)
     if not math.isfinite(best):
         raise OverflowError(
             f"subset supremum over {row_limit} rows with exponent {exponent} "
@@ -872,12 +864,10 @@ def _profile(items, chunks, cps: tuple[int, ...], triangular: bool):
 
 
 def _subset_values(windows: list, e: float, mode: SubsetMode, info: dict[str, Any]):
-    """Subset suprema over a list of (window, row limit) pairs, each taken
-    as the report draws it; only the last pair's witness, the one ``info``
-    keeps, is looked for."""
-    last = len(windows) - 1
-    for i, (m, row_limit) in enumerate(windows):
-        val, witness = _subset_sup(m, e, mode, row_limit, i == last)
+    """Subset suprema over (window, row limit) pairs, drawn lazily; the last
+    pair's witness goes into ``info``."""
+    for m, row_limit in windows:
+        val, witness = subset_sup(m, e, mode, row_limit)
         info["witness"] = list(witness)
         yield val
 

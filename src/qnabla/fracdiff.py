@@ -118,8 +118,10 @@ class CoeffStream:
     ``order`` is None for streams produced by composition, which carry no
     single operator order of their own.  A forward or inverse stream holds
     the coefficients of its order, as ``forward_coeffs`` and
-    ``inverse_coeffs`` build them: convolutions take its geometric tail
-    from the order.
+    ``inverse_coeffs`` build them (convolutions take its geometric tail
+    from the order), else the constructor raises ValueError, or the
+    builders' error for an order they refuse.  Other finite coefficients
+    are ``Kind.COMPOSED``.  ``qp`` and ``kind`` may be a plain q and a value.
     """
 
     order: float | None
@@ -133,8 +135,14 @@ class CoeffStream:
             raise ValueError("coeffs must be a nonempty one-dimensional array")
         if not np.all(np.isfinite(c)):
             raise ValueError("coeffs must be finite")
+        qp, kind = _coerce(QParam, self.qp), Kind(self.kind)
+        if kind is not Kind.COMPOSED and (self.order is None or not np.array_equal(
+                c, _stream(kind, self.order, qp, c.size - 1).coeffs)):
+            raise ValueError(f"coeffs are not the {kind.value} coefficients of order {self.order} "
+                             f"at q = {qp.q}; other coefficients are Kind.COMPOSED")
         c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
+        for name, value in (("coeffs", c), ("qp", qp), ("kind", kind)):
+            object.__setattr__(self, name, value)
 
     @property
     def truncation(self) -> int:
@@ -381,7 +389,7 @@ def _tail(stream: CoeffStream) -> tuple[int, float] | None:
     logq = math.log(stream.qp.q)
     if stream.kind is Kind.INVERSE:
         a, b, rho = 1.0, order - 1.0, 1.0
-    elif order != math.floor(order):
+    elif stream.kind is Kind.FORWARD and order != math.floor(order):
         a, b, rho = -order, order + 1.0, math.exp(order * logq)
     else:
         return None

@@ -13,7 +13,8 @@ witness scan is pinned to them bit for bit.
 
 ``subtree_bounds_at`` builds the sum-mode walk's subtree bounds for one
 split on its own, each column extreme of the low rows a plain column sum:
-the library's one build for every split is pinned to it bit for bit.
+the library's one build per block is pinned to it bit for bit, at every
+column count.
 
 ``full_formula_stream`` takes every lag ratio of a coefficient stream by
 the full formula and runs one cumprod over a concatenated copy, and

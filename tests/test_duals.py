@@ -1234,12 +1234,12 @@ class TestNormLimit:
 class TestSubtreeBounds:
     """`duals._subtree_bound` builds the walk's bounds once per block, for
     the split it chooses, and bounds all of a node's children in one call.
-    On blocks of two or more columns the split must be the one the
-    per-split builder (`oracles.subtree_bounds_at`) gives by the same rule,
-    and each bound must have the bits of that builder and of the child's
-    own evaluation; on one column, where numpy sums a column pairwise and
-    the build's cumsum adds in row order, each must still bound every
-    subset of its subtree."""
+    The split must be the one the per-split builder
+    (`oracles.subtree_bounds_at`) gives by the rule of three candidates,
+    the smallest s of 10 to 12 with at most 13 - s depth-1 bounds reaching
+    the best value, else 13; each bound must have the bits of that builder
+    and of the child's own evaluation at every column count, and must bound
+    every subset of its subtree."""
 
     @staticmethod
     def _nodes(rng, block, low):
@@ -1266,7 +1266,8 @@ class TestSubtreeBounds:
         rng = np.random.default_rng(90 + len(kind))
         checked, splits = 0, set()
         for trial in range(16):
-            r, n = int(rng.integers(14, 21)), int(rng.integers(2, 41))
+            r = int(rng.integers(14, 21))
+            n = 1 if trial % 4 == 3 else int(rng.integers(2, 41))  # one column: a pairwise sum
             if kind in ("nan", "inf"):
                 block = rng.normal(size=(r, n))
                 bad = rng.random((r, n)) < 0.05
@@ -1481,27 +1482,21 @@ class TestConditionTable:
 
 
 class TestAlphaDual:
-    def test_one_witness_pass_per_sup_mode_check(self, monkeypatch):
-        # A report keeps the witness of its last window only, so sup mode
-        # looks for no other; the values stay subset_sup's.
-        passes = []
-
-        def counted(block, e, witness=True, inner=duals._sup_closed_form):
-            passes.append(witness)
-            return inner(block, e, witness)
-
-        monkeypatch.setattr(duals, "_sup_closed_form", counted)
+    def test_sup_mode_reports_take_subset_sups(self):
+        # Each value is subset_sup's on its window, and the witness is the
+        # last window's.
         a = SeqWindow(np.random.default_rng(25).normal(size=24))
         rls = (2, 5, 9, 14, 20)
         rep = alpha_dual_check(a, 0.7, QParam(0.6), PExponent(0.7), rls)
-        assert passes == [False] * 4 + [True]
         m = MatrixWindow(termwise_window(a, 0.7, QParam(0.6)))
         sups = [subset_sup(m, 0.7, SubsetMode.SUP_OVER_COLS_OF_ABS, rl) for rl in rls]
         assert rep.values == tuple((rl, v) for rl, (v, _) in zip(rls, sups))
         assert rep.detail["witness"] == list(sups[-1][1])
-        passes.clear()
         rep = matrix_class_condition(m, Condition.SUBSET_ENTRY_SUP, PExponent(0.5), row_limit=20)
-        assert passes == [False] * (len(rep.values) - 1) + [True]
+        sups = [subset_sup(MatrixWindow(m.entries[:cp, :cp]), 0.5, SubsetMode.SUP_OVER_COLS_OF_ABS,
+                           min(cp, 20)) for cp, _ in rep.values]
+        assert rep.values == tuple((cp, v) for (cp, _), (v, _) in zip(rep.values, sups))
+        assert rep.detail["witness"] == list(sups[-1][1])
 
     def test_finitely_supported_multiplier_stabilizes(self):
         a = SeqWindow(np.concatenate([[1.0, -2.0], np.zeros(14)]))

@@ -98,7 +98,7 @@ class TestSeqWindow:
 class TestCoeffStream:
     def test_public_constructor_copies_and_freezes(self):
         c = np.array([1.0, -0.5, 0.25])
-        stream = CoeffStream(0.5, QParam(0.5), Kind.FORWARD, c)
+        stream = CoeffStream(None, QParam(0.5), Kind.COMPOSED, c)
         assert stream.truncation == 2
         assert stream.coeffs.tolist() == c.tolist()
         assert not stream.coeffs.flags.writeable
@@ -115,6 +115,29 @@ class TestCoeffStream:
     def test_public_constructor_refusals(self, coeffs, text):
         with pytest.raises(ValueError, match=f"^{text}$"):
             CoeffStream(0.5, QParam(0.5), Kind.FORWARD, coeffs)
+
+    def test_forward_and_inverse_streams_hold_the_coefficients_of_their_order(self):
+        # A hand-built inverse stream of other coefficients was trusted, and
+        # its product took the geometric tail of its order: 100% off.
+        qp, noise = QParam(0.6), np.random.default_rng(7).normal(size=4000)
+        text = r"^coeffs are not the inverse coefficients of order 0\.5 at q = 0\.6; other coefficients are Kind\.COMPOSED$"
+        with pytest.raises(ValueError, match=text):
+            CoeffStream(0.5, qp, Kind.INVERSE, noise)
+        with pytest.raises(ValueError, match="^coeffs are not the forward coefficients of order None"):
+            CoeffStream(None, qp, Kind.FORWARD, [1.0])  # was a raw TypeError in the product
+        with pytest.raises(ValueError, match="^order must be finite, got nan$"):
+            CoeffStream(float("nan"), qp, Kind.FORWARD, [1.0])
+        for build in (forward_coeffs, inverse_coeffs):
+            lib = build(0.7, qp, 3999)
+            stream = CoeffStream(0.7, 0.6, lib.kind.value, lib.coeffs)  # a plain q and kind
+            assert stream.qp == qp and stream.kind is lib.kind
+            assert stream.coeffs.tobytes() == lib.coeffs.tobytes()
+        # Composed coefficients take no tail, whatever order they carry.
+        b = forward_coeffs(0.7, qp, 3999)
+        want = np.convolve(noise, b.coeffs)[:4000]
+        for order in (None, 0.5):
+            got = compose_coeffs(CoeffStream(order, qp, Kind.COMPOSED, noise), b).coeffs
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_built_streams_report_their_truncation(self):
         assert forward_coeffs(0.5, QParam(0.5), 9).truncation == 9
