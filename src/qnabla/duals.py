@@ -15,7 +15,7 @@ about both: finite-subset suprema are taken over a capped number of rows
 enumeration of up to about a million subsets, one row add each, when they
 are summed, starting from the value of a hill-climbed subset, skipping only
 subtrees that provably cannot reach the best value and raising to the
-power only subsets whose norm bound can reach it; and "limit exists"
+power only the subsets whose 2-norm bound can reach it; and "limit exists"
 conditions are reported as Cauchy-style oscillation estimates over the
 last quarter of the window.  Every report carries the evaluated quantity
 at a strictly increasing list of window sizes plus a tri-state verdict:
@@ -307,64 +307,20 @@ def _sup_closed_form(block: np.ndarray, exponent: float):
 
 def _node_values(rows: np.ndarray, exponent: float) -> np.ndarray:
     """Sum-mode values of the subsets whose row-order column sums are the
-    rows of the C-contiguous ``rows``, computed in place.  Only subsets
-    whose `_row_bounds` bound can reach the best value come here."""
+    rows of the C-contiguous ``rows``, computed in place: numpy sums each
+    row along its contiguous last axis as it sums a lone row.  Besides the
+    seed and the root's probe, only the subsets gathered from the walk's
+    table, those whose norm bound (`_norm_limit`) can reach the best value,
+    come here."""
     np.abs(rows, out=rows)
     rows **= exponent
     return rows.sum(axis=1)
 
 
-def _row_bounds(sums: np.ndarray, exponent: float) -> np.ndarray:
-    """Bound on the `_node_values` value of every subset whose computed
-    column sums s are a column of ``sums`` (n rows), without a power on
-    each entry; ``sums`` becomes |s| in place, with no scratch.
-
-    In exact arithmetic, with e the exponent:
-
-    - e <= 1: x^e is concave, so sum_k |s_k|^e <= n^(1-e) ||s||_1^e;
-    - 1 < e <= 2: |s_k|^e = |s_k|^(2-e) |s_k|^(2(e-1)), and Hoelder with
-      the exponents 1/(2-e) and 1/(e-1) gives ||s||_1^(2-e) ||s||_2^(2(e-1));
-    - e > 2: |s_k|^e <= ||s||_inf^(e-2) |s_k|^2, so ||s||_inf^(e-2) ||s||_2^2.
-
-    Rounding slack makes it bound the computed values; with u the unit
-    roundoff, to first order.  The column sums are the walk's own, so only
-    the norms, the powers and the final sums err.  |s_k| and the maximum
-    are exact, each square is within u, and a sum of n nonnegative terms,
-    in any order, is within a factor 1 + (n - 1) u of the exact one.  A
-    ``pow`` errs by a few units in the last place (16 are allowed for, on
-    each of the bound's powers and on the walk's); every power in the
-    bound either has an exponent of at most 1 or the exact maximum as its
-    base, so none amplifies a norm's error.  The bound thus falls short of
-    the exact one by a factor of at most 1 - (2 n + 34) u, while the
-    walk's value exceeds sum_k |s_k|^e by a factor of at most
-    1 + (n + 16) u; scaling by 1 + 4 (n + 16) u covers both.  Below the
-    normal range errors are absolute instead: a square loses at most
-    2^-1075, which the n smallest normal doubles added to ||s||_2^2 cover,
-    and a power errs by at most 16 of the 2^-1074 steps, scaled by at most
-    n, which the smallest normal double, added last, covers for any n
-    below 2^43.  A NaN column sum gives a NaN bound.
-    """
-    n = sums.shape[0]
-    np.abs(sums, out=sums)
-    norm = np.add if exponent <= 2.0 else np.maximum  # ||s||_1, or ||s||_inf past e = 2
-    bound = norm.reduce(sums, axis=0)
-    if exponent > 1.0:
-        bound **= abs(2.0 - exponent)
-        l2 = np.einsum("ij,ij->j", sums, sums)
-        l2 += n * _SMALLEST_NORMAL
-        bound *= l2 ** min(exponent - 1.0, 1.0)
-    else:
-        bound **= exponent
-        bound *= n ** (1.0 - exponent)
-    bound *= 1.0 + 4 * (n + 16) * _UNIT_ROUNDOFF
-    bound += _SMALLEST_NORMAL
-    return bound
-
-
 def _norm_bounds(run: np.ndarray, head: np.ndarray) -> np.ndarray:
     """Bound on ||s||_2^2 for every subset of one node, formed once per
     visited node: s is the walk's column sums of a low subset t (a table
-    column) plus the node's high rows, whose row-order sum is ``head`` c;
+    row) plus the node's high rows, whose row-order sum is ``head`` c;
     ``run`` is the node's running row, the table's ``norms`` (below) with
     the Gram products 2 <a_h, t> of the node's rows added in path order.
 
@@ -401,13 +357,20 @@ def _norm_limit(cut: float, n: int, exponent: float) -> float:
 
     Over the n columns that are not all zero (the others sum to +-0 and
     add nothing, in any order), sum_k |s_k|^e <= n^a ||s||_2^e with
-    a = max(1 - e/2, 0) (power means; ||s||_e <= ||s||_2 past e = 2), so,
-    with the walk's rounding as in `_row_bounds`, a subset with
+    a = max(1 - e/2, 0) (power means; ||s||_e <= ||s||_2 past e = 2).  The
+    walk's value of s (`_node_values`) rounds that sum up by little: |s_k|
+    is exact, a ``pow`` errs by a few units in the last place (16 are
+    allowed for), and a sum of n nonnegative terms, in any order, is within
+    a factor 1 + (n - 1) u of the exact one, u the unit roundoff; so the
+    value exceeds it by a factor of at most 1 + (n + 16) u, to first order.
+    Below the normal range a power errs absolutely instead, by at most 16
+    of the 2^-1074 steps, n of them in all.  So a subset with
     ||s||_2^2 <= q has a value below F(q) = n^a q^(e/2) (1 + 4 (n + 16) u)
-    + tiny.  q inverts F, shrunk by 2^-30, and is kept where F(q),
-    computed, is below ``cut``: that rounds down by at most (35 + ln n) u,
-    within the factor's spare 3 (n + 16) u, and by at most 16 n^a
-    subnormal steps, which tiny covers with the walk's own for n < 2^46.
+    + tiny, tiny the smallest normal double.  q inverts F, shrunk by
+    2^-30, and is kept where F(q), computed, is below ``cut``: that rounds
+    down by at most (35 + ln n) u, within the factor's spare 3 (n + 16) u,
+    and by at most 16 n^a subnormal steps, which tiny covers with the
+    walk's own 16 n for n < 2^46.
     A cut at or below tiny, NaN or inf, or one whose q leaves double range
     (Python's ``**`` raises OverflowError there), certifies nothing.
     """
@@ -510,35 +473,32 @@ def _subtree_bound(block: np.ndarray, exponent: float, best: float):
 
 def _climb(block: np.ndarray, exponent: float) -> tuple[int, ...]:
     """A good subset to seed the sum-mode walk with, sorted: from the rows
-    of each sign in the column of the largest |entry|, flip the one row
+    of one sign in the column of the largest |entry|, the sign whose rows
+    are worth more together (the positive one on a tie), flip the one row
     that raises sum_k |s_k|^e the most while any does, never emptying the
     set.  Its sums are kept by adds and subtracts, so its values are only
     estimates; the walk values the subset it returns afresh."""
     rows = block.shape[0]
     col = block[:, np.argmax(np.abs(block).max(axis=0))]
-    found, found_value = (), -math.inf
-    for inside in (col > 0, col < 0):
-        if not inside.any():
-            continue
-        sums = block[inside].sum(axis=0)
-        flips = np.where(inside[:, None], -block, block)  # what flipping each row adds
-        value = float((np.abs(sums) ** exponent).sum())
-        for _ in range(rows * rows):  # a cap, should rounding ever cycle the rises
-            values = np.abs(sums + flips)
-            values **= exponent
-            values = values.sum(axis=1)
-            if np.count_nonzero(inside) == 1:
-                values[inside] = -math.inf
-            j = int(np.argmax(values))
-            if not values[j] > value:
-                break
-            inside[j] = not inside[j]
-            sums += flips[j]
-            flips[j] *= -1.0
-            value = float(values[j])
-        if value > found_value:
-            found, found_value = tuple(np.flatnonzero(inside).tolist()), value
-    return found
+    starts = [(float((np.abs(block[side].sum(axis=0)) ** exponent).sum()), side)
+              for side in (col > 0, col < 0) if side.any()]
+    value, inside = max(starts, key=lambda start: start[0])
+    sums = block[inside].sum(axis=0)
+    flips = np.where(inside[:, None], -block, block)  # what flipping each row adds
+    for _ in range(rows * rows):  # a cap, should rounding ever cycle the rises
+        values = np.abs(sums + flips)
+        values **= exponent
+        values = values.sum(axis=1)
+        if np.count_nonzero(inside) == 1:
+            values[inside] = -math.inf
+        j = int(np.argmax(values))
+        if not values[j] > value:
+            break
+        inside[j] = not inside[j]
+        sums += flips[j]
+        flips[j] *= -1.0
+        value = float(values[j])
+    return tuple(np.flatnonzero(inside).tolist())
 
 
 def _sum_exhaustive(block: np.ndarray, exponent: float) -> tuple[float, tuple[int, ...]]:
@@ -550,30 +510,29 @@ def _sum_exhaustive(block: np.ndarray, exponent: float) -> tuple[float, tuple[in
     non-finite value seeds nothing, nor does a block with NaN: the walk
     passes over every node holding a NaN value, finite subsets and all.
     One `_subtree_bound` build chooses the rows of a table, the row-order
-    sums of all subsets of the leading rows, one per column, and bounds the
+    sums of all subsets of the leading rows, one per row, and bounds the
     subtrees of the depth-first visit over the other rows, each node a set
     H of them.  Which subsets share a node depends on the split, so a block
     with NaN, having no seed, keeps 13 rows in the table.
 
     One Gram product per call gives 2 <a_h, t> for every high row h and
-    table column t.  Each depth keeps one buffer row: the table's norm terms
+    table row t.  Each depth keeps one buffer row: the table's norm terms
     plus the Gram products of the node's rows, in path order, then the
     node's head, the row-order sum of its rows; entering a child is one add
     of its row of products and entries.  A visited node bounds every
     ||s||_2^2 from that row and its head (`_norm_bounds`); only the subsets
     not below the limit of the best value (`_norm_limit`) are gathered from
     the table, the node's rows added in row order (the walk's sums, bit for
-    bit), and of those only the subsets whose `_row_bounds` bound is not
-    strictly below the best value reach `_node_values`.  NaN bounds pass; at
-    the root the subset with the largest norm bound goes first, so that the
-    cut has a value.  Only then, with the node's arrays freed, are its
-    children bounded in one evaluation and visited in row order, skipping a
-    child's subtree when its bound, compared as that child comes up, is
-    strictly below the best value so far.  Every bound covers every rounding
-    error, so no skipped subset reaches the best value: a tie is never
-    skipped, since a later subset can be a smaller witness, and the seed
-    gives way to the least maximiser however early it is met.  An all-zero
-    block returns at once: every value is 0, and (0,) is least.
+    bit), and valued (`_node_values`).  NaN bounds pass; at the root the
+    subset with the largest norm bound goes first, so that the cut has a
+    value.  Only then, with the node's arrays freed, are its children
+    bounded in one evaluation and visited in row order, skipping a child's
+    subtree when its bound, compared as that child comes up, is strictly
+    below the best value so far.  Every bound covers every rounding error,
+    so no skipped subset reaches the best value: a tie is never skipped,
+    since a later subset can be a smaller witness, and the seed gives way to
+    the least maximiser however early it is met.  An all-zero block returns
+    at once: every value is 0, and (0,) is least.
     """
     if not block.any():
         return 0.0, (0,)
@@ -590,20 +549,20 @@ def _sum_exhaustive(block: np.ndarray, exponent: float) -> tuple[float, tuple[in
             best, best_witness = value, seed
     low, bounds = _subtree_bound(block, exponent, best)
     width = 1 << low
-    table = np.empty((n, width))
-    table[:, 0] = 0.0
+    table = np.empty((width, n))
+    table[0] = 0.0
     for j in range(low):
-        np.add(table[:, : 1 << j], block[j, :, None], out=table[:, 1 << j : 2 << j])
+        np.add(table[: 1 << j], block[j], out=table[1 << j : 2 << j])
     # Per depth: the norm terms plus the path's Gram products, then the head.
     run = np.empty((rows - low + 1, width + n))
     drift = (1.0 + 1.0 / _ETA) * (2 * rows) ** 2 + (n + 2 * rows) ** 2 / _ETA  # see `_norm_bounds`
     abs_sums = np.abs(block).sum(axis=0)
-    norms = np.einsum("ij,ij->j", table, table, out=run[0, :width])
+    norms = np.einsum("ij,ij->i", table, table, out=run[0, :width])
     norms *= 1.0 + 5 * _ETA
     norms += drift * _UNIT_ROUNDOFF**2 * (abs_sums @ abs_sums) + n * _SMALLEST_NORMAL
     run[0, width:] = 0.0
     if rows > low:
-        steps = np.hstack([(2.0 * block[low:]) @ table, block[low:]])
+        steps = np.hstack([(2.0 * block[low:]) @ table.T, block[low:]])
     live = int(np.count_nonzero(block.any(axis=0)))
 
     def evaluate(path: tuple[int, ...], head: np.ndarray) -> None:
@@ -613,16 +572,13 @@ def _sum_exhaustive(block: np.ndarray, exponent: float) -> tuple[float, tuple[in
         if not path:
             sq[0] = -math.inf  # the empty subset: below every limit, never probed or kept
             probe = np.argmax(sq, keepdims=True)
-            cut = max(cut, float(_node_values(table.T[probe], exponent)[0]))
+            cut = max(cut, float(_node_values(table[probe], exponent)[0]))
         keep = np.flatnonzero(~(sq < _norm_limit(cut, live, exponent)))
-        if keep.size:  # gathered, summed and bounded only when any is kept
-            level = table[:, keep]
+        if keep.size:  # gathered and valued only when any is kept
+            level = table[keep]
             for h in path:
-                level += block[h, :, None]
-            survive = np.flatnonzero(~(_row_bounds(level, exponent) < cut))
-            keep = keep[survive]
-        if keep.size:
-            vals = _node_values(level.T[survive], exponent)
+                level += block[h]
+            vals = _node_values(level, exponent)
             top = float(vals.max())
             if top >= best:
                 witness = _lex_least(keep[vals == top] | sum(1 << h for h in path))
@@ -680,11 +636,11 @@ def subset_sup(
     depth first from a hill-climbed subset's value (`_climb`), skipping a
     subtree when a bound on its values (`_subtree_bound`, one build per
     block) is strictly below the best value so far; in each visited node
-    only the subsets whose norm bound (`_norm_bounds`), then row bound
-    (`_row_bounds`), can reach the best value are summed in row order and
-    raised to the power.  Every bound includes rounding slack, so ties are
-    never skipped and neither pruning nor the split changes a value or a
-    witness.  Both modes are capped at ``MAX_SUBSET_ROWS`` rows, and a
+    only the subsets whose norm bound (`_norm_bounds`) can reach the best
+    value are gathered from the table, one row each, summed in row order
+    and raised to the power.  Every bound includes rounding slack, so ties
+    are never skipped and neither pruning nor the split changes a value or
+    a witness.  Both modes are capped at ``MAX_SUBSET_ROWS`` rows, and a
     supremum outside double range raises OverflowError.
     """
     row_limit = _check_int("row_limit", row_limit, 1)

@@ -54,6 +54,7 @@ from .duals import (
     _resolve_exponent,
     _sections,
     _single,
+    _tail_start,
     matrix_class_condition,
 )
 from .fracdiff import (
@@ -226,7 +227,8 @@ _TAIL_RTOL = 1e-8
 def _row_tail_bounds(phi: MatrixWindow, e: CoeffStream) -> tuple[float, ...]:
     """Per-row truncation-error bounds for window-truncated row-tail sums.
 
-    Triangular windows and rows with an all-zero tail quarter are exact.
+    Triangular windows and rows with an all-zero tail quarter (the columns
+    from `duals._tail_start`, as the limit estimates read rows) are exact.
     Other rows must pass the relative decay test against ``_TAIL_RTOL`` or
     the whole construction is refused, naming the first failing row: the
     inverse coefficients tend to a positive constant, so a non-decaying row
@@ -236,7 +238,7 @@ def _row_tail_bounds(phi: MatrixWindow, e: CoeffStream) -> tuple[float, ...]:
     if phi.triangular:
         return (0.0,) * n_rows
     e_sup = float(np.max(e.coeffs))
-    ts = n_cols - max(1, n_cols // 4)
+    ts = _tail_start(n_cols)
     mags = np.abs(phi.entries)
     tails = np.sum(mags[:, ts:], axis=1)
     heads = np.sum(mags[:, :ts], axis=1)

@@ -521,10 +521,10 @@ class TestSumModePruning:
     def _counted(monkeypatch, block, exponent):
         """Result of the walk, checked against the exhaustive one, with the
         nodes it visits (`_norm_bounds` forms each node's bound row, once
-        per visited node), the calls of `_node_values` (once for the root's
-        probe and once at each node where some subset's row bound reaches
-        the best value) and the split, the rows of the low table, from the
-        walk's one bound build (`_subtree_bound`)."""
+        per visited node), the calls of `_node_values` (once for the seed,
+        once for the root's probe and once at each node where some subset's
+        norm bound reaches the best value's limit) and the split, the rows of
+        the low table, from the walk's one bound build (`_subtree_bound`)."""
         visits, calls, splits = [], [], []
         for name, log in (("_norm_bounds", visits), ("_node_values", calls)):
 
@@ -593,21 +593,22 @@ class TestSumModePruning:
                 assert got == walked == (0.0, (0,))
                 assert np.signbit(got[0]) == np.signbit(walked[0])
 
-    def test_nodes_that_keep_no_subset_skip_the_row_bounds(self, monkeypatch):
-        # A node whose norm bounds keep no subset was still gathered, summed
-        # and row-bounded on an n x 0 array; it must now skip all three.
+    def test_nodes_that_keep_no_subset_skip_the_gather(self, monkeypatch):
+        # A node whose norm bounds keep no subset must gather and value
+        # nothing: `_node_values` is called once for the seed, once for the
+        # root's probe and once per node that keeps a subset.
         widths, visits = [], []
-        row_bounds, norm_bounds = duals._row_bounds, duals._norm_bounds
+        node_values, norm_bounds = duals._node_values, duals._norm_bounds
 
-        def logged_row_bounds(sums, e):
-            widths.append(sums.shape[1])
-            return row_bounds(sums, e)
+        def logged_node_values(rows, e):
+            widths.append(rows.shape[0])
+            return node_values(rows, e)
 
         def logged_norm_bounds(*args):
             visits.append(1)  # once per visited node
             return norm_bounds(*args)
 
-        monkeypatch.setattr(duals, "_row_bounds", logged_row_bounds)
+        monkeypatch.setattr(duals, "_node_values", logged_node_values)
         monkeypatch.setattr(duals, "_norm_bounds", logged_norm_bounds)
         skipped = 0
         for seed in range(3):
@@ -619,8 +620,82 @@ class TestSumModePruning:
                 got = subset_sup(MatrixWindow(lam), e, SubsetMode.SUM_OVER_COLS_OF_ABS_COLSUM, 20)
                 assert got == exhaustive_sum_walk(lam, e)
                 assert min(widths) > 0
-                skipped += len(visits) - len(widths)
+                skipped += len(visits) - (len(widths) - 2)
         assert skipped > 0
+
+    EXPONENTS = (0.5, 0.8, 1.0, 1.5, 2.0, 3.0)
+
+    @pytest.mark.parametrize("e", EXPONENTS)
+    @pytest.mark.parametrize("ks", [(0, 0, 0), (-1, 3, 2), (3, -1, 2), (6, 4, -5)])
+    @pytest.mark.parametrize("n", [1, 7, 40])
+    def test_rounding_slack_where_the_bound_is_exact(self, e, ks, n):
+        # Rows c_j v with v of +-1 entries: every |s_k| of a subset is
+        # |sum c_j|, where each norm inequality is an equality.
+        c = np.zeros(16)
+        c[[0, 5]] = 1.0, -1.0
+        c[13:] = np.array(ks) * 2.0**-54
+        v = np.where(np.arange(n) % 3 == 1, -1.0, 1.0)
+        block = np.outer(c, v)
+        got = subset_sup(MatrixWindow(block), e, SubsetMode.SUM_OVER_COLS_OF_ABS_COLSUM, 16)
+        assert got == exhaustive_sum_walk(block, e)
+
+    @pytest.mark.parametrize("e", (0.7, 1.5, 3.0))
+    def test_nan_bounds_never_prune(self, e):
+        # A NaN in row 3 makes half the subsets of every node NaN, so the
+        # exhaustive walk takes no node's maximum; pruning the NaN bounds
+        # would leave the finite subsets and report one of them.
+        block = np.random.default_rng(37).normal(size=(16, 3))
+        block[3, 1] = np.nan
+        with np.errstate(invalid="ignore"):
+            assert duals._sum_exhaustive(block, e) == exhaustive_sum_walk(block, e)
+
+    KINDS = ("gaussian", "integers", "triangular", "wide", "sparse", "tiny")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_random_blocks_match_the_exhaustive_walk(self, kind):
+        rng = np.random.default_rng(self.KINDS.index(kind))
+        # Both sides of e = 1 and e = 2, and the sqrt and square fast paths.
+        exponents = (0.5, 0.73, 1.0, 1.37, 2.0, 2.6)
+        for trial in range(20):
+            r, n = ((1, 1), (18, 40))[trial] if trial < 2 else rng.integers(1, (19, 41))
+            block = random_block(kind, rng, r, n)
+            e = exponents[trial % len(exponents)]
+            got = subset_sup(MatrixWindow(block), e, SubsetMode.SUM_OVER_COLS_OF_ABS_COLSUM, r)
+            assert got == exhaustive_sum_walk(block, e), (trial, r, n, e)
+
+    @pytest.mark.parametrize("e", (1.0, 1.5, 3.0))
+    def test_wide_class_check_blocks_match_the_exhaustive_walk(self, e):
+        # Twelve rows, the default row limit of class-check's subset
+        # conditions, 64 to 512 columns wide, every column live: the leading
+        # rows of a transposed lower-triangular window with geometric decay
+        # off the diagonal (the column-subset condition reads the forward
+        # composite transposed), and rows decaying along the columns (the
+        # inverse composite of a decaying window).  The table holds every
+        # row, so the root alone keeps and values subsets.
+        rng = np.random.default_rng(int(e * 10))
+        for w in (64, 128, 256, 512):
+            j, k = np.indices((12, w))
+            tri = np.where(k >= j, rng.normal(size=(12, w)) * rng.uniform(0.3, 0.9) ** (k - j), 0.0)
+            rho = 10.0 ** (-12.0 / (0.75 * w)) * rng.uniform(0.5, 1.0)
+            decay = rng.normal(size=(12, w)) * rho**k
+            for block in (tri, decay):
+                assert block.any(axis=0).all()
+                got = subset_sup(MatrixWindow(block), e, SubsetMode.SUM_OVER_COLS_OF_ABS_COLSUM, 12)
+                assert got == exhaustive_sum_walk(block, e), (w, e)
+
+    @pytest.mark.parametrize("e", (1.28, 2.0))
+    def test_gaussian_blocks_raise_few_subsets(self, monkeypatch, e):
+        evaluate, rows = duals._node_values, []
+
+        def node_values(sums, exponent):
+            rows.append(sums.shape[0])
+            return evaluate(sums, exponent)
+
+        monkeypatch.setattr(duals, "_node_values", node_values)
+        block = np.random.default_rng(41).normal(size=(20, 16))
+        got = subset_sup(MatrixWindow(block), e, SubsetMode.SUM_OVER_COLS_OF_ABS_COLSUM, 20)
+        assert got == exhaustive_sum_walk(block, e)
+        assert sum(rows) < 0.01 * (2**20 - 1)
 
     def test_a_walk_leaves_no_reference_cycle(self):
         # The walk's visit refers to itself; dropping it after the walk frees
@@ -687,7 +762,7 @@ def random_block(kind, rng, r, n):
 
 def subset_column_sums(block):
     """Row-order column sums of every subset of the rows of ``block``, one
-    subset per column, as the low-row table of `duals._sum_exhaustive`."""
+    subset per column: the transposed low-row table of `duals._sum_exhaustive`."""
     rows, n = block.shape
     sums = np.zeros((n, 1 << rows))
     for j in range(rows):
@@ -793,89 +868,6 @@ class TestSumModeSeed:
         assert raised[0] < raised[1] / 10
 
 
-class TestSubsetRowBounds:
-    """Sum mode raises to the power only the subsets whose row bound
-    (`duals._row_bounds`) is not strictly below the best value; every value
-    and witness must stay those of the walk that evaluates every subset."""
-
-    EXPONENTS = (0.5, 0.8, 1.0, 1.5, 2.0, 3.0)
-
-    @pytest.mark.parametrize("e", EXPONENTS)
-    @pytest.mark.parametrize("ks", [(0, 0, 0), (-1, 3, 2), (3, -1, 2), (6, 4, -5)])
-    @pytest.mark.parametrize("n", [1, 7, 40])
-    @pytest.mark.parametrize("scale", [1.0, 3.0**-225])
-    def test_rounding_slack_where_the_bound_is_exact(self, e, ks, n, scale):
-        # Rows c_j v with v of +-1 entries: every |s_k| of a subset is
-        # |sum c_j|, where each norm inequality of the bound is an equality,
-        # so only the rounding slack keeps it above the computed values.
-        # Scaled by 3^-225, about 1e-107, the cubes are subnormal.
-        c = np.zeros(16)
-        c[[0, 5]] = scale, -scale
-        c[13:] = np.array(ks) * scale * 2.0**-54
-        v = np.where(np.arange(n) % 3 == 1, -1.0, 1.0)
-        block = np.outer(c, v)
-        sums = subset_column_sums(block[[0, 5, 13, 14, 15]])
-        bounds = duals._row_bounds(sums, e)
-        values = duals._node_values(np.ascontiguousarray(sums.T), e)
-        assert np.all(bounds >= values)
-        if scale == 1.0:  # subnormal values tie and survive, which makes the walk slow
-            got = subset_sup(MatrixWindow(block), e, SubsetMode.SUM_OVER_COLS_OF_ABS_COLSUM, 16)
-            assert got == exhaustive_sum_walk(block, e)
-
-    @pytest.mark.parametrize("e", (0.7, 1.5, 3.0))
-    def test_nan_bounds_never_prune(self, e):
-        # A NaN in row 3 makes half the subsets of every node NaN, so the
-        # exhaustive walk takes no node's maximum; pruning the NaN bounds
-        # would leave the finite subsets and report one of them.
-        block = np.random.default_rng(37).normal(size=(16, 3))
-        block[3, 1] = np.nan
-        with np.errstate(invalid="ignore"):
-            bounds = duals._row_bounds(subset_column_sums(block[:4]), e)
-            assert np.array_equal(np.isnan(bounds), np.arange(16) >= 8)
-            assert duals._sum_exhaustive(block, e) == exhaustive_sum_walk(block, e)
-
-    @pytest.mark.parametrize("e", (0.5, 1.0, 1.5, 3.0))
-    @pytest.mark.parametrize("kind", ("gaussian", "tiny", "signed-zeros"))
-    def test_bounds_leave_abs_sums_of_the_same_values(self, e, kind):
-        # `_row_bounds` takes |s| in place; `_node_values` takes |.| again,
-        # exact on entries already >= 0, so its bits do not move.
-        sums = subset_column_sums(random_block(kind, np.random.default_rng(61), 6, 9))
-        signed = sums.copy()
-        duals._row_bounds(sums, e)
-        assert np.array_equal(sums, np.abs(signed))
-        assert not np.signbit(sums).any()
-        assert np.array_equal(duals._node_values(np.ascontiguousarray(sums.T), e),
-                              duals._node_values(np.ascontiguousarray(signed.T), e))
-
-    KINDS = ("gaussian", "integers", "triangular", "wide", "sparse", "tiny")
-
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_random_blocks_match_the_exhaustive_walk(self, kind):
-        rng = np.random.default_rng(self.KINDS.index(kind))
-        # The three bound branches, and the sqrt and square fast paths.
-        exponents = (0.5, 0.73, 1.0, 1.37, 2.0, 2.6)
-        for trial in range(20):
-            r, n = ((1, 1), (18, 40))[trial] if trial < 2 else rng.integers(1, (19, 41))
-            block = random_block(kind, rng, r, n)
-            e = exponents[trial % len(exponents)]
-            got = subset_sup(MatrixWindow(block), e, SubsetMode.SUM_OVER_COLS_OF_ABS_COLSUM, r)
-            assert got == exhaustive_sum_walk(block, e), (trial, r, n, e)
-
-    @pytest.mark.parametrize("e", (0.6, 1.28, 2.0))
-    def test_gaussian_blocks_raise_few_subsets(self, monkeypatch, e):
-        evaluate, rows = duals._node_values, []
-
-        def node_values(sums, exponent):
-            rows.append(sums.shape[0])
-            return evaluate(sums, exponent)
-
-        monkeypatch.setattr(duals, "_node_values", node_values)
-        block = np.random.default_rng(41).normal(size=(20, 16))
-        got = subset_sup(MatrixWindow(block), e, SubsetMode.SUM_OVER_COLS_OF_ABS_COLSUM, 20)
-        assert got == exhaustive_sum_walk(block, e)
-        assert sum(rows) < 0.01 * (2**20 - 1)
-
-
 def overflowing_gram_block(signs):
     """An 18 x 5 block whose high rows 13, 14, ... are +-x v, signed by
     ``signs``: at 1e200 over low rows scaled by 1e110 for two signs, so
@@ -950,7 +942,7 @@ class TestSubsetNormBounds:
                 values = duals._node_values(np.ascontiguousarray(sums.T), e)
             assert_no_bound_below_its_limit(sq, values, live, e, path)
         return got, recorded
-    @pytest.mark.parametrize("e", TestSubsetRowBounds.EXPONENTS)
+    @pytest.mark.parametrize("e", TestSumModePruning.EXPONENTS)
     @pytest.mark.parametrize("ks", [(-1, 3, 2), (6, 4, -5)])
     @pytest.mark.parametrize("n", [1, 40])
     @pytest.mark.parametrize("scale", [1.0, 3.0**-225])
@@ -968,7 +960,7 @@ class TestSubsetNormBounds:
         if scale == 1.0:  # subnormal values tie and survive, which makes the walk slow
             assert got == exhaustive_sum_walk(np.outer(c, v), e)
 
-    @pytest.mark.parametrize("e", TestSubsetRowBounds.EXPONENTS)
+    @pytest.mark.parametrize("e", TestSumModePruning.EXPONENTS)
     @pytest.mark.parametrize("n", [1, 40])
     @pytest.mark.parametrize(
         "rows",
@@ -987,7 +979,7 @@ class TestSubsetNormBounds:
         c[list(rows)] = list(rows.values())
         self._check_every_node(monkeypatch, np.outer(c, np.ones(n)), e)
 
-    KINDS = TestSubsetRowBounds.KINDS + ("signed-zeros",)
+    KINDS = TestSumModePruning.KINDS + ("signed-zeros",)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_no_node_drops_a_subset_its_value_reaches(self, monkeypatch, kind):

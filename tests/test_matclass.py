@@ -131,6 +131,15 @@ class TestInverseCompositeMatrix:
         with pytest.raises(TailError, match=r"^row 2 tail mass 3\.000e\+00 .* head \(9\.000e\+00\)"):
             _sweep(MatrixWindow(rows), 0.5, QParam(0.5), (), ())
 
+    def test_short_windows_read_the_tail_of_the_limit_estimates(self):
+        # Below 8 columns the tail is the last two columns (`_tail_start`),
+        # the rows the limit estimates read, not the last column alone.
+        row = np.array([1.0, 0.5, 0.25, 1.0, 0.0])
+        with pytest.raises(TailError, match=r"^row 0 tail mass 1\.000e\+00 .* head \(1\.750e\+00\)"):
+            _sweep(MatrixWindow(row[None, :]), 0.5, QParam(0.5), (), ())
+        row[3] = 0.0
+        assert _sweep(MatrixWindow(row[None, :]), 0.5, QParam(0.5), (), ())[0].tail_bounds == (0.0,)
+
     def test_triangular_rows_are_always_exact(self):
         # Window-edge rows of a triangular matrix still have provably zero
         # tails beyond the window.
