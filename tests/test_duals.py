@@ -628,16 +628,32 @@ class TestSumModePruning:
     @pytest.mark.parametrize("e", EXPONENTS)
     @pytest.mark.parametrize("ks", [(0, 0, 0), (-1, 3, 2), (3, -1, 2), (6, 4, -5)])
     @pytest.mark.parametrize("n", [1, 7, 40])
-    def test_rounding_slack_where_the_bound_is_exact(self, e, ks, n):
+    @pytest.mark.parametrize("scale", [1.0, 3.0**-225])
+    def test_rounding_slack_where_the_bound_is_exact(self, e, ks, n, scale):
         # Rows c_j v with v of +-1 entries: every |s_k| of a subset is
-        # |sum c_j|, where each norm inequality is an equality.
+        # |sum c_j|, where each norm inequality is an equality.  Scaled by
+        # 3^-225, about 1e-107, the cubes are subnormal and many values tie.
         c = np.zeros(16)
-        c[[0, 5]] = 1.0, -1.0
-        c[13:] = np.array(ks) * 2.0**-54
+        c[[0, 5]] = scale, -scale
+        c[13:] = np.array(ks) * scale * 2.0**-54
         v = np.where(np.arange(n) % 3 == 1, -1.0, 1.0)
         block = np.outer(c, v)
         got = subset_sup(MatrixWindow(block), e, SubsetMode.SUM_OVER_COLS_OF_ABS_COLSUM, 16)
         assert got == exhaustive_sum_walk(block, e)
+
+    @pytest.mark.parametrize("e", (0.5, 1.0, 1.5, 3.0))
+    @pytest.mark.parametrize("kind", ("gaussian", "tiny", "signed-zeros"))
+    def test_node_values_take_each_row_alone_and_either_sign(self, e, kind):
+        # The walk values gathered rows in one call, the exhaustive walk one
+        # subset at a time: each row's value must have the bits of that row
+        # valued alone, and a sum and its negation the same non-negative bits.
+        block = random_block(kind, np.random.default_rng(61), 6, 9)
+        sums = np.ascontiguousarray(subset_column_sums(block).T)
+        values = duals._node_values(sums.copy(), e)
+        alone = [duals._node_values(row[None].copy(), e)[0] for row in sums]
+        assert np.array_equal(values, alone)
+        assert np.array_equal(values, duals._node_values(-sums, e))
+        assert not np.signbit(values).any()
 
     @pytest.mark.parametrize("e", (0.7, 1.5, 3.0))
     def test_nan_bounds_never_prune(self, e):
