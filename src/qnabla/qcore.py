@@ -3,7 +3,9 @@
 The q-bracket ``[t]_q = (1 - q^t) / (1 - q)`` of a real t is a pure
 function of (t, :class:`QParam`).  It goes through
 ``expm1(t log q) / expm1(log q)``, which keeps full relative precision for q
-next to 1 and hits [0]_q = 0 and [1]_q = 1 exactly.
+next to 1 and hits [0]_q = 0 and [1]_q = 1 exactly.  Numerator and
+denominator both come from numpy's ``np.expm1``, the kernel the coefficient
+streams use, for a scalar t as for an array, so each (t, q) has one value.
 """
 
 from __future__ import annotations
@@ -52,5 +54,5 @@ def q_integer(t: float | np.ndarray, qp: QParam) -> float | np.ndarray:
     """
     logq = math.log(_coerce(QParam, qp).q)
     if isinstance(t, np.ndarray):
-        return np.expm1(t * logq) / math.expm1(logq)
-    return math.expm1(_require_finite("t", t) * logq) / math.expm1(logq)
+        return np.expm1(t * logq) / np.expm1(logq)
+    return float(np.expm1(_require_finite("t", t) * logq) / np.expm1(logq))

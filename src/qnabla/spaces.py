@@ -9,10 +9,9 @@ isomorphism statement that is computable on finite windows.
 Norm conventions follow the classical ones: for p >= 1 the norm is
 ``(sum |h_j|^p)^(1/p)``, for 0 < p < 1 the p-norm is ``sum |h_j|^p`` without
 the root, and p = inf is the sup.  The basis vectors are the shifted
-inverse-coefficient columns; expanding a transform h against them
-reconstructs the original window, and that expansion is computed here as an
-explicit basis sum so it stays an independent route from the inverse
-transform it must agree with.
+inverse-coefficient columns, so expanding a transform h against them,
+sum_k h_k (basis vector k), is the inverse transform e * h: reconstruction
+is ``apply_inverse`` itself, its split product and its overflow refusal.
 
 Membership in an infinite-sum condition can never be certified from a
 finite window, so the diagnostics expose partial norms over growing
@@ -26,14 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fracdiff import (
-    SeqWindow,
-    _built,
-    _check_int,
-    _lower_toeplitz,
-    apply_forward,
-    inverse_coeffs,
-)
+from .fracdiff import SeqWindow, _built, _check_int, apply_forward, apply_inverse, inverse_coeffs
 from .qcore import QParam, _coerce
 
 __all__ = [
@@ -98,9 +90,6 @@ class PExponent:
 
 
 P_INF = PExponent.inf()
-# Entries per chunk of rows (basis vectors in ``schauder_reconstruct``, section
-# rows in ``duals._sections``): 512 KB, in cache and small next to the window.
-_CHUNK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -218,33 +207,12 @@ def schauder_basis_vector(k: int, order: float, qp: QParam, n: int) -> SeqWindow
 def schauder_reconstruct(h: SeqWindow, order: float, qp: QParam) -> SeqWindow:
     """Expand h against the basis vectors: sum_k h_k * (basis vector k).
 
-    Computed as the explicit basis sum, not via the inverse transform, so
-    the two routes can be compared against each other.  Basis vector k is
-    the inverse stream shifted by k, row k of one Toeplitz view.  Chunks of
-    rows h_k (basis vector k) are summed below the running total, in row
-    order: an axis-0 reduction of a C-ordered array adds row after row, so
-    every entry takes its terms in k order, as adding the vectors one by
-    one does.
+    Basis vector k is the inverse stream shifted by k, so the expansion is
+    the inverse transform e * h, and this returns ``apply_inverse(h, order,
+    qp)``: its O(n K) split product, and its OverflowError naming order and
+    q for a sum past double range.
     """
-    n = h.n
-    stream = inverse_coeffs(order, qp, n - 1)
-    e = stream.coeffs
-    basis = _lower_toeplitz(e, n).T  # row k is basis vector k
-    rows = max(1, _CHUNK_ENTRIES // n)
-    buf = np.empty((rows + 1) * n)
-    acc = np.zeros(n, dtype=np.float64)
-    # A sum past double range is refused by ``_built``, so numpy's warning is silenced.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k0 in range(0, n, rows):
-            k1 = min(k0 + rows, n)
-            # Entries before k0 take no term from these rows.
-            block = buf[: (k1 - k0 + 1) * (n - k0)].reshape(k1 - k0 + 1, n - k0)
-            block[0] = acc[k0:]
-            np.multiply(h.values[k0:k1, None], basis[k0:k1, k0:], out=block[1:])
-            np.add.reduce(block, axis=0, out=acc[k0:])
-    return _built(SeqWindow,
-                  lambda: f"basis reconstruction of order {stream.order} at q = {stream.qp.q}",
-                  values=acc)
+    return apply_inverse(h, order, qp)
 
 
 def membership_diagnostic(

@@ -47,6 +47,11 @@ class TestQInteger:
     def test_one(self):
         for q in QS:
             assert q_integer(1.0, QParam(q)) == 1.0
+        # Exact at 0 and 1 on a seeded grid of q, scalar and array alike.
+        for q in np.random.default_rng(21).uniform(1e-3, 0.9999, 20000):
+            qp = QParam(float(q))
+            assert q_integer(0.0, qp) == 0.0 and q_integer(1.0, qp) == 1.0
+            assert q_integer(np.array([0.0, 1.0]), qp).tolist() == [0.0, 1.0]
 
     def test_integer_matches_geometric_sum(self):
         for q in QS:
@@ -81,6 +86,12 @@ class TestQInteger:
         out = q_integer(t, qp)
         assert out[0] == 0.0 and out[1] == 1.0
         assert list(out) == [q_integer(float(v), qp) for v in t]
+        # One value per (t, q) on a seeded grid, and a scalar comes back a float.
+        rng = np.random.default_rng(22)
+        for q, v in zip(rng.uniform(1e-3, 0.9999, 20000), rng.uniform(-50.0, 50.0, 20000)):
+            qp = QParam(float(q))
+            scalar = q_integer(float(v), qp)
+            assert type(scalar) is float and scalar == q_integer(np.array([v]), qp)[0]
 
 
 class TestQFactorial:

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import window_norm
-from qnabla.fracdiff import SeqWindow, apply_forward, apply_inverse
+from qnabla import fracdiff
+from qnabla.fracdiff import SeqWindow, apply_forward, apply_inverse, inverse_coeffs
 from qnabla.qcore import QParam
 from qnabla.spaces import (
     NormReport,
@@ -247,6 +248,14 @@ class TestSchauderBasis:
             schauder_basis_vector(-1, 1.0, QParam(0.5), 10)
 
 
+def explicit_basis_sum(h: SeqWindow, order: float, qp: QParam) -> np.ndarray:
+    """sum_k h_k (basis vector k), adding the separately built vectors in k order."""
+    acc = np.zeros(h.n)
+    for k in range(h.n):
+        acc += h.values[k] * schauder_basis_vector(k, order, qp, h.n).values
+    return acc
+
+
 class TestSchauderReconstruct:
     def test_impulse_yields_leading_basis_vector(self):
         qp = QParam(0.5)
@@ -255,20 +264,43 @@ class TestSchauderReconstruct:
         expect = schauder_basis_vector(0, 0.7, qp, 6)
         assert np.array_equal(out.values, expect.values)
 
-    def test_equals_explicit_basis_sum(self):
-        # One shared inverse stream gives the same sum, bit for bit, as
-        # adding every separately built basis vector.
-        # Windows of 40 entries fit one chunk of rows; 700 entries take 8.
-        rng = np.random.default_rng(14)
-        cases = ((0.7, 0.5, 40), (2.0, 0.9, 40), (1.3, 1 - 1e-9, 40),
-                 (0.7, 0.9, 700), (1.3, 1 - 1e-9, 700))
-        for gamma, q, n in cases:
-            qp = QParam(q)
+    def test_is_the_inverse_transform(self):
+        rng = np.random.default_rng(16)
+        for gamma, q, n in ((0.7, 0.5, 40), (2.0, 0.9, 700), (1.3, 1 - 1e-9, 4096)):
             h = SeqWindow(rng.uniform(-1, 1, n))
-            acc = np.zeros(n)
-            for k in range(n):
-                acc += h.values[k] * schauder_basis_vector(k, gamma, qp, n).values
-            assert np.array_equal(schauder_reconstruct(h, gamma, qp).values, acc)
+            out = schauder_reconstruct(h, gamma, QParam(q)).values
+            assert out.tobytes() == apply_inverse(h, gamma, QParam(q)).values.tobytes()
+
+    def test_equals_explicit_basis_sum(self):
+        # The transform against adding every separately built basis vector,
+        # within 1e-13 of sum_k |e_{j-k}| |h_k| at each entry.
+        rng = np.random.default_rng(14)
+        for n in (40, 700, 4096):
+            for gamma, q in ((0.7, 0.5), (2.0, 0.9), (1.3, 1 - 1e-9)):
+                qp = QParam(q)
+                h = SeqWindow(rng.uniform(-1, 1, n))
+                acc = explicit_basis_sum(h, gamma, qp)
+                scale = np.convolve(np.abs(inverse_coeffs(gamma, qp, n - 1).coeffs),
+                                    np.abs(h.values))[:n]
+                out = schauder_reconstruct(h, gamma, qp).values
+                assert np.all(np.abs(out - acc) <= 1e-13 * scale), (gamma, q, n)
+
+    def test_head_is_short_at_moderate_q(self, monkeypatch):
+        # A structural guard rather than a timing: at n = 8192, q = 0.9 the
+        # expansion is one product on a head shorter than n / 10, not the
+        # O(n^2) sum of basis rows.
+        n, calls = 8192, []
+        inner = fracdiff._causal
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(fracdiff, "_causal", counted)
+        h = SeqWindow(np.random.default_rng(17).standard_normal(n))
+        schauder_reconstruct(h, 0.7, QParam(0.9))
+        assert len(calls) == 1
+        assert min(calls[0][0].size, calls[0][1].size) < n / 10
 
     def test_sum_past_double_range_is_an_overflow(self):
         # The basis sum leaves double range, not the window: the refusal
@@ -305,9 +337,9 @@ class TestSchauderReconstruct:
         rng = np.random.default_rng(13)
         qp = QParam(0.9)
         h = SeqWindow(rng.uniform(-1, 1, 20))
-        via_basis = schauder_reconstruct(h, 2.5, qp)
+        via_basis = explicit_basis_sum(h, 2.5, qp)
         via_inverse = apply_inverse(h, 2.5, qp)
-        assert np.max(np.abs(via_basis.values - via_inverse.values)) <= 1e-12
+        assert np.max(np.abs(via_basis - via_inverse.values)) <= 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(
