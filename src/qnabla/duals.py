@@ -751,24 +751,6 @@ def _sections(rows: np.ndarray, t_e: np.ndarray):
         yield out
 
 
-def _power(mags: np.ndarray, e: float) -> np.ndarray:
-    """``mags**e`` for magnitudes ``mags``, bit for bit.  numpy's AVX-512
-    ``pow`` takes a scalar path for every 8-lane vector that holds a zero,
-    3.5-6x slower per element at the 30-50% zeros of triangular section
-    chunks.  So for e > 0 the zero lanes are raised as 1.0 and brought back
-    to +0.0 = 0.0**e by subtracting 1; adding and subtracting 0.0 leaves
-    every other lane as it was, and its power's bits do not depend on its
-    neighbours.  Where numpy runs no general ``pow`` (e = 2 squares, 1
-    copies, 0.5 takes roots), or no lane is zero, the plain power stays."""
-    zero = None if not e > 0.0 or e in (0.5, 1.0, 2.0) else mags == 0.0
-    if zero is None or not zero.any():
-        return mags**e
-    out = mags + zero
-    out **= e
-    out -= zero
-    return out
-
-
 def _profile(items, chunks, cps: tuple[int, ...], triangular: bool):
     """Values of non-subset conditions, each with its exponent in ``items``,
     on the leading cp x cp blocks of R windows, folded over ``chunks``:
@@ -815,7 +797,7 @@ def _profile(items, chunks, cps: tuple[int, ...], triangular: bool):
                         rows = np.maximum.reduce(mags[a:b, :, :w], axis=2)
                     else:
                         if e not in powers:
-                            powers[e] = _power(mags, e)
+                            powers[e] = mags**e
                         rows = np.add.reduce(powers[e][a:b, :, :w], axis=2)
                     top = np.maximum.reduce(rows)
                     low = np.minimum.reduce(rows) if limit == "spread" else None

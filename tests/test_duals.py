@@ -1724,23 +1724,6 @@ class TestSectionKernel:
         for rep, top in zip(reports, worst):
             assert list(rep.values) == list(zip((cp for cp, _ in rep.values), top.tolist()))
 
-    @pytest.mark.parametrize("e", [0.7, 1.7, 3.0, 5.5])
-    def test_profile_powers_are_the_plain_powers(self, e, monkeypatch):
-        # Triangular section chunks are about half exact zeros, which
-        # `_power` raises as ones: the fold must keep plain `mags**e`'s bits.
-        rng = np.random.default_rng(64)
-        phi = np.tril(rng.uniform(-1.0, 1.0, (120, 120)))
-        phi[rng.uniform(size=phi.shape) < 0.2] = 0.0
-        t_e = _lower_toeplitz(inverse_coeffs(self.ORDER, self.QP, 119).coeffs, 120)
-        mags = np.abs(np.concatenate([c.copy() for c in duals._sections(phi, t_e)]))
-        assert 0.3 < np.mean(mags == 0.0) < 0.7
-        assert duals._power(mags, e).tobytes() == (mags**e).tobytes()
-        items = ((Condition.SECTION_POWER_SUM_SUP, e), (Condition.SECTION_ABS_SUM_MATCH, None))
-        cps = (3, 5, 9, 64, 120)
-        values = duals._profile(items, duals._sections(phi, t_e), cps, True)[0]
-        monkeypatch.setattr(duals, "_power", lambda m, e: m**e)
-        assert duals._profile(items, duals._sections(phi, t_e), cps, True)[0] == values
-
 
 class TestDualCheckMemory:
     def test_peak_memory_is_linear_in_the_window(self):
