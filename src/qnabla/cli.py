@@ -335,11 +335,6 @@ def class_check_cmd(gamma: float, qp: QParam, p: PExponent, p_text: str, input_p
     w = window if window is not None else min(phi.shape)
     query = ClassQuery(source=Source(source), target=Target(target), p=p, order=gamma,
                        qp=qp, window=w, row_limit=row_limit)
-    # Triangularity is decided on the w x w block evaluated, so entries
-    # outside it cannot change the result.
-    block = phi.entries[:w, :w]
-    if block.shape == (w, w) and not np.triu(block, k=1).any():
-        phi = MatrixWindow(entries=block, triangular=True)
     reports = class_check(query, phi)
     return {"source": source, "target": target, "gamma": gamma, "q": qp.q, "p": p_text,
             "window": w, "reports": [r.as_dict() for r in reports]}

@@ -27,10 +27,11 @@ Each condition has one row in one table (`_CONDITIONS`): its estimate, a
 fold over the rows of its leading blocks (`_profile`) or a subset mode; its
 limit, if any; and its exponent rule, resolved with the p regime by
 `_resolve_exponent`.  A section condition's row names its single-window
-twin, whose estimate it takes over every row's section window; one kernel
-streams section rows (`_sections`), one row's for the partial-sum matrix
-and every row's for `matclass`.  Which condition the alpha, beta and gamma
-checks evaluate in each p regime is one more table (`_DUAL_CONDITIONS`).
+twin, whose estimate it takes over every row's section window; one sweep
+(`_section_fold`) streams section rows and folds them, one row's for the
+partial-sum matrix and every row's for `matclass`.  Which condition the
+alpha, beta and gamma checks evaluate in each p regime is one more table
+(`_DUAL_CONDITIONS`).
 Every report goes through one constructor, which refuses a value outside
 double range with OverflowError.
 """
@@ -91,20 +92,23 @@ class InvalidCondition(ValueError):
     """A condition was requested outside the exponent regime it is stated for."""
 
 
+def _triangular(entries: np.ndarray) -> bool:
+    """Whether no entry above the main diagonal is nonzero: every row ends
+    inside the window, so truncating a row sum at its edge is exact."""
+    return not np.triu(entries, k=1).any()
+
+
 @dataclass(frozen=True)
 class MatrixWindow:
     """Dense rectangular window of an infinite matrix.
 
-    ``triangular`` asserts that entries above the main diagonal are exactly
-    zero; for such windows every row is finitely supported, which is what
-    makes window-truncated row-tail sums exact.  ``tail_bounds`` optionally
-    records, per row, a bound on the truncation error of tail sums computed
-    from the window (zero for rows whose support provably ends inside it).
+    ``triangular`` claims that entries above the main diagonal are zero;
+    the constructor checks it, and no result depends on it: evaluators read
+    triangularity (`_triangular`) from the window they evaluate.
     """
 
     entries: np.ndarray
     triangular: bool = False
-    tail_bounds: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         e = np.array(self.entries, dtype=np.float64)
@@ -112,7 +116,7 @@ class MatrixWindow:
             raise ValueError("entries must be a nonempty two-dimensional array")
         if not np.all(np.isfinite(e)):
             raise ValueError("matrix entries must be finite")
-        if self.triangular and np.any(np.triu(e, k=1) != 0.0):
+        if self.triangular and not _triangular(e):
             raise ValueError("triangular window has nonzero entries above the diagonal")
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
@@ -884,7 +888,7 @@ def matrix_class_condition(
     info: dict[str, Any] = dict(detail or {})
     facts = _CONDITIONS[cond]
     if not isinstance(facts.estimate, SubsetMode):
-        (vals,), _ = _profile(((cond, e),), (m.entries[:, None],), cps, m.triangular)
+        (vals,), _ = _profile(((cond, e),), (m.entries[:, None],), cps, _triangular(m.entries))
         values = iter(vals)
     else:
         blocks = ((cp, m.entries[:cp, :cp]) for cp in cps)  # views of a checked window
@@ -916,7 +920,7 @@ def alpha_dual_check(
     with np.errstate(over="ignore"):  # refused by `_built`
         lam = a.values[:rows, None] * t_e[:rows, : _live_width(a.n, rows)]
     lam = _built(MatrixWindow, lambda: f"termwise-product window of order {order} at q = {qp.q}",
-                 entries=lam, triangular=True)
+                 entries=lam)
     cond = _DUAL_CONDITIONS["alpha"][_regime(p)]
     e = _resolve_exponent(cond, p, None)
     info: dict[str, Any] = {"matrix": "termwise-product"}
@@ -924,14 +928,23 @@ def alpha_dual_check(
     return _report(cond, rls, values, e, info)
 
 
+def _section_fold(rows: np.ndarray, order, qp, items, cps: tuple[int, ...], what: str):
+    """The section conditions ``items``, each with its exponent, at ``cps``
+    from one sweep of the sections of every row of ``rows`` (`_sections`
+    folded by `_profile`), and their last rows: the full window ``what``,
+    refused if a section left double range (non-finite down its column)."""
+    n = rows.shape[1]
+    e = inverse_coeffs(order, qp, n - 1)
+    values, last = _profile(items, _sections(rows, _lower_toeplitz(e.coeffs, n)), cps, True)
+    return values, _built(MatrixWindow, lambda: f"{what} of order {order} at q = {e.qp.q}",
+                          entries=last.copy())
+
+
 def _partial_sum_reports(a: SeqWindow, order, qp, p, conds, windows) -> list[ConditionReport]:
     """Reports of ``conds`` from one sweep of the section window of the row a."""
     cps = _checkpoints(windows, a.n, start=4)
     items = [(c, _resolve_exponent(c, p, None)) for c in conds]
-    t_e = _lower_toeplitz(inverse_coeffs(order, qp, a.n - 1).coeffs, a.n)
-    values, last = _profile(items, _sections(a.values[None], t_e), cps, True)
-    # The window's last row is non-finite if any of its entries is (`_sections`).
-    _built(SeqWindow, lambda: f"partial-sum window of order {order} at q = {qp.q}", values=last)
+    values, _ = _section_fold(a.values[None], order, qp, items, cps, "partial-sum window")
     return [_report(c, cps, iter(v), e, {"matrix": "partial-sum"})
             for (c, e), v in zip(items, values)]
 

@@ -460,22 +460,21 @@ def _geometric_scan(x: np.ndarray, rho: float) -> np.ndarray:
 def _convolve(n: int, a: CoeffStream, b: CoeffStream | np.ndarray) -> np.ndarray:
     """First n terms of the Cauchy product of a stream with a window or a
     second stream: head plus geometric tail at the operand whose split saves
-    the most multiply-adds, if any repays itself (``_repaid``, on the cut
-    lengths, then on the supports), else the direct convolution."""
+    the most multiply-adds, if any repays itself (``_repaid``, on the
+    supports), else the direct convolution."""
     va = a.coeffs[:n]
     vb = (b.coeffs if isinstance(b, CoeffStream) else b)[:n]
+    sa, sb = _support(va), _support(vb)
     best, split = 0, None
-    for s, c, x in ((a, va, vb), (b, vb, va)):
+    for s, c, sc, sx, x in ((a, va, sa, sb, vb), (b, vb, sb, sa, va)):
         tail = _tail(s) if isinstance(s, CoeffStream) else None
-        if tail is None or not _repaid(*tail, c.size, x.size, n):
-            continue
-        saved = _repaid(*tail, _support(c).size, _support(x).size, n)
+        saved = 0 if tail is None else _repaid(*tail, sc.size, sx.size, n)
         if saved > best:
-            best, split = saved, (c, x, *tail)
+            best, split = saved, (c, sx, x, *tail)
     if split is None:
-        return _causal(va, vb, n)
-    c, x, k, rho = split
-    out = _causal(c[: k + 1], x, n)
+        return _causal(sa, sb, n)
+    c, sx, x, k, rho = split
+    out = _causal(c[: k + 1], sx, n)
     # Scaled before the scan, so it leaves double range only where the
     # transform does; the caller refuses a sum past range, as on the direct path.
     with np.errstate(over="ignore", invalid="ignore"):

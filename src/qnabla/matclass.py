@@ -8,7 +8,7 @@ applied to h), and the full inverse-composite window obtained by sending
 every row tail through the inverse coefficients.  Both come from one
 inverse stream per query, whose Toeplitz window T_e is a read-only view of
 its w coefficients: section j is cumsum(phi_j[:, None] * T_e, axis=0), and
-`duals._sections` sweeps row m of every section at once, m = 0 .. w - 1,
+`duals._section_fold` sweeps row m of every section at once, m = 0 .. w - 1,
 so the full window's row j is the last row of section j.  One sweep per
 query (`_sweep`, which only `class_check` runs) folds the values of its
 section conditions and leaves the full window as its last row.  A query
@@ -25,9 +25,10 @@ over every row's section.
 Row tails are the one honest-truncation hazard: the inverse coefficients do
 not decay, so the rewritten row sums converge only through the test
 matrix's own row decay.  Rows that provably end inside the window
-(triangular windows, or rows with an all-zero tail quarter) are exact;
-otherwise the row must pass a relative tail-mass test or the construction
-refuses with :class:`TailError` rather than return a silently wrong sum.
+(triangular windows, as read from the entries, or rows with an all-zero
+tail quarter) are exact; otherwise the row must pass a relative tail-mass
+test or the construction refuses with :class:`TailError` rather than
+return a silently wrong sum.
 
 For the reverse direction (classical space -> operator domain), the test
 matrix is composed columnwise with the forward operator, and the resulting
@@ -48,18 +49,16 @@ from .duals import (
     Condition,
     ConditionReport,
     MatrixWindow,
-    _profile,
     _regime,
     _report,
     _resolve_exponent,
-    _sections,
+    _section_fold,
     _single,
     _tail_start,
+    _triangular,
     matrix_class_condition,
 )
-from .fracdiff import (
-    CoeffStream, _built, _check_int, _convolve, _lower_toeplitz, forward_coeffs, inverse_coeffs,
-)
+from .fracdiff import _built, _check_int, _convolve, forward_coeffs
 from .qcore import QParam, _coerce, q_integer
 from .spaces import PExponent, default_checkpoints
 
@@ -224,24 +223,23 @@ class ClassQuery:
 _TAIL_RTOL = 1e-8
 
 
-def _row_tail_bounds(phi: MatrixWindow, e: CoeffStream) -> tuple[float, ...]:
-    """Per-row truncation-error bounds for window-truncated row-tail sums.
+def _check_row_tails(phi: MatrixWindow) -> None:
+    """Refuse with :class:`TailError`, naming the first failing row, a
+    window whose row tails cannot be honestly truncated at its edge.
 
-    Triangular windows and rows with an all-zero tail quarter (the columns
-    from `duals._tail_start`, as the limit estimates read rows) are exact.
-    Other rows must pass the relative decay test against ``_TAIL_RTOL`` or
-    the whole construction is refused, naming the first failing row: the
-    inverse coefficients tend to a positive constant, so a non-decaying row
-    genuinely diverges under the rewrite.
-    """
-    n_rows, n_cols = phi.entries.shape
-    if phi.triangular:
-        return (0.0,) * n_rows
-    e_sup = float(np.max(e.coeffs))
-    ts = _tail_start(n_cols)
+    Outside triangular windows (`duals._triangular`), a row with a nonzero
+    tail quarter (the columns from `duals._tail_start`, as the limit
+    estimates read rows) must pass the relative decay test against
+    ``_TAIL_RTOL``, a mass past double range being inf: the inverse
+    coefficients tend to a positive constant, so a non-decaying row
+    genuinely diverges under the rewrite."""
+    if _triangular(phi.entries):
+        return
+    ts = _tail_start(phi.entries.shape[1])
     mags = np.abs(phi.entries)
-    tails = np.sum(mags[:, ts:], axis=1)
-    heads = np.sum(mags[:, :ts], axis=1)
+    with np.errstate(over="ignore"):
+        tails = np.sum(mags[:, ts:], axis=1)
+        heads = np.sum(mags[:, :ts], axis=1)
     failing = np.flatnonzero((tails != 0.0) & (tails >= _TAIL_RTOL * (heads + 1.0)))
     if failing.size:
         j = failing[0]
@@ -250,27 +248,21 @@ def _row_tail_bounds(phi: MatrixWindow, e: CoeffStream) -> tuple[float, ...]:
             f"its head ({heads[j]:.3e}); the rewritten row sum cannot be "
             f"honestly truncated at the window edge"
         )
-    return tuple(e_sup * t if t else 0.0 for t in tails.tolist())
 
 
 def _sweep(phi: MatrixWindow, order: float, qp: QParam, items, cps: tuple[int, ...]):
-    """One sweep of every row's section: the full inverse-composite window
-    and the values of the section conditions ``items``, each with its
-    exponent, at ``cps``.
+    """One sweep of every row's section (`duals._section_fold`): the full
+    inverse-composite window and the values of the section conditions
+    ``items``, each with its exponent, at ``cps``.
 
     The inverse composite sends the inverse operator along each row tail of
     the test matrix: entry (j, k) is the window-truncated sum
-    sum_{v>=k} e_{v-k} phi_jv, the last row of row j's section.  Per-row
-    error bounds (sup of the inverse coefficients times the row tail mass)
-    ride along on it as ``tail_bounds``.  Raises :class:`TailError` before
-    any sweep work when a row fails the honest-truncation test.
+    sum_{v>=k} e_{v-k} phi_jv, the last row of row j's section.  Raises
+    :class:`TailError` before any sweep work when a row fails the
+    honest-truncation test (`_check_row_tails`).
     """
-    n = phi.entries.shape[1]
-    e = inverse_coeffs(order, qp, n - 1)
-    bounds = _row_tail_bounds(phi, e)
-    values, last = _profile(items, _sections(phi.entries, _lower_toeplitz(e.coeffs, n)), cps, True)
-    full = _built(MatrixWindow, lambda: f"inverse composite of order {order} at q = {e.qp.q}",
-                  entries=last.copy(), triangular=phi.triangular, tail_bounds=bounds)
+    _check_row_tails(phi)
+    values, full = _section_fold(phi.entries, order, qp, items, cps, "inverse composite")
     return full, values
 
 
@@ -283,7 +275,7 @@ def forward_composite_matrix(phi: MatrixWindow, order: float, qp: QParam) -> Mat
     cols = np.column_stack([_convolve(n, stream, col) for col in phi.entries.T])
     return _built(MatrixWindow,
                   lambda: f"forward transform of order {stream.order} at q = {stream.qp.q}",
-                  entries=cols, triangular=phi.triangular)
+                  entries=cols)
 
 
 def _column_means(phi: MatrixWindow, composite: str, qp: QParam) -> MatrixWindow:
@@ -299,8 +291,7 @@ def _column_means(phi: MatrixWindow, composite: str, qp: QParam) -> MatrixWindow
         w = d = np.ones_like(v)
     with np.errstate(over="ignore", invalid="ignore"):  # refused by `_built`
         entries = np.cumsum(w[:, None] * phi.entries, axis=0) / d[:, None]
-    return _built(MatrixWindow, lambda: f"{composite} composite at q = {qp.q}",
-                  entries=entries, triangular=phi.triangular)
+    return _built(MatrixWindow, lambda: f"{composite} composite at q = {qp.q}", entries=entries)
 
 
 def class_check(query: ClassQuery, phi: MatrixWindow) -> list[ConditionReport]:
@@ -320,7 +311,8 @@ def class_check(query: ClassQuery, phi: MatrixWindow) -> list[ConditionReport]:
             f"matrix window {phi.entries.shape} is smaller than the requested "
             f"evaluation window {w}"
         )
-    block = _built(MatrixWindow, None, entries=phi.entries[:w, :w], triangular=phi.triangular)
+    # Triangularity is read from this block: entries outside it change nothing.
+    block = _built(MatrixWindow, None, entries=phi.entries[:w, :w])
     cps = default_checkpoints(w, start=4)
     cell_info = {"source": query.source.value, "target": query.target.value}
 

@@ -13,6 +13,11 @@ import pytest
 from click.testing import CliRunner
 
 from qnabla.cli import cli
+from qnabla.duals import MatrixWindow
+from qnabla.matclass import ClassQuery, Source, Target, class_check
+from qnabla.qcore import QParam
+from qnabla.spaces import P_INF, PExponent
+from test_matclass import seeded_lower_triangular
 
 
 @pytest.fixture()
@@ -259,8 +264,8 @@ class TestClassCheck:
         assert result.exit_code == 2
 
     def test_triangularity_is_decided_on_the_evaluated_block(self, runner, tmp_path):
-        # Without the triangular flag the block's last rows fail the tail
-        # test, so entries outside the block must not take the flag away:
+        # Read as not triangular, the block's last rows fail the tail test,
+        # so entries outside the block must not change how it is read:
         # neither trailing zero columns nor an entry past the block's edge.
         rng = np.random.default_rng(66)
         lower = np.tril(rng.uniform(-1.0, 1.0, (20, 20)))
@@ -279,6 +284,33 @@ class TestClassCheck:
             outputs[name] = result.output
         assert outputs["trapezoid"] == outputs["block"]
         assert outputs["corner"] == outputs["block"]
+
+    @pytest.mark.parametrize("source, p, exponent", [("lp-domain", "2", PExponent(2.0)),
+                                                     ("linf-domain", "inf", P_INF)])
+    def test_reports_are_the_library_reports(self, runner, tmp_path, source, p, exponent):
+        # The library reads triangularity from the block as the CLI did, so
+        # an unflagged lower-triangular window gives the CLI's reports.
+        phi = seeded_lower_triangular()
+        src = tmp_path / "phi.json"
+        src.write_text(json.dumps(phi.tolist()))
+        result = invoke(runner, "class-check", "--gamma", 0.7, "--q", 0.6, "--p", p,
+                        "--input", src, "--source", source, "--target", "c")
+        assert result.exit_code == 0, result.output
+        query = ClassQuery(Source(source), Target.C, exponent, 0.7, QParam(0.6), window=16)
+        reports = [r.as_dict() for r in class_check(query, MatrixWindow(phi))]
+        assert json.loads(result.output)["reports"] == json.loads(json.dumps(reports))
+
+    @pytest.mark.parametrize("source, target, p", [("lp-domain", "c", "2"),
+                                                   ("linf-domain", "l1", "inf")])
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_tail_mass_past_double_range_is_exit_3(self, runner, tmp_path, source, target, p, n):
+        src = tmp_path / "phi.json"
+        src.write_text(json.dumps(np.full((n, n), 1e308).tolist()))
+        result = invoke(runner, "class-check", "--gamma", 0.7, "--q", 0.6, "--p", p,
+                        "--input", src, "--source", source, "--target", target)
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: row 0 tail mass inf ")
 
     def test_ragged_matrix_is_exit_2(self, runner, tmp_path):
         src = tmp_path / "phi.json"

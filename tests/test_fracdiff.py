@@ -754,9 +754,9 @@ class TestHeadTailSplit:
                 assert not fracdiff._repaid(k, rho, n, n, n)
 
     def test_longer_supports_repay_where_shorter_ones_do(self):
-        # `_convolve` tests a split on the cut lengths before it scans for
-        # the supports, which is sound only if a split that repays on
-        # supports m, sx <= n also repays on any longer ones, n, n included.
+        # `_convolve` decides a split on the supports alone: a split that
+        # repays on supports m, sx <= n also repays on any longer ones, n, n
+        # included, so a check on the cut lengths could never decline one.
         rng = np.random.default_rng(53)
         repaid = 0
         for _ in range(20000):

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import itertools
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from oracles import dense_section, section_consistency_residual
 from test_condition_fixture import section_report
-from qnabla import matclass
+from qnabla import duals
 from qnabla.duals import (
     Condition,
     InvalidCondition,
@@ -18,6 +19,7 @@ from qnabla.duals import (
     Verdict,
     _resolve_exponent,
     _sections,
+    _triangular,
     matrix_class_condition,
 )
 from qnabla.fracdiff import (
@@ -31,6 +33,7 @@ from qnabla.matclass import (
     TABLE_DOMAIN_CELLS,
     TailError,
     Target,
+    _check_row_tails,
     _column_means,
     _sweep,
     class_check,
@@ -92,12 +95,13 @@ class TestInverseCompositeMatrix:
     def test_identity_first_order(self):
         full = _sweep(MatrixWindow(np.eye(8), triangular=True), 1.0, QParam(0.5), (), ())[0]
         assert np.array_equal(full.entries, np.tril(np.ones((8, 8))))
-        assert full.tail_bounds == (0.0,) * 8
+        assert _triangular(full.entries)  # evaluated as triangular, flag or not
 
     def test_finitely_supported_row_is_exact(self):
         row = np.concatenate([[2.0, -1.0, 0.5], np.zeros(13)])
         full = _sweep(MatrixWindow(row[None, :]), 0.5, QParam(0.5), (), ())[0]
-        assert full.tail_bounds == (0.0,)
+        t_e = inverse_toeplitz(16, 0.5, QParam(0.5))
+        assert np.array_equal(full.entries[0], dense_section(row, t_e)[-1])
 
     def test_geometric_row_matches_long_oracle(self):
         # Frozen against a 200-term rising-product oracle (50-digit mpmath);
@@ -138,14 +142,68 @@ class TestInverseCompositeMatrix:
         with pytest.raises(TailError, match=r"^row 0 tail mass 1\.000e\+00 .* head \(1\.750e\+00\)"):
             _sweep(MatrixWindow(row[None, :]), 0.5, QParam(0.5), (), ())
         row[3] = 0.0
-        assert _sweep(MatrixWindow(row[None, :]), 0.5, QParam(0.5), (), ())[0].tail_bounds == (0.0,)
+        assert _check_row_tails(MatrixWindow(row[None, :])) is None
 
     def test_triangular_rows_are_always_exact(self):
         # Window-edge rows of a triangular matrix still have provably zero
-        # tails beyond the window.
+        # tails beyond the window, flagged or not: the entries decide.
         m = MatrixWindow(np.tril(np.ones((12, 12))), triangular=True)
         full = _sweep(m, 0.5, QParam(0.9), (), ())[0]
-        assert full.tail_bounds == (0.0,) * 12
+        unflagged = _sweep(MatrixWindow(m.entries), 0.5, QParam(0.9), (), ())[0]
+        assert np.array_equal(unflagged.entries, full.entries)
+
+
+def seeded_lower_triangular(n: int = 16) -> np.ndarray:
+    """phi_jk = N(0, 1) 0.6^(j - k) for k <= j, zero above the diagonal."""
+    j, k = np.indices((n, n))
+    return np.where(k <= j, np.random.default_rng(0).standard_normal((n, n)) * 0.6 ** (j - k), 0.0)
+
+
+class TestTriangularityFromEntries:
+    """The triangular flag is a checked claim: the evaluators read
+    triangularity from the entries, so it changes no result."""
+
+    @pytest.mark.parametrize("source, p", [(Source.LP_DOMAIN, PExponent(2.0)),
+                                           (Source.LINF_DOMAIN, P_INF)], ids=("lp", "linf"))
+    def test_class_check_ignores_the_flag(self, source, p):
+        # Unflagged, the decaying last rows would fail the tail test.
+        phi = seeded_lower_triangular()
+        query = ClassQuery(source, Target.C, p, 0.7, QParam(0.6), window=16)
+        flagged = class_check(query, MatrixWindow(phi, triangular=True))
+        unflagged = class_check(query, MatrixWindow(phi))
+        assert [r.as_dict() for r in unflagged] == [r.as_dict() for r in flagged]
+
+    @pytest.mark.parametrize("cond", [Condition.COLUMN_LIMITS, Condition.COLUMN_LIMITS_ZERO])
+    def test_matrix_class_condition_ignores_the_flag(self, cond):
+        phi = seeded_lower_triangular()
+        flagged = matrix_class_condition(MatrixWindow(phi, triangular=True), cond)
+        unflagged = matrix_class_condition(MatrixWindow(phi), cond)
+        assert unflagged.values == flagged.values
+        assert unflagged.verdict is flagged.verdict
+
+    @pytest.mark.parametrize("source, target, p", [
+        (Source.LP_DOMAIN, Target.C, PExponent(2.0)), (Source.LINF_DOMAIN, Target.L1, P_INF),
+    ], ids=("lp-c", "linf-l1"))
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_tail_mass_past_double_range_is_refused_without_a_warning(self, source, target,
+                                                                      p, n):
+        query = ClassQuery(source, target, p, 0.7, QParam(0.6), window=n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TailError, match=r"^row 0 tail mass inf "):
+                class_check(query, MatrixWindow(np.full((n, n), 1e308)))
+
+    def test_head_mass_past_double_range_passes_to_the_overflow_refusal(self):
+        # Each row halves from 1e308, so its head mass is inf and its tail
+        # passes; the section power sums then leave double range.
+        phi = np.tile(1e308 * 0.5 ** np.arange(8), (8, 1))
+        query = ClassQuery(Source.LP_DOMAIN, Target.C, PExponent(2.0), 0.7, QParam(0.6),
+                           window=8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=r"^section-power-sum-sup at window size 4 "
+                                                    r"with exponent 2\.0 leaves double range$"):
+                class_check(query, MatrixWindow(phi))
 
 
 class TestSectionConsistency:
@@ -586,8 +644,8 @@ class TestClassCheck:
             sweeps.append(args)
             return sections(*args)
 
-        sections = matclass._sections
-        monkeypatch.setattr(matclass, "_sections", counted)
+        sections = duals._sections
+        monkeypatch.setattr(duals, "_sections", counted)
         query = ClassQuery(source, Target.C, _source_p(source), order, qp, window=w)
         reports = class_check(query, phi)
         assert len(sweeps) == 1

@@ -65,7 +65,7 @@ FIELDS = {
     fracdiff.SeqWindow: ["values"],
     spaces.PExponent: ["value"],
     spaces.NormReport: ["value", "p", "window", "partials"],
-    duals.MatrixWindow: ["entries", "triangular", "tail_bounds"],
+    duals.MatrixWindow: ["entries", "triangular"],
     duals.ConditionReport: ["condition_id", "values", "verdict", "detail"],
     matclass.ClassQuery: ["source", "target", "p", "order", "qp", "window", "row_limit"],
 }
