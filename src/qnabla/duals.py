@@ -48,7 +48,7 @@ import numpy as np
 
 from .fracdiff import SeqWindow, _built, _check_int, _lower_toeplitz, inverse_coeffs
 from .qcore import QParam, _coerce
-from .spaces import PExponent, _checkpoints
+from .spaces import PExponent, _checkpoints, _rising
 
 __all__ = [
     "MAX_SUBSET_ROWS",
@@ -206,11 +206,7 @@ class ConditionReport:
     detail: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not self.values:
-            raise ValueError("values must be nonempty")
-        sizes = [n for n, _ in self.values]
-        if any(b <= a for a, b in zip(sizes, sizes[1:])):
-            raise ValueError("window sizes must be strictly increasing")
+        _rising("values", [n for n, _ in self.values])
 
     def as_dict(self) -> dict:
         def clean(x):
@@ -827,10 +823,16 @@ def _profile(items, chunks, cps: tuple[int, ...], triangular: bool):
 
 
 def _subset_values(windows: list, e: float, mode: SubsetMode, info: dict[str, Any]):
-    """Subset suprema over (window, row limit) pairs, drawn lazily; the last
-    pair's witness goes into ``info``."""
+    """Subset suprema over (window, row limit) pairs, computed as drawn; the
+    last pair's witness goes into ``info``.  A supremum past double range,
+    which ``subset_sup`` refuses, yields inf and ends the draw: the report
+    refuses at that window, and no later window is computed."""
     for m, row_limit in windows:
-        val, witness = subset_sup(m, e, mode, row_limit)
+        try:
+            val, witness = subset_sup(m, e, mode, row_limit)
+        except OverflowError:
+            yield math.inf
+            return
         info["witness"] = list(witness)
         yield val
 
@@ -838,23 +840,15 @@ def _subset_values(windows: list, e: float, mode: SubsetMode, info: dict[str, An
 def _report(
     cond: Condition, sizes: tuple[int, ...], values, e: float | None, info: dict[str, Any]
 ) -> ConditionReport:
-    """The one report constructor: draws the lazy ``values``, one per window
-    size, under one errstate, and refuses a value outside double range,
-    a subset supremum that ``subset_sup`` refused included."""
+    """The one report constructor: pairs the window sizes with their values
+    and refuses the first value outside double range."""
     if e is not None:
         info["exponent"] = e
-    vals = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in sizes:
-            try:
-                v = next(values)
-            except OverflowError:  # a subset supremum past double range
-                v = math.inf
-            if not math.isfinite(v):
-                with_e = "" if e is None else f" with exponent {e}"
-                raise OverflowError(f"{cond.value} at window size {n}{with_e} leaves double range")
-            vals.append((n, v))
-    vals = tuple(vals)
+    vals = tuple(zip(sizes, values))
+    for n, v in vals:
+        if not math.isfinite(v):
+            with_e = "" if e is None else f" with exponent {e}"
+            raise OverflowError(f"{cond.value} at window size {n}{with_e} leaves double range")
     shrinks = _CONDITIONS[_single(cond)].limit is not None  # a limit should shrink
     return ConditionReport(cond, vals, classify_trend(vals, shrinks), info)
 
@@ -888,8 +882,7 @@ def matrix_class_condition(
     info: dict[str, Any] = dict(detail or {})
     facts = _CONDITIONS[cond]
     if not isinstance(facts.estimate, SubsetMode):
-        (vals,), _ = _profile(((cond, e),), (m.entries[:, None],), cps, _triangular(m.entries))
-        values = iter(vals)
+        (values,), _ = _profile(((cond, e),), (m.entries[:, None],), cps, _triangular(m.entries))
     else:
         blocks = ((cp, m.entries[:cp, :cp]) for cp in cps)  # views of a checked window
         windows = [(_built(MatrixWindow, None, entries=b.T if facts.columns else b),
@@ -945,7 +938,7 @@ def _partial_sum_reports(a: SeqWindow, order, qp, p, conds, windows) -> list[Con
     cps = _checkpoints(windows, a.n, start=4)
     items = [(c, _resolve_exponent(c, p, None)) for c in conds]
     values, _ = _section_fold(a.values[None], order, qp, items, cps, "partial-sum window")
-    return [_report(c, cps, iter(v), e, {"matrix": "partial-sum"})
+    return [_report(c, cps, v, e, {"matrix": "partial-sum"})
             for (c, e), v in zip(items, values)]
 
 

@@ -41,6 +41,7 @@ weighted running sum down the columns, reuse the same dispatch.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +60,7 @@ from .duals import (
     matrix_class_condition,
 )
 from .fracdiff import _built, _check_int, _convolve, forward_coeffs
-from .qcore import QParam, _coerce, q_integer
+from .qcore import QParam, _coerce, _require_finite, q_integer
 from .spaces import PExponent, default_checkpoints
 
 __all__ = [
@@ -208,6 +209,7 @@ class ClassQuery:
             object.__setattr__(self, name, _coerce(kind, getattr(self, name)))
         for name in ("window", "row_limit"):
             object.__setattr__(self, name, _check_int(name, getattr(self, name), 1))
+        _require_finite("order", self.order)
         if (self.source in _DOMAIN_SOURCES) == (self.target in _DOMAIN_TARGETS):
             raise ValueError(
                 "operator-domain sources pair with classical, series, or q-Cesàro targets"
@@ -219,7 +221,8 @@ class ClassQuery:
                 raise ValueError(f"{role} {end.value} requires {text}")
 
 
-# A row's tail quarter must carry less than this share of (head mass + 1).
+# A row's tail quarter must carry less than this share of (head mass + 1),
+# both masses taken on the window scaled to a largest |entry| in [1/2, 1).
 _TAIL_RTOL = 1e-8
 
 
@@ -230,22 +233,28 @@ def _check_row_tails(phi: MatrixWindow) -> None:
     Outside triangular windows (`duals._triangular`), a row with a nonzero
     tail quarter (the columns from `duals._tail_start`, as the limit
     estimates read rows) must pass the relative decay test against
-    ``_TAIL_RTOL``, a mass past double range being inf: the inverse
-    coefficients tend to a positive constant, so a non-decaying row
-    genuinely diverges under the rewrite."""
+    ``_TAIL_RTOL``: the inverse coefficients tend to a positive constant,
+    so a non-decaying row genuinely diverges under the rewrite.  The test
+    reads the window scaled by the power of two that brings its largest
+    |entry| into [1/2, 1), so it decides alike at every scale and its
+    masses stay in double range; the refusal prints them unscaled, a mass
+    past double range being inf."""
     if _triangular(phi.entries):
         return
     ts = _tail_start(phi.entries.shape[1])
     mags = np.abs(phi.entries)
-    with np.errstate(over="ignore"):
-        tails = np.sum(mags[:, ts:], axis=1)
-        heads = np.sum(mags[:, :ts], axis=1)
+    k = math.frexp(float(mags.max()))[1]
+    np.ldexp(mags, -k, out=mags)  # exact but below 2^-1022 of the largest: too small to matter
+    tails = np.sum(mags[:, ts:], axis=1)
+    heads = np.sum(mags[:, :ts], axis=1)
     failing = np.flatnonzero((tails != 0.0) & (tails >= _TAIL_RTOL * (heads + 1.0)))
     if failing.size:
         j = failing[0]
+        with np.errstate(over="ignore"):
+            tail, head = np.ldexp([tails[j], heads[j]], k)
         raise TailError(
-            f"row {j} tail mass {tails[j]:.3e} is not negligible against "
-            f"its head ({heads[j]:.3e}); the rewritten row sum cannot be "
+            f"row {j} tail mass {tail:.3e} is not negligible against "
+            f"its head ({head:.3e}); the rewritten row sum cannot be "
             f"honestly truncated at the window edge"
         )
 
@@ -339,7 +348,7 @@ def class_check(query: ClassQuery, phi: MatrixWindow) -> list[ConditionReport]:
         for cond, rule in CONDITION_CATALOG[item]:
             if _single(cond) is not cond:
                 e, vals = sections[cond]
-                reports.append(_report(cond, cps, iter(vals), e, {"matrix": "sections", **info}))
+                reports.append(_report(cond, cps, vals, e, {"matrix": "sections", **info}))
             else:
                 reports.append(
                     matrix_class_condition(

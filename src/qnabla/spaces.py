@@ -102,11 +102,7 @@ class NormReport:
     partials: tuple[tuple[int, float], ...]
 
     def __post_init__(self) -> None:
-        if not self.partials:
-            raise ValueError("partials must be nonempty")
-        lengths = [n for n, _ in self.partials]
-        if any(b <= a for a, b in zip(lengths, lengths[1:])):
-            raise ValueError("partial window lengths must be strictly increasing")
+        _rising("partials", [n for n, _ in self.partials])
 
     def as_dict(self) -> dict:
         return {
@@ -131,6 +127,15 @@ def default_checkpoints(n: int, start: int = 1) -> tuple[int, ...]:
     return tuple(cps)
 
 
+def _rising(name: str, sizes) -> None:
+    """The one window-size rule: a profile's sizes are nonempty and rise
+    strictly; refusals say ``name``."""
+    if not sizes:
+        raise ValueError(f"{name} must be nonempty")
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ValueError(f"{name} must be strictly increasing")
+
+
 def _checkpoints(checkpoints, n: int, start: int = 1, name: str = "checkpoints") -> tuple[int, ...]:
     """Given prefix lengths, checked to be integers rising strictly within
     [1, n], or the power-of-two defaults when None; refusals say ``name``."""
@@ -141,10 +146,7 @@ def _checkpoints(checkpoints, n: int, start: int = 1, name: str = "checkpoints")
         cps = tuple(_check_int(name, c) for c in given)
     except ValueError:
         raise ValueError(f"{name} must be integers, got {given}") from None
-    if not cps:
-        raise ValueError(f"{name} must be nonempty")
-    if any(b <= a for a, b in zip(cps, cps[1:])):
-        raise ValueError(f"{name} must be strictly increasing")
+    _rising(name, cps)
     if cps[0] < 1 or cps[-1] > n:
         raise ValueError(f"{name} must lie in [1, {n}]")
     return cps

@@ -453,24 +453,22 @@ class TestVerifyInverse:
                 assert np.max(np.abs(r1 - r2)) <= 1e-12
 
     @pytest.mark.parametrize(
-        "gamma,q,n,calls",
+        "gamma,q,n",
         [
-            (2.0, 0.5, 3000, 1),  # forward support 3, inverse support n
-            (0.7, 0.05, 3000, 1),  # forward stream underflows to zero early
-            (0.7, 0.9, 3000, 2),  # both supports span the window
-            (1.7, 0.5, 40, 2),
+            (2.0, 0.5, 3000),  # forward support 3, inverse support n
+            (0.7, 0.05, 3000),  # forward stream underflows to zero early
+            (0.7, 0.9, 3000),  # both supports span the window
+            (1.7, 0.5, 40),
         ],
     )
-    def test_second_ordering_only_for_equal_supports(self, gamma, q, n, calls, monkeypatch):
+    def test_one_product_for_any_supports(self, gamma, q, n, monkeypatch):
         qp = QParam(q)
         c = forward_coeffs(gamma, qp, n - 1).coeffs
         e = inverse_coeffs(gamma, qp, n - 1).coeffs
-        target = np.eye(1, n)[0]
-        both = max(np.max(np.abs(fracdiff._causal(c, e, n) - target)),
-                   np.max(np.abs(fracdiff._causal(e, c, n) - target)))
+        residual = np.max(np.abs(fracdiff._causal(c, e, n) - np.eye(1, n)[0]))
         convs = TestHeadTailSplit._counting(monkeypatch, "_causal")
-        assert verify_inverse(gamma, qp, n) == both
-        assert len(convs) == calls
+        assert verify_inverse(gamma, qp, n) == residual
+        assert len(convs) == 1
 
     def test_against_dense_matrix_product(self):
         # Independent oracle: multiply the dense triangular windows and

@@ -194,15 +194,52 @@ class TestTriangularityFromEntries:
                 class_check(query, MatrixWindow(np.full((n, n), 1e308)))
 
     def test_head_mass_past_double_range_passes_to_the_overflow_refusal(self):
-        # Each row halves from 1e308, so its head mass is inf and its tail
-        # passes; the section power sums then leave double range.
-        phi = np.tile(1e308 * 0.5 ** np.arange(8), (8, 1))
+        # The entries halve away from the diagonal of a triangular window,
+        # which skips the tail test; the section power sums then leave
+        # double range.
+        j, k = np.indices((8, 8))
+        phi = np.tril(1e308 * 0.5 ** abs(j - k))
         query = ClassQuery(Source.LP_DOMAIN, Target.C, PExponent(2.0), 0.7, QParam(0.6),
                            window=8)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(OverflowError, match=r"^section-power-sum-sup at window size 4 "
                                                     r"with exponent 2\.0 leaves double range$"):
+                class_check(query, MatrixWindow(phi))
+
+
+class TestTailScale:
+    """The honest-truncation test reads the window scaled to a largest
+    |entry| in [1/2, 1): it decides alike at every scale."""
+
+    QUERY = ClassQuery(Source.LP_DOMAIN, Target.C, PExponent(2.0), 0.7, QParam(0.6), window=16)
+
+    @staticmethod
+    def _refused(phi: np.ndarray) -> bool:
+        try:
+            class_check(TestTailScale.QUERY, MatrixWindow(phi))
+        except TailError:
+            return True
+        return False
+
+    @pytest.mark.parametrize("phi, refused", [
+        (seeded_lower_triangular(), False),
+        (np.random.default_rng(1).standard_normal((16, 16)) * 0.1 ** np.arange(16), False),
+        (np.ones((16, 16)), True),
+    ], ids=("triangular", "decaying", "nondecaying"))
+    def test_decision_is_scale_invariant(self, phi, refused):
+        assert [self._refused(phi * 2.0**k) for k in (-30, 0, 30)] == [refused] * 3
+
+    @pytest.mark.parametrize("phi, masses", [
+        (np.full((8, 8), 1e-9), r"2\.000e-09 .* head \(6\.000e-09\)"),
+        # Each row halves from 1e308: its head mass is inf unscaled.
+        (np.tile(1e308 * 0.5 ** np.arange(8), (8, 1)), r"2\.344e\+306 .* head \(inf\)"),
+    ], ids=("tiny", "head-past-double-range"))
+    def test_non_decaying_window_is_refused_without_a_warning(self, phi, masses):
+        query = ClassQuery(Source.LP_DOMAIN, Target.C, PExponent(2.0), 0.7, QParam(0.6), window=8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TailError, match=f"^row 0 tail mass {masses}"):
                 class_check(query, MatrixWindow(phi))
 
 
@@ -553,6 +590,9 @@ class TestClassCheck:
                        window=8)
         with pytest.raises(ValueError, match="classical"):
             ClassQuery(Source.C0, Target.C, PExponent(2.0), 0.5, qp, window=8)
+        for order in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"^order must be finite, got {order}$"):
+                ClassQuery(Source.LP_DOMAIN, Target.C, PExponent(2.0), order, qp, window=8)
 
     def test_every_cell_and_regime_is_checked_by_its_text(self):
         # Hard-coded transcription: a query pairs an operator-domain end with
