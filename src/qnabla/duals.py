@@ -751,7 +751,7 @@ def _sections(rows: np.ndarray, t_e: np.ndarray):
         yield out
 
 
-def _profile(items, chunks, cps: tuple[int, ...], triangular: bool):
+def _profile(items, chunks, cps: tuple[int, ...], triangular):
     """Values of non-subset conditions, each with its exponent in ``items``,
     on the leading cp x cp blocks of R windows, folded over ``chunks``:
     c x R x n arrays of rows m0 .. m0 + c - 1 of every window, from row 0
@@ -771,10 +771,17 @@ def _profile(items, chunks, cps: tuple[int, ...], triangular: bool):
     minimum until the fold ends; rounding is monotone, so |s - ref| peaks
     at the largest or the smallest s.  Returns per item the maximum over the
     windows, floored at zero, at each checkpoint, and the last row.
+
+    ``triangular`` is a zero-argument callable telling whether the windows
+    are triangular; it is called once, and only if an item could read
+    narrower rows: a limit whose estimate is not a sum.
     """
     tails = [_tail_start(cp) for cp in cps]
     deferred = [c is Condition.SECTION_ABS_SUM_MATCH for c, _ in items]  # full-width reference
     items = [(_CONDITIONS[_single(c)], e, d) for (c, e), d in zip(items, deferred)]
+    narrows = [bool(f.limit) and f.estimate != "sum" for f, _, _ in items]
+    if not (any(narrows) and triangular()):
+        narrows = [False] * len(items)
     values = [[None] * len(cps) for _ in items]  # running (max, min), then per-window values
     m0 = 0
     with np.errstate(over="ignore", invalid="ignore"):  # refused by the report
@@ -786,11 +793,11 @@ def _profile(items, chunks, cps: tuple[int, ...], triangular: bool):
                     continue
                 b = min(cp - m0, chunk.shape[0])  # the block's rows in this chunk: [0, b)
                 width = min(cp, chunk.shape[2])
-                for ((est, limit, _, _), e, defer), vals in zip(items, values):
+                for ((est, limit, _, _), e, defer), vals, narrow in zip(items, values, narrows):
                     a = max(ts - m0, 0) if limit else 0
                     if a >= b:  # no tail row in this chunk
                         continue
-                    w = min(width, ts + 1) if triangular and limit and est != "sum" else width
+                    w = min(width, ts + 1) if narrow else width
                     if est == "entries":
                         rows = chunk[a:b, :, :w]
                     elif est == "max":
@@ -882,7 +889,8 @@ def matrix_class_condition(
     info: dict[str, Any] = dict(detail or {})
     facts = _CONDITIONS[cond]
     if not isinstance(facts.estimate, SubsetMode):
-        (values,), _ = _profile(((cond, e),), (m.entries[:, None],), cps, _triangular(m.entries))
+        (values,), _ = _profile(((cond, e),), (m.entries[:, None],), cps,
+                               lambda: _triangular(m.entries))
     else:
         blocks = ((cp, m.entries[:cp, :cp]) for cp in cps)  # views of a checked window
         windows = [(_built(MatrixWindow, None, entries=b.T if facts.columns else b),
@@ -928,7 +936,8 @@ def _section_fold(rows: np.ndarray, order, qp, items, cps: tuple[int, ...], what
     refused if a section left double range (non-finite down its column)."""
     n = rows.shape[1]
     e = inverse_coeffs(order, qp, n - 1)
-    values, last = _profile(items, _sections(rows, _lower_toeplitz(e.coeffs, n)), cps, True)
+    values, last = _profile(items, _sections(rows, _lower_toeplitz(e.coeffs, n)), cps,
+                            lambda: True)
     return values, _built(MatrixWindow, lambda: f"{what} of order {order} at q = {e.qp.q}",
                           entries=last.copy())
 

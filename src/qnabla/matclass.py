@@ -41,7 +41,6 @@ weighted running sum down the columns, reuse the same dispatch.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,40 +221,38 @@ class ClassQuery:
 
 
 # A row's tail quarter must carry less than this share of (head mass + 1),
-# both masses taken on the window scaled to a largest |entry| in [1/2, 1).
+# both masses taken on the row scaled to a largest |entry| in [1/2, 1).
 _TAIL_RTOL = 1e-8
 
 
 def _check_row_tails(phi: MatrixWindow) -> None:
-    """Refuse with :class:`TailError`, naming the first failing row, a
-    window whose row tails cannot be honestly truncated at its edge.
+    """Refuse with :class:`TailError`, naming the first failing row and its
+    ratio, a window whose row tails cannot be honestly truncated at its edge.
 
     Outside triangular windows (`duals._triangular`), a row with a nonzero
     tail quarter (the columns from `duals._tail_start`, as the limit
     estimates read rows) must pass the relative decay test against
     ``_TAIL_RTOL``: the inverse coefficients tend to a positive constant,
-    so a non-decaying row genuinely diverges under the rewrite.  The test
-    reads the window scaled by the power of two that brings its largest
-    |entry| into [1/2, 1), so it decides alike at every scale and its
-    masses stay in double range; the refusal prints them unscaled, a mass
-    past double range being inf."""
+    so a non-decaying row genuinely diverges under the rewrite.  Each row
+    is read scaled by the power of two that brings its own largest |entry|
+    into [1/2, 1), so the test decides alike at every scale of any row and
+    its masses stay in double range; the refusal prints the ratio
+    tail / (head + 1) it decided on."""
     if _triangular(phi.entries):
         return
     ts = _tail_start(phi.entries.shape[1])
     mags = np.abs(phi.entries)
-    k = math.frexp(float(mags.max()))[1]
-    np.ldexp(mags, -k, out=mags)  # exact but below 2^-1022 of the largest: too small to matter
+    # Exact but below 2^-1022 of the row's largest: too small to matter.
+    np.ldexp(mags, -np.frexp(mags.max(axis=1))[1][:, None], out=mags)
     tails = np.sum(mags[:, ts:], axis=1)
     heads = np.sum(mags[:, :ts], axis=1)
     failing = np.flatnonzero((tails != 0.0) & (tails >= _TAIL_RTOL * (heads + 1.0)))
     if failing.size:
         j = failing[0]
-        with np.errstate(over="ignore"):
-            tail, head = np.ldexp([tails[j], heads[j]], k)
         raise TailError(
-            f"row {j} tail mass {tail:.3e} is not negligible against "
-            f"its head ({head:.3e}); the rewritten row sum cannot be "
-            f"honestly truncated at the window edge"
+            f"row {j} tail mass / (head mass + 1) is {tails[j] / (heads[j] + 1.0):.3e} "
+            f"on the row's own scale, not below {_TAIL_RTOL:g}; the rewritten row sum "
+            f"cannot be honestly truncated at the window edge"
         )
 
 

@@ -132,14 +132,14 @@ class TestInverseCompositeMatrix:
         # Rows 2 and 4 fail; the refusal names the first.
         rows = np.vstack([np.zeros(12), np.eye(12)[:1], np.ones(12), np.zeros(12),
                           np.full(12, 3.0)])
-        with pytest.raises(TailError, match=r"^row 2 tail mass 3\.000e\+00 .* head \(9\.000e\+00\)"):
+        with pytest.raises(TailError, match=r"^row 2 tail mass / \(head mass \+ 1\) is 2\.727e-01 "):
             _sweep(MatrixWindow(rows), 0.5, QParam(0.5), (), ())
 
     def test_short_windows_read_the_tail_of_the_limit_estimates(self):
         # Below 8 columns the tail is the last two columns (`_tail_start`),
         # the rows the limit estimates read, not the last column alone.
         row = np.array([1.0, 0.5, 0.25, 1.0, 0.0])
-        with pytest.raises(TailError, match=r"^row 0 tail mass 1\.000e\+00 .* head \(1\.750e\+00\)"):
+        with pytest.raises(TailError, match=r"^row 0 tail mass / \(head mass \+ 1\) is 2\.667e-01 "):
             _sweep(MatrixWindow(row[None, :]), 0.5, QParam(0.5), (), ())
         row[3] = 0.0
         assert _check_row_tails(MatrixWindow(row[None, :])) is None
@@ -151,6 +151,12 @@ class TestInverseCompositeMatrix:
         full = _sweep(m, 0.5, QParam(0.9), (), ())[0]
         unflagged = _sweep(MatrixWindow(m.entries), 0.5, QParam(0.9), (), ())[0]
         assert np.array_equal(unflagged.entries, full.entries)
+
+
+# The refusal of an n x n window of 1e308, whose row masses leave double
+# range unscaled: each row is read on its own scale.
+TAIL_RATIO_OF_1E308 = {n: rf"row 0 tail mass / \(head mass \+ 1\) is {ratio} "
+                       for n, ratio in ((2, r"1\.113e\+00"), (8, r"2\.565e-01"))}
 
 
 def seeded_lower_triangular(n: int = 16) -> np.ndarray:
@@ -181,6 +187,22 @@ class TestTriangularityFromEntries:
         assert unflagged.values == flagged.values
         assert unflagged.verdict is flagged.verdict
 
+    @pytest.mark.parametrize("cond, calls", [(Condition.ROW_ABS_SUM_SUP, 0),
+                                             (Condition.COLUMN_LIMITS, 1)],
+                             ids=("row-abs-sum-sup", "column-limits"))
+    def test_triangularity_is_read_only_where_the_fold_narrows(self, monkeypatch, cond, calls):
+        # Only a limit whose estimate is not a sum reads narrower rows on a
+        # triangular window; a sum reads full rows.
+        seen = []
+
+        def counted(entries):
+            seen.append(entries)
+            return _triangular(entries)
+
+        monkeypatch.setattr(duals, "_triangular", counted)
+        matrix_class_condition(MatrixWindow(seeded_lower_triangular()), cond)
+        assert len(seen) == calls
+
     @pytest.mark.parametrize("source, target, p", [
         (Source.LP_DOMAIN, Target.C, PExponent(2.0)), (Source.LINF_DOMAIN, Target.L1, P_INF),
     ], ids=("lp-c", "linf-l1"))
@@ -190,7 +212,7 @@ class TestTriangularityFromEntries:
         query = ClassQuery(source, target, p, 0.7, QParam(0.6), window=n)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(TailError, match=r"^row 0 tail mass inf "):
+            with pytest.raises(TailError, match="^" + TAIL_RATIO_OF_1E308[n]):
                 class_check(query, MatrixWindow(np.full((n, n), 1e308)))
 
     def test_head_mass_past_double_range_passes_to_the_overflow_refusal(self):
@@ -209,8 +231,8 @@ class TestTriangularityFromEntries:
 
 
 class TestTailScale:
-    """The honest-truncation test reads the window scaled to a largest
-    |entry| in [1/2, 1): it decides alike at every scale."""
+    """The honest-truncation test reads each row scaled to a largest
+    |entry| in [1/2, 1): it decides alike at every scale of any row."""
 
     QUERY = ClassQuery(Source.LP_DOMAIN, Target.C, PExponent(2.0), 0.7, QParam(0.6), window=16)
 
@@ -230,17 +252,50 @@ class TestTailScale:
     def test_decision_is_scale_invariant(self, phi, refused):
         assert [self._refused(phi * 2.0**k) for k in (-30, 0, 30)] == [refused] * 3
 
-    @pytest.mark.parametrize("phi, masses", [
-        (np.full((8, 8), 1e-9), r"2\.000e-09 .* head \(6\.000e-09\)"),
-        # Each row halves from 1e308: its head mass is inf unscaled.
-        (np.tile(1e308 * 0.5 ** np.arange(8), (8, 1)), r"2\.344e\+306 .* head \(inf\)"),
+    @pytest.mark.parametrize("phi, ratio", [
+        (np.full((8, 8), 1e-9), r"2\.544e-01"),
+        # Each row halves from 1e308: its head mass is inf unscaled, and
+        # the refusal states the ratio taken on the row's own scale.
+        (np.tile(1e308 * 0.5 ** np.arange(8), (8, 1)), r"6\.223e-03"),
     ], ids=("tiny", "head-past-double-range"))
-    def test_non_decaying_window_is_refused_without_a_warning(self, phi, masses):
+    def test_non_decaying_window_is_refused_without_a_warning(self, phi, ratio):
         query = ClassQuery(Source.LP_DOMAIN, Target.C, PExponent(2.0), 0.7, QParam(0.6), window=8)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(TailError, match=f"^row 0 tail mass {masses}"):
+            with pytest.raises(TailError, match=rf"^row 0 tail mass / \(head mass \+ 1\) "
+                                                rf"is {ratio} ") as refusal:
                 class_check(query, MatrixWindow(phi))
+        assert "inf" not in str(refusal.value)
+
+    def test_each_row_is_read_on_its_own_scale(self):
+        # Row 0 decays and holds the window's largest entry; the rows of
+        # 1e-9 below it do not decay, and are refused as on their own.
+        phi = np.vstack([0.01 ** np.arange(8), np.full((7, 8), 1e-9)])
+        query = ClassQuery(Source.LP_DOMAIN, Target.C, PExponent(2.0), 0.7, QParam(0.6), window=8)
+        with pytest.raises(TailError, match=r"^row 1 tail mass / \(head mass \+ 1\) is 2\.544e-01 "):
+            class_check(query, MatrixWindow(phi))
+
+    @staticmethod
+    def _refusal(phi: np.ndarray) -> str | None:
+        try:
+            _check_row_tails(MatrixWindow(phi))
+        except TailError as exc:
+            return str(exc)
+        return None
+
+    @pytest.mark.parametrize("phi", [
+        np.random.default_rng(1).standard_normal((16, 16)) * 0.1 ** np.arange(16),
+        np.ones((16, 16)),
+        np.vstack([0.01 ** np.arange(8), np.full((7, 8), 1e-9)]),
+        np.vstack([np.random.default_rng(2).standard_normal((5, 16)) * 0.1 ** np.arange(16),
+                   np.full((1, 16), 1e-3)]),
+    ], ids=("decaying", "nondecaying", "small-rows-below-a-large-one", "one-nondecaying-row"))
+    def test_scaling_one_row_moves_no_decision(self, phi):
+        refusal = self._refusal(phi)
+        for j, k in itertools.product(range(phi.shape[0]), (-30, 30)):
+            scaled = phi.copy()
+            scaled[j] *= 2.0**k
+            assert self._refusal(scaled) == refusal, (j, k)
 
 
 class TestSectionConsistency:

@@ -11,21 +11,6 @@ import qnabla
 from qnabla import cli, duals, fracdiff, matclass, qcore, spaces
 
 SURFACE = {
-    qnabla: [
-        "__version__",
-        "QParam", "q_integer",
-        "CoeffStream", "Kind", "MismatchedParameter", "SeqWindow",
-        "apply_forward", "apply_inverse", "compose_coeffs", "forward_coeffs",
-        "inverse_coeffs", "semigroup_defect", "verify_inverse",
-        "NormReport", "P_INF", "PExponent", "default_checkpoints", "domain_norm",
-        "membership_diagnostic", "schauder_basis_vector", "schauder_reconstruct",
-        "Condition", "ConditionReport", "InvalidCondition", "LimitError",
-        "MatrixWindow", "SubsetMode", "Verdict", "alpha_dual_check",
-        "beta_dual_check", "gamma_dual_check", "matrix_class_condition",
-        "subset_sup",
-        "ClassQuery", "Source", "TailError", "Target", "class_check",
-        "forward_composite_matrix",
-    ],
     qcore: ["QParam", "q_integer"],
     fracdiff: [
         "Kind", "CoeffStream", "SeqWindow", "MismatchedParameter", "forward_coeffs",
@@ -50,6 +35,9 @@ SURFACE = {
     ],
     cli: ["cli", "main"],
 }
+LAYERS = (qcore, fracdiff, spaces, duals, matclass)
+# The package re-exports each layer's names in layer order.
+SURFACE[qnabla] = ["__version__", *(name for layer in LAYERS for name in SURFACE[layer])]
 
 
 @pytest.mark.parametrize("module", SURFACE, ids=lambda m: m.__name__)
@@ -57,6 +45,17 @@ def test_all_is_pinned(module):
     assert module.__all__ == SURFACE[module]
     for name in module.__all__:
         assert hasattr(module, name), name
+
+
+def test_layer_lists_are_disjoint():
+    names = [name for layer in LAYERS for name in layer.__all__]
+    assert len(set(names)) == len(names)
+
+
+def test_package_names_are_the_layers_objects():
+    for layer in LAYERS:
+        for name in layer.__all__:
+            assert getattr(qnabla, name) is getattr(layer, name), name
 
 
 FIELDS = {
