@@ -300,7 +300,7 @@ def _windowed_dual(check_fn, gamma, qp, p, p_text, input_path, window) -> dict:
     if window is not None:
         if not 1 <= window <= a.n:
             raise ValueError(f"--window must lie in [1, {a.n}], got {window}")
-        a = a.prefix(window)
+        a = SeqWindow(a.values[:window])
     result = check_fn(a, gamma, qp, p)
     return _dual_report(gamma, qp, p_text, result if isinstance(result, list) else [result])
 
@@ -332,7 +332,7 @@ def class_check_cmd(gamma: float, qp: QParam, p: PExponent, p_text: str, input_p
                     source: str, target: str, window: int | None, row_limit: int):
     """Evaluate the dispatch-table condition bundle for a matrix class."""
     phi = _read_input(input_path, _parse_matrix)
-    w = window if window is not None else min(phi.shape)
+    w = window if window is not None else min(phi.entries.shape)
     query = ClassQuery(source=Source(source), target=Target(target), p=p, order=gamma,
                        qp=qp, window=w, row_limit=row_limit)
     reports = class_check(query, phi)

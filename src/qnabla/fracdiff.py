@@ -170,12 +170,6 @@ class SeqWindow:
     def n(self) -> int:
         return self.values.size
 
-    def prefix(self, n: int) -> "SeqWindow":
-        n = _check_int("prefix length", n)
-        if not 1 <= n <= self.n:
-            raise ValueError(f"prefix length must be in [1, {self.n}], got {n}")
-        return SeqWindow(self.values[:n])
-
 
 def _check_int(name: str, n: int, minimum: int | None = None) -> int:
     with contextlib.suppress(TypeError, ValueError, OverflowError):  # None, NaN, inf

@@ -59,14 +59,10 @@ class PExponent:
         object.__setattr__(self, "value", v)
 
     @classmethod
-    def inf(cls) -> "PExponent":
-        return cls(None)
-
-    @classmethod
     def parse(cls, text: str) -> "PExponent":
         t = text.strip().lower()
         if t in ("inf", "infinity", "oo"):
-            return cls.inf()
+            return cls()
         try:
             return cls(float(t))
         except ValueError as exc:
@@ -89,7 +85,7 @@ class PExponent:
         return "inf" if self.is_inf else repr(self.value)
 
 
-P_INF = PExponent.inf()
+P_INF = PExponent()
 
 
 @dataclass(frozen=True)

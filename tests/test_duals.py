@@ -1661,6 +1661,27 @@ class TestSectionKernel:
         rows = [c.shape[0] for c in duals._sections(np.ones((self.W, self.W)), t_e)]
         assert rows == [1] * self.W
 
+    @pytest.mark.parametrize("order", [0.0, 0.7])
+    @pytest.mark.parametrize("chunk", [1, 3 * 40 * 7, 3 * 40 * 40],
+                             ids=("row-chunks", "seven-row-chunks", "one-chunk"))
+    def test_row_adds_give_the_cumsum_bytes(self, order, chunk, monkeypatch):
+        # Chunks of one row, of seven (the last one five) and one chunk, the
+        # dense cumsum itself.  Negative entries against the zero entries of
+        # T_e (above its diagonal; off it at order 0, where T_e is the
+        # identity) make -0.0 products, which the first row keeps and adds
+        # of -0.0 carry; a zero row entry against them makes +0.0.
+        rows = np.random.default_rng(64).uniform(-1.0, 1.0, (3, 40))
+        rows[0] = -np.abs(rows[0])
+        rows[1, ::4] = 0.0
+        t_e = _lower_toeplitz(inverse_coeffs(order, self.QP, 39).coeffs, 40)
+        monkeypatch.setattr(duals, "_CHUNK_ENTRIES", chunk)
+        got = np.concatenate([c.copy() for c in duals._sections(rows, t_e)])
+        expect = np.stack([dense_section(r, t_e) for r in rows], axis=1)
+        zeros = expect == 0.0
+        assert np.signbit(expect[zeros]).any() and not np.signbit(expect[zeros]).all()
+        assert got.tobytes() == expect.tobytes()
+        assert np.array_equal(np.signbit(got), np.signbit(expect))
+
     @pytest.mark.parametrize("p", [PExponent(0.5), PExponent(1.5), PExponent(3.0), P_INF], ids=str)
     def test_dual_checks_match_the_dense_window(self, p):
         a = SeqWindow(np.random.default_rng(60).normal(size=self.N))

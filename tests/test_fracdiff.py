@@ -76,24 +76,6 @@ class TestSeqWindow:
             assert not out.flags.writeable
             assert not np.shares_memory(out, x) and not np.shares_memory(out, g.values)
 
-    def test_prefix_is_a_window_of_the_leading_entries(self):
-        g = SeqWindow(np.arange(4.0))
-        assert g.prefix(2).values.tolist() == [0.0, 1.0]
-        assert g.prefix(4).n == 4
-
-    @pytest.mark.parametrize("n", [0, 5])
-    def test_prefix_outside_the_window_is_refused(self, n):
-        with pytest.raises(ValueError, match=rf"^prefix length must be in \[1, 4\], got {n}$"):
-            SeqWindow(np.ones(4)).prefix(n)
-
-    @pytest.mark.parametrize("n", [2.5, None, "2", float("nan")])
-    def test_prefix_length_must_be_an_integer(self, n):
-        # 2.5 passed the range test and reached the slice as a raw TypeError.
-        text = rf"^prefix length must be an integer, got {re.escape(repr(n))}$"
-        with pytest.raises(ValueError, match=text):
-            SeqWindow(np.ones(5)).prefix(n)
-        assert SeqWindow(np.arange(5.0)).prefix(2.0).values.tolist() == [0.0, 1.0]
-
 
 class TestCoeffStream:
     def test_public_constructor_copies_and_freezes(self):

@@ -73,3 +73,12 @@ FIELDS = {
 @pytest.mark.parametrize("cls", FIELDS, ids=lambda c: c.__name__)
 def test_fields_are_pinned(cls):
     assert [f.name for f in dataclasses.fields(cls)] == FIELDS[cls]
+
+
+@pytest.mark.parametrize("cls, name", [
+    (spaces.PExponent, "inf"),  # P_INF is PExponent()
+    (fracdiff.SeqWindow, "prefix"),  # SeqWindow(window.values[:n])
+    (duals.MatrixWindow, "shape"),  # window.entries.shape
+], ids=lambda x: getattr(x, "__name__", x))
+def test_no_second_spelling(cls, name):
+    assert not hasattr(cls, name)
