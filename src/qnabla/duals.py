@@ -29,9 +29,9 @@ limit, if any; and its exponent rule, resolved with the p regime by
 `_resolve_exponent`.  A section condition's row names its single-window
 twin, whose estimate it takes over every row's section window; one sweep
 (`_section_fold`) streams section rows and folds them, one row's for the
-partial-sum matrix and every row's, a tile of rows at a time, for
-`matclass`.  Which condition the alpha, beta and gamma checks evaluate in
-each p regime is one more table (`_DUAL_CONDITIONS`).
+partial-sum matrix and every row's for `matclass`.  Which condition the
+alpha, beta and gamma checks evaluate in each p regime is one more table
+(`_DUAL_CONDITIONS`).
 Every report goes through one constructor, which refuses a value outside
 double range with OverflowError.
 """
@@ -71,8 +71,8 @@ _LOW_ROWS = 13
 _UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2
 _SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
 _ETA = 2.0**-26  # splits the rounding drift off a squared norm in `_norm_bounds`
-# Entries per chunk of section rows in `_sections`, and per tile of section
-# rows in `_section_fold`: 512 KB, in cache and small next to the window.
+# Entries per chunk of section rows in `_sections`: 512 KB, in cache and
+# small next to the window.
 _CHUNK_ENTRIES = 1 << 16
 
 # Trend-classification constants; these shape verdict labels only, never
@@ -724,14 +724,12 @@ def _sections(rows: np.ndarray, t_e: np.ndarray):
     window ``t_e`` of the inverse stream: entry (m, k) is sum_{v=k..m} e_{v-k} r_v.
 
     Yields c x R x n chunks, row m of every section for m = m0 .. m0 + c - 1,
-    c = 1 once R x n passes `_CHUNK_ENTRIES`.  A sweep that fits one chunk
-    is the dense cumsum(r[:, None] * t_e, axis=0), one call, which there
-    costs less than a call per row; a longer one adds each row of products
-    to the row before it, the previous chunk's last for a chunk's first:
-    the same adds in the same order, so the bits match the dense cumsum,
-    -0.0 included, since the first row of all stays the products themselves
-    (0.0 + -0.0 would be +0.0).  numpy's axis-0 cumsum runs each column's
-    chain on its own, at 4 to 7 ns an entry, the row adds under 1 ns (README).
+    c = 1 once R x n passes `_CHUNK_ENTRIES`.  Each chunk is one cumsum of
+    its products, its first row carried on from the previous chunk's last,
+    so every row is the previous row plus the same products, added in the
+    order of the dense cumsum(r[:, None] * t_e, axis=0), and the bits match
+    it; the first row of all is the products themselves (0.0 + -0.0 would be
+    +0.0).  The cumsum of one row is that row, so a one-row chunk skips it.
     Chunks are views of two buffers, each valid for one more draw.
     A non-finite entry stays non-finite down its column, so the last row
     shows whether any did.
@@ -742,11 +740,10 @@ def _sections(rows: np.ndarray, t_e: np.ndarray):
     for j, m0 in enumerate(range(0, n, step)):
         out = bufs[j % 2, : min(step, n - m0)]
         np.multiply(rows.T[m0 : m0 + len(out), :, None], t_e[m0 : m0 + len(out), None], out=out)
-        if step >= n:  # one chunk: the dense window
+        if m0:
+            np.add(bufs[1 - j % 2, -1], out[0], out=out[0])
+        if len(out) > 1:
             np.cumsum(out, axis=0, out=out)
-        else:  # row adds, a chunk's first onto the previous chunk's last
-            for i in range(1 if m0 == 0 else 0, len(out)):
-                np.add(out[i - 1] if i else bufs[1 - j % 2, -1], out[i], out=out[i])
         yield out
 
 
@@ -932,23 +929,13 @@ def _section_fold(rows: np.ndarray, order, qp, items, cps: tuple[int, ...], what
     """The section conditions ``items``, each with its exponent, at ``cps``
     from one sweep of the sections of every row of ``rows`` (`_sections`
     folded by `_profile`), and their last rows: the full window ``what``,
-    refused if a section left double range (non-finite down its column).
-    Tiles of at most max(1, `_CHUNK_ENTRIES` // n) rows bound every chunk
-    at any number of rows; a tile's values are maxima over its windows, the
-    tiles' are combined with np.maximum (NaN propagates, as through np.max),
-    and each tile's last rows go into the full window as they come."""
+    refused if a section left double range (non-finite down its column)."""
     n = rows.shape[1]
     e = inverse_coeffs(order, qp, n - 1)
-    t_e = _lower_toeplitz(e.coeffs, n)
-    tile = max(1, _CHUNK_ENTRIES // n)
-    full, values = np.empty(rows.shape), None
-    for r0 in range(0, rows.shape[0], tile):
-        got, full[r0 : r0 + tile] = _profile(items, _sections(rows[r0 : r0 + tile], t_e), cps,
-                                             lambda: True)
-        values = got if values is None else [np.maximum(v, g).tolist()
-                                             for v, g in zip(values, got)]
+    values, last = _profile(items, _sections(rows, _lower_toeplitz(e.coeffs, n)), cps,
+                            lambda: True)
     return values, _built(MatrixWindow, lambda: f"{what} of order {order} at q = {e.qp.q}",
-                          entries=full)
+                          entries=last.copy())
 
 
 def _partial_sum_reports(a: SeqWindow, order, qp, p, conds, windows) -> list[ConditionReport]:

@@ -8,11 +8,11 @@ applied to h), and the full inverse-composite window obtained by sending
 every row tail through the inverse coefficients.  Both come from one
 inverse stream per query, whose Toeplitz window T_e is a read-only view of
 its w coefficients: section j is cumsum(phi_j[:, None] * T_e, axis=0), and
-`duals._section_fold` sweeps row m of every section of a tile of rows at
-once, m = 0 .. w - 1, so the full window's row j is the last row of
-section j.  One sweep per query (`_sweep`, which only `class_check` runs)
-folds the values of its section conditions and leaves the full window as
-its last rows.  A query holds O(w^2) doubles and takes O(w^3) time.
+`duals._section_fold` sweeps row m of every section at once, m = 0 .. w - 1,
+so the full window's row j is the last row of section j.  One sweep per
+query (`_sweep`, which only `class_check` runs) folds the values of its
+section conditions and leaves the full window as its last row.  A query
+holds O(w^2) doubles and takes O(w^3) time.
 
 Membership of the original matrix in a class (domain space -> classical
 space) is equivalent to a bundle of analytic conditions on those windows;

@@ -1664,10 +1664,11 @@ class TestSectionKernel:
     @pytest.mark.parametrize("order", [0.0, 0.7])
     @pytest.mark.parametrize("chunk", [1, 3 * 40 * 7, 3 * 40 * 40],
                              ids=("row-chunks", "seven-row-chunks", "one-chunk"))
-    def test_row_adds_give_the_cumsum_bytes(self, order, chunk, monkeypatch):
+    def test_chunks_give_the_dense_cumsum_bytes(self, order, chunk, monkeypatch):
         # Chunks of one row, of seven (the last one five) and one chunk, the
-        # dense cumsum itself.  Negative entries against the zero entries of
-        # T_e (above its diagonal; off it at order 0, where T_e is the
+        # dense cumsum itself; each chunk's first row is carried on from the
+        # previous chunk's last.  Negative entries against the zero entries
+        # of T_e (above its diagonal; off it at order 0, where T_e is the
         # identity) make -0.0 products, which the first row keeps and adds
         # of -0.0 carry; a zero row entry against them makes +0.0.
         rows = np.random.default_rng(64).uniform(-1.0, 1.0, (3, 40))

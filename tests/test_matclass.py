@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import json
 import re
 import warnings
 
@@ -729,9 +728,8 @@ class TestClassCheck:
     @pytest.mark.parametrize("source", [Source.L1_DOMAIN, Source.LP_DOMAIN, Source.LINF_DOMAIN],
                              ids=lambda s: s.value)
     def test_one_section_sweep_per_query(self, source, monkeypatch):
-        # 300 x 300 section entries pass 2^16, so the sweep runs in two tiles
-        # of 218 and 82 rows of phi, each sweeping every row once; the
-        # abs-sum match's reference comes from each section's last row.
+        # 300 x 300 section entries pass 2^16, so the sweep takes one section
+        # row a chunk, and the abs-sum match's reference comes from the last.
         w, order, qp = 300, 0.7, QParam(0.6)
         phi = MatrixWindow(np.tril(np.random.default_rng(65).uniform(-1.0, 1.0, (w, w))),
                            triangular=True)
@@ -745,8 +743,7 @@ class TestClassCheck:
         monkeypatch.setattr(duals, "_sections", counted)
         query = ClassQuery(source, Target.C, _source_p(source), order, qp, window=w)
         reports = class_check(query, phi)
-        assert [len(rows) for rows, _ in sweeps] == [218, 82]
-        assert np.array_equal(np.concatenate([rows for rows, _ in sweeps]), phi.entries)
+        assert len(sweeps) == 1
         full = _sweep(phi, order, qp, (), ())[0]
         cps = tuple(cp for cp, _ in reports[0].values)
         for rep in reports:
@@ -757,26 +754,6 @@ class TestClassCheck:
                                                 exponent=rep.detail.get("exponent"))
             assert rep.values == expect.values
             assert rep.verdict is expect.verdict
-
-    def test_tiles_match_one_tile(self, monkeypatch):
-        # At w = 300 the sweep runs in two tiles of rows (218 and 82, the
-        # second in chunks of two section rows); with the chunk bound at
-        # 300 x 300 it runs in one, a section row a chunk.  Every report and
-        # the inverse composite keep their bytes.
-        w, order, qp = 300, 0.7, QParam(0.6)
-        entries = np.tril(np.random.default_rng(66).uniform(-1.0, 1.0, (w, w)))
-        entries[::5] = -np.abs(entries[::5])
-        phi = MatrixWindow(entries)
-        queries = [ClassQuery(source, Target.C, _source_p(source), order, qp, window=w)
-                   for source in (Source.L1_DOMAIN, Source.LP_DOMAIN, Source.LINF_DOMAIN)]
-
-        def sweep():
-            reports = [[r.as_dict() for r in class_check(query, phi)] for query in queries]
-            return json.dumps(reports), _sweep(phi, order, qp, (), ())[0].entries.tobytes()
-
-        tiled = sweep()
-        monkeypatch.setattr(duals, "_CHUNK_ENTRIES", w * w)
-        assert sweep() == tiled
 
     def test_windows_past_double_range_are_named(self):
         # Every entry is finite; the window each route builds first is not.
