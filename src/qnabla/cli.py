@@ -94,9 +94,8 @@ def _parse_matrix(text: str) -> MatrixWindow:
     data = json.loads(text)
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise ValueError("expected a JSON array of row arrays")
-    if any(isinstance(v, bool) for row in data for v in row):
-        raise ValueError("entries must be reals, not booleans")
-    if not all(isinstance(v, (int, float)) for row in data for v in row):
+    # JSON booleans parse as bool, an int subclass: not a real here.
+    if not all(type(v) in (int, float) for row in data for v in row):
         raise ValueError("entries must be reals")
     if len({len(row) for row in data}) != 1:
         raise ValueError("rows must all have the same length")
@@ -307,11 +306,13 @@ def _windowed_dual(check_fn, gamma, qp, p, p_text, input_path, window) -> dict:
 
 @_command("beta-dual", _input("Multiplier sequence file."), _PREFIX, p=True)
 def beta_dual(**params):
+    """Beta-dual conditions on the partial-sum window of a sequence."""
     return _windowed_dual(beta_dual_check, **params)
 
 
 @_command("gamma-dual", _input("Multiplier sequence file."), _PREFIX, p=True)
 def gamma_dual(**params):
+    """Gamma-dual condition on the partial-sum window of a sequence."""
     return _windowed_dual(gamma_dual_check, **params)
 
 

@@ -27,10 +27,11 @@ Each condition has one row in one table (`_CONDITIONS`): its estimate, a
 fold over the rows of its leading blocks (`_profile`) or a subset mode; its
 limit, if any; and its exponent rule, resolved with the p regime by
 `_resolve_exponent`.  A section condition's row names its single-window
-twin, whose estimate it takes over every row's section window; one sweep
-(`_section_fold`) streams section rows and folds them, one row's for the
-partial-sum matrix and every row's for `matclass`.  Which condition the
-alpha, beta and gamma checks evaluate in each p regime is one more table
+twin, whose estimate it takes over every row's section window; one
+function (`_section_reports`) streams section rows, folds them and reports
+them, one row's for the beta and gamma checks' partial-sum matrix and every
+row's for `matclass.class_check`.  Which condition the alpha, beta and
+gamma checks evaluate in each p regime is one more table
 (`_DUAL_CONDITIONS`).
 Every report goes through one constructor, which refuses a value outside
 double range with OverflowError.
@@ -925,26 +926,22 @@ def alpha_dual_check(
     return _report(cond, rls, values, e, info)
 
 
-def _section_fold(rows: np.ndarray, order, qp, items, cps: tuple[int, ...], what: str):
-    """The section conditions ``items``, each with its exponent, at ``cps``
+def _section_reports(rows: np.ndarray, order, qp, p, conds, windows, what: str,
+                     info: dict[str, Any]):
+    """Reports of the section conditions ``conds``, each exponent by the
+    condition's own rule, at ``windows`` (by default powers of two from 4)
     from one sweep of the sections of every row of ``rows`` (`_sections`
     folded by `_profile`), and their last rows: the full window ``what``,
     refused if a section left double range (non-finite down its column)."""
     n = rows.shape[1]
+    cps = _checkpoints(windows, n, start=4)
+    items = [(c, _resolve_exponent(c, p, None)) for c in conds]
     e = inverse_coeffs(order, qp, n - 1)
     values, last = _profile(items, _sections(rows, _lower_toeplitz(e.coeffs, n)), cps,
                             lambda: True)
-    return values, _built(MatrixWindow, lambda: f"{what} of order {order} at q = {e.qp.q}",
-                          entries=last.copy())
-
-
-def _partial_sum_reports(a: SeqWindow, order, qp, p, conds, windows) -> list[ConditionReport]:
-    """Reports of ``conds`` from one sweep of the section window of the row a."""
-    cps = _checkpoints(windows, a.n, start=4)
-    items = [(c, _resolve_exponent(c, p, None)) for c in conds]
-    values, _ = _section_fold(a.values[None], order, qp, items, cps, "partial-sum window")
-    return [_report(c, cps, v, e, {"matrix": "partial-sum"})
-            for (c, e), v in zip(items, values)]
+    full = _built(MatrixWindow, lambda: f"{what} of order {order} at q = {e.qp.q}",
+                  entries=last.copy())
+    return [_report(c, cps, v, ce, dict(info)) for (c, ce), v in zip(items, values)], full
 
 
 def beta_dual_check(
@@ -960,7 +957,8 @@ def beta_dual_check(
     """
     qp, p = _coerce(QParam, qp), _coerce(PExponent, p)
     conds = (Condition.COLUMN_LIMITS, _DUAL_CONDITIONS["beta"][_regime(p)])
-    return _partial_sum_reports(a, order, qp, p, conds, windows)
+    return _section_reports(a.values[None], order, qp, p, conds, windows,
+                            "partial-sum window", {"matrix": "partial-sum"})[0]
 
 
 def gamma_dual_check(
@@ -974,4 +972,5 @@ def gamma_dual_check(
     (`_DUAL_CONDITIONS`), without the column-limit requirement."""
     qp, p = _coerce(QParam, qp), _coerce(PExponent, p)
     conds = (_DUAL_CONDITIONS["gamma"][_regime(p)],)
-    return _partial_sum_reports(a, order, qp, p, conds, windows)[0]
+    return _section_reports(a.values[None], order, qp, p, conds, windows,
+                            "partial-sum window", {"matrix": "partial-sum"})[0][0]

@@ -8,11 +8,11 @@ applied to h), and the full inverse-composite window obtained by sending
 every row tail through the inverse coefficients.  Both come from one
 inverse stream per query, whose Toeplitz window T_e is a read-only view of
 its w coefficients: section j is cumsum(phi_j[:, None] * T_e, axis=0), and
-`duals._section_fold` sweeps row m of every section at once, m = 0 .. w - 1,
-so the full window's row j is the last row of section j.  One sweep per
-query (`_sweep`, which only `class_check` runs) folds the values of its
-section conditions and leaves the full window as its last row.  A query
-holds O(w^2) doubles and takes O(w^3) time.
+`duals._section_reports`, which also serves the beta and gamma checks,
+sweeps row m of every section at once, m = 0 .. w - 1, so the full window's
+row j is the last row of section j.  `class_check` runs it once per query:
+it reports the section conditions and leaves the full window as its last
+row.  A query holds O(w^2) doubles and takes O(w^3) time.
 
 Membership of the original matrix in a class (domain space -> classical
 space) is equivalent to a bundle of analytic conditions on those windows;
@@ -50,17 +50,15 @@ from .duals import (
     ConditionReport,
     MatrixWindow,
     _regime,
-    _report,
     _resolve_exponent,
-    _section_fold,
-    _single,
+    _section_reports,
     _tail_start,
     _triangular,
     matrix_class_condition,
 )
 from .fracdiff import _built, _check_int, _convolve, forward_coeffs
 from .qcore import QParam, _coerce, _require_finite, q_integer
-from .spaces import PExponent, default_checkpoints
+from .spaces import PExponent
 
 __all__ = [
     "TailError",
@@ -256,22 +254,6 @@ def _check_row_tails(phi: MatrixWindow) -> None:
         )
 
 
-def _sweep(phi: MatrixWindow, order: float, qp: QParam, items, cps: tuple[int, ...]):
-    """One sweep of every row's section (`duals._section_fold`): the full
-    inverse-composite window and the values of the section conditions
-    ``items``, each with its exponent, at ``cps``.
-
-    The inverse composite sends the inverse operator along each row tail of
-    the test matrix: entry (j, k) is the window-truncated sum
-    sum_{v>=k} e_{v-k} phi_jv, the last row of row j's section.  Raises
-    :class:`TailError` before any sweep work when a row fails the
-    honest-truncation test (`_check_row_tails`).
-    """
-    _check_row_tails(phi)
-    values, full = _section_fold(phi.entries, order, qp, items, cps, "inverse composite")
-    return full, values
-
-
 def forward_composite_matrix(phi: MatrixWindow, order: float, qp: QParam) -> MatrixWindow:
     """Forward operator applied down each column of the test matrix: entry
     (j, k) is sum_{v<=j} c_{j-v} phi_vk.  Column k of the result is exactly
@@ -304,10 +286,14 @@ def class_check(query: ClassQuery, phi: MatrixWindow) -> list[ConditionReport]:
     """Dispatch the exact condition bundle for the query's (source, target)
     cell and evaluate it on the appropriate windows of the test matrix.
 
-    Table 1 (operator-domain sources) evaluates its "sections" conditions
-    on the row sections and its "full" conditions on the inverse composite,
-    which one sweep of the sections yields together;
-    table 2 (classical sources) evaluates on the forward composite.
+    Table 1 (operator-domain sources) opens each bundle with its one item of
+    section conditions, evaluated on the row sections, and evaluates the
+    rest on the inverse composite, which one sweep of the sections
+    (`duals._section_reports`) yields together: entry (j, k) is the
+    window-truncated sum sum_{v>=k} e_{v-k} phi_jv, the last row of row j's
+    section.  A row that fails the honest-truncation test
+    (`_check_row_tails`) raises :class:`TailError` before any sweep work.
+    Table 2 (classical sources) evaluates on the forward composite.
     Returns one report per evaluated condition; every report's detail
     records the dispatch cell and the bundle item it belongs to.
     """
@@ -319,7 +305,6 @@ def class_check(query: ClassQuery, phi: MatrixWindow) -> list[ConditionReport]:
         )
     # Triangularity is read from this block: entries outside it change nothing.
     block = _built(MatrixWindow, None, entries=phi.entries[:w, :w])
-    cps = default_checkpoints(w, start=4)
     cell_info = {"source": query.source.value, "target": query.target.value}
 
     if query.source in _DOMAIN_SOURCES:
@@ -327,31 +312,21 @@ def class_check(query: ClassQuery, phi: MatrixWindow) -> list[ConditionReport]:
         if composite:
             block = _column_means(block, composite, query.qp)
             cell_info["composite"] = composite
-        bundle = TABLE_DOMAIN_CELLS[(query.source, underlying)]
-        items = [(cond, _resolve_exponent(cond, query.p, None))
-                 for item in bundle for cond, _ in CONDITION_CATALOG[item]
-                 if _single(cond) is not cond]
-        full, values = _sweep(block, query.order, query.qp, items, cps)
-        sections = {cond: (e, vals) for (cond, e), vals in zip(items, values)}
+        first, *bundle = TABLE_DOMAIN_CELLS[(query.source, underlying)]
+        _check_row_tails(block)
+        reports, full = _section_reports(
+            block.entries, query.order, query.qp, query.p,
+            [cond for cond, _ in CONDITION_CATALOG[first]], None, "inverse composite",
+            {"matrix": "sections", **cell_info, "table": 1, "item": first})
         table, label = 1, "inverse-composite"
     else:
         bundle = TABLE_CLASSICAL_CELLS[(query.source, query.target)]
-        full = forward_composite_matrix(block, query.order, query.qp)
+        reports, full = [], forward_composite_matrix(block, query.order, query.qp)
         table, label = 2, "forward-composite"
 
-    reports: list[ConditionReport] = []
     for item in bundle:
-        info = {**cell_info, "table": table, "item": item}
-        for cond, rule in CONDITION_CATALOG[item]:
-            if _single(cond) is not cond:
-                e, vals = sections[cond]
-                reports.append(_report(cond, cps, vals, e, {"matrix": "sections", **info}))
-            else:
-                reports.append(
-                    matrix_class_condition(
-                        full, cond, checkpoints=cps, row_limit=query.row_limit,
-                        exponent=_resolve_exponent(cond, query.p, None, rule),
-                        detail={**info, "matrix": label},
-                    )
-                )
+        info = {**cell_info, "table": table, "item": item, "matrix": label}
+        reports += [matrix_class_condition(full, cond, row_limit=query.row_limit, detail=info,
+                                           exponent=_resolve_exponent(cond, query.p, None, rule))
+                    for cond, rule in CONDITION_CATALOG[item]]
     return reports

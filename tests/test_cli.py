@@ -334,6 +334,12 @@ class TestCliMisc:
                         "semigroup-defect", "norm", "basis", "alpha-dual",
                         "beta-dual", "gamma-dual", "class-check", "compose"):
             assert command in result.output
+        # Each command's summary is its body's docstring: none may be empty.
+        listed = result.output.split("Commands:\n", 1)[1].splitlines()
+        summaries = dict((line.split(None, 1) + [""])[:2] for line in listed)
+        assert set(summaries) == set(cli.commands)
+        for name, command in cli.commands.items():
+            assert command.get_short_help_str() and summaries[name], name
 
 
 class TestArithmeticBackstop:

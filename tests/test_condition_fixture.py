@@ -4,8 +4,8 @@ which condition.
 The fixture under ``tests/data/`` holds, for a small seeded grid, the
 ``as_dict()`` report (or the exception's type and text) of
 `matrix_class_condition` for every condition, exponent regime and explicit
-exponent, of every section condition as `class_check` evaluates it (one
-section sweep, `matclass._sweep`, then `duals._report`), of catalog items A'
+exponent, of every section condition as `class_check` evaluates it (the
+row-tail check, then `duals._section_reports`), of catalog items A'
 and B' (the "target-domain" records, which the reverse dispatch of
 `class_check` evaluates), and of the beta- and gamma-dual checks with and
 without explicit windows.  It was recorded from the implementation whose
@@ -29,16 +29,16 @@ from qnabla.duals import (
     ConditionReport,
     InvalidCondition,
     MatrixWindow,
-    _report,
     _resolve_exponent,
+    _section_reports,
     beta_dual_check,
     gamma_dual_check,
     matrix_class_condition,
 )
 from qnabla.fracdiff import SeqWindow
-from qnabla.matclass import CONDITION_CATALOG, _sweep
+from qnabla.matclass import CONDITION_CATALOG, _check_row_tails
 from qnabla.qcore import QParam
-from qnabla.spaces import P_INF, PExponent, default_checkpoints
+from qnabla.spaces import P_INF, PExponent
 
 FIXTURE = Path(__file__).parent / "data" / "condition_grid.json"
 PS = (None, PExponent(0.5), PExponent(1.0), PExponent(1.5), PExponent(3.0), P_INF)
@@ -63,16 +63,23 @@ def _sequences() -> dict[str, SeqWindow]:
     return {"ones": SeqWindow(np.ones(10)), "gaussian": SeqWindow(rng.normal(size=12))}
 
 
+def inverse_composite(phi: MatrixWindow, order: float, qp: QParam) -> MatrixWindow:
+    """The inverse composite as `class_check` builds it: the row-tail check,
+    then the last rows of one section sweep."""
+    _check_row_tails(phi)
+    return _section_reports(phi.entries, order, qp, None, (), None, "inverse composite", {})[1]
+
+
 def section_report(phi: MatrixWindow, order: float, qp: QParam, cond: Condition,
                    p: PExponent | None, checkpoints: tuple[int, ...] | None = None
                    ) -> ConditionReport:
-    """One section condition as `class_check` evaluates it: its exponent,
-    one section sweep, and the report, at ``checkpoints`` or the class-check
-    defaults."""
-    cps = checkpoints or default_checkpoints(phi.entries.shape[1], start=4)
-    e = _resolve_exponent(cond, p, None)
-    _, (values,) = _sweep(phi, order, qp, ((cond, e),), cps)
-    return _report(cond, cps, iter(values), e, {"matrix": "sections"})
+    """One section condition as `class_check` evaluates it: the row-tail
+    check, then its report from one section sweep, at ``checkpoints`` or
+    the class-check defaults."""
+    _check_row_tails(phi)
+    (rep,), _ = _section_reports(phi.entries, order, qp, p, (cond,), checkpoints,
+                                 "inverse composite", {"matrix": "sections"})
+    return rep
 
 
 def _target_domain(m: MatrixWindow, p: PExponent, row_limit: int) -> list:
@@ -151,7 +158,7 @@ def test_each_condition_has_exactly_one_evaluator(cond):
     # The single-window dispatch takes exactly the conditions that the
     # section sweep does not.
     phi = MatrixWindow(np.tril(np.ones((6, 6))), triangular=True)
-    full = _sweep(phi, ORDER, Q, (), ())[0]
+    full = inverse_composite(phi, ORDER, Q)
     section = cond.value.startswith("section-")
     try:
         matrix_class_condition(full, cond, PExponent(1.5), exponent=1.0)

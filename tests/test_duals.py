@@ -20,7 +20,7 @@ from oracles import (
     sup_closed_form,
     termwise_window,
 )
-from test_condition_fixture import section_report
+from test_condition_fixture import inverse_composite, section_report
 from qnabla import duals
 from qnabla.duals import (
     Condition,
@@ -37,7 +37,6 @@ from qnabla.duals import (
     subset_sup,
 )
 from qnabla.fracdiff import SeqWindow, _lower_toeplitz, apply_forward, inverse_coeffs
-from qnabla.matclass import _sweep
 from qnabla.qcore import QParam
 from qnabla.spaces import P_INF, PExponent
 
@@ -1719,7 +1718,7 @@ class TestSectionKernel:
     def test_section_conditions_match_the_dense_sections(self):
         rng = np.random.default_rng(61)
         phi = MatrixWindow(np.tril(rng.uniform(-1.0, 1.0, (self.W, self.W))), triangular=True)
-        full = _sweep(phi, self.ORDER, self.QP, (), ())[0]
+        full = inverse_composite(phi, self.ORDER, self.QP)
         refs = np.sum(np.abs(full.entries), axis=1)
         t_e = np.array(_lower_toeplitz(inverse_coeffs(self.ORDER, self.QP, self.W - 1).coeffs,
                                        self.W))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from oracles import dense_section, section_consistency_residual
-from test_condition_fixture import section_report
+from test_condition_fixture import inverse_composite, section_report
 from qnabla import duals
 from qnabla.duals import (
     Condition,
@@ -35,7 +35,6 @@ from qnabla.matclass import (
     Target,
     _check_row_tails,
     _column_means,
-    _sweep,
     class_check,
     forward_composite_matrix,
 )
@@ -83,7 +82,7 @@ class TestRowSectionMatrix:
         rng = np.random.default_rng(51)
         qp = QParam(0.9)
         phi = MatrixWindow(np.tril(rng.uniform(-1, 1, (10, 10))), triangular=True)
-        full = _sweep(phi, 1.7, qp, (), ())[0]
+        full = inverse_composite(phi, 1.7, qp)
         t_e = np.array(inverse_toeplitz(10, 1.7, qp))
         for j in range(10):
             section = kernel_section(phi, j, 1.7, qp)
@@ -93,13 +92,13 @@ class TestRowSectionMatrix:
 
 class TestInverseCompositeMatrix:
     def test_identity_first_order(self):
-        full = _sweep(MatrixWindow(np.eye(8), triangular=True), 1.0, QParam(0.5), (), ())[0]
+        full = inverse_composite(MatrixWindow(np.eye(8), triangular=True), 1.0, QParam(0.5))
         assert np.array_equal(full.entries, np.tril(np.ones((8, 8))))
         assert _triangular(full.entries)  # evaluated as triangular, flag or not
 
     def test_finitely_supported_row_is_exact(self):
         row = np.concatenate([[2.0, -1.0, 0.5], np.zeros(13)])
-        full = _sweep(MatrixWindow(row[None, :]), 0.5, QParam(0.5), (), ())[0]
+        full = inverse_composite(MatrixWindow(row[None, :]), 0.5, QParam(0.5))
         t_e = inverse_toeplitz(16, 0.5, QParam(0.5))
         assert np.array_equal(full.entries[0], dense_section(row, t_e)[-1])
 
@@ -112,7 +111,7 @@ class TestInverseCompositeMatrix:
         r, order, q, n = 0.1, 0.5, 0.5, 24
         qp = QParam(q)
         row = r ** np.arange(n, dtype=float)
-        psi = _sweep(MatrixWindow(row[None, :]), order, qp, (), ())[0]
+        psi = inverse_composite(MatrixWindow(row[None, :]), order, qp)
         with mpmath.workdps(50):
             qm, om, rm = mpmath.mpf(q), mpmath.mpf(order), mpmath.mpf(r)
 
@@ -128,19 +127,20 @@ class TestInverseCompositeMatrix:
 
     def test_non_decaying_row_refused(self):
         with pytest.raises(TailError, match="row 1"):
-            _sweep(MatrixWindow(np.vstack([np.zeros(12), np.ones(12)])), 0.5, QParam(0.5), (), ())
+            inverse_composite(MatrixWindow(np.vstack([np.zeros(12), np.ones(12)])), 0.5,
+                              QParam(0.5))
         # Rows 2 and 4 fail; the refusal names the first.
         rows = np.vstack([np.zeros(12), np.eye(12)[:1], np.ones(12), np.zeros(12),
                           np.full(12, 3.0)])
         with pytest.raises(TailError, match=r"^row 2 tail mass / \(head mass \+ 1\) is 2\.727e-01 "):
-            _sweep(MatrixWindow(rows), 0.5, QParam(0.5), (), ())
+            inverse_composite(MatrixWindow(rows), 0.5, QParam(0.5))
 
     def test_short_windows_read_the_tail_of_the_limit_estimates(self):
         # Below 8 columns the tail is the last two columns (`_tail_start`),
         # the rows the limit estimates read, not the last column alone.
         row = np.array([1.0, 0.5, 0.25, 1.0, 0.0])
         with pytest.raises(TailError, match=r"^row 0 tail mass / \(head mass \+ 1\) is 2\.667e-01 "):
-            _sweep(MatrixWindow(row[None, :]), 0.5, QParam(0.5), (), ())
+            inverse_composite(MatrixWindow(row[None, :]), 0.5, QParam(0.5))
         row[3] = 0.0
         assert _check_row_tails(MatrixWindow(row[None, :])) is None
 
@@ -148,8 +148,8 @@ class TestInverseCompositeMatrix:
         # Window-edge rows of a triangular matrix still have provably zero
         # tails beyond the window, flagged or not: the entries decide.
         m = MatrixWindow(np.tril(np.ones((12, 12))), triangular=True)
-        full = _sweep(m, 0.5, QParam(0.9), (), ())[0]
-        unflagged = _sweep(MatrixWindow(m.entries), 0.5, QParam(0.9), (), ())[0]
+        full = inverse_composite(m, 0.5, QParam(0.9))
+        unflagged = inverse_composite(MatrixWindow(m.entries), 0.5, QParam(0.9))
         assert np.array_equal(unflagged.entries, full.entries)
 
 
@@ -346,7 +346,7 @@ class TestTransformCondition:
         ):
             rep = section_report(phi, 0.5, qp, cond, PExponent(2.0))
             assert all(v == 0.0 for _, v in rep.values)
-        full = _sweep(phi, 0.5, qp, (), ())[0]
+        full = inverse_composite(phi, 0.5, qp)
         rep = matrix_class_condition(full, Condition.VANISHING_ROW_ABS_SUM)
         assert all(v == 0.0 for _, v in rep.values)
         rep = section_report(phi, 0.5, qp, Condition.SECTION_POWER_SUM_SUP, PExponent(2.0))
@@ -359,7 +359,7 @@ class TestTransformCondition:
 
     def test_all_ones_triangle_row_sums_grow(self):
         phi = MatrixWindow(np.tril(np.ones((16, 16))), triangular=True)
-        full = _sweep(phi, 1.0, QParam(0.5), (), ())[0]
+        full = inverse_composite(phi, 1.0, QParam(0.5))
         rep = matrix_class_condition(full, Condition.VANISHING_ROW_ABS_SUM)
         assert rep.verdict is Verdict.GROWING
 
@@ -572,6 +572,22 @@ class TestDispatchTables:
         assert set(CONDITION_CATALOG) == set(range(1, 14)) | {"A'", "B'"}
         assert all(CONDITION_CATALOG[i] for i in CONDITION_CATALOG)
 
+    def test_section_conditions_open_each_domain_bundle(self):
+        # class_check reports the first item of a table-1 bundle from the
+        # section sweep, each exponent by the condition's own rule, and every
+        # other item on a full window.
+        def sections(item):
+            return [cond.value.startswith("section-") for cond, _ in CONDITION_CATALOG[item]]
+
+        for first, *rest in TABLE_DOMAIN_CELLS.values():
+            assert all(sections(first))
+            assert not any(s for item in rest for s in sections(item))
+        for bundle in TABLE_CLASSICAL_CELLS.values():
+            assert not any(s for item in bundle for s in sections(item))
+        for item in CONDITION_CATALOG:
+            for cond, rule in CONDITION_CATALOG[item]:
+                assert rule is None or not cond.value.startswith("section-")
+
 
 class TestClassCheck:
     def test_zero_matrix_passes_every_domain_cell(self):
@@ -744,7 +760,7 @@ class TestClassCheck:
         query = ClassQuery(source, Target.C, _source_p(source), order, qp, window=w)
         reports = class_check(query, phi)
         assert len(sweeps) == 1
-        full = _sweep(phi, order, qp, (), ())[0]
+        full = inverse_composite(phi, order, qp)
         cps = tuple(cp for cp, _ in reports[0].values)
         for rep in reports:
             if rep.detail["matrix"] == "sections":
@@ -762,7 +778,7 @@ class TestClassCheck:
         qp = QParam(0.9)
         inverse = r"inverse composite of order 2\.0 at q = 0\.9"
         with pytest.raises(OverflowError, match=f"^{inverse} leaves double range$"):
-            _sweep(phi, 2.0, qp, (), ())
+            inverse_composite(phi, 2.0, qp)
         with pytest.raises(OverflowError, match=f"^{inverse} leaves double range$"):
             section_report(phi, 2.0, qp, Condition.SECTION_ENTRY_SUP, PExponent(1.0))
         for target, what in ((Target.C, inverse),
