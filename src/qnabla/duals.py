@@ -49,7 +49,7 @@ import numpy as np
 
 from .fracdiff import SeqWindow, _built, _check_int, _lower_toeplitz, inverse_coeffs
 from .qcore import QParam, _coerce
-from .spaces import PExponent, _checkpoints, _rising
+from .spaces import PExponent, _checkpoints, _rising, default_checkpoints
 
 __all__ = [
     "MAX_SUBSET_ROWS",
@@ -862,7 +862,6 @@ def matrix_class_condition(
     cond: Condition,
     p: PExponent | None = None,
     *,
-    checkpoints: tuple[int, ...] | list[int] | None = None,
     row_limit: int = 12,
     exponent: float | None = None,
     detail: dict[str, Any] | None = None,
@@ -871,13 +870,13 @@ def matrix_class_condition(
     blocks.
 
     This is the single-window evaluator behind `class_check`'s full-window
-    conditions.  ``checkpoints`` are the block sizes to profile
-    (power-of-two defaults); subset conditions additionally cap the
-    enumerated rows at ``row_limit``.
+    conditions.  The blocks are the power-of-two sizes from 4 up to the
+    window; subset conditions additionally cap the enumerated rows at
+    ``row_limit``.
     """
     cond = Condition(cond)
     p = None if p is None else _coerce(PExponent, p)
-    cps = _checkpoints(checkpoints, m.entries.shape[0], start=4)
+    cps = default_checkpoints(m.entries.shape[0], start=4)
     if _single(cond) is not cond:
         raise InvalidCondition(
             f"{cond.value} applies to a family of section windows, not a single matrix"
@@ -908,15 +907,15 @@ def alpha_dual_check(
     Evaluates, per row limit, the subset condition of the regime of p
     (`_DUAL_CONDITIONS`: entrywise sup to the power p for 0 < p <= 1,
     columnwise conjugate-power sums past 1) on the termwise-product window,
-    entry (j, k) = e_{j-k} a_j.  Only the rows and columns `subset_sup`
-    reads are built.  The row limits must rise strictly within [1, a.n].
+    entry (j, k) = e_{j-k} a_j.  Only the lags, rows and columns
+    `subset_sup` reads are built; the row limits rise strictly in [1, a.n].
     """
     qp, p = _coerce(QParam, qp), _coerce(PExponent, p)
     rls = _checkpoints(row_limits, a.n, name="row_limits")
     rows = min(rls[-1], MAX_SUBSET_ROWS)
-    t_e = _lower_toeplitz(inverse_coeffs(order, qp, a.n - 1).coeffs, a.n)
+    t_e = _lower_toeplitz(inverse_coeffs(order, qp, rows - 1).coeffs, _live_width(a.n, rows))
     with np.errstate(over="ignore"):  # refused by `_built`
-        lam = a.values[:rows, None] * t_e[:rows, : _live_width(a.n, rows)]
+        lam = a.values[:rows, None] * t_e[:rows]
     lam = _built(MatrixWindow, lambda: f"termwise-product window of order {order} at q = {qp.q}",
                  entries=lam)
     cond = _DUAL_CONDITIONS["alpha"][_regime(p)]
@@ -949,7 +948,6 @@ def beta_dual_check(
     order: float,
     qp: QParam,
     p: PExponent,
-    windows: tuple[int, ...] | list[int] | None = None,
 ) -> list[ConditionReport]:
     """Beta-dual conditions on the partial-sum window of a, one report
     each: the columnwise row limits and the companion condition of the
@@ -957,7 +955,7 @@ def beta_dual_check(
     """
     qp, p = _coerce(QParam, qp), _coerce(PExponent, p)
     conds = (Condition.COLUMN_LIMITS, _DUAL_CONDITIONS["beta"][_regime(p)])
-    return _section_reports(a.values[None], order, qp, p, conds, windows,
+    return _section_reports(a.values[None], order, qp, p, conds, None,
                             "partial-sum window", {"matrix": "partial-sum"})[0]
 
 
@@ -966,11 +964,10 @@ def gamma_dual_check(
     order: float,
     qp: QParam,
     p: PExponent,
-    windows: tuple[int, ...] | list[int] | None = None,
 ) -> ConditionReport:
     """Gamma-dual condition: the companion condition of the regime of p
     (`_DUAL_CONDITIONS`), without the column-limit requirement."""
     qp, p = _coerce(QParam, qp), _coerce(PExponent, p)
     conds = (_DUAL_CONDITIONS["gamma"][_regime(p)],)
-    return _section_reports(a.values[None], order, qp, p, conds, windows,
+    return _section_reports(a.values[None], order, qp, p, conds, None,
                             "partial-sum window", {"matrix": "partial-sum"})[0][0]

@@ -69,7 +69,6 @@ __all__ = [
     "TABLE_DOMAIN_CELLS",
     "TABLE_CLASSICAL_CELLS",
     "class_check",
-    "forward_composite_matrix",
 ]
 
 
@@ -254,7 +253,7 @@ def _check_row_tails(phi: MatrixWindow) -> None:
         )
 
 
-def forward_composite_matrix(phi: MatrixWindow, order: float, qp: QParam) -> MatrixWindow:
+def _forward_composite(phi: MatrixWindow, order: float, qp: QParam) -> MatrixWindow:
     """Forward operator applied down each column of the test matrix: entry
     (j, k) is sum_{v<=j} c_{j-v} phi_vk.  Column k of the result is exactly
     the forward transform of column k of the input."""
@@ -321,7 +320,7 @@ def class_check(query: ClassQuery, phi: MatrixWindow) -> list[ConditionReport]:
         table, label = 1, "inverse-composite"
     else:
         bundle = TABLE_CLASSICAL_CELLS[(query.source, query.target)]
-        reports, full = [], forward_composite_matrix(block, query.order, query.qp)
+        reports, full = [], _forward_composite(block, query.order, query.qp)
         table, label = 2, "forward-composite"
 
     for item in bundle:

@@ -21,6 +21,10 @@ the full formula and runs one cumprod over a concatenated copy, and
 ``window_norm`` takes the norm of one window on its own: the bit tests pin
 the library's in-place streams and one-pass norm profiles to them.
 
+``dual_reports`` is the one helper here that runs library code: the beta
+or gamma check's own sweep (`duals._section_reports`) at chosen windows,
+where the public checks take the power-of-two windows from 4.
+
 The dense windows of the dual checks and of the matrix classes are built
 here whole: the termwise-product window Lambda, the partial-sum window
 Omega, and each row's section window, with the estimate of a non-subset
@@ -50,7 +54,16 @@ import math
 
 import numpy as np
 
-from qnabla.duals import _SMALLEST_NORMAL, _UNIT_ROUNDOFF, Condition, MatrixWindow, _tail_start
+from qnabla.duals import (
+    _DUAL_CONDITIONS,
+    _SMALLEST_NORMAL,
+    _UNIT_ROUNDOFF,
+    Condition,
+    MatrixWindow,
+    _regime,
+    _section_reports,
+    _tail_start,
+)
 from qnabla.fracdiff import CoeffStream, Kind, SeqWindow, apply_forward, inverse_coeffs
 from qnabla.qcore import QParam, _require_finite, q_integer
 
@@ -280,6 +293,17 @@ def partial_sum_window(a: SeqWindow, order: float, qp: QParam) -> np.ndarray:
     """Dense partial-sum window Omega, the section window of the row a: Omega
     h returns the partial sums sum_{k<=j} a_k g_k."""
     return dense_section(a.values, toeplitz_window(inverse_coeffs(order, qp, a.n - 1), a.n))
+
+
+def dual_reports(kind: str, a: SeqWindow, order: float, qp: QParam, p, windows):
+    """The ``kind`` ("beta" or "gamma") dual check of a at ``windows``:
+    beta's list of the column-limit report and its regime's companion,
+    gamma's one companion report."""
+    cond = _DUAL_CONDITIONS[kind][_regime(p)]
+    conds = (Condition.COLUMN_LIMITS, cond) if kind == "beta" else (cond,)
+    reports, _ = _section_reports(a.values[None], order, qp, p, conds, windows,
+                                  "partial-sum window", {"matrix": "partial-sum"})
+    return reports if kind == "beta" else reports[0]
 
 
 def dense_estimate(

@@ -7,10 +7,11 @@ The fixture under ``tests/data/`` holds, for a small seeded grid, the
 exponent, of every section condition as `class_check` evaluates it (the
 row-tail check, then `duals._section_reports`), of catalog items A'
 and B' (the "target-domain" records, which the reverse dispatch of
-`class_check` evaluates), and of the beta- and gamma-dual checks with and
-without explicit windows.  It was recorded from the implementation whose
-condition semantics were split between `duals` and `matclass`, so moving a
-condition's estimate or exponent rule must leave each output bit-identical.
+`class_check` evaluates), and of the beta- and gamma-dual checks, also at
+explicit windows through their sweep (`oracles.dual_reports`).  It was
+recorded from the implementation whose condition semantics were split
+between `duals` and `matclass`, so moving a condition's estimate or
+exponent rule must leave each output bit-identical.
 Rewrite it only when an output change is intended:
 
     PYTHONPATH=src python tests/test_condition_fixture.py
@@ -24,6 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import dual_reports
 from qnabla.duals import (
     Condition,
     ConditionReport,
@@ -138,8 +140,9 @@ def grid_outputs() -> list[list]:
         for p in DUAL_PS:
             for windows in (None, (2, 5, a.n)):
                 for dual, check in (("beta", beta_dual_check), ("gamma", gamma_dual_check)):
-                    out.append(_record([dual, name, str(p), windows],
-                                       lambda: check(a, ORDER, Q, p, windows)))
+                    out.append(_record([dual, name, str(p), windows], lambda: (
+                        check(a, ORDER, Q, p) if windows is None
+                        else dual_reports(dual, a, ORDER, Q, p, windows))))
     return out
 
 

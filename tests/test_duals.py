@@ -15,6 +15,7 @@ import pytest
 from oracles import (
     dense_estimate,
     dense_section,
+    dual_reports,
     partial_sum_window,
     subtree_bounds_at,
     sup_closed_form,
@@ -1383,14 +1384,6 @@ class TestMatrixClassCondition:
         with pytest.raises(ValueError, match="^p must be positive and finite, got -2.0$"):
             matrix_class_condition(m, Condition.ENTRY_SUP, -2.0)
 
-    def test_checkpoint_validation(self):
-        m = MatrixWindow(np.eye(8))
-        with pytest.raises(ValueError):
-            matrix_class_condition(m, Condition.ROW_ABS_SUM_SUP, checkpoints=[4, 2])
-        with pytest.raises(ValueError):
-            matrix_class_condition(m, Condition.ROW_ABS_SUM_SUP, checkpoints=[2, 9])
-
-
     def test_value_outside_double_range_raises_overflow_error(self):
         # The suite turns warnings into errors: the refusal must be the
         # OverflowError, not numpy's RuntimeWarning.
@@ -1504,6 +1497,42 @@ class TestAlphaDual:
                            min(cp, 20)) for cp, _ in rep.values]
         assert rep.values == tuple((cp, v) for (cp, _), (v, _) in zip(rep.values, sups))
         assert rep.detail["witness"] == list(sups[-1][1])
+
+    def test_stream_stops_at_the_last_row_read(self, monkeypatch):
+        # Row j of the window reads lags up to j, so the rows the suprema
+        # read (at most 20) need no lag past the last of them.
+        lags = []
+
+        def recorded(order, qp, k):
+            lags.append(k)
+            return inverse_coeffs(order, qp, k)
+
+        monkeypatch.setattr(duals, "inverse_coeffs", recorded)
+        a = SeqWindow(np.random.default_rng(26).normal(size=64))
+        for rls in ((3,), (4, 8, 12), (5, 20), (8, 16, 24)):
+            try:
+                alpha_dual_check(a, 0.7, QParam(0.6), PExponent(2.0), rls)
+            except LimitError:  # past the 20-row cap: the stream is built first
+                assert rls[-1] > duals.MAX_SUBSET_ROWS
+            assert lags.pop() == min(rls[-1], duals.MAX_SUBSET_ROWS) - 1
+        assert not lags
+
+    @pytest.mark.parametrize("n", [36, 8192, 65536])
+    def test_window_matches_the_one_cut_from_every_lag(self, n):
+        # The same rows cut from the window of the whole n-lag stream, an
+        # n x n Toeplitz view: every report and witness keeps its bits.
+        a = SeqWindow(np.random.default_rng(n).normal(size=n))
+        qp = QParam(0.6)
+        for order, p, rls in ((0.7, P_INF, (4, 8)), (-0.5, PExponent(0.7), (4, 12)),
+                              (1.3, PExponent(1.25), (3, 8)), (2.0, PExponent(2.0), (4, 12))):
+            rep = alpha_dual_check(a, order, qp, p, rls)
+            t_e = _lower_toeplitz(inverse_coeffs(order, qp, n - 1).coeffs, n)
+            lam = MatrixWindow(a.values[: rls[-1], None]
+                               * t_e[: rls[-1], : duals._live_width(n, rls[-1])])
+            mode, e = duals._CONDITIONS[rep.condition_id].estimate, rep.detail["exponent"]
+            sups = [subset_sup(lam, e, mode, rl) for rl in rls]
+            assert rep.values == tuple((rl, v) for rl, (v, _) in zip(rls, sups))
+            assert rep.detail["witness"] == list(sups[-1][1])
 
     def test_finitely_supported_multiplier_stabilizes(self):
         a = SeqWindow(np.concatenate([[1.0, -2.0], np.zeros(14)]))
@@ -1687,8 +1716,8 @@ class TestSectionKernel:
         a = SeqWindow(np.random.default_rng(60).normal(size=self.N))
         omega = partial_sum_window(a, self.ORDER, self.QP)
         for windows in self.SEQ_WINDOWS:
-            reports = beta_dual_check(a, self.ORDER, self.QP, p, windows)
-            reports.append(gamma_dual_check(a, self.ORDER, self.QP, p, windows))
+            reports = dual_reports("beta", a, self.ORDER, self.QP, p, windows)
+            reports.append(dual_reports("gamma", a, self.ORDER, self.QP, p, windows))
             for rep in reports:
                 e = rep.detail.get("exponent")
                 assert list(rep.values) == [
@@ -1704,16 +1733,16 @@ class TestSectionKernel:
         tri = np.tril(rng.uniform(-1.0, 1.0, (12, 12))) + np.diag(np.arange(12.0))
         windows = (MatrixWindow(tri, triangular=True),
                    MatrixWindow(rng.normal(size=(14, 9))))
+        cps = (1, 2, 3, 7, 12)
         for m in windows:
             for cond in Condition:
                 if not isinstance(duals._CONDITIONS[cond].estimate, str):  # subset, section
                     continue
                 e = 1.5 if duals._CONDITIONS[cond].rule else None
-                rep = matrix_class_condition(m, cond, exponent=e, checkpoints=(1, 2, 3, 7, 12))
-                assert list(rep.values) == [
-                    (cp, dense_estimate(cond, m.entries[:cp, :cp], e, m.triangular))
-                    for cp, _ in rep.values
-                ]
+                (values,), _ = duals._profile(((cond, e),), (m.entries[:, None],), cps,
+                                              lambda: duals._triangular(m.entries))
+                assert values == [dense_estimate(cond, m.entries[:cp, :cp], e, m.triangular)
+                                  for cp in cps]
 
     def test_section_conditions_match_the_dense_sections(self):
         rng = np.random.default_rng(61)

@@ -35,8 +35,8 @@ from qnabla.matclass import (
     Target,
     _check_row_tails,
     _column_means,
+    _forward_composite,
     class_check,
-    forward_composite_matrix,
 )
 from qnabla.qcore import QParam, q_integer
 from qnabla.spaces import P_INF, PExponent
@@ -375,7 +375,7 @@ class TestTransformCondition:
 
 class TestForwardComposite:
     def test_identity_first_order_is_bidiagonal(self):
-        up = forward_composite_matrix(
+        up = _forward_composite(
             MatrixWindow(np.eye(8), triangular=True), 1.0, QParam(0.5)
         )
         expect = np.eye(8)
@@ -385,14 +385,14 @@ class TestForwardComposite:
     def test_order_zero_is_the_matrix_itself(self):
         rng = np.random.default_rng(54)
         phi = MatrixWindow(rng.uniform(-1, 1, (6, 6)))
-        up = forward_composite_matrix(phi, 0.0, QParam(0.5))
+        up = _forward_composite(phi, 0.0, QParam(0.5))
         assert np.array_equal(up.entries, phi.entries)
 
     def test_columns_share_the_transform_code_path(self):
         rng = np.random.default_rng(55)
         qp = QParam(0.9)
         phi = MatrixWindow(rng.uniform(-1, 1, (9, 9)))
-        up = forward_composite_matrix(phi, 1.3, qp)
+        up = _forward_composite(phi, 1.3, qp)
         for k in range(9):
             col = apply_forward(SeqWindow(phi.entries[:, k]), 1.3, qp).values
             assert np.array_equal(up.entries[:, k], col)
@@ -403,7 +403,7 @@ class TestForwardComposite:
             for q in QS:
                 qp = QParam(q)
                 phi = MatrixWindow(rng.uniform(-1, 1, (10, 10)))
-                up = forward_composite_matrix(phi, gamma, qp)
+                up = _forward_composite(phi, gamma, qp)
                 rec = np.column_stack(
                     [
                         apply_inverse(SeqWindow(up.entries[:, k]), gamma, qp).values
@@ -766,7 +766,7 @@ class TestClassCheck:
             if rep.detail["matrix"] == "sections":
                 expect = section_report(phi, order, qp, rep.condition_id, query.p, cps)
             else:
-                expect = matrix_class_condition(full, rep.condition_id, checkpoints=cps,
+                expect = matrix_class_condition(full, rep.condition_id,
                                                 exponent=rep.detail.get("exponent"))
             assert rep.values == expect.values
             assert rep.verdict is expect.verdict
